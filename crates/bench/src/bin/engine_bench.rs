@@ -17,7 +17,7 @@
 //! `BENCH_routing.json`) — the trajectory for the incremental-routing
 //! work. Each routing row runs four configurations — ticked reference,
 //! event-driven with the delta-maintained candidate **index**,
-//! event-driven with the PR 3 cursor-only **rescan**, and the sharded
+//! event-driven with the PR 3 cursor-only **rescan**, and the
 //! **parallel** engine — verifies all four reports are bit-identical, and
 //! records the index-vs-cursor and parallel-vs-ticked speedups. The
 //! fleet sizes and durations default to the fixed perf-trajectory set
@@ -111,6 +111,32 @@ fn write_json(path: &str, doc: &str) {
     println!("wrote {path} (schema v{SCHEMA_VERSION})");
 }
 
+const USAGE: &str = "usage: engine_bench [--json [PATH]] [--routing [PATH]] [--routing-nodes N,N] [--nodes N,N] [--mobility-nodes N,N] [--memory-nodes N,N] [--duration-secs N] [--seed N] [--threads N] [--sweep-bench] [--sweep-seeds N]";
+
+/// Reject bad command-line input: one line on stderr, exit code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("engine_bench: {msg} ({USAGE})");
+    std::process::exit(2);
+}
+
+/// The operand of `flag`, or a usage error when it is missing.
+fn value(flag: &str, operand: Option<String>) -> String {
+    operand.unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
+/// A count of at least `min`.
+fn count(flag: &str, v: &str, min: usize) -> usize {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= min => n,
+        _ => usage_error(&format!("{flag} needs an integer >= {min}, got '{v}'")),
+    }
+}
+
+/// A comma-separated list of node counts, each at least 2.
+fn node_list(flag: &str, v: &str) -> Vec<usize> {
+    v.split(',').map(|s| count(flag, s, 2)).collect()
+}
+
 struct Entry {
     nodes: usize,
     duration_secs: f64,
@@ -142,112 +168,43 @@ fn main() {
 
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--json" => {
                 // Optional path operand; default name otherwise.
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with("--") => args.next().expect("peeked"),
-                    _ => "BENCH_engine.json".to_string(),
-                };
-                json_path = Some(path);
+                let path = args.next_if(|p| !p.starts_with("--"));
+                json_path = Some(path.unwrap_or_else(|| "BENCH_engine.json".to_string()));
             }
             "--routing" => {
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with("--") => args.next().expect("peeked"),
-                    _ => "BENCH_routing.json".to_string(),
-                };
-                routing_path = Some(path);
+                let path = args.next_if(|p| !p.starts_with("--"));
+                routing_path = Some(path.unwrap_or_else(|| "BENCH_routing.json".to_string()));
             }
-            "--nodes" => {
-                let list = args.next().expect("--nodes needs a comma-separated list");
-                nodes = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("node count"))
-                    .collect();
-            }
-            "--routing-nodes" => {
-                let list = args
-                    .next()
-                    .expect("--routing-nodes needs a comma-separated list");
-                routing_nodes = Some(
-                    list.split(',')
-                        .map(|s| s.trim().parse().expect("node count"))
-                        .collect(),
-                );
-            }
-            "--mobility-nodes" => {
-                let list = args
-                    .next()
-                    .expect("--mobility-nodes needs a comma-separated list");
-                mobility_nodes = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("node count"))
-                    .collect();
-            }
-            "--memory-nodes" => {
-                let list = args
-                    .next()
-                    .expect("--memory-nodes needs a comma-separated list");
-                memory_nodes = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("node count"))
-                    .collect();
-            }
-            "--memory-probe" => {
-                memory_probe = Some(
-                    args.next()
-                        .expect("--memory-probe needs a node count")
-                        .parse()
-                        .expect("node count"),
-                );
-            }
-            "--sweep-bench" => {
-                sweep_bench = true;
-            }
-            "--sweep-seeds" => {
-                sweep_seeds = args
-                    .next()
-                    .expect("--sweep-seeds needs a value")
-                    .parse()
-                    .expect("seed count");
-                assert!(sweep_seeds >= 2, "--sweep-seeds needs at least 2");
-            }
-            "--sweep-probe" => {
-                sweep_probe = Some(
-                    args.next()
-                        .expect("--sweep-probe needs a seed count")
-                        .parse()
-                        .expect("seed count"),
-                );
-            }
+            // Every scenario builder needs at least two nodes (two traffic
+            // endpoints; the mesh builders also a map of two vertices).
+            "--nodes" => nodes = node_list(flag, &value(flag, args.next())),
+            "--routing-nodes" => routing_nodes = Some(node_list(flag, &value(flag, args.next()))),
+            "--mobility-nodes" => mobility_nodes = node_list(flag, &value(flag, args.next())),
+            "--memory-nodes" => memory_nodes = node_list(flag, &value(flag, args.next())),
+            "--memory-probe" => memory_probe = Some(count(flag, &value(flag, args.next()), 2)),
+            "--sweep-bench" => sweep_bench = true,
+            "--sweep-seeds" => sweep_seeds = count(flag, &value(flag, args.next()), 2),
+            "--sweep-probe" => sweep_probe = Some(count(flag, &value(flag, args.next()), 1)),
             "--duration-secs" => {
-                duration_override = Some(
-                    args.next()
-                        .expect("--duration-secs needs a value")
-                        .parse()
-                        .expect("seconds"),
-                );
+                let v = value(flag, args.next());
+                // A run must span at least one 1 s tick.
+                match v.parse::<f64>() {
+                    Ok(secs) if secs.is_finite() && secs >= 1.0 => duration_override = Some(secs),
+                    _ => usage_error(&format!("{flag} needs a number of seconds >= 1, got '{v}'")),
+                }
             }
             "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed");
+                let v = value(flag, args.next());
+                seed = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("{flag} needs an unsigned integer, got '{v}'"))
+                });
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a value")
-                    .parse()
-                    .expect("thread count");
-                assert!(threads >= 1, "--threads needs a positive count");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: engine_bench [--json [PATH]] [--routing [PATH]] [--routing-nodes N,N] [--nodes 50,200,1000,5000,10000] [--mobility-nodes N,N] [--memory-nodes N,N] [--duration-secs N] [--seed N] [--threads N] [--sweep-bench] [--sweep-seeds N]");
-                std::process::exit(2);
-            }
+            "--threads" => threads = count(flag, &value(flag, args.next()), 1),
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
 
@@ -466,7 +423,7 @@ fn main() {
             None => String::new(),
         };
         let doc = format!(
-            "{{\n  \"benchmark\": \"engine_modes\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"description\": \"World::run wall time, ticked vs event-driven vs sharded-parallel scheduler, identical scenarios (paper mobility, Epidemic + Lifetime policies)\",\n  \"seed\": {},\n  \"threads\": {},\n  \"entries\": [\n{}\n  ],\n  \"motion\": [\n{}\n  ],\n  \"transfer_bound\": [\n{}\n  ],\n  \"mobility_bound\": [\n{}\n  ],\n  \"memory\": [\n{}\n  ]{}\n}}\n",
+            "{{\n  \"benchmark\": \"engine_modes\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"description\": \"World::run wall time, ticked vs event-driven vs parallel scheduler, identical scenarios (paper mobility, Epidemic + Lifetime policies)\",\n  \"seed\": {},\n  \"threads\": {},\n  \"entries\": [\n{}\n  ],\n  \"motion\": [\n{}\n  ],\n  \"transfer_bound\": [\n{}\n  ],\n  \"mobility_bound\": [\n{}\n  ],\n  \"memory\": [\n{}\n  ]{}\n}}\n",
             seed,
             threads,
             rows.join(",\n"),
@@ -815,11 +772,10 @@ fn run_sweep_rss_probes(seed_counts: &[usize], threads: usize) -> (Vec<String>, 
 /// sizes and the paper's sorted-vs-FIFO policy extremes, writing `path` as
 /// JSON. Each row runs the ticked reference, the event engine with the
 /// delta-maintained candidate index, the event engine with the PR 3
-/// cursor-only rescan, and the sharded parallel engine; all four reports
+/// cursor-only rescan, and the parallel engine; all four reports
 /// must be bit-identical. The recorded `speedup_index_vs_rescan` is the
 /// number the incremental-candidate-index work is accountable for, and
-/// `speedup_parallel_vs_ticked` is the sharded round's — the row the
-/// ticked engine used to win at 10k nodes.
+/// `speedup_parallel_vs_ticked` is the parallel engine's.
 fn run_routing_section(
     path: &str,
     seed: u64,
@@ -898,7 +854,7 @@ fn run_routing_section(
         }
     }
     let doc = format!(
-        "{{\n  \"benchmark\": \"routing_round\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"description\": \"World::run wall time on the dense-contact stationary mesh (routing round dominates; permanent contacts): ticked reference vs event-driven with the PR 3 cursor-only rescan vs event-driven with the delta-maintained candidate index vs the sharded parallel engine\",\n  \"seed\": {},\n  \"threads\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"routing_round\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"description\": \"World::run wall time on the dense-contact stationary mesh (routing round dominates; permanent contacts): ticked reference vs event-driven with the PR 3 cursor-only rescan vs event-driven with the delta-maintained candidate index vs the parallel engine\",\n  \"seed\": {},\n  \"threads\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
         seed,
         threads,
         rows.join(",\n")

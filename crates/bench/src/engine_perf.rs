@@ -205,7 +205,7 @@ pub fn run_with_backend(
     World::build_with_options(scenario, mode, backend).run()
 }
 
-/// Run on the sharded parallel engine with a pinned pool size — the
+/// Run on the parallel engine with a pinned pool size — the
 /// thread-count column the bench harness records. Bit-identical to the
 /// serial runs at every `threads` value.
 pub fn run_parallel(scenario: &Scenario, backend: RoutingBackend, threads: usize) -> SimReport {

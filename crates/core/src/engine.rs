@@ -48,20 +48,19 @@
 //!   nodes whose slack deadline is due re-examine their radio
 //!   neighbourhood, and TTL housekeeping touches only buffers whose
 //!   earliest expiry is due (per-buffer expiry min-heaps).
-//! * [`EngineMode::Parallel`] runs the event-driven driver but shards the
-//!   two per-tick hot phases across a pinned thread pool: kinematic
-//!   contact re-queries are partitioned by [`ShardMap`] spatial region
-//!   (merged back in sorted pair-key order before any state changes — see
-//!   [`ContactDetector::update_kinematic_sharded`]), and the routing
-//!   round is split into a read-only parallel *scan* that plans one
-//!   verdict per idle direction from round-start state, followed by a
-//!   serial *commit* that walks the canonical pair order applying plans
-//!   (and evaluating RNG-drawing or cache-mutating directions inline).
-//!   Because every cross-thread output is slot-indexed and merged in the
-//!   same canonical order the serial engines use, reports are byte-equal
-//!   to both other modes at *every* thread count (the invariance matrix in
-//!   `tests/engine_equivalence.rs` pins pool sizes 1/2/4/8). The sharded
-//!   parallel round is documented in depth in ARCHITECTURE.md.
+//! * [`EngineMode::Parallel`] is the event-driven driver with a pinned
+//!   thread pool serving the two phases that measurably pay for one:
+//!   movement-model advances at decision boundaries fan out across
+//!   workers, and kinematic contact re-queries are partitioned by
+//!   [`ShardMap`] spatial region (merged back in sorted pair-key order
+//!   before any state changes — see
+//!   [`ContactDetector::update_kinematic_sharded`]). The routing round is
+//!   the serial round: its useful frontier is at most one transfer per
+//!   node per tick, so planning every live pair in parallel did several
+//!   times the serial work and lost on dense meshes. Reports are
+//!   byte-equal to both other modes at *every* thread count (the
+//!   invariance matrix in `tests/engine_equivalence.rs` pins pool sizes
+//!   1/2/4/8); ARCHITECTURE.md's *Parallel mode* has the measurements.
 //!
 //! Events are conservative wake-up markers, never obligations: each
 //! executed tick re-derives the actual work from simulation state, so a
@@ -96,7 +95,6 @@ use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationa
 use vdtn_net::{
     pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, MotionCols, TransferOutcome,
 };
-use vdtn_routing::offers::SilenceKey;
 use vdtn_routing::{ContactOffers, NodeState, ReceiveOutcome, Router, RoutingBackend};
 use vdtn_sim_core::{EngineEvent, EventQueue, NodeId, SimDuration, SimRng, SimTime, StateHash};
 
@@ -125,10 +123,10 @@ pub enum EngineMode {
     /// parts of the scenario are quiescent, so it is the default.
     #[default]
     EventDriven,
-    /// The event-driven driver with the two per-tick hot phases — contact
-    /// re-query and the routing round's scan — sharded across a pinned
-    /// thread pool by spatial region, with shard outputs merged in
-    /// canonical order before any state mutates. Bit-identical to both
+    /// The event-driven driver with movement advances and contact
+    /// re-queries fanned across a pinned thread pool (the latter sharded by
+    /// spatial region, outputs merged in canonical order before any state
+    /// mutates). The routing round is the serial one. Bit-identical to both
     /// other modes at every thread count (`VDTN_THREADS` pins the pool;
     /// see [`World::build_parallel_with_threads`] for an explicit count).
     Parallel,
@@ -157,6 +155,12 @@ pub struct EngineStats {
     /// Movement steps the per-tick reference loop would have executed:
     /// `mobile_nodes × total ticks`.
     pub movement_node_ticks: u64,
+    /// `TransferComplete` wakes pushed onto the event queue.
+    pub transfer_wakes_scheduled: u64,
+    /// Transfer-completion wakes never pushed because another event
+    /// already forces the grid tick their drain lands in. Event runs only;
+    /// `scheduled + elided` is the number of transfers started.
+    pub transfer_wakes_elided: u64,
 }
 
 impl EngineStats {
@@ -170,11 +174,11 @@ impl EngineStats {
     }
 }
 
-/// Parallel-mode machinery: a pinned worker pool plus the fixed spatial
-/// shard tiling work is partitioned by. The tiling is built once from the
-/// initial layout and never depends on the thread count, so shard
-/// assignment — and therefore every merge order — is reproducible across
-/// pool sizes.
+/// Parallel-mode machinery: a pinned worker pool (movement fan-out and
+/// sharded contact re-query) plus the fixed spatial shard tiling the
+/// detector partitions by. The tiling is built once from the initial
+/// layout and never depends on the thread count, so shard assignment — and
+/// therefore every merge order — is reproducible across pool sizes.
 struct ParState {
     pool: rayon::ThreadPool,
     shards: ShardMap,
@@ -192,43 +196,6 @@ impl ParState {
             shards: ShardMap::build(positions, range.max(f64::MIN_POSITIVE), target),
         }
     }
-}
-
-/// One idle connection's routing-round work item in the parallel round:
-/// the pair, its owning spatial shard, exclusive access to its per-contact
-/// offer state (pulled out of the contact map once per round), and the
-/// direction plans the scan fills in.
-struct PairWork<'a> {
-    a: NodeId,
-    b: NodeId,
-    shard: u32,
-    offers: &'a mut ContactOffers,
-    plan: PlanState,
-}
-
-#[derive(Clone, Copy)]
-enum PlanState {
-    /// Some direction's router mutates shared state or draws RNG in
-    /// `next_transfer` (Random scheduling, or the cursor-rescan backend's
-    /// schedule cache): the commit evaluates both directions inline,
-    /// exactly like the serial round, preserving RNG lanes and caches.
-    Deferred,
-    /// Shared pair awaiting its scan verdicts.
-    Pending,
-    /// Scan output: one verdict per direction, in initiative order.
-    Planned { first: DirPlan, second: DirPlan },
-}
-
-#[derive(Clone, Copy)]
-enum DirPlan {
-    /// The initiative direction sent, so this direction was never
-    /// consulted — matching the serial round's short-circuit.
-    NotScanned,
-    /// The router named this message; the commit starts the transfer.
-    Send(MessageId),
-    /// The round is `None` under this state snapshot; the commit records
-    /// the silence memo (idempotent when the memo already held this key).
-    Silent(SilenceKey),
 }
 
 /// A running simulation.
@@ -303,10 +270,10 @@ pub struct World {
     contact_window_scheduled: SimTime,
     /// Scheduler-efficiency counters (see [`EngineStats`]).
     stats: EngineStats,
-    /// Scratch ([`EngineMode::Parallel`] only): completion wakes from this
-    /// tick's routing round, held back until the re-arm decision so wakes
+    /// Scratch (event-driven modes): completion wakes from this tick's
+    /// routing round, held back until the re-arm decision so wakes
     /// provably covered by an already-scheduled next-tick event are never
-    /// pushed onto the heap at all.
+    /// pushed onto the heap at all. Always empty between ticks.
     pending_transfer_wakes: Vec<(SimTime, NodeId, NodeId)>,
     /// Worker pool + shard tiling, present only in [`EngineMode::Parallel`].
     par: Option<ParState>,
@@ -753,8 +720,9 @@ impl World {
         // Phase 4: transfer progress.
         self.phase_transfers();
 
-        // Phase 5: routing round.
-        self.phase_routing();
+        // Phase 5: routing round. Every tick executes here, so the quiet
+        // verdict has no wake to answer.
+        self.phase_routing_tracked();
 
         // Phase 6: TTL sweep.
         for i in 0..self.states.len() {
@@ -858,11 +826,7 @@ impl World {
         let mut round_quiet = true;
         if self.links.connection_count() > 0 {
             self.phase_transfers();
-            round_quiet = if self.par.is_some() {
-                self.phase_routing_parallel()
-            } else {
-                self.phase_routing_tracked()
-            };
+            round_quiet = self.phase_routing_tracked();
         }
 
         // Phase 6: TTL — only buffers whose scheduled expiry wake is due;
@@ -916,25 +880,27 @@ impl World {
                 .schedule(now + self.tick, EngineEvent::LinkRound);
         }
 
-        // Flush the round's completion wakes (parallel mode). A wake's only
-        // job is to force execution of the first grid tick at or after its
-        // byte-drain instant; when some already-scheduled event lands in
-        // `(now, now + tick]`, that same grid tick executes regardless, so
-        // wakes completing within it are dropped — in the saturated regime
-        // this strips the per-transfer heap churn entirely. Longer drains
-        // (or an empty horizon) schedule exactly the serial wake.
+        // Flush the round's completion wakes. A wake's only job is to force
+        // execution of the first grid tick at or after its byte-drain
+        // instant; once some scheduled event lands in `(now, now + tick]`,
+        // that grid tick executes regardless, so wakes completing within it
+        // are elided — in the saturated regime this strips the per-transfer
+        // heap churn entirely. Longer drains (or an empty horizon) schedule
+        // exactly the wake at their drain instant.
         if !self.pending_transfer_wakes.is_empty() {
             let next_tick = now + self.tick;
-            let covered = self.events.peek_time().is_some_and(|t| t <= next_tick);
-            let mut wakes = std::mem::take(&mut self.pending_transfer_wakes);
-            for &(completes, from, to) in &wakes {
-                if !(covered && completes <= next_tick) {
+            let mut covered = self.events.peek_time().is_some_and(|t| t <= next_tick);
+            for &(completes, from, to) in &self.pending_transfer_wakes {
+                if covered && completes <= next_tick {
+                    self.stats.transfer_wakes_elided += 1;
+                } else {
+                    self.stats.transfer_wakes_scheduled += 1;
                     self.events
                         .schedule(completes, EngineEvent::TransferComplete(from, to));
+                    covered |= completes <= next_tick;
                 }
             }
-            wakes.clear();
-            self.pending_transfer_wakes = wakes;
+            self.pending_transfer_wakes.clear();
         }
 
         self.tick_index += 1;
@@ -1129,275 +1095,21 @@ impl World {
         }
     }
 
-    /// Phase 5: routing round over idle connections. Initiative alternates
-    /// per tick so neither endpoint of a long contact monopolises the link.
-    fn phase_routing(&mut self) {
-        let pairs = self.links.idle_contacts();
-        for (a, b, slot) in pairs {
-            if self.links.is_busy(a) || self.links.is_busy(b) {
-                continue; // became busy earlier in this round
-            }
-            let (first, second) = if self.tick_index % 2 == 0 {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            if !self.try_start_transfer(first, second, slot) {
-                self.try_start_transfer(second, first, slot);
-            }
-        }
-    }
-
-    /// Phase 5, sharded ([`EngineMode::Parallel`]): a read-mostly parallel
-    /// **scan** plans one verdict per idle direction, then a serial
-    /// **commit** walks the canonical pair order applying them.
+    /// Phase 5: routing round over idle connections, in canonical pair
+    /// order. Initiative alternates per tick so neither endpoint of a long
+    /// contact monopolises the link. `try_start_transfer` short-circuits
+    /// silent directions and memoises fresh `None` verdicts, so a
+    /// non-started pair ends either memoised silent or holding an
+    /// RNG-drawing direction (collected, then re-checked for idleness after
+    /// the round — a later pair's transfer can seize one of its endpoints).
     ///
-    /// Bit-identity argument (expanded in ARCHITECTURE.md): nothing in
-    /// phase 5 mutates buffers, routers' verdict-relevant state, or
-    /// delivered sets — the only cross-pair coupling inside a round is the
-    /// busy-skip, which the commit re-checks in the exact serial order. A
-    /// direction's verdict is therefore a pure function of round-start
-    /// state, so scanning all pairs up front (each task owning its pairs'
-    /// offer state exclusively, grouped by spatial shard) computes exactly
-    /// what the serial round would, regardless of thread count. Directions
-    /// whose routers draw RNG or mutate schedule caches in `next_transfer`
-    /// ([`Router::scan_is_shared`] is false) are not scanned at all: the
-    /// commit evaluates them inline at their canonical position, so RNG
-    /// lanes advance in the serial order. Scan-side cache writes (candidate
-    /// index syncs) are verdict-transparent, and silence memos are written
-    /// only at commit — a pair skipped by the busy re-check leaves no
-    /// observable trace, exactly like serial.
-    ///
-    /// Returns **true iff the round ended provably quiet**: every pair the
-    /// commit left idle had both directions answer `None` and memoise the
-    /// verdict under its current silence key, and none of those directions
-    /// draws RNG — exactly the conditions under which
-    /// [`World::routing_work_possible`] would walk every idle pair only to
-    /// conclude `false`. Busy pairs need no accounting: the idle set can
-    /// only shrink during a round, and a pair freed by a later completion
-    /// is re-examined on that completion's executed tick.
-    fn phase_routing_parallel(&mut self) -> bool {
-        let threads = self
-            .par
-            .as_ref()
-            .expect("parallel routing round requires a pool")
-            .pool
-            .num_threads();
-        if threads <= 1 {
-            // A lone worker gains nothing from the scan/commit split but
-            // still pays for scanning pairs the commit busy-skips (the
-            // serial round never evaluates those). Plans are pure functions
-            // of round-start state, so evaluating lazily at the commit slot
-            // yields the same verdicts — run the serial round and track
-            // the quiet verdict inline.
-            return self.phase_routing_tracked();
-        }
-        let pairs = self.links.idle_contacts();
-        if pairs.is_empty() {
-            return true;
-        }
-        let tick_index = self.tick_index;
-        let now = self.now;
-        let World {
-            par,
-            contacts,
-            links,
-            routers,
-            states,
-            node_rngs,
-            pending_transfer_wakes,
-            report,
-            positions,
-            ..
-        } = self;
-        let par = par
-            .as_ref()
-            .expect("parallel routing round requires a pool");
-        let states: &[NodeState] = states;
-
-        // Silence pre-filter: one immutable pass in canonical order drops
-        // every pair whose two directions are provably silent — exactly the
-        // directions the serial round would short-circuit without touching
-        // state, and exactly the sweep `routing_work_possible` would repeat
-        // at re-arm time. In the saturated steady state this is nearly all
-        // of them, so the scan/commit machinery below only ever pays for
-        // pairs with potential work.
-        let mut live: Vec<(NodeId, NodeId, u32)> = Vec::with_capacity(16);
-        for &(a, b, slot) in &pairs {
-            let offers = contacts[slot as usize]
-                .as_ref()
-                .expect("routing round only visits live connections");
-            let silent = [(a, b, 0usize), (b, a, 1usize)].iter().all(|&(f, t, s)| {
-                !routers[f.index()].next_transfer_draws_rng()
-                    && offers.is_silent(
-                        s,
-                        &direction_key(f, t, states, &*routers[f.index()], &*routers[t.index()]),
-                    )
-            });
-            if !silent {
-                live.push((a, b, slot));
-            }
-        }
-        if live.is_empty() {
-            return true;
-        }
-
-        // Pull the live pairs' offer state out of the slot table in one
-        // pass: a slot-indexed vector of `&mut` lets each live pair claim
-        // its exclusive borrow by index, no keyed lookups anywhere.
-        let mut offer_slots: Vec<Option<&mut ContactOffers>> =
-            contacts.iter_mut().map(Option::as_mut).collect();
-        let mut works: Vec<PairWork<'_>> = live
-            .iter()
-            .map(|&(a, b, slot)| {
-                let offers = offer_slots[slot as usize]
-                    .take()
-                    .expect("routing round only visits live connections");
-                let shared =
-                    routers[a.index()].scan_is_shared() && routers[b.index()].scan_is_shared();
-                PairWork {
-                    a,
-                    b,
-                    shard: par.shards.pair_owner(a.0, b.0, positions),
-                    offers,
-                    plan: if shared {
-                        PlanState::Pending
-                    } else {
-                        PlanState::Deferred
-                    },
-                }
-            })
-            .collect();
-
-        // Parallel scan: shard-grouped, slot-indexed. Tasks read only
-        // round-start shared state and write only their own pairs' plans
-        // and offer caches, so any chunking yields the same plans.
-        let mut shared_refs: Vec<&mut PairWork<'_>> = works
-            .iter_mut()
-            .filter(|w| matches!(w.plan, PlanState::Pending))
-            .collect();
-        if !shared_refs.is_empty() {
-            shared_refs.sort_by_key(|w| w.shard);
-            let chunk = vdtn_sim_core::par::chunk_len(shared_refs.len(), par.pool.num_threads());
-            let routers: &[Box<dyn Router>] = routers;
-            par.pool.scope(|scope| {
-                for chunk_refs in shared_refs.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for work in chunk_refs.iter_mut() {
-                            scan_pair(work, states, routers, now, tick_index);
-                        }
-                    });
-                }
-            });
-        }
-        drop(shared_refs);
-
-        // Serial commit in canonical pair order: the serial round, minus
-        // every scan the plans already answered.
-        //
-        // `rng_declined` collects pairs that kept an RNG-drawing direction
-        // idle (never memoised — the round stays loud for them); whether
-        // such a pair is *still* idle can only be judged after the whole
-        // commit, because a later pair's transfer can seize one of its
-        // endpoints. Every other non-started pair ends with both directions
-        // memoised silent, so it needs no accounting.
-        let mut rng_declined: Vec<(NodeId, NodeId)> = Vec::new();
-        for work in &mut works {
-            if links.is_busy(work.a) || links.is_busy(work.b) {
-                continue; // became busy earlier in this round
-            }
-            let key = pair_key(work.a, work.b);
-            let (first, second) = if tick_index % 2 == 0 {
-                (work.a, work.b)
-            } else {
-                (work.b, work.a)
-            };
-            let side1 = usize::from(first.0 != key.0);
-            let offers = &mut *work.offers;
-            match work.plan {
-                PlanState::Deferred => {
-                    let started = commit_deferred(
-                        first,
-                        second,
-                        side1,
-                        offers,
-                        states,
-                        routers,
-                        node_rngs,
-                        links,
-                        pending_transfer_wakes,
-                        report,
-                        now,
-                    ) || commit_deferred(
-                        second,
-                        first,
-                        1 - side1,
-                        offers,
-                        states,
-                        routers,
-                        node_rngs,
-                        links,
-                        pending_transfer_wakes,
-                        report,
-                        now,
-                    );
-                    if !started
-                        && (routers[first.index()].next_transfer_draws_rng()
-                            || routers[second.index()].next_transfer_draws_rng())
-                    {
-                        // An RNG-drawing direction is never memoised silent:
-                        // routing_work_possible() re-arms for it if the pair
-                        // is still idle once the round finishes.
-                        rng_declined.push((work.a, work.b));
-                    }
-                }
-                PlanState::Planned {
-                    first: d1,
-                    second: d2,
-                } => {
-                    // Shared scans never draw RNG, so a non-started planned
-                    // pair always ends with both memos set: quiet-safe.
-                    if !commit_planned(
-                        first,
-                        second,
-                        side1,
-                        d1,
-                        offers,
-                        states,
-                        links,
-                        pending_transfer_wakes,
-                        report,
-                        now,
-                    ) {
-                        commit_planned(
-                            second,
-                            first,
-                            1 - side1,
-                            d2,
-                            offers,
-                            states,
-                            links,
-                            pending_transfer_wakes,
-                            report,
-                            now,
-                        );
-                    }
-                }
-                PlanState::Pending => unreachable!("scan fills every shared pair's plan"),
-            }
-        }
-        !rng_declined
-            .iter()
-            .any(|&(a, b)| !links.is_busy(a) && !links.is_busy(b))
-    }
-
-    /// Phase 5 on a one-thread pool: [`World::phase_routing`] verbatim,
-    /// plus the quiet-verdict bookkeeping the parallel commit produces.
-    /// `try_start_transfer` already short-circuits silent directions and
-    /// memoises fresh `None` verdicts, so a non-started pair ends either
-    /// memoised silent (quiet-compatible) or holding an RNG-drawing
-    /// direction (collected, then re-checked for idleness after the round
-    /// — a later pair's transfer can seize one of its endpoints).
+    /// Returns **true iff the round ended provably quiet**: every pair left
+    /// idle had both directions answer `None` under their current silence
+    /// keys, and none of them draws RNG — exactly the conditions under
+    /// which [`World::routing_work_possible`] would walk every idle pair
+    /// only to conclude `false`. Busy pairs need no accounting: the idle
+    /// set can only shrink during a round, and a pair freed by a later
+    /// completion is re-examined on that completion's executed tick.
     fn phase_routing_tracked(&mut self) -> bool {
         let pairs = self.links.idle_contacts();
         let mut rng_declined: Vec<(NodeId, NodeId)> = Vec::new();
@@ -1679,16 +1391,13 @@ impl World {
                     .expect("stored message has a handle");
                 contact.record(id, handle);
                 let completes = self.links.start_transfer(from, to, msg, self.now);
-                if self.par.is_some() {
-                    // Parallel mode holds wakes back until the re-arm
-                    // decision, where redundant ones are dropped.
+                if self.event_driven() {
+                    // One wake-up at the exact byte-drain instant, held back
+                    // until the re-arm decision, which drops it when another
+                    // event already forces that tick; the drain itself
+                    // happens in phase 4, in pair-key order with any other
+                    // due completion.
                     self.pending_transfer_wakes.push((completes, from, to));
-                } else if self.event_driven() {
-                    // One wake-up at the exact byte-drain instant; the
-                    // drain itself happens in phase 4 of that tick, in
-                    // pair-key order with any other due completion.
-                    self.events
-                        .schedule(completes, EngineEvent::TransferComplete(from, to));
                 }
                 self.report.messages.transfers_started += 1;
                 true
@@ -2141,230 +1850,6 @@ fn hash_report(h: &mut StateHash, r: &SimReport) {
     }
 }
 
-// --- Parallel routing round helpers (free functions over split borrows,
-//     because the round holds `&mut ContactOffers` references across the
-//     whole scan + commit) ---
-
-/// The engine's `silence_key` recomputed from split borrows (see
-/// [`SilenceKey`] for why the sender side contributes its insert count).
-fn direction_key(
-    from: NodeId,
-    to: NodeId,
-    states: &[NodeState],
-    rf: &dyn Router,
-    rt: &dyn Router,
-) -> SilenceKey {
-    [
-        states[from.index()].buffer.insert_count(),
-        rf.routing_generation(),
-        states[to.index()].buffer.generation(),
-        rt.routing_generation(),
-        states[to.index()].delivered.len() as u64,
-    ]
-}
-
-/// Scan one shared pair: plan the initiative direction, then the reply
-/// direction only if the first plans nothing — the serial round's exact
-/// short-circuit structure, evaluated from round-start state.
-fn scan_pair(
-    work: &mut PairWork<'_>,
-    states: &[NodeState],
-    routers: &[Box<dyn Router>],
-    now: SimTime,
-    tick_index: u64,
-) {
-    let key = pair_key(work.a, work.b);
-    let (first, second) = if tick_index % 2 == 0 {
-        (work.a, work.b)
-    } else {
-        (work.b, work.a)
-    };
-    let side1 = usize::from(first.0 != key.0);
-    let d1 = scan_direction(
-        first,
-        second,
-        side1,
-        &mut *work.offers,
-        states,
-        routers,
-        now,
-    );
-    let d2 = if matches!(d1, DirPlan::Send(_)) {
-        DirPlan::NotScanned
-    } else {
-        scan_direction(
-            second,
-            first,
-            1 - side1,
-            &mut *work.offers,
-            states,
-            routers,
-            now,
-        )
-    };
-    work.plan = PlanState::Planned {
-        first: d1,
-        second: d2,
-    };
-}
-
-/// One direction's scan: silence short-circuit, then the RNG-free
-/// [`Router::plan_transfer`]. Returns the verdict plus the state snapshot
-/// the commit needs to write the silence memo.
-fn scan_direction(
-    from: NodeId,
-    to: NodeId,
-    side: usize,
-    offers: &mut ContactOffers,
-    states: &[NodeState],
-    routers: &[Box<dyn Router>],
-    now: SimTime,
-) -> DirPlan {
-    let rf = &routers[from.index()];
-    let rt = &routers[to.index()];
-    debug_assert!(
-        !rf.next_transfer_draws_rng(),
-        "shared scans never draw RNG (scan_is_shared contract)"
-    );
-    let key = direction_key(from, to, states, &**rf, &**rt);
-    if offers.is_silent(side, &key) {
-        return DirPlan::Silent(key);
-    }
-    match rf.plan_transfer(
-        &states[from.index()],
-        &states[to.index()],
-        &**rt,
-        &mut offers.view(side),
-        now,
-    ) {
-        Some(id) => DirPlan::Send(id),
-        None => DirPlan::Silent(key),
-    }
-}
-
-/// Commit one planned direction; true if a transfer started.
-#[allow(clippy::too_many_arguments)]
-fn commit_planned(
-    from: NodeId,
-    to: NodeId,
-    side: usize,
-    plan: DirPlan,
-    offers: &mut ContactOffers,
-    states: &[NodeState],
-    links: &mut LinkTable,
-    pending_wakes: &mut Vec<(SimTime, NodeId, NodeId)>,
-    report: &mut SimReport,
-    now: SimTime,
-) -> bool {
-    match plan {
-        DirPlan::Send(id) => {
-            start_planned_transfer(
-                from,
-                to,
-                id,
-                offers,
-                states,
-                links,
-                pending_wakes,
-                report,
-                now,
-            );
-            true
-        }
-        DirPlan::Silent(key) => {
-            offers.set_silent(side, key);
-            false
-        }
-        DirPlan::NotScanned => {
-            unreachable!("second direction is scanned whenever the first does not send")
-        }
-    }
-}
-
-/// Commit one deferred direction by running the full serial
-/// `try_start_transfer` logic (silence memo, `next_transfer` with this
-/// node's RNG lane) at its canonical position in the round.
-#[allow(clippy::too_many_arguments)]
-fn commit_deferred(
-    from: NodeId,
-    to: NodeId,
-    side: usize,
-    offers: &mut ContactOffers,
-    states: &[NodeState],
-    routers: &mut [Box<dyn Router>],
-    node_rngs: &mut [SimRng],
-    links: &mut LinkTable,
-    pending_wakes: &mut Vec<(SimTime, NodeId, NodeId)>,
-    report: &mut SimReport,
-    now: SimTime,
-) -> bool {
-    let (rf, rt) = pair_mut(routers, from.index(), to.index());
-    let silence_key = direction_key(from, to, states, &**rf, &**rt);
-    let cacheable = !rf.next_transfer_draws_rng();
-    if cacheable && offers.is_silent(side, &silence_key) {
-        return false;
-    }
-    let intent = rf.next_transfer(
-        &states[from.index()],
-        &states[to.index()],
-        &**rt,
-        &mut offers.view(side),
-        now,
-        &mut node_rngs[from.index()],
-    );
-    match intent {
-        Some(id) => {
-            start_planned_transfer(
-                from,
-                to,
-                id,
-                offers,
-                states,
-                links,
-                pending_wakes,
-                report,
-                now,
-            );
-            true
-        }
-        None => {
-            if cacheable {
-                offers.set_silent(side, silence_key);
-            }
-            false
-        }
-    }
-}
-
-/// Start a transfer chosen by the round: record the offer, put the bytes
-/// on the wire, and queue the exact byte-drain wake-up (held back until
-/// the re-arm decision, which drops wakes another event already covers).
-#[allow(clippy::too_many_arguments)]
-fn start_planned_transfer(
-    from: NodeId,
-    to: NodeId,
-    id: MessageId,
-    offers: &mut ContactOffers,
-    states: &[NodeState],
-    links: &mut LinkTable,
-    pending_wakes: &mut Vec<(SimTime, NodeId, NodeId)>,
-    report: &mut SimReport,
-    now: SimTime,
-) {
-    let msg = states[from.index()]
-        .buffer
-        .get(id)
-        .expect("router offered a message it does not hold");
-    let handle = states[from.index()]
-        .buffer
-        .handle_of(id)
-        .expect("stored message has a handle");
-    offers.record(id, handle);
-    let completes = links.start_transfer(from, to, msg, now);
-    pending_wakes.push((completes, from, to));
-    report.messages.transfers_started += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2549,8 +2034,9 @@ mod tests {
 
     #[test]
     fn parallel_mode_handles_random_scheduling_deferred_pairs() {
-        // Random scheduling draws RNG per round, so every pair defers to
-        // the serial commit — the parallel engine must still match.
+        // Random scheduling draws RNG per round, so no direction is ever
+        // memoised silent and every round is loud — the parallel engine
+        // must still match.
         let scenario = small(RouterKind::Epidemic, PolicyCombo::RANDOM_FIFO, 9);
         let reference = canon(World::build_with_mode(&scenario, EngineMode::EventDriven).run());
         let par = World::build_parallel_with_threads(&scenario, RoutingBackend::default(), 2).run();

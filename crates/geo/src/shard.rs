@@ -1,20 +1,15 @@
-//! Deterministic spatial sharding for parallel engine phases.
+//! Deterministic spatial sharding for parallel contact detection.
 //!
 //! A [`ShardMap`] tiles the plane into a fixed `cols × rows` lattice of
 //! rectangular shards, aligned to [`crate::SpatialGrid`] cell boundaries so
-//! a shard is always a whole block of grid buckets. The engine partitions
-//! per-contact work by shard, processes shards concurrently, and merges the
-//! outputs in canonical order — so the map's only obligations are to be a
-//! **total function** (every point lands in exactly one shard, including
-//! points that drift outside the construction-time bounding box, which
-//! clamp to the nearest edge shard) and to be **independent of thread
-//! count** (the tiling is fixed at construction from the initial positions
-//! and never changes as nodes move or pools resize).
-//!
-//! Pair ownership: a contact pair `(a, b)` is owned by the shard of the
-//! *lower-id* endpoint's current position. Pairs that straddle a shard
-//! boundary (possible out to the detection slack radius) therefore have
-//! exactly one deterministic owner, with no coordination between shards.
+//! a shard is always a whole block of grid buckets. The contact detector
+//! groups per-node re-queries by shard, processes them concurrently, and
+//! merges the outputs in canonical order — so the map's only obligations
+//! are to be a **total function** (every point lands in exactly one shard,
+//! including points that drift outside the construction-time bounding box,
+//! which clamp to the nearest edge shard) and to be **independent of
+//! thread count** (the tiling is fixed at construction from the initial
+//! positions and never changes as nodes move or pools resize).
 
 use crate::point::Point;
 
@@ -73,14 +68,6 @@ impl ShardMap {
         let sx = (cx.div_euclid(self.tile_cells.0)).clamp(0, self.cols as i32 - 1) as u32;
         let sy = (cy.div_euclid(self.tile_cells.1)).clamp(0, self.rows as i32 - 1) as u32;
         sy * self.cols + sx
-    }
-
-    /// The unique owning shard of the pair `(a, b)`: the shard of the
-    /// lower-id endpoint's position. Symmetric in argument order.
-    #[inline]
-    pub fn pair_owner(&self, a: u32, b: u32, positions: &[Point]) -> u32 {
-        let low = a.min(b);
-        self.of_point(positions[low as usize])
     }
 }
 
@@ -156,22 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_owner_is_symmetric_and_follows_lower_id() {
-        let positions = pts(&[(0.0, 0.0), (290.0, 0.0), (150.0, 80.0)]);
-        let map = ShardMap::build(&positions, 30.0, 4);
-        for a in 0..3u32 {
-            for b in 0..3u32 {
-                if a == b {
-                    continue;
-                }
-                let owner = map.pair_owner(a, b, &positions);
-                assert_eq!(owner, map.pair_owner(b, a, &positions));
-                assert_eq!(owner, map.of_point(positions[a.min(b) as usize]));
-            }
-        }
-    }
-
-    #[test]
     fn shards_are_grid_aligned_blocks() {
         // Points in the same grid cell always share a shard.
         let positions = pts(&[(0.0, 0.0), (500.0, 500.0)]);
@@ -221,36 +192,6 @@ mod proptests {
             }
             // Shard populations partition the node set.
             prop_assert_eq!(per_shard.iter().sum::<usize>(), positions.len());
-        }
-
-        /// Ownership correctness: every in-range (and slack-range) pair has
-        /// exactly one owning shard, symmetric in argument order and stable
-        /// under re-query.
-        #[test]
-        fn every_in_range_pair_owned_by_exactly_one_shard(
-            raw in proptest::collection::vec((-2000i32..2000, -2000i32..2000), 1..40),
-            cell_int in 5u32..200,
-            shards in 1usize..16,
-            range_int in 10u32..400,
-        ) {
-            let positions = to_points(&raw);
-            let map = ShardMap::build(&positions, cell_int as f64, shards);
-            let slack_range = 2.0 * range_int as f64; // detection re-query radius
-            let n = positions.len() as u32;
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    let d = positions[a as usize].distance(positions[b as usize]);
-                    if d > slack_range {
-                        continue;
-                    }
-                    let owner = map.pair_owner(a, b, &positions);
-                    prop_assert!((owner as usize) < map.num_shards());
-                    // Exactly one owner: the rule is a function of the pair,
-                    // not of traversal order or which endpoint asks.
-                    prop_assert_eq!(owner, map.pair_owner(b, a, &positions));
-                    prop_assert_eq!(owner, map.of_point(positions[a as usize]));
-                }
-            }
         }
     }
 }

@@ -92,27 +92,6 @@ impl Router for DirectDeliveryRouter {
         )
     }
 
-    fn scan_is_shared(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        _peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
-        debug_assert!(self.scan_is_shared());
-        offers.scan_index(
-            self.policy.scheduling,
-            &own.buffer,
-            peer,
-            direct_verdict(own, peer, now),
-        )
-    }
-
     fn on_message_received(
         &mut self,
         own: &mut NodeState,
@@ -140,8 +119,7 @@ impl Router for DirectDeliveryRouter {
     }
 }
 
-/// Direct Delivery's eligibility verdict, shared by the serial and
-/// parallel scan paths so both decide identically.
+/// Direct Delivery's eligibility verdict.
 fn direct_verdict<'a>(
     own: &'a NodeState,
     peer: &'a NodeState,
@@ -250,27 +228,6 @@ impl Router for FirstContactRouter {
             offers,
             now,
             rng,
-            first_contact_verdict(own, peer, now),
-        )
-    }
-
-    fn scan_is_shared(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        _peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
-        debug_assert!(self.scan_is_shared());
-        offers.scan_index(
-            self.policy.scheduling,
-            &own.buffer,
-            peer,
             first_contact_verdict(own, peer, now),
         )
     }

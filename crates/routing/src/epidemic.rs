@@ -41,13 +41,10 @@ impl EpidemicRouter {
     }
 }
 
-/// The flooding eligibility verdict, shared by the serial scan
-/// ([`Router::next_transfer`]) and the parallel shared scan
-/// ([`Router::plan_transfer`]) so both paths decide identically.
-/// Every rejection is permanent for this contact direction: a peer-knows
-/// hit seen by the index scan can only mean destination consumption (buffer
-/// membership is synced from deltas), expiry is final, and capacity fits
-/// are constant per message.
+/// The flooding eligibility verdict. Every rejection is permanent for this
+/// contact direction: a peer-knows hit seen by the index scan can only mean
+/// destination consumption (buffer membership is synced from deltas),
+/// expiry is final, and capacity fits are constant per message.
 fn flood_verdict<'a>(
     own: &'a NodeState,
     peer: &'a NodeState,
@@ -116,27 +113,6 @@ impl Router for EpidemicRouter {
             offers,
             now,
             rng,
-            flood_verdict(own, peer, now),
-        )
-    }
-
-    fn scan_is_shared(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        _peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
-        debug_assert!(self.scan_is_shared());
-        offers.scan_index(
-            self.policy.scheduling,
-            &own.buffer,
-            peer,
             flood_verdict(own, peer, now),
         )
     }

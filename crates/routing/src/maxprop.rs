@@ -186,19 +186,6 @@ impl MaxPropRouter {
     /// two moving, the O(B log B) hop-count sort would recompute the same
     /// value on every routing round and every reception.
     fn threshold(&mut self, own: &NodeState) -> u32 {
-        let threshold = self.threshold_value(own);
-        if self.contacts_closed != 0 && self.avg_contact_bytes > 0.0 {
-            let key = (own.buffer.generation(), self.contacts_closed);
-            self.threshold_cache = Some((key, threshold));
-        }
-        threshold
-    }
-
-    /// The pure (`&self`) core of [`MaxPropRouter::threshold`]: serves the
-    /// memo on a key hit, otherwise recomputes without storing. The shared
-    /// parallel scan uses this directly — the memo is a cost cache, never a
-    /// behaviour change, so skipping the store cannot alter verdicts.
-    fn threshold_value(&self, own: &NodeState) -> u32 {
         if self.contacts_closed == 0 || self.avg_contact_bytes <= 0.0 {
             return 0;
         }
@@ -220,6 +207,7 @@ impl MaxPropRouter {
             }
             threshold = hops + 1;
         }
+        self.threshold_cache = Some((key, threshold));
         threshold
     }
 
@@ -336,32 +324,12 @@ impl Router for MaxPropRouter {
         &mut self,
         own: &NodeState,
         peer: &NodeState,
-        peer_router: &dyn Router,
+        _peer_router: &dyn Router,
         offers: &mut OfferView<'_>,
         now: SimTime,
         _rng: &mut SimRng,
     ) -> Option<MessageId> {
-        // Memoise the threshold for this (generation, contacts) key, then
-        // run the shared pure scan body.
-        let _ = self.threshold(own);
-        self.plan_transfer(own, peer, peer_router, offers, now)
-    }
-
-    fn scan_is_shared(&self) -> bool {
-        // The scan never draws RNG; the threshold memo is read-only here
-        // (see `threshold_value`), so the body is safe to run concurrently.
-        true
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        _peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
-        let threshold = self.threshold_value(own);
+        let threshold = self.threshold(own);
         // Rank: (class, key) — class 0 = destined to peer, class 1 = head
         // start (by hop count), class 2 = cost-ranked. Lowest wins.
         let mut best: Option<((u8, f64), MessageId)> = None;

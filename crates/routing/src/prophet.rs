@@ -212,24 +212,6 @@ impl Router for ProphetRouter {
         now: SimTime,
         _rng: &mut SimRng,
     ) -> Option<MessageId> {
-        // The scan is a pure function of round-start state (see
-        // `plan_transfer`), so serial and parallel paths share one body.
-        self.plan_transfer(own, peer, peer_router, offers, now)
-    }
-
-    fn scan_is_shared(&self) -> bool {
-        // GRTRMax never draws RNG and mutates nothing during the scan.
-        true
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
         // GRTRMax: candidate if the peer is the destination, or the peer's
         // predictability for the destination beats ours; rank by the peer's
         // predictability, destination contacts first.

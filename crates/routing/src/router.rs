@@ -78,11 +78,7 @@ pub enum Digest {
 ///
 /// All methods are infallible; failures are expressed in the outcome types so
 /// the engine can do uniform metric accounting across protocols.
-///
-/// `Sync` is required so the parallel engine can scan routers from several
-/// shards at once through [`Router::plan_transfer`] (`&self`); all mutation
-/// stays on the serial commit path.
-pub trait Router: Send + Sync {
+pub trait Router: Send {
     /// Protocol label for reports (e.g. `"Epidemic"`).
     fn kind_label(&self) -> &'static str;
 
@@ -145,36 +141,6 @@ pub trait Router: Send + Sync {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<MessageId>;
-
-    /// True when [`Router::next_transfer`] is a pure function of round-start
-    /// state — no RNG draws and no router mutation beyond the per-pair
-    /// [`OfferView`] — so the parallel engine may evaluate it concurrently
-    /// through [`Router::plan_transfer`]. Policy routers return true exactly
-    /// when scanning through the candidate index (the
-    /// [`crate::candidates::RoutingBackend::Index`] backend under a
-    /// non-`Random` scheduling policy); PRoPHET and MaxProp are always
-    /// shareable. Directions whose router returns false are deferred to the
-    /// serial commit, which calls [`Router::next_transfer`] unchanged.
-    fn scan_is_shared(&self) -> bool {
-        false
-    }
-
-    /// The shared-scan counterpart of [`Router::next_transfer`]: identical
-    /// decision, `&self` receiver. Only called when
-    /// [`Router::scan_is_shared`] is true; the `&self` receiver makes data
-    /// races impossible by construction — the only mutable state a shared
-    /// scan touches is the per-pair `offers` view, which the caller owns
-    /// exclusively.
-    fn plan_transfer(
-        &self,
-        _own: &NodeState,
-        _peer: &NodeState,
-        _peer_router: &dyn Router,
-        _offers: &mut OfferView<'_>,
-        _now: SimTime,
-    ) -> Option<MessageId> {
-        unreachable!("plan_transfer requires scan_is_shared()");
-    }
 
     /// A transfer carrying `msg` (snapshot taken at send time) completed at
     /// this node. The router decides delivery/storage/rejection and performs

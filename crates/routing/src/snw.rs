@@ -65,8 +65,7 @@ impl SprayAndWaitRouter {
     }
 }
 
-/// Spray-and-Wait's eligibility verdict, shared by the serial and parallel
-/// scan paths so both decide identically. All rejections are permanent for
+/// Spray-and-Wait's eligibility verdict. All rejections are permanent for
 /// this direction: peer-knows hits at the index scan mean destination
 /// consumption, expiry and capacity fits are final, and a stored copy's
 /// quota only ever shrinks (halving via `copies_mut`, a fresh copy is a
@@ -144,27 +143,6 @@ impl Router for SprayAndWaitRouter {
             offers,
             now,
             rng,
-            spray_verdict(own, peer, now),
-        )
-    }
-
-    fn scan_is_shared(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        _peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
-        debug_assert!(self.scan_is_shared());
-        offers.scan_index(
-            self.policy.scheduling,
-            &own.buffer,
-            peer,
             spray_verdict(own, peer, now),
         )
     }

@@ -66,8 +66,7 @@ impl SprayAndFocusRouter {
     }
 }
 
-/// Spray-and-Focus eligibility verdict, shared by the serial and parallel
-/// scan paths so both decide identically. A failed *utility* comparison is
+/// Spray-and-Focus eligibility verdict. A failed *utility* comparison is
 /// the one non-permanent rejection in the policy routers — recency tables
 /// move without a buffer delta — so it keeps the candidate (`NotNow`);
 /// everything else is final.
@@ -171,27 +170,6 @@ impl Router for SprayAndFocusRouter {
             offers,
             now,
             rng,
-            focus_verdict(own, peer, peer_router, &self.last_met, now),
-        )
-    }
-
-    fn scan_is_shared(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
-    }
-
-    fn plan_transfer(
-        &self,
-        own: &NodeState,
-        peer: &NodeState,
-        peer_router: &dyn Router,
-        offers: &mut OfferView<'_>,
-        now: SimTime,
-    ) -> Option<MessageId> {
-        debug_assert!(self.scan_is_shared());
-        offers.scan_index(
-            self.policy.scheduling,
-            &own.buffer,
-            peer,
             focus_verdict(own, peer, peer_router, &self.last_met, now),
         )
     }

@@ -17,17 +17,21 @@
 //!   (abort + partial-byte settlement), and uniform message sizes on a
 //!   stationary mesh force simultaneous completions that must resolve in
 //!   pair-key order — deterministic runs plus a dedicated property test;
-//! * the sharded parallel engine ([`EngineMode::Parallel`]): a fourth
-//!   column in the router × policy matrix, plus a thread-count-invariance
-//!   sweep pinning byte-equal reports at pool sizes 1, 2, 4 and 8 — the
-//!   proof that shard partitioning, scan/commit ordering and the merge
-//!   rules leak nothing about the worker count into the simulation.
+//! * a saturated 64-node stationary mesh (every node busy every tick)
+//!   under Epidemic with Lifetime and Random scheduling, in both the
+//!   Ticked-vs-event cases and the thread-count sweep;
+//! * the parallel engine ([`EngineMode::Parallel`]): a fourth column in
+//!   the router × policy matrix, plus a thread-count-invariance sweep
+//!   pinning byte-equal reports and transfer-wake counters at pool sizes
+//!   1, 2, 4 and 8 — the proof that movement fan-out, shard partitioning
+//!   and the merge rules leak nothing about the worker count into the
+//!   simulation.
 
 use proptest::prelude::*;
-use vdtn_repro::geo::GridMapGen;
+use vdtn_repro::geo::{GridMapGen, Point};
 use vdtn_repro::mobility::SpmbConfig;
 use vdtn_repro::net::RadioInterface;
-use vdtn_repro::vdtn::engine::{EngineMode, World};
+use vdtn_repro::vdtn::engine::{EngineMode, EngineStats, World};
 use vdtn_repro::vdtn::scenario::{
     MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec,
 };
@@ -101,6 +105,49 @@ fn scenario(
     }
 }
 
+/// A small saturated stationary mesh: 64 nodes on an 8 × 8 lattice 25 m
+/// apart under the paper's 30 m radio, so every node is in permanent
+/// contact with its lattice neighbours, and Epidemic traffic arrives faster
+/// than flooding can spread it, so every node is busy every tick. Here the
+/// routing round and the transfer-completion wakes do all the work.
+fn saturated_mesh(policy: PolicyCombo, seed: u64) -> Scenario {
+    let side = 8;
+    let spacing = 25.0;
+    let points = (0..side * side)
+        .map(|k| Point::new((k % side) as f64 * spacing, (k / side) as f64 * spacing))
+        .collect();
+    Scenario {
+        name: "saturated-mesh".into(),
+        seed,
+        duration_secs: 300.0,
+        tick_secs: 1.0,
+        map: MapSpec::Grid(GridMapGen {
+            cols: side,
+            rows: side,
+            spacing,
+        }),
+        groups: vec![NodeGroup {
+            name: "mesh".into(),
+            count: side * side,
+            buffer_bytes: 50_000_000,
+            mobility: MobilitySpec::Stationary(RelayPlacement::Explicit(points)),
+            is_relay: false,
+        }],
+        radio: RadioInterface::paper_80211b(),
+        detector: DetectorBackend::Grid,
+        traffic: TrafficSpec {
+            interval_lo: 0.5,
+            interval_hi: 1.5,
+            size_lo: 10_000,
+            size_hi: 50_000,
+            ttl: SimDuration::from_mins(30),
+        },
+        router: RouterKind::Epidemic,
+        policy,
+        sample_period_secs: 0.0,
+    }
+}
+
 #[test]
 fn every_protocol_is_bit_identical_across_modes() {
     let kinds = [
@@ -112,19 +159,31 @@ fn every_protocol_is_bit_identical_across_modes() {
         RouterKind::FirstContact,
         RouterKind::SprayAndFocus { copies: 8 },
     ];
-    for (i, kind) in kinds.into_iter().enumerate() {
-        let sc = scenario(
-            kind.clone(),
-            PolicyCombo::LIFETIME,
-            40 + i as u64,
-            8,
-            10, // short TTL: messages expire mid-run, exercising TTL events
-            1_500.0,
-            DetectorBackend::Grid,
-            60.0,
+    let mut cases: Vec<Scenario> = kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            scenario(
+                kind,
+                PolicyCombo::LIFETIME,
+                40 + i as u64,
+                8,
+                10, // short TTL: messages expire mid-run, exercising TTL events
+                1_500.0,
+                DetectorBackend::Grid,
+                60.0,
+            )
+        })
+        .collect();
+    cases.push(saturated_mesh(PolicyCombo::LIFETIME, 47));
+    cases.push(saturated_mesh(PolicyCombo::RANDOM_FIFO, 48));
+    for sc in &cases {
+        let (ticked, event) = both_modes(sc);
+        assert_eq!(
+            ticked, event,
+            "{} {:?} × {:?} diverged across engine modes",
+            sc.name, sc.router, sc.policy
         );
-        let (ticked, event) = both_modes(&sc);
-        assert_eq!(ticked, event, "{kind:?} diverged across engine modes");
     }
 }
 
@@ -132,12 +191,11 @@ fn every_protocol_is_bit_identical_across_modes() {
 /// the delta-maintained candidate index must be bit-identical to the
 /// cursor-only rescan revision *and* across engine modes. Four runs per
 /// combination: Ticked+Index, EventDriven+Index, EventDriven+Rescan, and
-/// the sharded Parallel engine (Index backend, 2-thread pool) — any
-/// divergence in the per-direction index maintenance (delta application,
-/// rank keying, `Never` pruning, `Random`/discontinuity fallbacks, the
-/// insert-count silence key) or in the parallel scan/commit split (plan
-/// ordering, deferred-direction RNG lanes, busy re-checks, silence memo
-/// writes) shows up as a report diff here.
+/// the Parallel engine (Index backend, 2-thread pool) — any divergence in
+/// the per-direction index maintenance (delta application, rank keying,
+/// `Never` pruning, `Random`/discontinuity fallbacks, the insert-count
+/// silence key) or in the parallel engine's sharded phases shows up as a
+/// report diff here.
 #[test]
 fn candidate_index_is_bit_identical_for_every_router_and_policy() {
     let kinds = [
@@ -207,23 +265,24 @@ fn candidate_index_is_bit_identical_for_every_router_and_policy() {
             );
             assert_eq!(
                 event_index, parallel,
-                "{kind:?} × {sched:?}: sharded parallel engine diverged"
+                "{kind:?} × {sched:?}: parallel engine diverged"
             );
         }
     }
 }
 
-/// Thread-count invariance: the sharded parallel engine must produce
-/// byte-equal reports at pool sizes 1, 2, 4 and 8 — and equal to the
-/// serial event engine — on scenarios exercising flooding, utility
-/// metrics (deferred-free), quota routing, and RNG-drawing Random
-/// scheduling (every pair deferred). The shard tiling is fixed from the
-/// initial layout, scan outputs are slot-indexed, and the commit walks
-/// canonical pair order, so nothing about the pool size may leak into a
-/// single simulation byte.
+/// Thread-count invariance: the parallel engine must produce byte-equal
+/// reports at pool sizes 1, 2, 4 and 8 — and equal to the serial event
+/// engine — on scenarios exercising flooding, utility metrics, quota
+/// routing, RNG-drawing Random scheduling, and the saturated mesh. The
+/// shard tiling is fixed from the initial layout and sharded outputs merge
+/// in canonical order, so nothing about the pool size may leak into a
+/// single simulation byte. The transfer-wake counters must match too: both
+/// engines run the same routing round and the same covered-wake elision,
+/// which on the saturated mesh must actually elide wakes.
 #[test]
 fn parallel_engine_is_thread_count_invariant() {
-    let cases = [
+    let mut cases: Vec<Scenario> = [
         (RouterKind::Epidemic, PolicyCombo::LIFETIME, 301u64),
         (
             RouterKind::Prophet(ProphetConfig::default()),
@@ -236,10 +295,11 @@ fn parallel_engine_is_thread_count_invariant() {
             PolicyCombo::LIFETIME,
             304,
         ),
-    ];
-    for (kind, policy, seed) in cases {
-        let sc = scenario(
-            kind.clone(),
+    ]
+    .into_iter()
+    .map(|(kind, policy, seed)| {
+        scenario(
+            kind,
             policy,
             seed,
             8,
@@ -247,15 +307,41 @@ fn parallel_engine_is_thread_count_invariant() {
             1_200.0,
             DetectorBackend::Grid,
             60.0,
+        )
+    })
+    .collect();
+    cases.push(saturated_mesh(PolicyCombo::LIFETIME, 305));
+    cases.push(saturated_mesh(PolicyCombo::RANDOM_FIFO, 306));
+    for sc in &cases {
+        let label = format!("{} {:?} × {:?}", sc.name, sc.router, sc.policy);
+        let (reference, ref_stats) =
+            World::build_with_mode(sc, EngineMode::EventDriven).run_with_stats();
+        let wakes = |s: EngineStats| (s.transfer_wakes_scheduled, s.transfer_wakes_elided);
+        assert_eq!(
+            ref_stats.transfer_wakes_scheduled + ref_stats.transfer_wakes_elided,
+            reference.messages.transfers_started,
+            "{label}: every started transfer is either woken or elided"
         );
-        let reference = canon(World::build_with_mode(&sc, EngineMode::EventDriven).run());
+        if sc.name == "saturated-mesh" {
+            assert!(
+                ref_stats.transfer_wakes_elided > 0,
+                "{label}: no wake elided"
+            );
+        }
+        let reference = canon(reference);
         for threads in [1usize, 2, 4, 8] {
-            let par = canon(
-                World::build_parallel_with_threads(&sc, RoutingBackend::default(), threads).run(),
+            let (par, stats) =
+                World::build_parallel_with_threads(sc, RoutingBackend::default(), threads)
+                    .run_with_stats();
+            assert_eq!(
+                reference,
+                canon(par),
+                "{label}: report depends on pool size {threads}"
             );
             assert_eq!(
-                reference, par,
-                "{kind:?} × {policy:?}: report depends on pool size {threads}"
+                wakes(ref_stats),
+                wakes(stats),
+                "{label}: wake counters depend on pool size {threads}"
             );
         }
     }
