@@ -15,11 +15,10 @@
 //! see [`vdtn_bench::engine_perf::dense_routing_scenario`]) after the
 //! engine-modes table and records it as JSON (default
 //! `BENCH_routing.json`) — the trajectory for the incremental-routing
-//! work. Each routing row runs four configurations — ticked reference,
-//! event-driven with the delta-maintained candidate **index**,
-//! event-driven with the PR 3 cursor-only **rescan**, and the
-//! **parallel** engine — verifies all four reports are bit-identical, and
-//! records the index-vs-cursor and parallel-vs-ticked speedups. The
+//! work. Each routing row runs three engine modes — the ticked reference,
+//! the event-driven engine, and the **parallel** engine — verifies all
+//! three reports are bit-identical, and records the parallel-vs-ticked
+//! speedup. The
 //! fleet sizes and durations default to the fixed perf-trajectory set
 //! (the regime, not the scale, is the point); `--routing-nodes` overrides
 //! them for CI smoke runs, with `--duration-secs` then bounding the
@@ -38,11 +37,12 @@
 //! child runs one world and prints its row. On platforms without
 //! `/proc/self/status` the RSS fields are recorded as JSON `null`.
 //!
-//! Both JSON files carry `"schema_version"` (currently 6; v3 added the
+//! Both JSON files carry `"schema_version"` (currently 7; v3 added the
 //! parallel engine columns, v4 the `memory` section and the 100k-node
 //! sweep row, v5 the `motion` skip-rate section and the
 //! `parallel_overhead` warning field, v6 the `sweep` orchestrator
-//! section); an unwritable output path is a clean, explained non-zero
+//! section, v7 dropped the routing rows' rescan columns); an unwritable
+//! output path is a clean, explained non-zero
 //! exit, not a panic.
 //!
 //! With `--sweep-bench` the run also measures the sweep orchestrator
@@ -86,10 +86,10 @@ use vdtn::engine::EngineMode;
 use vdtn::orchestrator::{run_manifest, RunSpec, ScenarioBase, SweepManifest, SweepOptions};
 use vdtn::presets::{PaperProtocol, PAPER_TTLS_MIN};
 use vdtn::sweep::{average_reports, run_sweep_with_options, SweepPoint};
-use vdtn::{PolicyCombo, RouterKind, RoutingBackend};
+use vdtn::{PolicyCombo, RouterKind};
 use vdtn_bench::engine_perf::{
     canon, dense_routing_scenario, engine_scenario, mobility_bound_scenario, run_mode,
-    run_mode_with_stats, run_parallel, run_with_backend, transfer_bound_scenario,
+    run_mode_with_stats, run_parallel, transfer_bound_scenario,
 };
 
 /// Version of the JSON layout this binary writes (bumped when fields
@@ -97,8 +97,10 @@ use vdtn_bench::engine_perf::{
 /// sharded parallel engine's `parallel_wall_secs`/`threads` columns, PR 7
 /// the `memory` section and the 100k-node sweep row, PR 8 the `motion`
 /// skip-rate section and the `parallel_overhead` warning field, PR 9 the
-/// `sweep` orchestrator section).
-const SCHEMA_VERSION: u32 = 6;
+/// `sweep` orchestrator section; v7 dropped the routing section's
+/// `rescan_wall_secs` and `speedup_index_vs_rescan` columns with the
+/// rescan backend).
+const SCHEMA_VERSION: u32 = 7;
 
 /// Write a benchmark JSON document, exiting non-zero with a clear message
 /// when the path cannot be written (read-only dir, missing parent, …).
@@ -235,7 +237,7 @@ fn main() {
         let scenario = engine_scenario(n, duration, seed);
         let ticked = run_mode(&scenario, EngineMode::Ticked);
         let (event, stats) = run_mode_with_stats(&scenario, EngineMode::EventDriven);
-        let parallel = run_parallel(&scenario, RoutingBackend::default(), threads);
+        let parallel = run_parallel(&scenario, threads);
         let identical = canon(ticked.clone()) == canon(event.clone())
             && canon(event.clone()) == canon(parallel.clone());
         let entry = Entry {
@@ -292,7 +294,7 @@ fn main() {
         let scenario = transfer_bound_scenario(pairs, duration, seed);
         let ticked = run_mode(&scenario, EngineMode::Ticked);
         let event = run_mode(&scenario, EngineMode::EventDriven);
-        let parallel = run_parallel(&scenario, RoutingBackend::default(), threads);
+        let parallel = run_parallel(&scenario, threads);
         let identical = canon(ticked.clone()) == canon(event.clone())
             && canon(event.clone()) == canon(parallel.clone());
         let entry = Entry {
@@ -334,7 +336,7 @@ fn main() {
         let scenario = mobility_bound_scenario(n, duration, seed);
         let ticked = run_mode(&scenario, EngineMode::Ticked);
         let (event, stats) = run_mode_with_stats(&scenario, EngineMode::EventDriven);
-        let parallel = run_parallel(&scenario, RoutingBackend::default(), threads);
+        let parallel = run_parallel(&scenario, threads);
         let identical = canon(ticked.clone()) == canon(event.clone())
             && canon(event.clone()) == canon(parallel.clone());
         let entry = Entry {
@@ -476,9 +478,9 @@ fn run_memory_probe(nodes: usize, duration: f64, seed: u64, threads: usize) -> !
         PolicyCombo::LIFETIME,
         seed,
     );
-    let event = run_with_backend(&scenario, EngineMode::EventDriven, RoutingBackend::Index);
+    let event = run_mode(&scenario, EngineMode::EventDriven);
     let peak_kb = proc_status_kb("VmHWM");
-    let parallel = run_parallel(&scenario, RoutingBackend::Index, threads);
+    let parallel = run_parallel(&scenario, threads);
     let identical = canon(event) == canon(parallel);
     let (peak_bytes, bytes_per_node) = match (pre_kb, peak_kb) {
         (Some(pre), Some(peak)) => (
@@ -625,7 +627,7 @@ fn run_sweep_section(seeds: usize, threads: usize) -> (String, bool) {
     let mut ref_points = Vec::with_capacity(cells);
     for (idx, specs) in cell_runs.iter().enumerate() {
         let scenarios: Vec<_> = specs.iter().map(|s| s.scenario(&manifest)).collect();
-        let reports = run_sweep_with_options(&scenarios, specs[0].engine, manifest.backend);
+        let reports = run_sweep_with_options(&scenarios, specs[0].engine);
         ref_points.push(
             average_reports(&plan.cells[idx].label(), &reports).expect("bench cell has runs"),
         );
@@ -770,12 +772,10 @@ fn run_sweep_rss_probes(seed_counts: &[usize], threads: usize) -> (Vec<String>, 
 
 /// Measure the dense-contact, routing-round-dominated scenario across fleet
 /// sizes and the paper's sorted-vs-FIFO policy extremes, writing `path` as
-/// JSON. Each row runs the ticked reference, the event engine with the
-/// delta-maintained candidate index, the event engine with the PR 3
-/// cursor-only rescan, and the parallel engine; all four reports
-/// must be bit-identical. The recorded `speedup_index_vs_rescan` is the
-/// number the incremental-candidate-index work is accountable for, and
-/// `speedup_parallel_vs_ticked` is the parallel engine's.
+/// JSON. Each row runs the ticked reference, the event engine (recorded as
+/// `index_wall_secs`: its routing round scans the delta-maintained
+/// candidate index), and the parallel engine; all three reports must be
+/// bit-identical. `speedup_parallel_vs_ticked` is the parallel engine's.
 fn run_routing_section(
     path: &str,
     seed: u64,
@@ -785,16 +785,8 @@ fn run_routing_section(
 ) {
     println!("routing round: dense stationary mesh, permanent contacts (parallel at {threads}t)");
     println!(
-        "{:>6} {:>10} {:>24} {:>12} {:>12} {:>12} {:>12} {:>9} {:>10}",
-        "nodes",
-        "sim secs",
-        "policy",
-        "ticked s",
-        "rescan s",
-        "index s",
-        "parallel s",
-        "speedup",
-        "identical"
+        "{:>6} {:>10} {:>24} {:>12} {:>12} {:>12} {:>9} {:>10}",
+        "nodes", "sim secs", "policy", "ticked s", "index s", "parallel s", "speedup", "identical"
     );
     let sizes: Vec<(usize, f64)> = match routing_nodes {
         Some(list) => list
@@ -824,44 +816,39 @@ fn run_routing_section(
             ),
         ] {
             let scenario = dense_routing_scenario(n, duration, router, policy, seed);
-            let ticked = run_with_backend(&scenario, EngineMode::Ticked, RoutingBackend::Index);
-            let rescan =
-                run_with_backend(&scenario, EngineMode::EventDriven, RoutingBackend::Rescan);
-            let index = run_with_backend(&scenario, EngineMode::EventDriven, RoutingBackend::Index);
-            let parallel = run_parallel(&scenario, RoutingBackend::Index, threads);
+            let ticked = run_mode(&scenario, EngineMode::Ticked);
+            let index = run_mode(&scenario, EngineMode::EventDriven);
+            let parallel = run_parallel(&scenario, threads);
             let identical = canon(ticked.clone()) == canon(index.clone())
-                && canon(rescan.clone()) == canon(index.clone())
                 && canon(parallel.clone()) == canon(index.clone());
             any_mismatch |= !identical;
-            let speedup = rescan.wall_secs / index.wall_secs.max(1e-9);
             let par_speedup = ticked.wall_secs / parallel.wall_secs.max(1e-9);
             println!(
-                "{:>6} {:>10.0} {:>24} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>8.2}x {:>10}",
+                "{:>6} {:>10.0} {:>24} {:>12.3} {:>12.3} {:>12.3} {:>8.2}x {:>10}",
                 n,
                 duration,
                 label,
                 ticked.wall_secs,
-                rescan.wall_secs,
                 index.wall_secs,
                 parallel.wall_secs,
                 par_speedup,
                 identical
             );
             rows.push(format!(
-                "    {{\"nodes\": {}, \"sim_duration_secs\": {}, \"policy\": \"{}\", \"ticked_wall_secs\": {:.6}, \"rescan_wall_secs\": {:.6}, \"index_wall_secs\": {:.6}, \"parallel_wall_secs\": {:.6}, \"speedup_index_vs_rescan\": {:.3}, \"speedup_parallel_vs_ticked\": {:.3}, \"reports_identical\": {}}}",
-                n, duration, label, ticked.wall_secs, rescan.wall_secs, index.wall_secs, parallel.wall_secs, speedup, par_speedup, identical
+                "    {{\"nodes\": {}, \"sim_duration_secs\": {}, \"policy\": \"{}\", \"ticked_wall_secs\": {:.6}, \"index_wall_secs\": {:.6}, \"parallel_wall_secs\": {:.6}, \"speedup_parallel_vs_ticked\": {:.3}, \"reports_identical\": {}}}",
+                n, duration, label, ticked.wall_secs, index.wall_secs, parallel.wall_secs, par_speedup, identical
             ));
         }
     }
     let doc = format!(
-        "{{\n  \"benchmark\": \"routing_round\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"description\": \"World::run wall time on the dense-contact stationary mesh (routing round dominates; permanent contacts): ticked reference vs event-driven with the PR 3 cursor-only rescan vs event-driven with the delta-maintained candidate index vs the parallel engine\",\n  \"seed\": {},\n  \"threads\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"routing_round\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"description\": \"World::run wall time on the dense-contact stationary mesh (routing round dominates; permanent contacts): ticked reference vs the event-driven engine (delta-maintained candidate index) vs the parallel engine\",\n  \"seed\": {},\n  \"threads\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
         seed,
         threads,
         rows.join(",\n")
     );
     write_json(path, &doc);
     if any_mismatch {
-        eprintln!("ERROR: reports diverged across engine modes / routing backends");
+        eprintln!("ERROR: reports diverged across engine modes");
         std::process::exit(1);
     }
 }

@@ -25,7 +25,7 @@ use vdtn::orchestrator::{run_manifest_with, ScenarioBase, SweepManifest, SweepOp
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::scenario::{MapSpec, MobilitySpec};
 use vdtn::sweep::{SweepError, SweepPoint};
-use vdtn::{RoutingBackend, Scenario};
+use vdtn::Scenario;
 use vdtn_bench::harness::{
     assemble_figure, format_csv, format_table, paper_ttls, run_cells, FigureSpec, ScenarioTweak,
 };
@@ -248,7 +248,6 @@ fn run_template_cell(
         ttls_mins: vec![ttl],
         engines: Vec::new(),
         seeds: (0..seeds).map(|s| 1000 + s).collect(),
-        backend: RoutingBackend::default(),
         duration_secs: 0.0,
     };
     let outcome = run_manifest_with(&manifest, &SweepOptions::default(), Some(tweak))?;

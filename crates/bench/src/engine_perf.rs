@@ -1,13 +1,12 @@
 //! Scenario builder and measurement helpers for the engine-scheduler
 //! benchmarks (ticked vs event-driven stepping).
 //!
-//! Used by two entry points: the criterion bench
-//! (`benches/engine_bench.rs`) and the `engine_bench` binary, whose
-//! `--json` mode records the perf trajectory in `BENCH_engine.json`.
+//! Used by the `engine_bench` binary, whose `--json` mode records the perf
+//! trajectory in `BENCH_engine.json`, and by the repository benchmark.
 
 use vdtn::engine::{EngineMode, EngineStats, World};
 use vdtn::scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec};
-use vdtn::{DetectorBackend, PolicyCombo, RouterKind, RoutingBackend, SimDuration, SimReport};
+use vdtn::{DetectorBackend, PolicyCombo, RouterKind, SimDuration, SimReport};
 use vdtn_geo::{GridMapGen, Point};
 use vdtn_mobility::SpmbConfig;
 use vdtn_net::RadioInterface;
@@ -195,21 +194,11 @@ pub fn run_mode_with_stats(scenario: &Scenario, mode: EngineMode) -> (SimReport,
     World::build_with_mode(scenario, mode).run_with_stats()
 }
 
-/// Run with an explicit routing scan backend too — the index-vs-cursor
-/// comparison the routing bench section records.
-pub fn run_with_backend(
-    scenario: &Scenario,
-    mode: EngineMode,
-    backend: RoutingBackend,
-) -> SimReport {
-    World::build_with_options(scenario, mode, backend).run()
-}
-
 /// Run on the parallel engine with a pinned pool size — the
 /// thread-count column the bench harness records. Bit-identical to the
 /// serial runs at every `threads` value.
-pub fn run_parallel(scenario: &Scenario, backend: RoutingBackend, threads: usize) -> SimReport {
-    World::build_parallel_with_threads(scenario, backend, threads).run()
+pub fn run_parallel(scenario: &Scenario, threads: usize) -> SimReport {
+    World::build_parallel_with_threads(scenario, threads).run()
 }
 
 /// Canonical report serialisation with the wall clock zeroed, for

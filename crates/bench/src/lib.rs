@@ -1,6 +1,6 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! The `figures` binary (and the criterion benches) are thin wrappers over
+//! The `figures` binary is a thin wrapper over
 //! this library: [`FigureSpec`] describes a figure as (configurations ×
 //! TTLs × metric), [`run_figure`] executes the sweep (averaging seeds), and
 //! [`format_table`] renders the same rows the paper plots. Paper-reported

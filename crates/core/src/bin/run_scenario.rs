@@ -35,6 +35,9 @@
 //! continues with `--resume` instead of restarting. Aggregate output is
 //! bit-identical at any `--threads` value and across kill/resume.
 //!
+//! A bad flag or operand, an unreadable input file or invalid JSON prints
+//! one line on stderr and exits with code 2.
+//!
 //! Generate templates to start from:
 //!
 //! ```text
@@ -45,7 +48,6 @@
 use vdtn::orchestrator::{run_manifest, SweepManifest, SweepOptions};
 use vdtn::presets::{paper_scenario, PaperProtocol, PAPER_TTLS_MIN};
 use vdtn::{load_snapshot, oracle_summary, save_snapshot, EngineMode, Scenario, World};
-use vdtn_routing::RoutingBackend;
 use vdtn_sim_core::SimTime;
 
 fn usage(code: i32) -> ! {
@@ -59,6 +61,53 @@ fn usage(code: i32) -> ! {
     eprintln!("       run_scenario --template        # print a scenario template");
     eprintln!("       run_scenario --sweep-template  # print a sweep manifest template");
     std::process::exit(code);
+}
+
+/// Reject bad command-line input: one line on stderr, exit code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("run_scenario: {msg} (see run_scenario --help)");
+    std::process::exit(2);
+}
+
+/// The operand following flag `name`, if the flag is present; a usage
+/// error when the operand is missing.
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(
+        args.get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| usage_error(&format!("{name} needs a value"))),
+    )
+}
+
+/// A worker count of at least 1.
+fn threads_arg(args: &[String]) -> Option<usize> {
+    flag_value(args, "--threads").map(|v| match v.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!("--threads needs an integer >= 1, got '{v}'")),
+    })
+}
+
+/// A finite number of seconds; strictly positive when `positive`,
+/// non-negative otherwise.
+fn secs_arg(args: &[String], name: &str, positive: bool) -> Option<f64> {
+    flag_value(args, name).map(|v| match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && (x > 0.0 || (!positive && x == 0.0)) => x,
+        _ => {
+            let bound = if positive { "> 0" } else { ">= 0" };
+            usage_error(&format!(
+                "{name} needs a number of seconds {bound}, got '{v}'"
+            ))
+        }
+    })
+}
+
+/// Read and parse a JSON input file, or a one-line usage error.
+fn read_json<T: serde::Deserialize>(path: &str, what: &str) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(&format!("cannot read {what} {path}: {e}")));
+    serde_json::from_str(&text)
+        .unwrap_or_else(|e| usage_error(&format!("invalid {what} JSON in {path}: {e}")))
 }
 
 fn main() {
@@ -98,48 +147,33 @@ fn main() {
         return;
     }
 
-    let flag_value = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
-    let engine = match flag_value("--engine").as_deref() {
+    let engine = match flag_value(&args, "--engine").as_deref() {
         None => EngineMode::default(),
         Some("ticked") => EngineMode::Ticked,
         Some("event") => EngineMode::EventDriven,
         Some("parallel") => EngineMode::Parallel,
-        Some(other) => {
-            eprintln!("unknown --engine `{other}` (want ticked|event|parallel)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!(
+            "unknown --engine '{other}' (want ticked|event|parallel)"
+        )),
     };
-    let threads: Option<usize> =
-        flag_value("--threads").map(|v| v.parse().expect("--threads needs a number"));
+    let threads = threads_arg(&args);
     let want_oracle = args.iter().any(|a| a == "--oracle");
     let want_csv = args.iter().any(|a| a == "--csv");
     let want_hash_stream = args.iter().any(|a| a == "--hash-stream");
-    let hash_every = flag_value("--hash-every")
-        .map(|v| v.parse::<f64>().expect("--hash-every needs seconds"))
-        .unwrap_or(60.0);
-    assert!(hash_every > 0.0, "--hash-every must be positive");
-    let save_at =
-        flag_value("--save-at").map(|v| v.parse::<f64>().expect("--save-at needs seconds"));
-    let snapshot_path = flag_value("--snapshot");
-    assert_eq!(
-        save_at.is_some(),
-        snapshot_path.is_some(),
-        "--save-at and --snapshot must be given together"
-    );
-    let report_path = flag_value("--report");
+    let hash_every = secs_arg(&args, "--hash-every", true).unwrap_or(60.0);
+    let save_at = secs_arg(&args, "--save-at", false);
+    let snapshot_path = flag_value(&args, "--snapshot");
+    if save_at.is_some() != snapshot_path.is_some() {
+        usage_error("--save-at and --snapshot must be given together");
+    }
+    let report_path = flag_value(&args, "--report");
 
     // Materialise the world: fresh from a scenario file, or resumed from a
     // snapshot. Either way the remainder of the pipeline is identical.
-    let (scenario, mut world) = if let Some(snap_path) = flag_value("--restore") {
+    let (scenario, mut world) = if let Some(snap_path) = flag_value(&args, "--restore") {
         let snap = load_snapshot(snap_path.as_ref())
-            .unwrap_or_else(|e| panic!("cannot restore snapshot {snap_path}: {e}"));
-        let world = World::restore(&snap, engine, RoutingBackend::default(), threads);
+            .unwrap_or_else(|e| usage_error(&format!("cannot restore snapshot {snap_path}: {e}")));
+        let world = World::restore(&snap, engine, threads);
         eprintln!(
             "restored `{}` at t={:.0}s (state hash {:016x})",
             snap.scenario.name,
@@ -152,15 +186,12 @@ fn main() {
         if path.starts_with("--") {
             usage(2);
         }
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read scenario {path}: {e}"));
-        let scenario: Scenario =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid scenario JSON: {e}"));
+        let scenario: Scenario = read_json(path, "scenario");
         let world = match threads {
             Some(n) if engine == EngineMode::Parallel => {
-                World::build_parallel_with_threads(&scenario, RoutingBackend::default(), n)
+                World::build_parallel_with_threads(&scenario, n)
             }
-            _ => World::build_with_options(&scenario, engine, RoutingBackend::default()),
+            _ => World::build_with_mode(&scenario, engine),
         };
         (scenario, world)
     };
@@ -235,39 +266,23 @@ fn main() {
 
 /// The `--sweep` batch path: manifest in, aggregate points out.
 fn run_sweep_manifest(args: &[String]) {
-    let path = args.get(1).unwrap_or_else(|| {
-        eprintln!("--sweep needs a manifest path");
-        std::process::exit(2);
-    });
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read manifest {path}: {e}"));
-    let manifest: SweepManifest =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid manifest JSON: {e}"));
-
-    let flag_value = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
+    let path = args
+        .get(1)
+        .unwrap_or_else(|| usage_error("--sweep needs a manifest path"));
     let opts = SweepOptions {
-        threads: flag_value("--threads")
-            .map(|v| v.parse().expect("--threads needs a number"))
-            .unwrap_or(0),
+        threads: threads_arg(args).unwrap_or(0),
         chunk_size: 0,
-        journal: flag_value("--journal").map(std::path::PathBuf::from),
+        journal: flag_value(args, "--journal").map(std::path::PathBuf::from),
         resume: args.iter().any(|a| a == "--resume"),
-        checkpoint_dir: flag_value("--checkpoint-dir").map(std::path::PathBuf::from),
-        checkpoint_every_secs: flag_value("--checkpoint-every")
-            .map(|v| v.parse().expect("--checkpoint-every needs seconds"))
-            .unwrap_or(0.0),
+        checkpoint_dir: flag_value(args, "--checkpoint-dir").map(std::path::PathBuf::from),
+        checkpoint_every_secs: secs_arg(args, "--checkpoint-every", false).unwrap_or(0.0),
     };
+    let out_path = flag_value(args, "--out");
+    let manifest: SweepManifest = read_json(path, "manifest");
     if let Some(dir) = &opts.checkpoint_dir {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create checkpoint dir: {e}"));
     }
-    let out_path = flag_value("--out");
 
     let outcome = match run_manifest(&manifest, &opts) {
         Ok(o) => o,

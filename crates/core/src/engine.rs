@@ -66,12 +66,10 @@
 //! executed tick re-derives the actual work from simulation state, so a
 //! stale or duplicate event costs one wasted wake-up, not correctness.
 //!
-//! Orthogonally to the engine mode, the routing round's scan cost is set by
-//! the [`RoutingBackend`]: under the default `Index` backend the policy
-//! routers patch per-direction candidate sets from buffer delta logs
-//! ([`vdtn_routing::candidates`]) so a round after a buffer change touches
-//! O(changes) candidates, while `Rescan` keeps the cursor-only full-rescan
-//! path as the reference. The engine's wiring is confined to three spots:
+//! Orthogonally to the engine mode, the policy routers patch per-direction
+//! candidate sets from buffer delta logs ([`vdtn_routing::candidates`]) so
+//! a routing round after a buffer change touches O(changes) candidates.
+//! The engine's wiring is confined to three spots:
 //! buffers are [`vdtn_bundle::Buffer::watch`]ed at build when any router
 //! wants deltas, offered messages are recorded through
 //! [`ContactOffers::record`] (which retires them from both directions'
@@ -95,7 +93,7 @@ use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationa
 use vdtn_net::{
     pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, MotionCols, TransferOutcome,
 };
-use vdtn_routing::{ContactOffers, NodeState, ReceiveOutcome, Router, RoutingBackend};
+use vdtn_routing::{ContactOffers, NodeState, ReceiveOutcome, Router};
 use vdtn_sim_core::{EngineEvent, EventQueue, NodeId, SimDuration, SimRng, SimTime, StateHash};
 
 /// Split two distinct mutable references out of a slice.
@@ -289,25 +287,12 @@ impl World {
         Self::build_with_mode(scenario, EngineMode::default())
     }
 
-    /// Materialise a scenario with an explicit [`EngineMode`]. Both modes
-    /// produce bit-identical reports; `Ticked` exists as the equivalence
+    /// Materialise a scenario with an explicit [`EngineMode`]. All three
+    /// modes produce bit-identical reports; `Ticked` exists as the equivalence
     /// reference and for pathological scenarios where nothing is ever
     /// quiescent (see ARCHITECTURE.md).
     pub fn build_with_mode(scenario: &Scenario, mode: EngineMode) -> World {
-        Self::build_with_options(scenario, mode, RoutingBackend::default())
-    }
-
-    /// Materialise a scenario with an explicit engine mode *and* routing
-    /// scan backend. All four combinations produce bit-identical reports
-    /// (`tests/engine_equivalence.rs`); [`RoutingBackend::Rescan`] exists
-    /// as the cursor-only reference for the delta-maintained candidate
-    /// index and for the index-vs-cursor benches.
-    pub fn build_with_options(
-        scenario: &Scenario,
-        mode: EngineMode,
-        backend: RoutingBackend,
-    ) -> World {
-        Self::build_full(scenario, mode, backend, None)
+        Self::build_full(scenario, mode, None)
     }
 
     /// Materialise a scenario on the [`EngineMode::Parallel`] engine with an
@@ -315,20 +300,11 @@ impl World {
     /// override. The report is bit-identical at every `threads` value —
     /// this constructor exists so the thread-count-invariance tests and the
     /// bench harness can pin pool sizes without touching process state.
-    pub fn build_parallel_with_threads(
-        scenario: &Scenario,
-        backend: RoutingBackend,
-        threads: usize,
-    ) -> World {
-        Self::build_full(scenario, EngineMode::Parallel, backend, Some(threads))
+    pub fn build_parallel_with_threads(scenario: &Scenario, threads: usize) -> World {
+        Self::build_full(scenario, EngineMode::Parallel, Some(threads))
     }
 
-    fn build_full(
-        scenario: &Scenario,
-        mode: EngineMode,
-        backend: RoutingBackend,
-        threads: Option<usize>,
-    ) -> World {
+    fn build_full(scenario: &Scenario, mode: EngineMode, threads: Option<usize>) -> World {
         scenario.validate();
         let root = SimRng::seed_from_u64(scenario.seed);
         let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
@@ -395,11 +371,7 @@ impl World {
                     group.is_relay,
                     arena.clone(),
                 ));
-                routers.push(
-                    scenario
-                        .router
-                        .build_with_backend(id, n, scenario.policy, backend),
-                );
+                routers.push(scenario.router.build(id, n, scenario.policy));
                 node_rngs.push(root.derive("policy", id.0 as u64));
                 if !group.is_relay {
                     endpoints.push(id);
@@ -1636,14 +1608,9 @@ impl World {
     /// Panics if the restored world's [`World::state_hash`] does not
     /// reproduce the snapshot's recorded hash: a failed round trip is a
     /// bug, never a degradation to tolerate.
-    pub fn restore(
-        snap: &WorldSnapshot,
-        mode: EngineMode,
-        backend: RoutingBackend,
-        threads: Option<usize>,
-    ) -> World {
+    pub fn restore(snap: &WorldSnapshot, mode: EngineMode, threads: Option<usize>) -> World {
         let scenario = &snap.scenario;
-        let mut w = Self::build_full(scenario, mode, backend, threads);
+        let mut w = Self::build_full(scenario, mode, threads);
         let n = w.states.len();
         assert_eq!(n, snap.nodes.len(), "snapshot node count mismatch");
         assert_eq!(n, snap.movers.len(), "snapshot mover count mismatch");
@@ -2021,12 +1988,7 @@ mod tests {
             let scenario = small(RouterKind::Epidemic, PolicyCombo::LIFETIME, seed);
             let reference = canon(World::build_with_mode(&scenario, EngineMode::Ticked).run());
             for threads in [1, 2, 4] {
-                let par = World::build_parallel_with_threads(
-                    &scenario,
-                    RoutingBackend::default(),
-                    threads,
-                )
-                .run();
+                let par = World::build_parallel_with_threads(&scenario, threads).run();
                 assert_eq!(reference, canon(par), "seed {seed}, threads {threads}");
             }
         }
@@ -2039,7 +2001,7 @@ mod tests {
         // must still match.
         let scenario = small(RouterKind::Epidemic, PolicyCombo::RANDOM_FIFO, 9);
         let reference = canon(World::build_with_mode(&scenario, EngineMode::EventDriven).run());
-        let par = World::build_parallel_with_threads(&scenario, RoutingBackend::default(), 2).run();
+        let par = World::build_parallel_with_threads(&scenario, 2).run();
         assert_eq!(reference, canon(par));
     }
 

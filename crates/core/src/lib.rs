@@ -63,5 +63,5 @@ pub use sweep::{average_reports, run_sweep, run_sweep_with_options, SweepError, 
 // Convenience re-exports so downstream users need only `vdtn`.
 pub use vdtn_bundle::{DropPolicy, PolicyCombo, SchedulingPolicy};
 pub use vdtn_net::DetectorBackend;
-pub use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind, RoutingBackend};
+pub use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind};
 pub use vdtn_sim_core::{NodeId, SimDuration, SimTime};

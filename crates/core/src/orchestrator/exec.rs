@@ -30,7 +30,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use vdtn_routing::RoutingBackend;
 use vdtn_sim_core::statehash::fnv1a_64;
 use vdtn_sim_core::SimTime;
 
@@ -81,7 +80,6 @@ fn checkpoint_path(dir: &Path, run_id: &str) -> PathBuf {
 fn run_one_with_checkpoints(
     scenario: &Scenario,
     engine: EngineMode,
-    backend: RoutingBackend,
     ckpt: &Path,
     every_secs: f64,
     resume: bool,
@@ -94,15 +92,14 @@ fn run_one_with_checkpoints(
     let restored = if resume && ckpt.exists() {
         match load_snapshot(ckpt) {
             Ok(snap) if scenario_fingerprint(&snap.scenario) == scenario_fingerprint(scenario) => {
-                Some(World::restore(&snap, engine, backend, None))
+                Some(World::restore(&snap, engine, None))
             }
             _ => None,
         }
     } else {
         None
     };
-    let mut world =
-        restored.unwrap_or_else(|| World::build_with_options(scenario, engine, backend));
+    let mut world = restored.unwrap_or_else(|| World::build_with_mode(scenario, engine));
     let end = scenario.duration_secs;
     let mut t = world.now().as_secs_f64() + every;
     while t < end {
@@ -249,7 +246,6 @@ pub fn run_manifest_with(
                             match run_one_with_checkpoints(
                                 &scenario,
                                 spec.engine,
-                                manifest.backend,
                                 &checkpoint_path(dir, &id),
                                 opts.checkpoint_every_secs,
                                 opts.resume,
@@ -265,8 +261,7 @@ pub fn run_manifest_with(
                                 }
                             }
                         }
-                        None => World::build_with_options(&scenario, spec.engine, manifest.backend)
-                            .run(),
+                        None => World::build_with_mode(&scenario, spec.engine).run(),
                     };
                     batch.push((i, RunRecord::from_report(&id, &report)));
                 }
@@ -447,25 +442,21 @@ mod tests {
         let scenario = spec.scenario(&m);
         let ckpt = checkpoint_path(&dir, &spec.id(&plan.name));
         std::fs::remove_file(&ckpt).ok();
-        let reference =
-            canon_report(World::build_with_options(&scenario, spec.engine, m.backend).run());
+        let reference = canon_report(World::build_with_mode(&scenario, spec.engine).run());
 
         // Straight through with periodic checkpoints: identical report,
         // and the checkpoint is cleaned up on completion.
         let straight =
-            run_one_with_checkpoints(&scenario, spec.engine, m.backend, &ckpt, 120.0, false)
-                .unwrap();
+            run_one_with_checkpoints(&scenario, spec.engine, &ckpt, 120.0, false).unwrap();
         assert_eq!(reference, canon_report(straight));
         assert!(!ckpt.exists(), "completed run must remove its checkpoint");
 
         // Simulated kill: a mid-run checkpoint is left behind; resume must
         // pick the run up there and still land on the identical report.
-        let mut donor = World::build_with_options(&scenario, spec.engine, m.backend);
+        let mut donor = World::build_with_mode(&scenario, spec.engine);
         donor.run_until(SimTime::from_secs_f64(300.0));
         save_snapshot(&ckpt, &donor.snapshot(&scenario)).unwrap();
-        let resumed =
-            run_one_with_checkpoints(&scenario, spec.engine, m.backend, &ckpt, 120.0, true)
-                .unwrap();
+        let resumed = run_one_with_checkpoints(&scenario, spec.engine, &ckpt, 120.0, true).unwrap();
         assert_eq!(reference, canon_report(resumed));
         assert!(!ckpt.exists());
 
@@ -473,13 +464,11 @@ mod tests {
         // trusted: the run cold-starts and produces its own reference.
         let mut other = scenario.clone();
         other.seed += 1_000;
-        let other_reference =
-            canon_report(World::build_with_options(&other, spec.engine, m.backend).run());
-        let mut donor = World::build_with_options(&scenario, spec.engine, m.backend);
+        let other_reference = canon_report(World::build_with_mode(&other, spec.engine).run());
+        let mut donor = World::build_with_mode(&scenario, spec.engine);
         donor.run_until(SimTime::from_secs_f64(300.0));
         save_snapshot(&ckpt, &donor.snapshot(&scenario)).unwrap();
-        let cold =
-            run_one_with_checkpoints(&other, spec.engine, m.backend, &ckpt, 120.0, true).unwrap();
+        let cold = run_one_with_checkpoints(&other, spec.engine, &ckpt, 120.0, true).unwrap();
         assert_eq!(other_reference, canon_report(cold));
     }
 

@@ -29,7 +29,6 @@ use crate::scenario::Scenario;
 use crate::sweep::SweepError;
 use serde::{Deserialize, Serialize};
 use vdtn_bundle::{DropPolicy, PolicyCombo, SchedulingPolicy};
-use vdtn_routing::RoutingBackend;
 use vdtn_sim_core::SimDuration;
 
 /// The scenario family a manifest's runs are derived from.
@@ -69,8 +68,6 @@ pub struct SweepManifest {
     pub engines: Vec<EngineMode>,
     /// Seed axis.
     pub seeds: Vec<u64>,
-    /// Routing scan backend for every run.
-    pub backend: RoutingBackend,
     /// Simulated-duration override in seconds (0: the base's duration).
     pub duration_secs: f64,
 }
@@ -87,7 +84,6 @@ impl SweepManifest {
             ttls_mins: ttls.to_vec(),
             engines: Vec::new(),
             seeds: seeds.to_vec(),
-            backend: RoutingBackend::default(),
             duration_secs: 0.0,
         }
     }
@@ -537,6 +533,26 @@ mod tests {
         assert_eq!(a, m.fingerprint());
         m.seeds.push(99);
         assert_ne!(a, m.fingerprint());
+    }
+
+    /// Manifests written before the routing-backend switch was removed
+    /// still carry `"backend": "Index"`; the reader ignores the key.
+    #[test]
+    fn legacy_backend_key_is_ignored() {
+        let m = manifest();
+        let json = serde_json::to_string(&m).unwrap();
+        let legacy = json.replacen(
+            "\"duration_secs\"",
+            "\"backend\":\"Index\",\"duration_secs\"",
+            1,
+        );
+        assert_ne!(json, legacy, "the legacy key was spliced in");
+        let parsed: SweepManifest = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(
+            parsed,
+            serde_json::from_str::<SweepManifest>(&json).unwrap()
+        );
+        assert_eq!(parsed, m);
     }
 
     #[test]

@@ -271,7 +271,7 @@ mod tests {
         let loaded = load_snapshot(&path).unwrap();
         assert_eq!(loaded.state_hash, snap.state_hash);
         assert_eq!(loaded.now, snap.now);
-        let restored = World::restore(&loaded, world.mode(), Default::default(), None);
+        let restored = World::restore(&loaded, world.mode(), None);
         assert_eq!(restored.state_hash(), snap.state_hash);
         std::fs::remove_file(&path).ok();
     }

@@ -18,7 +18,6 @@ use crate::scenario::Scenario;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vdtn_routing::RoutingBackend;
 
 /// Typed failure of a sweep: bad cell input, a malformed manifest, or a
 /// journal that cannot be trusted.
@@ -94,24 +93,19 @@ impl From<std::io::Error> for SweepError {
 }
 
 /// Run every scenario, in parallel, returning reports in input order.
-/// Uses the default engine mode and routing backend; sweeps that want the
-/// parallel engine or the rescan backend go through
+/// Uses the default engine mode; sweeps that want another mode go through
 /// [`run_sweep_with_options`].
 pub fn run_sweep(scenarios: &[Scenario]) -> Vec<SimReport> {
-    run_sweep_with_options(scenarios, EngineMode::default(), RoutingBackend::default())
+    run_sweep_with_options(scenarios, EngineMode::default())
 }
 
-/// [`run_sweep`] with an explicit engine mode and routing backend for every
-/// run. Reports come back in input order and are bit-identical to serial
-/// execution (each run is independent and internally deterministic).
-pub fn run_sweep_with_options(
-    scenarios: &[Scenario],
-    mode: EngineMode,
-    backend: RoutingBackend,
-) -> Vec<SimReport> {
+/// [`run_sweep`] with an explicit engine mode for every run. Reports come
+/// back in input order and are bit-identical to serial execution (each run
+/// is independent and internally deterministic).
+pub fn run_sweep_with_options(scenarios: &[Scenario], mode: EngineMode) -> Vec<SimReport> {
     scenarios
         .par_iter()
-        .map(|s| World::build_with_options(s, mode, backend).run())
+        .map(|s| World::build_with_mode(s, mode).run())
         .collect()
 }
 
@@ -227,7 +221,7 @@ mod tests {
             })
             .collect();
         let default = run_sweep(&scenarios);
-        let ticked = run_sweep_with_options(&scenarios, EngineMode::Ticked, RoutingBackend::Rescan);
+        let ticked = run_sweep_with_options(&scenarios, EngineMode::Ticked);
         for (d, t) in default.iter().zip(&ticked) {
             assert_eq!(d.messages.created, t.messages.created);
             assert_eq!(d.messages.delivered_unique, t.messages.delivered_unique);

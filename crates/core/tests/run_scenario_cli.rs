@@ -1,0 +1,66 @@
+//! Command-line hygiene of the `run_scenario` binary: bad input is a
+//! one-line usage error with exit code 2, never a panic with a backtrace.
+//! Every case is rejected before a world is built, so each invocation
+//! returns at once.
+
+use std::path::Path;
+use std::process::Command;
+use vdtn::presets::{paper_scenario, PaperProtocol};
+use vdtn::SweepManifest;
+
+#[test]
+fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
+    let dir = std::env::temp_dir().join(format!("vdtn-run-scenario-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let p = dir.join(name);
+        std::fs::write(&p, text).unwrap();
+        p.to_str().unwrap().to_string()
+    };
+    let scenario = paper_scenario(PaperProtocol::EpidemicLifetime, 60, 1);
+    let good = write("good.json", &serde_json::to_string(&scenario).unwrap());
+    let manifest = SweepManifest::paper("cli", &[PaperProtocol::EpidemicFifo], &[60], &[1]);
+    let sweep = write("sweep.json", &serde_json::to_string(&manifest).unwrap());
+    let bad = write("bad.json", "{\"name\": ");
+    let missing = dir.join("missing.json").to_str().unwrap().to_string();
+    let snap = dir.join("out.snap").to_str().unwrap().to_string();
+    assert!(!Path::new(&missing).exists());
+
+    let g = good.as_str();
+    let cases: Vec<Vec<&str>> = vec![
+        vec![g, "--threads", "x"],
+        vec![g, "--threads"],
+        vec![g, "--threads", "0"],
+        vec![g, "--hash-every", "0"],
+        vec![g, "--hash-every", "soon"],
+        vec![g, "--hash-every"],
+        vec![g, "--save-at", "later", "--snapshot", &snap],
+        vec![g, "--save-at"],
+        vec![g, "--save-at", "10"],
+        vec![g, "--snapshot", &snap],
+        vec![g, "--engine", "warp"],
+        vec![&missing],
+        vec![&bad],
+        vec!["--restore", &missing],
+        vec!["--sweep", &missing],
+        vec!["--sweep", &bad],
+        vec!["--sweep", &sweep, "--threads", "0"],
+        vec!["--sweep", &sweep, "--checkpoint-every", "-1"],
+    ];
+    for args in &cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+            .args(args)
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("run_scenario binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("backtrace"),
+            "{args:?}: stderr {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

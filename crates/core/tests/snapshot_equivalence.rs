@@ -15,7 +15,7 @@ use vdtn_bundle::PolicyCombo;
 use vdtn_geo::GridMapGen;
 use vdtn_mobility::SpmbConfig;
 use vdtn_net::{DetectorBackend, RadioInterface};
-use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind, RoutingBackend};
+use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind};
 use vdtn_sim_core::{SimDuration, SimTime};
 
 /// Small but busy scenario: 8 vehicles on a 3×3 grid, fast contacts.
@@ -90,7 +90,7 @@ fn hash_streams_identical_across_modes_and_threads() {
         assert_eq!(reference, event, "seed {seed}: event-driven drifted");
         for threads in [1, 2, 4] {
             let par = hash_stream(
-                World::build_parallel_with_threads(&scenario, RoutingBackend::default(), threads),
+                World::build_parallel_with_threads(&scenario, threads),
                 scenario.duration_secs,
                 60.0,
             );
@@ -126,27 +126,14 @@ fn restore_resumes_bit_identically_in_every_mode() {
     );
 
     for (label, resumed) in [
-        (
-            "ticked",
-            World::restore(&snap, EngineMode::Ticked, RoutingBackend::default(), None),
-        ),
+        ("ticked", World::restore(&snap, EngineMode::Ticked, None)),
         (
             "event",
-            World::restore(
-                &snap,
-                EngineMode::EventDriven,
-                RoutingBackend::default(),
-                None,
-            ),
+            World::restore(&snap, EngineMode::EventDriven, None),
         ),
         (
             "parallel-3",
-            World::restore(
-                &snap,
-                EngineMode::Parallel,
-                RoutingBackend::default(),
-                Some(3),
-            ),
+            World::restore(&snap, EngineMode::Parallel, Some(3)),
         ),
     ] {
         assert_eq!(
@@ -167,12 +154,7 @@ fn restore_works_on_the_paper_scenario_with_relays() {
     let mut donor = World::build(&scenario);
     donor.run_until(SimTime::from_secs_f64(450.0));
     let snap = donor.snapshot(&scenario);
-    let resumed = World::restore(
-        &snap,
-        EngineMode::EventDriven,
-        RoutingBackend::default(),
-        None,
-    );
+    let resumed = World::restore(&snap, EngineMode::EventDriven, None);
     assert_eq!(reference, canon(resumed.run()));
 }
 
@@ -232,7 +214,7 @@ proptest! {
         let snap = donor.snapshot(&scenario);
         drop(donor);
         let restore_mode = if seed % 2 == 0 { EngineMode::Ticked } else { EngineMode::EventDriven };
-        let mut resumed = World::restore(&snap, restore_mode, RoutingBackend::default(), None);
+        let mut resumed = World::restore(&snap, restore_mode, None);
         let mut resumed_stream = Vec::new();
         let mut t = save_at.as_millis() as f64 / 1_000.0;
         while t < scenario.duration_secs {

@@ -4,15 +4,16 @@
 //!
 //! * [`ContactDetector::update`] — the ticked reference: recompute the full
 //!   in-range pair set from scratch and diff it against the previous set.
-//! * [`ContactDetector::update_incremental`] — the event-driven path: the
-//!   caller names which nodes moved this tick (with their displacement), the
-//!   grid is patched in `O(moved)`, and only moved nodes re-query their
-//!   neighbourhood. A pair of unmoved nodes cannot change its in-range
-//!   status, so the diff restricted to moved nodes is exact, not heuristic.
-//!   On top of that, each node caches a *slack* — its smallest distance
-//!   margin to any in/out-of-range flip, learned from an extended-radius
-//!   query — and skips even its own re-query while the worst-case
-//!   accumulated motion of any two nodes cannot have consumed that margin.
+//! * [`ContactDetector::update_kinematic`] — the event-driven path: nodes
+//!   move along piecewise-linear [`Segment`]s (read from [`MotionCols`]),
+//!   and each node carries a *slack deadline*, the earliest instant any of
+//!   its pairs could flip in/out of range, bounded from its speed and the
+//!   pair's quadratic contact window. An update re-queries only the nodes
+//!   whose deadline is due (or whose segment changed, via
+//!   [`ContactDetector::on_motion_change`]); a pair neither of whose
+//!   endpoints is due provably kept its in-range status, so the diff is
+//!   exact, not heuristic. [`ContactDetector::update_kinematic_sharded`]
+//!   runs the same re-queries on a thread pool.
 //!
 //! Pairs entering the set produce [`LinkEvent::Up`], pairs leaving produce
 //! [`LinkEvent::Down`]. Events are emitted in deterministic order (downs
@@ -48,7 +49,7 @@ pub fn pair_key(a: NodeId, b: NodeId) -> (u32, u32) {
 
 /// Assemble the canonical event stream from canonical-key diffs: downs
 /// first (freeing nodes for new contacts), then ups, each lexicographically
-/// sorted. Single-sourcing this keeps the ticked and incremental detector
+/// sorted. Single-sourcing this keeps the ticked and kinematic detector
 /// paths emitting byte-identical streams.
 fn assemble_events(mut downs: Vec<(u32, u32)>, mut ups: Vec<(u32, u32)>) -> Vec<LinkEvent> {
     downs.sort_unstable();
@@ -158,16 +159,6 @@ pub enum LinkEvent {
     Down(NodeId, NodeId),
 }
 
-/// A node that moved during the current tick, for
-/// [`ContactDetector::update_incremental`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MovedNode {
-    /// Index of the node in the positions slice.
-    pub index: u32,
-    /// Straight-line displacement since the previous tick, metres.
-    pub displacement: f64,
-}
-
 /// Stateful contact detector.
 pub struct ContactDetector {
     backend: DetectorBackend,
@@ -178,29 +169,14 @@ pub struct ContactDetector {
     pairs_scratch: Vec<(u32, u32)>,
     query_scratch: Vec<u32>,
 
-    // --- Incremental state (valid while `primed`) ---
-    /// True once `update_incremental` has built its per-node state from a
-    /// full scan. A call to the ticked `update` invalidates it.
-    primed: bool,
+    // --- Kinematic state (valid while `kin_valid`) ---
+    /// True once `prime_kinematic` has built the deadline state. A ticked
+    /// update invalidates it.
+    kin_valid: bool,
     /// Per-node adjacency mirror of `current`: sorted peer-id vectors
     /// (dense, cache-friendly — a 100k-node world pays 24 bytes + 4·degree
     /// per node instead of a hash table per node).
     neighbors: Vec<Vec<u32>>,
-    /// Per-node distance margin to the nearest possible in/out-of-range
-    /// flip, measured at the node's last re-query (capped at `range`, the
-    /// extended-query guarantee).
-    slack: Vec<f64>,
-    /// Value of `cum_drift` at the node's last re-query.
-    drift_at_check: Vec<f64>,
-    /// Running sum over ticks of the largest single-node displacement; any
-    /// one node's total motion since drift `d0` is bounded by
-    /// `cum_drift - d0`.
-    cum_drift: f64,
-
-    // --- Kinematic state (valid while `kin_valid`) ---
-    /// True once `prime_kinematic` has built the deadline state. Any ticked
-    /// or slack-incremental update invalidates it.
-    kin_valid: bool,
     /// Per-node slack deadline: the earliest instant at which a pair
     /// involving this node could flip its in-range status, as bounded at the
     /// node's last re-query. Parked nodes carry [`SimTime::MAX`] — any flip
@@ -227,12 +203,8 @@ impl ContactDetector {
             current: HashSet::new(),
             pairs_scratch: Vec::new(),
             query_scratch: Vec::new(),
-            primed: false,
-            neighbors: Vec::new(),
-            slack: Vec::new(),
-            drift_at_check: Vec::new(),
-            cum_drift: 0.0,
             kin_valid: false,
+            neighbors: Vec::new(),
             deadline: Vec::new(),
             due_heap: BinaryHeap::new(),
             due_scratch: Vec::new(),
@@ -275,114 +247,9 @@ impl ContactDetector {
         let downs: Vec<(u32, u32)> = self.current.difference(&fresh).copied().collect();
         let ups: Vec<(u32, u32)> = fresh.difference(&self.current).copied().collect();
         self.current = fresh;
-        // The per-node incremental caches no longer match `current`.
-        self.primed = false;
+        // The per-node kinematic caches no longer match `current`.
         self.kin_valid = false;
         assemble_events(downs, ups)
-    }
-
-    /// Event-driven update: only `moved` nodes changed position since the
-    /// last call.
-    ///
-    /// Produces exactly the event stream [`ContactDetector::update`] would
-    /// for the same positions (the first call performs the full scan to
-    /// prime per-node state; `moved` entries are ignored for that call).
-    /// The caller is responsible for `moved` being complete — listing a
-    /// node that did not move is harmless, omitting one that did is not.
-    ///
-    /// Cost is `O(moved × neighbourhood)` instead of `O(n)`: each moved
-    /// node patches its grid cell, and re-queries its surroundings only if
-    /// the accumulated worst-case motion since its last re-query could have
-    /// consumed its cached flip margin (see module docs). Both detector
-    /// backends share this path — the backend choice only affects the
-    /// ticked `update`, and the two backends are property-tested equal.
-    pub fn update_incremental(
-        &mut self,
-        positions: &[Point],
-        moved: &[MovedNode],
-    ) -> Vec<LinkEvent> {
-        if !self.primed {
-            return self.prime(positions);
-        }
-        // The slack path does not maintain deadlines.
-        self.kin_valid = false;
-        if moved.is_empty() {
-            return Vec::new();
-        }
-
-        // Worst-case per-node motion this tick, for the slack bound.
-        let max_disp = moved.iter().fold(0.0f64, |m, n| m.max(n.displacement));
-        self.cum_drift += max_disp;
-
-        // Patch every moved node's grid position before any query, so pairs
-        // of moved nodes see each other's new position.
-        for m in moved {
-            self.grid.move_point(m.index, positions[m.index as usize]);
-        }
-
-        let r2 = self.range * self.range;
-        let mut downs: Vec<(u32, u32)> = Vec::new();
-        let mut ups: Vec<(u32, u32)> = Vec::new();
-        let mut still: Vec<u32> = Vec::new();
-        for m in moved {
-            let i = m.index;
-            // Slack skip: pair (i, j) can only flip once the two endpoints'
-            // combined motion reaches the margin measured at i's last
-            // re-query; each endpoint's motion is bounded by the drift
-            // accumulated since then.
-            let drift = self.cum_drift - self.drift_at_check[i as usize];
-            if 2.0 * drift < self.slack[i as usize] {
-                continue;
-            }
-
-            // One extended-radius query yields both the exact new neighbour
-            // set (d ≤ range) and a fresh slack: nodes beyond 2·range are at
-            // margin > range, so the cap is safe.
-            let center = positions[i as usize];
-            self.query_scratch.clear();
-            self.grid
-                .query_within(center, 2.0 * self.range, Some(i), &mut self.query_scratch);
-            // Track the extremal squared distances on each side of the range
-            // boundary instead of square-rooting every candidate: sqrt is
-            // monotone, so the nearest boundary margin comes from the largest
-            // in-range d² and the smallest out-of-range d². At most two
-            // sqrts per re-query, and — because the selected d² feeds the
-            // exact expression the per-candidate loop used — the slack value
-            // is bit-identical.
-            let mut best_in = -1.0f64; // max d² among d² ≤ range²
-            let mut best_out = f64::INFINITY; // min d² among d² > range²
-            still.clear();
-            for k in 0..self.query_scratch.len() {
-                let j = self.query_scratch[k];
-                let d2 = positions[j as usize].distance_sq(center);
-                if d2 <= r2 {
-                    best_in = best_in.max(d2);
-                    still.push(j);
-                    if self.neighbors[i as usize].binary_search(&j).is_err() {
-                        ups.push(pair_key(NodeId(i), NodeId(j)));
-                    }
-                } else {
-                    best_out = best_out.min(d2);
-                }
-            }
-            let mut new_slack = self.range;
-            if best_in >= 0.0 {
-                new_slack = new_slack.min((best_in.sqrt() - self.range).abs());
-            }
-            if best_out.is_finite() {
-                new_slack = new_slack.min((best_out.sqrt() - self.range).abs());
-            }
-            still.sort_unstable();
-            for &j in &self.neighbors[i as usize] {
-                if still.binary_search(&j).is_err() {
-                    downs.push(pair_key(NodeId(i), NodeId(j)));
-                }
-            }
-            self.slack[i as usize] = new_slack;
-            self.drift_at_check[i as usize] = self.cum_drift;
-        }
-
-        self.apply_diff(downs, ups)
     }
 
     /// Sort, dedup, and apply a pair diff to `current` and the adjacency
@@ -409,146 +276,6 @@ impl ContactDetector {
             insert_sorted(&mut self.neighbors[b as usize], a);
         }
         assemble_events(downs, ups)
-    }
-
-    /// Sharded variant of [`ContactDetector::update_incremental`]: same
-    /// event stream, re-queries run concurrently on `pool`, grouped by
-    /// spatial shard.
-    ///
-    /// Bit-identity argument, phase by phase:
-    ///
-    /// 1. Drift accounting and grid patching are serial and identical.
-    /// 2. The slack filter selecting which nodes re-query runs serially
-    ///    *before* any per-node state is written; since a node appears at
-    ///    most once in `moved`, the serial path's interleaved writes cannot
-    ///    influence another node's filter decision, so the due set is
-    ///    exactly the serial one.
-    /// 3. Each due node's re-query reads only round-start shared state
-    ///    (grid, positions, neighbour sets) and produces a private result
-    ///    record; shard grouping and chunk geometry affect scheduling only.
-    /// 4. The merge applies per-node slack/drift writes (node-indexed,
-    ///    order-free) and funnels the pair diffs through the same
-    ///    sort + dedup + `assemble_events` the serial path uses, which
-    ///    already collapses the duplicate discovery of both-endpoints-moved
-    ///    pairs regardless of discovery order.
-    pub fn update_incremental_sharded(
-        &mut self,
-        positions: &[Point],
-        moved: &[MovedNode],
-        pool: &rayon::ThreadPool,
-        shards: &ShardMap,
-    ) -> Vec<LinkEvent> {
-        if !self.primed {
-            return self.prime(positions);
-        }
-        self.kin_valid = false;
-        if moved.is_empty() {
-            return Vec::new();
-        }
-
-        let max_disp = moved.iter().fold(0.0f64, |m, n| m.max(n.displacement));
-        self.cum_drift += max_disp;
-        for m in moved {
-            self.grid.move_point(m.index, positions[m.index as usize]);
-        }
-
-        // Serial slack filter (see bit-identity argument, step 2).
-        let due: Vec<u32> = moved
-            .iter()
-            .map(|m| m.index)
-            .filter(|&i| {
-                let drift = self.cum_drift - self.drift_at_check[i as usize];
-                2.0 * drift >= self.slack[i as usize]
-            })
-            .collect();
-        if due.is_empty() {
-            return Vec::new();
-        }
-
-        // Group due nodes by owning shard (stable, so deterministic — though
-        // by step 4 even the grouping is merely a locality hint).
-        let shard_of: Vec<u32> = due
-            .iter()
-            .map(|&i| shards.of_point(positions[i as usize]))
-            .collect();
-        let order = vdtn_sim_core::par::order_of(&shard_of);
-        let grouped: Vec<u32> = order.iter().map(|&k| due[k]).collect();
-
-        /// Private per-node re-query result, merged serially afterwards.
-        struct Requery {
-            node: u32,
-            new_slack: f64,
-            downs: Vec<(u32, u32)>,
-            ups: Vec<(u32, u32)>,
-        }
-
-        let mut results: Vec<Option<Requery>> = Vec::new();
-        results.resize_with(grouped.len(), || None);
-        let chunk = vdtn_sim_core::par::chunk_len(grouped.len(), pool.num_threads());
-        let grid = &self.grid;
-        let neighbors = &self.neighbors;
-        let range = self.range;
-        let r2 = range * range;
-        pool.scope(|s| {
-            for (nodes, out) in grouped.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    let mut query: Vec<u32> = Vec::new();
-                    let mut still: Vec<u32> = Vec::new();
-                    for (slot, &i) in out.iter_mut().zip(nodes) {
-                        let center = positions[i as usize];
-                        query.clear();
-                        grid.query_within(center, 2.0 * range, Some(i), &mut query);
-                        let mut rq = Requery {
-                            node: i,
-                            new_slack: range,
-                            downs: Vec::new(),
-                            ups: Vec::new(),
-                        };
-                        // Same two-sided extremal-d² slack as the serial
-                        // path: ≤ 2 sqrts per re-query, bit-identical value.
-                        let mut best_in = -1.0f64;
-                        let mut best_out = f64::INFINITY;
-                        still.clear();
-                        for &j in &query {
-                            let d2 = positions[j as usize].distance_sq(center);
-                            if d2 <= r2 {
-                                best_in = best_in.max(d2);
-                                still.push(j);
-                                if neighbors[i as usize].binary_search(&j).is_err() {
-                                    rq.ups.push(pair_key(NodeId(i), NodeId(j)));
-                                }
-                            } else {
-                                best_out = best_out.min(d2);
-                            }
-                        }
-                        if best_in >= 0.0 {
-                            rq.new_slack = rq.new_slack.min((best_in.sqrt() - range).abs());
-                        }
-                        if best_out.is_finite() {
-                            rq.new_slack = rq.new_slack.min((best_out.sqrt() - range).abs());
-                        }
-                        still.sort_unstable();
-                        for &j in &neighbors[i as usize] {
-                            if still.binary_search(&j).is_err() {
-                                rq.downs.push(pair_key(NodeId(i), NodeId(j)));
-                            }
-                        }
-                        *slot = Some(rq);
-                    }
-                });
-            }
-        });
-
-        // Serial merge (step 4).
-        let mut downs: Vec<(u32, u32)> = Vec::new();
-        let mut ups: Vec<(u32, u32)> = Vec::new();
-        for rq in results.into_iter().map(|r| r.expect("all chunks ran")) {
-            self.slack[rq.node as usize] = rq.new_slack;
-            self.drift_at_check[rq.node as usize] = self.cum_drift;
-            downs.extend(rq.downs);
-            ups.extend(rq.ups);
-        }
-        self.apply_diff(downs, ups)
     }
 
     /// Prime the kinematic (slack-deadline) state from the motion columns
@@ -679,10 +406,12 @@ impl ContactDetector {
     /// Sharded variant of [`ContactDetector::update_kinematic`]: identical
     /// event stream and deadline state at every pool size. The due set is
     /// popped serially; re-queries read only round-start shared state
-    /// (grid, columns, adjacency) into private records; the merge is serial
-    /// — the same argument as `update_incremental_sharded`, with one
-    /// addition: heap pushes commute because `(time, node)` keys totally
-    /// order the pops, so merge order cannot leak into the due schedule.
+    /// (grid, columns, adjacency) into private records, so shard grouping
+    /// and chunk geometry affect scheduling only; the merge is serial and
+    /// funnels the pair diffs through the same sort + dedup as the serial
+    /// path, which collapses pairs discovered from both endpoints in any
+    /// order. Heap pushes commute because `(time, node)` keys totally order
+    /// the pops, so merge order cannot leak into the due schedule either.
     pub fn update_kinematic_sharded(
         &mut self,
         now: SimTime,
@@ -746,8 +475,8 @@ impl ContactDetector {
         self.apply_diff(downs, ups)
     }
 
-    /// Full scan that initialises the incremental per-node state. Emits the
-    /// same events a ticked `update` would from an empty previous set.
+    /// Full scan that rebuilds `current` and the adjacency mirror. Emits
+    /// the same events a ticked `update` would from the previous set.
     fn prime(&mut self, positions: &[Point]) -> Vec<LinkEvent> {
         self.grid.rebuild(positions);
         self.pairs_scratch.clear();
@@ -765,23 +494,13 @@ impl ContactDetector {
         for peers in &mut self.neighbors {
             peers.sort_unstable();
         }
-        // Zero slack forces a real re-query on each node's first move.
-        self.slack = vec![0.0; positions.len()];
-        self.drift_at_check = vec![0.0; positions.len()];
-        self.cum_drift = 0.0;
         self.current = fresh;
-        self.primed = true;
-        // A slack prime does not build deadlines; the kinematic entry points
-        // re-prime through `prime_kinematic`.
-        self.kin_valid = false;
-
         assemble_events(downs, ups)
     }
 
     /// Forget all link state (e.g. between independent runs).
     pub fn reset(&mut self) {
         self.current.clear();
-        self.primed = false;
         self.kin_valid = false;
     }
 }
@@ -982,8 +701,11 @@ fn pair_flip_bound(
                 now.saturating_add(floor_ms((root - ROOT_SAFETY).max(0.0)))
             }
         } else {
-            // Distance non-increasing over the window: cannot exit.
-            w
+            // No relative motion, but inside the guard band (the first
+            // branch takes every pair clear of it): the evaluated distance
+            // jitters by an ulp across the boundary as `position_at` rounds
+            // differently at each instant. Keep only the rate bound.
+            return rate;
         }
     };
     rate.max(analytic)
@@ -1079,129 +801,6 @@ mod tests {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         (*state >> 33) as f64 / (1u64 << 31) as f64
-    }
-
-    /// Random-walk equivalence harness: an incrementally updated detector
-    /// must emit exactly the reference (full-rescan) event stream, tick by
-    /// tick, for any mix of moving and parked nodes.
-    fn random_walk_equivalence(seed: u64, n: usize, ticks: usize, move_prob: f64) {
-        let mut reference = detector(DetectorBackend::Grid);
-        let mut incremental = detector(DetectorBackend::Grid);
-        let mut state = seed;
-        let mut pos: Vec<Point> = (0..n)
-            .map(|_| Point::new(lcg(&mut state) * 400.0, lcg(&mut state) * 400.0))
-            .collect();
-        // Prime both on the initial layout.
-        let er = reference.update(&pos);
-        let ei = incremental.update_incremental(&pos, &[]);
-        assert_eq!(er, ei, "priming events differ");
-        for tick in 0..ticks {
-            let mut moved = Vec::new();
-            for (i, p) in pos.iter_mut().enumerate() {
-                if lcg(&mut state) < move_prob {
-                    let old = *p;
-                    p.x += (lcg(&mut state) - 0.5) * 25.0;
-                    p.y += (lcg(&mut state) - 0.5) * 25.0;
-                    moved.push(MovedNode {
-                        index: i as u32,
-                        displacement: old.distance(*p),
-                    });
-                }
-            }
-            let er = reference.update(&pos);
-            let ei = incremental.update_incremental(&pos, &moved);
-            assert_eq!(er, ei, "tick {tick}: event streams diverged");
-            assert_eq!(
-                reference.active_count(),
-                incremental.active_count(),
-                "tick {tick}: active sets diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_matches_reference_all_moving() {
-        random_walk_equivalence(1, 40, 60, 1.0);
-    }
-
-    /// Sharded re-query must emit exactly the serial incremental stream —
-    /// and the full-rescan reference stream — at every pool size, on the
-    /// same random walks as the serial harness.
-    #[test]
-    fn sharded_matches_serial_incremental_at_every_pool_size() {
-        for &threads in &[1usize, 2, 4] {
-            let pool = rayon::ThreadPool::new(threads);
-            let mut reference = detector(DetectorBackend::Grid);
-            let mut serial = detector(DetectorBackend::Grid);
-            let mut sharded = detector(DetectorBackend::Grid);
-            let mut state = 7u64;
-            let mut pos: Vec<Point> = (0..40)
-                .map(|_| Point::new(lcg(&mut state) * 400.0, lcg(&mut state) * 400.0))
-                .collect();
-            let shards = ShardMap::build(&pos, reference.range(), 8);
-            let er = reference.update(&pos);
-            let es = serial.update_incremental(&pos, &[]);
-            let eh = sharded.update_incremental_sharded(&pos, &[], &pool, &shards);
-            assert_eq!(er, es);
-            assert_eq!(er, eh);
-            for tick in 0..60 {
-                let mut moved = Vec::new();
-                for (i, p) in pos.iter_mut().enumerate() {
-                    if lcg(&mut state) < 0.6 {
-                        let old = *p;
-                        p.x += (lcg(&mut state) - 0.5) * 25.0;
-                        p.y += (lcg(&mut state) - 0.5) * 25.0;
-                        moved.push(MovedNode {
-                            index: i as u32,
-                            displacement: old.distance(*p),
-                        });
-                    }
-                }
-                let er = reference.update(&pos);
-                let es = serial.update_incremental(&pos, &moved);
-                let eh = sharded.update_incremental_sharded(&pos, &moved, &pool, &shards);
-                assert_eq!(er, es, "threads {threads} tick {tick}: serial diverged");
-                assert_eq!(er, eh, "threads {threads} tick {tick}: sharded diverged");
-                assert_eq!(serial.active_count(), sharded.active_count());
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_matches_reference_sparse_movement() {
-        // Most nodes parked, as in the paper scenario; exercises the slack
-        // skip over many consecutive small displacements.
-        random_walk_equivalence(2, 40, 120, 0.15);
-    }
-
-    #[test]
-    fn incremental_matches_reference_dense_cluster() {
-        random_walk_equivalence(3, 25, 60, 0.5);
-    }
-
-    #[test]
-    fn incremental_with_no_movement_is_silent() {
-        let mut d = detector(DetectorBackend::Grid);
-        let pos = vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
-        let ev = d.update_incremental(&pos, &[]);
-        assert_eq!(ev, vec![LinkEvent::Up(NodeId(0), NodeId(1))]);
-        for _ in 0..5 {
-            assert!(d.update_incremental(&pos, &[]).is_empty());
-        }
-        assert_eq!(d.active_count(), 1);
-    }
-
-    #[test]
-    fn ticked_update_invalidates_incremental_state() {
-        let mut d = detector(DetectorBackend::Grid);
-        let close = vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
-        let apart = vec![Point::new(0.0, 0.0), Point::new(200.0, 0.0)];
-        assert_eq!(d.update_incremental(&close, &[]).len(), 1);
-        // A ticked update in between must not confuse a later incremental
-        // call: it re-primes from the full scan.
-        assert_eq!(d.update(&apart).len(), 1); // down
-        let ev = d.update_incremental(&close, &[]);
-        assert_eq!(ev, vec![LinkEvent::Up(NodeId(0), NodeId(1))]);
     }
 
     #[test]
@@ -1308,6 +907,161 @@ mod tests {
                 changed.push(i as u32);
             }
             changed
+        }
+
+        /// `n` nodes in a `span`-sided square, each placed relative to an
+        /// earlier node: on top of it, exactly `range` away (the 3-4-5
+        /// offsets keep the diagonal distances exact), or anywhere.
+        fn adversarial(seed: &mut u64, n: usize, span: f64, range: f64) -> KinWorld {
+            let mut w = KinWorld::new(seed, n);
+            let offsets = [
+                Point::new(range, 0.0),
+                Point::new(0.0, -range),
+                Point::new(range * 3.0 / 5.0, range * 4.0 / 5.0),
+                Point::new(-range * 4.0 / 5.0, range * 3.0 / 5.0),
+            ];
+            for i in 0..n {
+                let base = w.origin[(lcg(seed) * i as f64) as usize];
+                let off = offsets[(lcg(seed) * 4.0) as usize];
+                w.origin[i] = match (lcg(seed) * 3.0) as u32 {
+                    0 if i > 0 => base,
+                    1 if i > 0 => Point::new(base.x + off.x, base.y + off.y),
+                    _ => Point::new(lcg(seed) * span, lcg(seed) * span),
+                };
+            }
+            w
+        }
+
+        /// [`KinWorld::replan`] with boundary geometry. Each expired node,
+        /// anchored where it stands, parks for good, pauses, moves in
+        /// tandem with another node, grazes another node tangentially,
+        /// heads for a point exactly `range` from another node (or onto
+        /// it), or heads for a random waypoint in `span`. Speeds stay below
+        /// `vmax`; segments last whole 0.1 s ticks except waypoint legs,
+        /// which end on the millisecond of arrival.
+        fn replan_adversarial(
+            &mut self,
+            seed: &mut u64,
+            now: SimTime,
+            vmax: f64,
+            span: f64,
+            range: f64,
+        ) -> Vec<u32> {
+            let n = self.origin.len();
+            let zero = Point::new(0.0, 0.0);
+            let mut changed = Vec::new();
+            for i in 0..n {
+                if self.until[i] > now {
+                    continue;
+                }
+                let p = self.position(i, now);
+                let k = (i + 1 + (lcg(seed) * (n - 1) as f64) as usize) % n;
+                let pk = self.position(k, now);
+                let vk = if self.until[k] > now {
+                    self.velocity[k]
+                } else {
+                    zero
+                };
+                let hold = now + SimDuration::from_millis(100 * (1 + (lcg(seed) * 40.0) as u64));
+                let speed = (0.001 + 0.998 * lcg(seed)) * vmax;
+                let leg = |q: Point| {
+                    let len = p.distance(q);
+                    if len <= 0.0 {
+                        return (zero, hold);
+                    }
+                    let ms = ((len / speed * 1000.0) as u64).max(1);
+                    let v = Point::new((q.x - p.x) / len * speed, (q.y - p.y) / len * speed);
+                    (v, now + SimDuration::from_millis(ms))
+                };
+                let (velocity, until) = match (lcg(seed) * 12.0) as u32 {
+                    0 => (zero, SimTime::MAX),
+                    1 | 2 => (zero, hold),
+                    3 | 4 => (vk, hold),
+                    5 | 6 => {
+                        // Perpendicular to the line to `k`: the distance
+                        // is at its minimum right now.
+                        let (dx, dy) = (p.x - pk.x, p.y - pk.y);
+                        let d = (dx * dx + dy * dy).sqrt();
+                        if d <= 0.0 {
+                            (zero, hold)
+                        } else {
+                            (Point::new(-dy / d * speed, dx / d * speed), hold)
+                        }
+                    }
+                    7 => leg(pk),
+                    8 | 9 => {
+                        let a = lcg(seed) * std::f64::consts::TAU;
+                        leg(Point::new(pk.x + range * a.cos(), pk.y + range * a.sin()))
+                    }
+                    _ => leg(Point::new(lcg(seed) * span, lcg(seed) * span)),
+                };
+                self.origin[i] = p;
+                self.velocity[i] = velocity;
+                self.start[i] = now;
+                self.until[i] = until;
+                changed.push(i as u32);
+            }
+            changed
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Kinematic edge cases against the naive O(n²) scan at every tick
+        /// of a 0.1 s grid: coincident nodes, pairs exactly at `range`,
+        /// tangential grazes, parked and zero-velocity nodes, and speeds up
+        /// to 1 000 m/s. The serial path and the sharded path at pool sizes
+        /// 1 and 2 must all emit the reference stream exactly — a silently
+        /// missed contact would hide inside the GUARD/ROOT_SAFETY bands.
+        #[test]
+        fn kinematic_matches_naive_on_adversarial_geometry(
+            seed0 in 1u64..u64::MAX,
+            n in 2usize..16,
+            speed_class in 0usize..3,
+        ) {
+            let vmax = [12.0, 100.0, 1_000.0][speed_class];
+            let mut seed = seed0;
+            let mut reference = detector(DetectorBackend::Naive);
+            let range = reference.range();
+            let span = 4.0 * range;
+            let mut w = KinWorld::adversarial(&mut seed, n, span, range);
+            let pools = [rayon::ThreadPool::new(1), rayon::ThreadPool::new(2)];
+            let mut serial = detector(DetectorBackend::Grid);
+            let mut sharded = [detector(DetectorBackend::Grid), detector(DetectorBackend::Grid)];
+            let dt = SimDuration::from_millis(100);
+            let mut now = SimTime::ZERO;
+            w.replan_adversarial(&mut seed, now, vmax, span, range);
+            let shards = ShardMap::build(&w.materialize(now), range, 4);
+            for tick in 0..300 {
+                if tick > 0 {
+                    now += dt;
+                    for i in w.replan_adversarial(&mut seed, now, vmax, span, range) {
+                        serial.on_motion_change(i, now);
+                        for d in &mut sharded {
+                            d.on_motion_change(i, now);
+                        }
+                    }
+                }
+                let want = reference.update(&w.materialize(now));
+                let got = if serial.next_deadline() <= now {
+                    serial.update_kinematic(now, &w.cols(), vmax)
+                } else {
+                    Vec::new()
+                };
+                proptest::prop_assert_eq!(&want, &got, "serial, tick {}", tick);
+                for (d, pool) in sharded.iter_mut().zip(&pools) {
+                    let got = if d.next_deadline() <= now {
+                        d.update_kinematic_sharded(now, &w.cols(), vmax, pool, &shards)
+                    } else {
+                        Vec::new()
+                    };
+                    proptest::prop_assert_eq!(
+                        &want, &got, "{} threads, tick {}", pool.num_threads(), tick
+                    );
+                }
+                proptest::prop_assert_eq!(reference.active_count(), serial.active_count());
+            }
         }
     }
 

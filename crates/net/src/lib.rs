@@ -7,7 +7,8 @@
 //!   (30 m in the paper), with a fixed link rate (6 Mbit/s = 750 000 B/s).
 //! * **Contact detection** ([`ContactDetector`]): per-tick diffing of the
 //!   in-range pair set into link-up / link-down events, with naive O(n²) and
-//!   spatial-grid back-ends (ablation-benchmarked).
+//!   spatial-grid back-ends (tested equal), plus the kinematic
+//!   slack-deadline path the event engines use.
 //! * **Connections and transfers** ([`LinkTable`], [`Transfer`]): one
 //!   message in flight per connection, one transfer per node at a time
 //!   (half-duplex radio, as ONE models it); a transfer is an immutable
@@ -39,7 +40,7 @@ pub mod interface;
 pub mod link;
 pub mod trace;
 
-pub use contact::{pair_key, ContactDetector, DetectorBackend, LinkEvent, MotionCols, MovedNode};
+pub use contact::{pair_key, ContactDetector, DetectorBackend, LinkEvent, MotionCols};
 pub use interface::RadioInterface;
 pub use link::{LinkError, LinkTable, Transfer, TransferOutcome};
 pub use trace::ContactTrace;

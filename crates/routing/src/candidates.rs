@@ -70,20 +70,6 @@ use vdtn_bundle::{
     SchedulingPolicy,
 };
 
-/// How a policy-driven router materialises its per-peer transmission order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum RoutingBackend {
-    /// Delta-maintained per-direction candidate sets (this PR; the
-    /// default). `Random` scheduling transparently falls back to `Rescan`
-    /// behaviour for RNG parity.
-    #[default]
-    Index,
-    /// The PR 3 cursor-only path: generation-validated schedule cache plus
-    /// per-contact resume cursors, full eligibility rescan per round. Kept
-    /// as the equivalence reference and for the index-vs-cursor benches.
-    Rescan,
-}
-
 /// A router's verdict on one candidate during a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -361,29 +347,20 @@ impl CandidateIndex {
     }
 }
 
-/// A policy-driven router's order source: the backend choice plus the
-/// [`ScheduleCache`] that serves as the whole mechanism under `Rescan` and
-/// as the `Random` fallback under `Index` (untouched otherwise).
+/// A policy-driven router's order source: the per-direction candidate
+/// index for every deterministic scheduling policy, and the cursor-rescan
+/// [`ScheduleCache`] as the `Random` fallback (untouched otherwise).
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSource {
-    backend: RoutingBackend,
     /// The full-rescan cache, handed to the crate-internal `scan_policy`
     /// dispatcher through the accessor below.
     cache: ScheduleCache,
 }
 
 impl CandidateSource {
-    /// Construct the source for a backend choice.
-    pub fn new(backend: RoutingBackend) -> Self {
-        CandidateSource {
-            backend,
-            cache: ScheduleCache::new(),
-        }
-    }
-
-    /// Which backend this source implements.
-    pub fn backend(&self) -> RoutingBackend {
-        self.backend
+    /// A source with an empty fallback cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The cache backing the full-rescan path.
@@ -396,7 +373,7 @@ impl CandidateSource {
     /// every policy router's `Router::wants_buffer_deltas` and the
     /// condition for the scan dispatcher taking the index path.
     pub fn wants_deltas(&self, scheduling: SchedulingPolicy) -> bool {
-        self.backend == RoutingBackend::Index && scheduling != SchedulingPolicy::Random
+        scheduling != SchedulingPolicy::Random
     }
 }
 
@@ -597,15 +574,15 @@ mod tests {
 
     #[test]
     fn source_backend_dispatch() {
-        assert_eq!(
-            CandidateSource::new(RoutingBackend::Index).backend(),
-            RoutingBackend::Index
-        );
-        assert_eq!(
-            CandidateSource::new(RoutingBackend::Rescan).backend(),
-            RoutingBackend::Rescan
-        );
-        assert_eq!(CandidateSource::default().backend(), RoutingBackend::Index);
+        // Every deterministic policy takes the index; `Random` alone falls
+        // back to the cursor rescan.
+        let source = CandidateSource::new();
+        for policy in proptests::POLICIES {
+            assert_eq!(
+                source.wants_deltas(policy),
+                policy != SchedulingPolicy::Random
+            );
+        }
     }
 }
 
@@ -618,7 +595,7 @@ mod proptests {
 
     /// All seven scheduling policies; `Random` exercises the fallback
     /// contract instead of the index.
-    const POLICIES: [SchedulingPolicy; 7] = [
+    pub(super) const POLICIES: [SchedulingPolicy; 7] = [
         SchedulingPolicy::Fifo,
         SchedulingPolicy::Random,
         SchedulingPolicy::LifetimeDesc,

@@ -7,7 +7,7 @@
 //! extension benches and as sanity anchors in the integration tests
 //! (Epidemic must dominate both on delivery ratio).
 
-use crate::candidates::{CandidateSource, RoutingBackend, Verdict};
+use crate::candidates::{CandidateSource, Verdict};
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router};
 use crate::state::NodeState;
@@ -25,14 +25,9 @@ impl DirectDeliveryRouter {
     /// Create with the given buffer policies (scheduling matters only for
     /// the order of multiple deliverable messages at one contact).
     pub fn new(policy: PolicyCombo) -> Self {
-        Self::with_backend(policy, RoutingBackend::default())
-    }
-
-    /// Create with an explicit scan backend (benches, equivalence tests).
-    pub fn with_backend(policy: PolicyCombo, backend: RoutingBackend) -> Self {
         DirectDeliveryRouter {
             policy,
-            source: CandidateSource::new(backend),
+            source: CandidateSource::new(),
         }
     }
 }
@@ -167,14 +162,9 @@ pub struct FirstContactRouter {
 impl FirstContactRouter {
     /// Create with the given buffer policies.
     pub fn new(policy: PolicyCombo) -> Self {
-        Self::with_backend(policy, RoutingBackend::default())
-    }
-
-    /// Create with an explicit scan backend (benches, equivalence tests).
-    pub fn with_backend(policy: PolicyCombo, backend: RoutingBackend) -> Self {
         FirstContactRouter {
             policy,
-            source: CandidateSource::new(backend),
+            source: CandidateSource::new(),
         }
     }
 }

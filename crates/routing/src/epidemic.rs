@@ -6,7 +6,7 @@
 //! scheduling and dropping policies — which is precisely the knob the paper
 //! turns.
 
-use crate::candidates::{CandidateSource, RoutingBackend, Verdict};
+use crate::candidates::{CandidateSource, Verdict};
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router};
 use crate::state::NodeState;
@@ -21,17 +21,11 @@ pub struct EpidemicRouter {
 }
 
 impl EpidemicRouter {
-    /// Create with the given scheduling/dropping combination (default
-    /// candidate-index backend).
+    /// Create with the given scheduling/dropping combination.
     pub fn new(policy: PolicyCombo) -> Self {
-        Self::with_backend(policy, RoutingBackend::default())
-    }
-
-    /// Create with an explicit scan backend (benches, equivalence tests).
-    pub fn with_backend(policy: PolicyCombo, backend: RoutingBackend) -> Self {
         EpidemicRouter {
             policy,
-            source: CandidateSource::new(backend),
+            source: CandidateSource::new(),
         }
     }
 

@@ -57,7 +57,7 @@ pub mod sprayfocus;
 pub mod state;
 pub(crate) mod util;
 
-pub use candidates::{CandidateIndex, CandidateSource, RoutingBackend, Verdict};
+pub use candidates::{CandidateIndex, CandidateSource, Verdict};
 pub use direct::{DirectDeliveryRouter, FirstContactRouter};
 pub use epidemic::EpidemicRouter;
 pub use maxprop::{MaxPropConfig, MaxPropRouter};

@@ -126,8 +126,8 @@ pub struct ContactOffers {
     /// Scan cursors per direction: `[lower-id sender, higher-id sender]`.
     cursors: [Cursor; 2],
     /// Delta-maintained candidate sets per direction (same indexing), used
-    /// by routers on the [`crate::candidates::RoutingBackend::Index`]
-    /// backend; empty and untouched under `Rescan` or `Random` scheduling.
+    /// by policy-driven routers; empty and untouched under `Random`
+    /// scheduling and by protocols with native orders.
     indexes: [CandidateIndex; 2],
     /// Payload bytes completed per direction (same indexing), feeding
     /// MaxProp's per-contact volume estimator at contact teardown.
@@ -257,7 +257,7 @@ impl OfferView<'_> {
 
     /// Sync this direction's candidate index against both endpoints and
     /// return the first candidate `eligible` accepts, in scheduling-rank
-    /// order (the `Index` backend's scan; see [`crate::candidates`]).
+    /// order (see [`crate::candidates`]).
     /// Must not be called for [`SchedulingPolicy::Random`], which keeps the
     /// full-rescan fallback for RNG parity.
     pub fn scan_index(

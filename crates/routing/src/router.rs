@@ -1,6 +1,5 @@
 //! The `Router` trait, its outcome types, and the protocol factory.
 
-use crate::candidates::RoutingBackend;
 use crate::offers::OfferView;
 use crate::state::NodeState;
 use crate::{
@@ -233,13 +232,13 @@ pub trait Router: Send {
     }
 
     /// True when this router patches per-direction candidate indexes from
-    /// buffer deltas (the [`crate::candidates::RoutingBackend::Index`]
-    /// backend under a non-`Random` scheduling policy). The engine calls
+    /// buffer deltas (every policy-driven router under a non-`Random`
+    /// scheduling policy). The engine calls
     /// [`vdtn_bundle::Buffer::watch`] on every node buffer when any router
     /// asks, so both endpoints' membership changes are replayable; without
     /// the subscription the index still works but rebuilds on every change
     /// instead of patching. Default: `false` (protocols with native orders
-    /// — PRoPHET, MaxProp — and the `Rescan` backend).
+    /// — PRoPHET, MaxProp).
     fn wants_buffer_deltas(&self) -> bool {
         false
     }
@@ -315,40 +314,24 @@ pub enum RouterKind {
 }
 
 impl RouterKind {
-    /// Instantiate a router for node `own` with the default
-    /// ([`RoutingBackend::Index`]) scan backend.
+    /// Instantiate a router for node `own`.
     ///
     /// `policy` applies to protocols without native scheduling/dropping
     /// (Epidemic, SnW, baselines); PRoPHET and MaxProp ignore it, exactly as
     /// in the paper.
     pub fn build(&self, own: NodeId, n_nodes: usize, policy: PolicyCombo) -> Box<dyn Router> {
-        self.build_with_backend(own, n_nodes, policy, RoutingBackend::default())
-    }
-
-    /// Instantiate a router with an explicit scan backend. Protocols with
-    /// native orders (PRoPHET, MaxProp) ignore the choice; both backends
-    /// produce bit-identical reports (see `tests/engine_equivalence.rs`).
-    pub fn build_with_backend(
-        &self,
-        own: NodeId,
-        n_nodes: usize,
-        policy: PolicyCombo,
-        backend: RoutingBackend,
-    ) -> Box<dyn Router> {
         match self {
-            RouterKind::Epidemic => Box::new(EpidemicRouter::with_backend(policy, backend)),
-            RouterKind::SprayAndWait { copies, binary } => Box::new(
-                SprayAndWaitRouter::with_backend(*copies, *binary, policy, backend),
-            ),
+            RouterKind::Epidemic => Box::new(EpidemicRouter::new(policy)),
+            RouterKind::SprayAndWait { copies, binary } => {
+                Box::new(SprayAndWaitRouter::new(*copies, *binary, policy))
+            }
             RouterKind::Prophet(cfg) => Box::new(ProphetRouter::new(own, n_nodes, *cfg)),
             RouterKind::MaxProp(cfg) => Box::new(MaxPropRouter::new(own, n_nodes, *cfg)),
-            RouterKind::DirectDelivery => {
-                Box::new(DirectDeliveryRouter::with_backend(policy, backend))
-            }
-            RouterKind::FirstContact => Box::new(FirstContactRouter::with_backend(policy, backend)),
-            RouterKind::SprayAndFocus { copies } => Box::new(
-                crate::SprayAndFocusRouter::with_backend(own, n_nodes, *copies, policy, backend),
-            ),
+            RouterKind::DirectDelivery => Box::new(DirectDeliveryRouter::new(policy)),
+            RouterKind::FirstContact => Box::new(FirstContactRouter::new(policy)),
+            RouterKind::SprayAndFocus { copies } => Box::new(crate::SprayAndFocusRouter::new(
+                own, n_nodes, *copies, policy,
+            )),
         }
     }
 

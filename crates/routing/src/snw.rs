@@ -11,7 +11,7 @@
 //! the total number of logical copies in the network never exceeds `L`
 //! (property-tested in the integration suite).
 
-use crate::candidates::{CandidateSource, RoutingBackend, Verdict};
+use crate::candidates::{CandidateSource, Verdict};
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router};
 use crate::state::NodeState;
@@ -29,24 +29,14 @@ pub struct SprayAndWaitRouter {
 
 impl SprayAndWaitRouter {
     /// Create with quota `L = initial_copies`; `binary` selects the paper's
-    /// binary halving variant (default candidate-index backend).
+    /// binary halving variant.
     pub fn new(initial_copies: u32, binary: bool, policy: PolicyCombo) -> Self {
-        Self::with_backend(initial_copies, binary, policy, RoutingBackend::default())
-    }
-
-    /// Create with an explicit scan backend (benches, equivalence tests).
-    pub fn with_backend(
-        initial_copies: u32,
-        binary: bool,
-        policy: PolicyCombo,
-        backend: RoutingBackend,
-    ) -> Self {
         assert!(initial_copies >= 1, "spray quota must be at least 1");
         SprayAndWaitRouter {
             initial_copies,
             binary,
             policy,
-            source: CandidateSource::new(backend),
+            source: CandidateSource::new(),
         }
     }
 

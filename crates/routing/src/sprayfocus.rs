@@ -8,7 +8,7 @@
 //! where the source's spray never reaches the destination's neighbourhood,
 //! and is the natural "future work" extension of the paper's SnW results.
 
-use crate::candidates::{CandidateSource, RoutingBackend, Verdict};
+use crate::candidates::{CandidateSource, Verdict};
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router, RouterSnapshot};
 use crate::state::NodeState;
@@ -31,31 +31,14 @@ pub struct SprayAndFocusRouter {
 impl SprayAndFocusRouter {
     /// Create with spray quota `L = initial_copies` (binary halving).
     /// `_own` is accepted for factory-signature uniformity.
-    pub fn new(own: NodeId, n_nodes: usize, initial_copies: u32, policy: PolicyCombo) -> Self {
-        Self::with_backend(
-            own,
-            n_nodes,
-            initial_copies,
-            policy,
-            RoutingBackend::default(),
-        )
-    }
-
-    /// Create with an explicit scan backend (benches, equivalence tests).
-    pub fn with_backend(
-        _own: NodeId,
-        n_nodes: usize,
-        initial_copies: u32,
-        policy: PolicyCombo,
-        backend: RoutingBackend,
-    ) -> Self {
+    pub fn new(_own: NodeId, n_nodes: usize, initial_copies: u32, policy: PolicyCombo) -> Self {
         assert!(initial_copies >= 1, "spray quota must be at least 1");
         SprayAndFocusRouter {
             initial_copies,
             policy,
             last_met: vec![None; n_nodes],
             met_gen: 0,
-            source: CandidateSource::new(backend),
+            source: CandidateSource::new(),
         }
     }
 

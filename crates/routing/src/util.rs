@@ -46,21 +46,18 @@ pub fn make_room_and_store(
     Ok(evicted)
 }
 
-/// The shared scheduling scan of every policy-driven router, dispatched on
-/// the router's [`CandidateSource`] backend. `eligible` receives the bare
-/// id and returns a [`Verdict`] — routers order their rejection tests
-/// cheapest-first (a `peer.knows` hit should not pay for a message fetch)
-/// and classify each rejection as [`Verdict::Never`] (permanent for this
-/// direction and contact: the index drops the entry) or [`Verdict::NotNow`]
-/// (re-evaluated next round). Both backends return bit-identical results;
-/// they differ only in how much work a round after a buffer change costs.
+/// The shared scheduling scan of every policy-driven router. `eligible`
+/// receives the bare id and returns a [`Verdict`] — routers order their
+/// rejection tests cheapest-first (a `peer.knows` hit should not pay for a
+/// message fetch) and classify each rejection as [`Verdict::Never`]
+/// (permanent for this direction and contact: the index drops the entry)
+/// or [`Verdict::NotNow`] (re-evaluated next round).
 ///
-/// * `Index`: sync the per-direction candidate index from buffer deltas and
-///   scan only live candidates — O(changes) per round on a quiescent
-///   contact. `Random` scheduling transparently falls back to the rescan
-///   path below, so its per-call RNG draws stay bit-identical.
-/// * `Rescan`: the PR 3 path — refresh the generation-validated schedule
-///   cache and rescan from the offer cursor.
+/// Deterministic policies sync the per-direction candidate index from
+/// buffer deltas and scan only live candidates — O(changes) per round on a
+/// quiescent contact. `Random` scheduling re-draws its order per call, so
+/// it takes [`scan_schedule`] over the source's cache instead, keeping its
+/// RNG draws bit-identical.
 #[allow(clippy::too_many_arguments)] // mirrors `Router::next_transfer`'s surface
 pub fn scan_policy(
     source: &mut CandidateSource,

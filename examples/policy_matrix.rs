@@ -17,7 +17,7 @@
 
 use vdtn::orchestrator::{run_manifest, ScenarioBase, SweepManifest, SweepOptions};
 use vdtn::presets::{mini_scenario, PaperProtocol};
-use vdtn::{DropPolicy, PolicyCombo, RoutingBackend, SchedulingPolicy};
+use vdtn::{DropPolicy, PolicyCombo, SchedulingPolicy};
 
 fn main() {
     let scheduling = [
@@ -55,7 +55,6 @@ fn main() {
         ttls_mins: vec![60],
         engines: Vec::new(),
         seeds: vec![99],
-        backend: RoutingBackend::default(),
         duration_secs: 2.0 * 3600.0,
     };
 

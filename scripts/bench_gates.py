@@ -35,8 +35,8 @@ from pathlib import Path
 #
 # Shape and identity assertions over the bench-smoke JSON files: every
 # expected section was recorded, and no entry anywhere reported diverging
-# simulation results across engine modes, routing backends, thread counts
-# or the memory probe. (Substring checks, faithful to the original grep
+# simulation results across engine modes, thread counts or the memory
+# probe. (Substring checks, faithful to the original grep
 # chain: they assert the *recorded* text, not a parsed reinterpretation.)
 
 def gate_smoke_identity(bench_path: str, routing_path: str) -> list[str]:
@@ -59,7 +59,7 @@ def gate_smoke_identity(bench_path: str, routing_path: str) -> list[str]:
             bad.append(f"{where}: missing expected `{needle}`")
     for where, text in [(bench_path, bench), (routing_path, routing)]:
         if '"reports_identical": false' in text:
-            bad.append(f"{where}: engine modes or routing backends diverged")
+            bad.append(f"{where}: engine modes or thread counts diverged")
     return bad
 
 

@@ -37,7 +37,7 @@ use vdtn_repro::vdtn::scenario::{
 };
 use vdtn_repro::vdtn::{
     DetectorBackend, DropPolicy, MaxPropConfig, PolicyCombo, ProphetConfig, RouterKind,
-    RoutingBackend, SchedulingPolicy, SimDuration, SimReport,
+    SchedulingPolicy, SimDuration, SimReport,
 };
 
 /// Canonical serialisation with the wall clock zeroed: equal strings ⟺
@@ -188,14 +188,14 @@ fn every_protocol_is_bit_identical_across_modes() {
 }
 
 /// The acceptance matrix: for **every router × every scheduling policy**,
-/// the delta-maintained candidate index must be bit-identical to the
-/// cursor-only rescan revision *and* across engine modes. Four runs per
-/// combination: Ticked+Index, EventDriven+Index, EventDriven+Rescan, and
-/// the Parallel engine (Index backend, 2-thread pool) — any divergence in
-/// the per-direction index maintenance (delta application, rank keying,
-/// `Never` pruning, `Random`/discontinuity fallbacks, the insert-count
-/// silence key) or in the parallel engine's sharded phases shows up as a
-/// report diff here.
+/// the candidate-index routing round must be bit-identical across engine
+/// modes. Three runs per combination: Ticked, EventDriven, and the
+/// Parallel engine (2-thread pool) — any divergence in the per-direction
+/// index maintenance (delta application, rank keying, `Never` pruning,
+/// `Random`/discontinuity fallbacks, the insert-count silence key) or in
+/// the parallel engine's sharded phases shows up as a report diff here.
+/// The index's order itself is checked against a fresh rescan by the
+/// `vdtn_routing::candidates` property tests.
 #[test]
 fn candidate_index_is_bit_identical_for_every_router_and_policy() {
     let kinds = [
@@ -242,29 +242,12 @@ fn candidate_index_is_bit_identical_for_every_router_and_policy() {
                 DetectorBackend::Grid,
                 0.0,
             );
-            let ticked_index = canon(
-                World::build_with_options(&sc, EngineMode::Ticked, RoutingBackend::Index).run(),
-            );
-            let event_index = canon(
-                World::build_with_options(&sc, EngineMode::EventDriven, RoutingBackend::Index)
-                    .run(),
-            );
-            let event_rescan = canon(
-                World::build_with_options(&sc, EngineMode::EventDriven, RoutingBackend::Rescan)
-                    .run(),
-            );
-            let parallel =
-                canon(World::build_parallel_with_threads(&sc, RoutingBackend::Index, 2).run());
+            let ticked = canon(World::build_with_mode(&sc, EngineMode::Ticked).run());
+            let event = canon(World::build_with_mode(&sc, EngineMode::EventDriven).run());
+            let parallel = canon(World::build_parallel_with_threads(&sc, 2).run());
+            assert_eq!(ticked, event, "{kind:?} × {sched:?}: engine modes diverged");
             assert_eq!(
-                event_index, event_rescan,
-                "{kind:?} × {sched:?}: index diverged from the cursor-only rescan"
-            );
-            assert_eq!(
-                ticked_index, event_index,
-                "{kind:?} × {sched:?}: engine modes diverged under the index"
-            );
-            assert_eq!(
-                event_index, parallel,
+                event, parallel,
                 "{kind:?} × {sched:?}: parallel engine diverged"
             );
         }
@@ -330,9 +313,7 @@ fn parallel_engine_is_thread_count_invariant() {
         }
         let reference = canon(reference);
         for threads in [1usize, 2, 4, 8] {
-            let (par, stats) =
-                World::build_parallel_with_threads(sc, RoutingBackend::default(), threads)
-                    .run_with_stats();
+            let (par, stats) = World::build_parallel_with_threads(sc, threads).run_with_stats();
             assert_eq!(
                 reference,
                 canon(par),
