@@ -1,10 +1,8 @@
-//! Scenario builder and measurement helpers for the engine-scheduler
-//! benchmarks (ticked vs event-driven stepping).
-//!
-//! Used by the `engine_bench` binary, whose `--json` mode records the perf
-//! trajectory in `BENCH_engine.json`, and by the repository benchmark.
+//! Scenario builders for the repository benchmark (`benchmark/`): the
+//! scaled paper fleet behind `city_mobility` and the dense stationary mesh
+//! behind `dense_mesh`, plus [`canon`] for report-identity checks between
+//! engine modes.
 
-use vdtn::engine::{EngineMode, EngineStats, World};
 use vdtn::scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec};
 use vdtn::{DetectorBackend, PolicyCombo, RouterKind, SimDuration, SimReport};
 use vdtn_geo::{GridMapGen, Point};
@@ -43,25 +41,6 @@ pub fn engine_scenario(vehicles: usize, duration_secs: f64, seed: u64) -> Scenar
         policy: PolicyCombo::LIFETIME,
         sample_period_secs: 0.0,
     }
-}
-
-/// A mobility-bound scenario: the paper's vehicle fleet with traffic made
-/// deliberately sparse (tens of minutes between creations, small bundles),
-/// so the run is dominated by movement and contact detection — the regime
-/// the motion-segment protocol targets. The event engine should win purely
-/// on elided movement work: nearly every node-tick is a mid-segment
-/// evaluation the analytic columns answer without stepping the model.
-pub fn mobility_bound_scenario(vehicles: usize, duration_secs: f64, seed: u64) -> Scenario {
-    let mut scenario = engine_scenario(vehicles, duration_secs, seed);
-    scenario.name = format!("mobility-bound-{vehicles}");
-    scenario.traffic = TrafficSpec {
-        interval_lo: 600.0,
-        interval_hi: 1_200.0,
-        size_lo: 10_000,
-        size_hi: 50_000,
-        ttl: SimDuration::from_mins(30),
-    };
-    scenario
 }
 
 /// A routing-round-dominated scenario: `nodes` stationary nodes pinned to a
@@ -123,84 +102,6 @@ pub fn dense_routing_scenario(
     }
 }
 
-/// A transfer-bound scenario: `pairs` isolated stationary node pairs (both
-/// partners pinned to the same road vertex, pairs a full grid cell apart)
-/// exchanging **few, large bundles over a very slow radio** — 2 MB at
-/// 4 kB/s is 500 s of drain per bundle, under permanent contacts.
-///
-/// Movement, contact churn and the routing round are all negligible; the
-/// run is wall-to-wall byte draining. The per-tick engine burns one tick
-/// per simulated second of drain; the event engine schedules one
-/// `TransferComplete` instant per bundle and sleeps through the drain, so
-/// its work is O(bundles), independent of how long each bundle drains.
-pub fn transfer_bound_scenario(pairs: usize, duration_secs: f64, seed: u64) -> Scenario {
-    let side = ((pairs as f64).sqrt().ceil() as usize).max(2);
-    let spacing = 200.0; // ≫ radio range: pairs never see each other
-    let points: Vec<Point> = (0..pairs * 2)
-        .map(|k| {
-            let cell = k / 2; // both partners of a pair share a vertex
-            Point::new(
-                (cell % side) as f64 * spacing,
-                (cell / side) as f64 * spacing,
-            )
-        })
-        .collect();
-    Scenario {
-        name: format!("transfer-bound-{pairs}x2"),
-        seed,
-        duration_secs,
-        tick_secs: 1.0,
-        map: MapSpec::Grid(GridMapGen {
-            cols: side,
-            rows: side,
-            spacing,
-        }),
-        groups: vec![NodeGroup {
-            name: "pairs".into(),
-            count: pairs * 2,
-            buffer_bytes: 200_000_000,
-            mobility: MobilitySpec::Stationary(RelayPlacement::Explicit(points)),
-            is_relay: false,
-        }],
-        // The paper's range with a deliberately slow radio: each bundle
-        // occupies its link for minutes of simulated time.
-        radio: RadioInterface {
-            range: 30.0,
-            rate: 4_000.0,
-        },
-        detector: DetectorBackend::Grid,
-        traffic: TrafficSpec {
-            interval_lo: 120.0,
-            interval_hi: 240.0,
-            size_lo: 1_000_000,
-            size_hi: 2_000_000,
-            ttl: SimDuration::from_mins(120),
-        },
-        router: RouterKind::Epidemic,
-        policy: PolicyCombo::LIFETIME,
-        sample_period_secs: 0.0,
-    }
-}
-
-/// Run the scenario in the given mode, returning the report (whose
-/// `wall_secs` is the engine-loop wall time).
-pub fn run_mode(scenario: &Scenario, mode: EngineMode) -> SimReport {
-    World::build_with_mode(scenario, mode).run()
-}
-
-/// [`run_mode`] plus the engine's motion counters — the per-size
-/// skip-rate rows of `BENCH_engine.json`'s `motion` section.
-pub fn run_mode_with_stats(scenario: &Scenario, mode: EngineMode) -> (SimReport, EngineStats) {
-    World::build_with_mode(scenario, mode).run_with_stats()
-}
-
-/// Run on the parallel engine with a pinned pool size — the
-/// thread-count column the bench harness records. Bit-identical to the
-/// serial runs at every `threads` value.
-pub fn run_parallel(scenario: &Scenario, threads: usize) -> SimReport {
-    World::build_parallel_with_threads(scenario, threads).run()
-}
-
 /// Canonical report serialisation with the wall clock zeroed, for
 /// bit-identity checks between modes.
 pub fn canon(mut report: SimReport) -> String {
@@ -211,26 +112,14 @@ pub fn canon(mut report: SimReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdtn::engine::{EngineMode, World};
 
     #[test]
     fn bench_scenario_modes_agree() {
         let sc = engine_scenario(20, 300.0, 1);
-        let ticked = run_mode(&sc, EngineMode::Ticked);
-        let event = run_mode(&sc, EngineMode::EventDriven);
+        let ticked = World::build_with_mode(&sc, EngineMode::Ticked).run();
+        let event = World::build_with_mode(&sc, EngineMode::EventDriven).run();
         assert!(ticked.messages.created > 0);
-        assert_eq!(canon(ticked), canon(event));
-    }
-
-    #[test]
-    fn transfer_bound_scenario_modes_agree_and_transfer() {
-        let sc = transfer_bound_scenario(4, 900.0, 1);
-        let ticked = run_mode(&sc, EngineMode::Ticked);
-        let event = run_mode(&sc, EngineMode::EventDriven);
-        // The regime is real: messages were created and bytes drained over
-        // long-lived transfers.
-        assert!(ticked.messages.created > 0);
-        assert!(ticked.messages.transfers_started > 0);
-        assert!(ticked.messages.bytes_transferred > 0);
         assert_eq!(canon(ticked), canon(event));
     }
 }

@@ -36,7 +36,9 @@
 //! bit-identical at any `--threads` value and across kill/resume.
 //!
 //! A bad flag or operand, an unreadable input file or invalid JSON prints
-//! one line on stderr and exits with code 2.
+//! one line on stderr and exits with code 2; an output path that cannot be
+//! written (`--report`, `--snapshot`, `--checkpoint-dir`, `--out`) prints
+//! one line and exits with code 1.
 //!
 //! Generate templates to start from:
 //!
@@ -67,6 +69,12 @@ fn usage(code: i32) -> ! {
 fn usage_error(msg: &str) -> ! {
     eprintln!("run_scenario: {msg} (see run_scenario --help)");
     std::process::exit(2);
+}
+
+/// Fail on an output path: one line on stderr, exit code 1.
+fn output_error(msg: &str) -> ! {
+    eprintln!("run_scenario: {msg}");
+    std::process::exit(1);
 }
 
 /// The operand following flag `name`, if the flag is present; a usage
@@ -232,7 +240,7 @@ fn main() {
         world.run_until(at);
         let snap = world.snapshot(&scenario);
         save_snapshot(path.as_ref(), &snap)
-            .unwrap_or_else(|e| panic!("cannot write snapshot {path}: {e}"));
+            .unwrap_or_else(|e| output_error(&format!("cannot write snapshot {path}: {e}")));
         eprintln!(
             "snapshot at t={:.0}s written to {path} (state hash {:016x})",
             snap.now.as_secs_f64(),
@@ -280,8 +288,12 @@ fn run_sweep_manifest(args: &[String]) {
     let out_path = flag_value(args, "--out");
     let manifest: SweepManifest = read_json(path, "manifest");
     if let Some(dir) = &opts.checkpoint_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create checkpoint dir: {e}"));
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            output_error(&format!(
+                "cannot create checkpoint dir {}: {e}",
+                dir.display()
+            ))
+        });
     }
 
     let outcome = match run_manifest(&manifest, &opts) {
@@ -291,6 +303,14 @@ fn run_sweep_manifest(args: &[String]) {
             std::process::exit(1);
         }
     };
+    // Aggregate file holds only the points: deterministic content,
+    // byte-identical across thread counts and kill/resume. Written before
+    // anything is printed, so a failed write is the only line on stderr.
+    if let Some(path) = &out_path {
+        let json = serde_json::to_string_pretty(&outcome.points).expect("points serialise");
+        std::fs::write(path, json)
+            .unwrap_or_else(|e| output_error(&format!("cannot write {path}: {e}")));
+    }
     eprintln!(
         "sweep `{}`: {} runs ({} executed, {} replayed) over {} cells, \
          {} chunks on {} threads, {:.1} s wall",
@@ -307,10 +327,6 @@ fn run_sweep_manifest(args: &[String]) {
         println!("{}", p.table_row());
     }
     if let Some(path) = out_path {
-        // Aggregate file holds only the points: deterministic content,
-        // byte-identical across thread counts and kill/resume.
-        let json = serde_json::to_string_pretty(&outcome.points).expect("points serialise");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("aggregate points written to {path}");
     }
 }
@@ -322,7 +338,8 @@ fn finish(report: &vdtn::SimReport, want_csv: bool, report_path: Option<String>)
     }
     if let Some(path) = report_path {
         let json = serde_json::to_string_pretty(report).expect("report serialises");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(&path, json)
+            .unwrap_or_else(|e| output_error(&format!("cannot write report {path}: {e}")));
         eprintln!("report written to {path}");
     }
 }

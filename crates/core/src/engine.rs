@@ -133,9 +133,9 @@ pub enum EngineMode {
 /// Scheduler-efficiency counters. Deliberately **not** part of
 /// [`SimReport`]: the three engine modes produce byte-identical reports
 /// while doing very different amounts of work, and these counters describe
-/// the work side. The bench harness reads them through
-/// [`World::run_with_stats`] to emit the per-size `motion` section of
-/// `BENCH_engine.json`.
+/// the work side. Read them through [`World::run_with_stats`] or
+/// [`World::engine_stats`]; the repository benchmark (`benchmark/`) reports
+/// them as its exact, deterministic work counts.
 #[derive(Debug, Default, Clone, Copy, serde::Serialize)]
 pub struct EngineStats {
     /// Grid ticks actually executed.
@@ -582,8 +582,7 @@ impl World {
     }
 
     /// Run to completion, returning the report plus the scheduler's
-    /// efficiency counters (the bench harness's entry point for the
-    /// `motion` section of `BENCH_engine.json`).
+    /// efficiency counters ([`EngineStats`]).
     pub fn run_with_stats(mut self) -> (SimReport, EngineStats) {
         let t0 = std::time::Instant::now();
         self.run_to_end();

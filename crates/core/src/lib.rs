@@ -58,7 +58,7 @@ pub use scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario};
 pub use snapshot::{
     load_snapshot, save_snapshot, scenario_fingerprint, SnapshotHeader, WorldSnapshot,
 };
-pub use sweep::{average_reports, run_sweep, run_sweep_with_options, SweepError, SweepPoint};
+pub use sweep::{average_reports, run_sweep, SweepError, SweepPoint};
 
 // Convenience re-exports so downstream users need only `vdtn`.
 pub use vdtn_bundle::{DropPolicy, PolicyCombo, SchedulingPolicy};

@@ -11,7 +11,7 @@
 //! manifests, work-stealing chunks, streaming accumulators, the resume
 //! journal — lives in [`crate::orchestrator`].
 
-use crate::engine::{EngineMode, World};
+use crate::engine::World;
 use crate::orchestrator::CellAccumulator;
 use crate::report::SimReport;
 use crate::scenario::Scenario;
@@ -92,20 +92,13 @@ impl From<std::io::Error> for SweepError {
     }
 }
 
-/// Run every scenario, in parallel, returning reports in input order.
-/// Uses the default engine mode; sweeps that want another mode go through
-/// [`run_sweep_with_options`].
+/// Run every scenario on the default engine, in parallel, returning
+/// reports in input order. They are bit-identical to serial execution
+/// (each run is independent and internally deterministic).
 pub fn run_sweep(scenarios: &[Scenario]) -> Vec<SimReport> {
-    run_sweep_with_options(scenarios, EngineMode::default())
-}
-
-/// [`run_sweep`] with an explicit engine mode for every run. Reports come
-/// back in input order and are bit-identical to serial execution (each run
-/// is independent and internally deterministic).
-pub fn run_sweep_with_options(scenarios: &[Scenario], mode: EngineMode) -> Vec<SimReport> {
     scenarios
         .par_iter()
-        .map(|s| World::build_with_mode(s, mode).run())
+        .map(|s| World::build(s).run())
         .collect()
 }
 
@@ -208,24 +201,6 @@ mod tests {
             assert_eq!(p.messages.created, s.messages.created);
             assert_eq!(p.messages.delivered_unique, s.messages.delivered_unique);
             assert_eq!(p.messages.relayed, s.messages.relayed);
-        }
-    }
-
-    #[test]
-    fn sweep_with_options_matches_default_engine() {
-        let scenarios: Vec<Scenario> = (0..2)
-            .map(|seed| {
-                let mut s = mini_scenario(PaperProtocol::EpidemicFifo, 30, seed);
-                s.duration_secs = 600.0;
-                s
-            })
-            .collect();
-        let default = run_sweep(&scenarios);
-        let ticked = run_sweep_with_options(&scenarios, EngineMode::Ticked);
-        for (d, t) in default.iter().zip(&ticked) {
-            assert_eq!(d.messages.created, t.messages.created);
-            assert_eq!(d.messages.delivered_unique, t.messages.delivered_unique);
-            assert_eq!(d.messages.relayed, t.messages.relayed);
         }
     }
 

@@ -1,13 +1,32 @@
 //! Command-line hygiene of the `run_scenario` binary: bad input is a
-//! one-line usage error with exit code 2, never a panic with a backtrace.
-//! Every case is rejected before a world is built, so each invocation
-//! returns at once.
+//! one-line usage error with exit code 2, and an unwritable output path a
+//! one-line error with exit code 1, never a panic with a backtrace.
 
 use std::path::Path;
 use std::process::Command;
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::SweepManifest;
 
+/// Run the binary and require `code`, exactly one stderr line and no
+/// panic; returns stdout.
+fn run_expecting(args: &[&str], code: i32) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+        .args(args)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("run_scenario binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: stderr {stderr:?}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("backtrace"),
+        "{args:?}: stderr {stderr:?}"
+    );
+    out.stdout
+}
+
+/// Every case is rejected before a world is built, so each invocation
+/// returns at once.
 #[test]
 fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let dir = std::env::temp_dir().join(format!("vdtn-run-scenario-cli-{}", std::process::id()));
@@ -48,19 +67,42 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec!["--sweep", &sweep, "--checkpoint-every", "-1"],
     ];
     for args in &cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
-            .args(args)
-            .env("RUST_BACKTRACE", "1")
-            .output()
-            .expect("run_scenario binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
-        assert!(
-            !stderr.contains("panicked") && !stderr.contains("backtrace"),
-            "{args:?}: stderr {stderr:?}"
-        );
-        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+        let stdout = run_expecting(args, 2);
+        assert!(stdout.is_empty(), "{args:?}: ran before rejecting");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each output path of a 10 s run or sweep is unwritable.
+#[test]
+fn unwritable_outputs_exit_1_with_one_line_and_no_backtrace() {
+    let dir = std::env::temp_dir().join(format!("vdtn-run-scenario-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let mut scenario = paper_scenario(PaperProtocol::EpidemicLifetime, 60, 1);
+    scenario.duration_secs = 10.0;
+    let scenario_path = path("short.json");
+    std::fs::write(&scenario_path, serde_json::to_string(&scenario).unwrap()).unwrap();
+    let mut manifest = SweepManifest::paper("cli", &[PaperProtocol::EpidemicFifo], &[60], &[1]);
+    manifest.duration_secs = 10.0;
+    let sweep = path("sweep.json");
+    std::fs::write(&sweep, serde_json::to_string(&manifest).unwrap()).unwrap();
+    let report = path("missing/report.json");
+    let snap = path("missing/out.snap");
+    let points = path("missing/points.json");
+    // `create_dir_all` makes missing parents, so the checkpoint directory
+    // goes under a regular file instead.
+    let ckpt = path("short.json/ckpt");
+
+    let (g, m) = (scenario_path.as_str(), sweep.as_str());
+    let cases: Vec<Vec<&str>> = vec![
+        vec![g, "--report", &report],
+        vec![g, "--save-at", "5", "--snapshot", &snap],
+        vec!["--sweep", m, "--checkpoint-dir", &ckpt],
+        vec!["--sweep", m, "--out", &points],
+    ];
+    for args in &cases {
+        run_expecting(args, 1);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -22,10 +22,11 @@
 //!   Ticked-vs-event cases and the thread-count sweep;
 //! * the parallel engine ([`EngineMode::Parallel`]): a fourth column in
 //!   the router × policy matrix, plus a thread-count-invariance sweep
-//!   pinning byte-equal reports and transfer-wake counters at pool sizes
-//!   1, 2, 4 and 8 — the proof that movement fan-out, shard partitioning
-//!   and the merge rules leak nothing about the worker count into the
-//!   simulation.
+//!   pinning byte-equal reports and work counters at pool sizes 1, 2, 4
+//!   and 8 — the proof that movement fan-out, shard partitioning and the
+//!   merge rules leak nothing about the worker count into the simulation.
+//!   A 1 500-vehicle fleet in that sweep is large enough for movement to
+//!   actually fan out across the pool.
 
 use proptest::prelude::*;
 use vdtn_repro::geo::{GridMapGen, Point};
@@ -148,6 +149,38 @@ fn saturated_mesh(policy: PolicyCombo, seed: u64) -> Scenario {
     }
 }
 
+/// The benchmark's city-scale fleet cut to 1 500 vehicles and 300 s: paper
+/// SPMB vehicles on a 39 × 39 grid 150 m apart. `Parallel` hands a tick's
+/// due movers to its pool only when at least 32 are due at once; this is
+/// the one scenario here that reaches that (46 fan-outs at 2 threads).
+fn fan_out_fleet() -> Scenario {
+    let side = 39;
+    Scenario {
+        name: "movement-fan-out".into(),
+        seed: 42,
+        duration_secs: 300.0,
+        tick_secs: 1.0,
+        map: MapSpec::Grid(GridMapGen {
+            cols: side,
+            rows: side,
+            spacing: 150.0,
+        }),
+        groups: vec![NodeGroup {
+            name: "vehicles".into(),
+            count: 1_500,
+            buffer_bytes: 20_000_000,
+            mobility: MobilitySpec::ShortestPathMapBased(SpmbConfig::default()),
+            is_relay: false,
+        }],
+        radio: RadioInterface::paper_80211b(),
+        detector: DetectorBackend::Grid,
+        traffic: TrafficSpec::paper(SimDuration::from_mins(30)),
+        router: RouterKind::Epidemic,
+        policy: PolicyCombo::LIFETIME,
+        sample_period_secs: 0.0,
+    }
+}
+
 #[test]
 fn every_protocol_is_bit_identical_across_modes() {
     let kinds = [
@@ -257,12 +290,13 @@ fn candidate_index_is_bit_identical_for_every_router_and_policy() {
 /// Thread-count invariance: the parallel engine must produce byte-equal
 /// reports at pool sizes 1, 2, 4 and 8 — and equal to the serial event
 /// engine — on scenarios exercising flooding, utility metrics, quota
-/// routing, RNG-drawing Random scheduling, and the saturated mesh. The
-/// shard tiling is fixed from the initial layout and sharded outputs merge
-/// in canonical order, so nothing about the pool size may leak into a
-/// single simulation byte. The transfer-wake counters must match too: both
-/// engines run the same routing round and the same covered-wake elision,
-/// which on the saturated mesh must actually elide wakes.
+/// routing, RNG-drawing Random scheduling, the saturated mesh and a fleet
+/// large enough for movement fan-out. The shard tiling is fixed from the
+/// initial layout and sharded outputs merge in canonical order, so nothing
+/// about the pool size may leak into a single simulation byte. The work
+/// counters must match too: both engines advance the same movers, run the
+/// same routing round and the same covered-wake elision, which on the
+/// saturated mesh must actually elide wakes.
 #[test]
 fn parallel_engine_is_thread_count_invariant() {
     let mut cases: Vec<Scenario> = [
@@ -295,11 +329,19 @@ fn parallel_engine_is_thread_count_invariant() {
     .collect();
     cases.push(saturated_mesh(PolicyCombo::LIFETIME, 305));
     cases.push(saturated_mesh(PolicyCombo::RANDOM_FIFO, 306));
+    cases.push(fan_out_fleet());
     for sc in &cases {
         let label = format!("{} {:?} × {:?}", sc.name, sc.router, sc.policy);
         let (reference, ref_stats) =
             World::build_with_mode(sc, EngineMode::EventDriven).run_with_stats();
-        let wakes = |s: EngineStats| (s.transfer_wakes_scheduled, s.transfer_wakes_elided);
+        let work = |s: EngineStats| {
+            (
+                s.ticks_executed,
+                s.movement_advances,
+                s.transfer_wakes_scheduled,
+                s.transfer_wakes_elided,
+            )
+        };
         assert_eq!(
             ref_stats.transfer_wakes_scheduled + ref_stats.transfer_wakes_elided,
             reference.messages.transfers_started,
@@ -320,9 +362,9 @@ fn parallel_engine_is_thread_count_invariant() {
                 "{label}: report depends on pool size {threads}"
             );
             assert_eq!(
-                wakes(ref_stats),
-                wakes(stats),
-                "{label}: wake counters depend on pool size {threads}"
+                work(ref_stats),
+                work(stats),
+                "{label}: work counters depend on pool size {threads}"
             );
         }
     }
