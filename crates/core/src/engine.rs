@@ -183,7 +183,9 @@ struct ParState {
 }
 
 impl ParState {
-    fn new(positions: &[Point], range: f64, threads: usize) -> ParState {
+    /// `cell_size` is the contact detector's, so every shard is a whole
+    /// block of detector buckets.
+    fn new(positions: &[Point], cell_size: f64, threads: usize) -> ParState {
         // Near-square lattice scaled with the node count: sqrt(n) shards
         // keeps shard populations around sqrt(n) nodes, plenty of slack to
         // balance work across any realistic pool while staying cheap to
@@ -191,7 +193,7 @@ impl ParState {
         let target = (positions.len() as f64).sqrt().ceil().max(1.0) as usize;
         ParState {
             pool: rayon::ThreadPool::new(threads),
-            shards: ShardMap::build(positions, range.max(f64::MIN_POSITIVE), target),
+            shards: ShardMap::build(positions, cell_size, target),
         }
     }
 }
@@ -449,10 +451,11 @@ impl World {
             events.schedule(SimTime::ZERO, EngineEvent::Sample);
         }
 
+        let detector = ContactDetector::new(scenario.detector, scenario.radio);
         let par = (mode == EngineMode::Parallel).then(|| {
             ParState::new(
                 &positions,
-                scenario.radio.range,
+                detector.cell_size(),
                 threads.unwrap_or_else(rayon::current_num_threads),
             )
         });
@@ -474,7 +477,7 @@ impl World {
             states,
             routers,
             node_rngs,
-            detector: ContactDetector::new(scenario.detector, scenario.radio),
+            detector,
             links: LinkTable::with_nodes(n),
             traffic,
             contacts: Vec::new(),

@@ -1,13 +1,45 @@
 //! Uniform spatial hash grid for radius queries.
 //!
-//! Used by contact detection in `vdtn-net`: with cell size equal to the
-//! radio range, all nodes within range of a point lie in the 3×3 cell
-//! neighbourhood, so one pass over `n` nodes finds all contact pairs in
-//! O(n + pairs) instead of the naive O(n²) scan. The equivalence of the two
-//! is property-tested here and benchmarked in the ablation benches.
+//! Used by contact detection in `vdtn-net`. A radius query scans the
+//! `(2k+1)²` cells around its centre, `k = ceil(radius / cell_size)`, so
+//! the contact detector sizes its cells to its re-query radius and every
+//! re-query reads exactly 3×3 buckets. [`SpatialGrid::pairs_within`] is
+//! valid for any `cell_size >= radius`: one pass over `n` nodes finds all
+//! contact pairs in O(n + pairs) instead of the naive O(n²) scan. Both
+//! queries are checked against brute force in this module's tests.
 
 use crate::point::Point;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for `(i32, i32)` cell keys: one add-multiply per coordinate and
+/// a final rotate that moves the well-mixed high bits into the low bits
+/// the table indexes by. Cell keys are small integers derived from
+/// simulated positions, not attacker input, so SipHash's flooding
+/// resistance buys nothing here, and a fixed hasher keeps bucket layout
+/// the same in every run.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_i32(&mut self, v: i32) {
+        self.write_u64(u64::from(v as u32));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = self.0.wrapping_add(v).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// A uniform grid over 2-D points, maintained either wholesale or
 /// incrementally.
@@ -20,20 +52,26 @@ use std::collections::HashMap;
 pub struct SpatialGrid {
     cell_size: f64,
     /// cell coordinates → indices of points in that cell
-    cells: HashMap<(i32, i32), Vec<u32>>,
-    /// Scratch: cells touched last rebuild, so we can clear cheaply.
+    cells: HashMap<(i32, i32), Vec<u32>, BuildHasherDefault<CellHasher>>,
+    /// Position of every stored point, by index.
     points: Vec<Point>,
 }
 
 impl SpatialGrid {
-    /// Create a grid with the given cell size (normally the radio range).
+    /// Create a grid with the given cell size. Radius queries are
+    /// cheapest when `cell_size` equals the radius queried most often.
     pub fn new(cell_size: f64) -> Self {
         assert!(cell_size > 0.0, "cell size must be positive");
         SpatialGrid {
             cell_size,
-            cells: HashMap::new(),
+            cells: HashMap::default(),
             points: Vec::new(),
         }
+    }
+
+    /// Side length of one cell.
+    pub fn cell_size(&self) -> f64 {
+        self.cell_size
     }
 
     #[inline]
@@ -170,7 +208,7 @@ impl SpatialGrid {
     }
 
     /// Naive O(n²) pair scan over the same stored points — the reference
-    /// implementation used by tests and the ablation benchmark.
+    /// implementation behind `DetectorBackend::Naive` and the tests.
     pub fn pairs_within_naive(&self, radius: f64, out: &mut Vec<(u32, u32)>) {
         let r2 = radius * radius;
         let n = self.points.len();
@@ -321,5 +359,80 @@ mod tests {
         g.rebuild(&[Point::new(5.0, 5.0)]);
         g.pairs_within(30.0, &mut out);
         assert!(out.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Cell sizes whose quarters are exact binary fractions, so points on
+    /// the quarter lattice sit exactly on cell edges and exactly at the
+    /// query radius without rounding.
+    const CELL_SIZES: [f64; 3] = [1.0, 30.0, 90.0];
+
+    fn brute_force(points: &[Point], center: Point, radius: f64, exclude: Option<u32>) -> Vec<u32> {
+        (0..points.len() as u32)
+            .filter(|&i| Some(i) != exclude)
+            .filter(|&i| points[i as usize].distance_sq(center) <= radius * radius)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `query_within` returns exactly the brute-force filter over the
+        /// stored points, for radii of 0.5, 1 and 3 cells, across
+        /// interleaved `rebuild` and `move_point` calls. Coordinates lie on
+        /// a quarter-cell lattice spanning negative and positive cells; each
+        /// query also plants points exactly at `radius` along both axes.
+        #[test]
+        fn query_within_matches_brute_force(
+            raw in proptest::collection::vec((-24i32..24, -24i32..24), 1..30),
+            ops in proptest::collection::vec(
+                (0u32..4, 0usize..64, -24i32..24, -24i32..24),
+                1..24,
+            ),
+            cell_pick in 0usize..3,
+            radius_pick in 0usize..3,
+        ) {
+            let cell = CELL_SIZES[cell_pick];
+            let radius = [0.5, 1.0, 3.0][radius_pick] * cell;
+            let at = |x: i32, y: i32| Point::new(x as f64 * cell / 4.0, y as f64 * cell / 4.0);
+            let mut points: Vec<Point> = raw.iter().map(|&(x, y)| at(x, y)).collect();
+            let mut grid = SpatialGrid::new(cell);
+            grid.rebuild(&points);
+            for (kind, k, x, y) in ops {
+                let p = at(x, y);
+                match kind {
+                    // Rebuild from a grown set: a point exactly `radius` east
+                    // and one exactly `radius` south of `p`.
+                    0 => {
+                        points.push(Point::new(p.x + radius, p.y));
+                        points.push(Point::new(p.x, p.y - radius));
+                        grid.rebuild(&points);
+                    }
+                    // Rebuild from a shrunk set.
+                    1 => {
+                        points.truncate((k % points.len()).max(1));
+                        grid.rebuild(&points);
+                    }
+                    // Move one stored point, often across a cell edge.
+                    _ => {
+                        let i = k % points.len();
+                        points[i] = p;
+                        grid.move_point(i as u32, p);
+                    }
+                }
+                prop_assert_eq!(grid.point_count(), points.len());
+                let exclude = (k % 2 == 0).then_some((k % points.len()) as u32);
+                for center in [p, points[k % points.len()]] {
+                    let mut out = Vec::new();
+                    grid.query_within(center, radius, exclude, &mut out);
+                    prop_assert_eq!(out, brute_force(&points, center, radius, exclude));
+                }
+            }
+        }
     }
 }

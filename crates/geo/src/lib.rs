@@ -7,8 +7,11 @@
 //! * [`Point`] and small 2-D geometry helpers,
 //! * [`RoadGraph`] — an undirected road network with CSR adjacency,
 //! * [`shortest_path`] — Dijkstra and A* over road graphs,
-//! * [`SpatialGrid`] — a uniform hash grid for radius queries (used by
-//!   contact detection in `vdtn-net`),
+//! * [`SpatialGrid`] — a uniform hash grid for radius queries, cheapest
+//!   when its cell size equals the query radius (contact detection in
+//!   `vdtn-net` sizes it to its `3·range` re-query radius),
+//! * [`ShardMap`] — a fixed tiling of the plane into whole blocks of grid
+//!   cells, for grouping parallel detector work,
 //! * map generators ([`gen`]) including the synthetic-Helsinki substitute
 //!   documented in `DESIGN.md`, and
 //! * a WKT reader/writer ([`wkt`]) compatible with the ONE simulator's map

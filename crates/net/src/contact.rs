@@ -150,6 +150,12 @@ fn floor_ms(secs: f64) -> SimDuration {
     SimDuration::from_millis((secs * 1000.0).floor() as u64)
 }
 
+/// Kinematic re-query radius in units of the radio range (see
+/// [`kin_requery`] for why `3·range` suffices). It is also the side of the
+/// detector grid's cells, so a re-query reads exactly the 3×3 buckets
+/// around its node.
+const REQUERY_RADII: f64 = 3.0;
+
 /// A connectivity change between two nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkEvent {
@@ -199,7 +205,7 @@ impl ContactDetector {
         ContactDetector {
             backend,
             range: interface.range,
-            grid: SpatialGrid::new(interface.range),
+            grid: SpatialGrid::new(REQUERY_RADII * interface.range),
             current: HashSet::new(),
             pairs_scratch: Vec::new(),
             query_scratch: Vec::new(),
@@ -214,6 +220,12 @@ impl ContactDetector {
     /// Radio range in use.
     pub fn range(&self) -> f64 {
         self.range
+    }
+
+    /// Side of the detector grid's cells (`3·range`). Parallel shard
+    /// tilings built with this cell size are whole blocks of buckets.
+    pub fn cell_size(&self) -> f64 {
+        self.grid.cell_size()
     }
 
     /// Currently connected pairs (lexicographic order not guaranteed).
@@ -521,12 +533,13 @@ struct KinRequery {
 /// only read — so the sharded path runs many of these concurrently and
 /// merges the records serially.
 ///
-/// The grid query uses radius `3·range`: candidate discovery must find any
-/// node within a *true* `2·range`, and a non-due node's indexed position is
-/// stale by strictly less than `range` (its deadline caps its drift at
-/// `speed · range / (speed + v_glob)`, and due nodes were just patched).
-/// Candidates are then filtered by true distance, so the inflated radius
-/// affects cost only, never results.
+/// The grid query uses radius `3·range` ([`REQUERY_RADII`]): candidate
+/// discovery must find any node within a *true* `2·range`, and a non-due
+/// node's indexed position is stale by strictly less than `range` (its
+/// deadline caps its drift at `speed · range / (speed + v_glob)`, and due
+/// nodes were just patched). The grid's cells have that same side, so the
+/// query reads the 3×3 buckets around `i`. Candidates are then filtered by
+/// true distance, so the inflated radius affects cost only, never results.
 #[allow(clippy::too_many_arguments)]
 fn kin_requery(
     i: u32,
@@ -546,7 +559,7 @@ fn kin_requery(
     let shell2 = (2.0 * range) * (2.0 * range);
 
     query.clear();
-    grid.query_within(center, 3.0 * range, Some(i), query);
+    grid.query_within(center, REQUERY_RADII * range, Some(i), query);
 
     let mut rq = KinRequery {
         node: i,
