@@ -2,8 +2,9 @@
 //!
 //! The paper's figures are plots without data tables, but its text states
 //! the *deltas* of each policy against the FIFO–FIFO baseline, per TTL.
-//! Those numbers are the quantitative ground truth we compare against
-//! (EXPERIMENTS.md records the comparison for every figure).
+//! Those numbers are the quantitative ground truth we compare against (the
+//! `figures` binary prints the measured-vs-paper comparison for every
+//! figure; see README.md's Quickstart).
 
 /// Paper-stated improvements of a policy over FIFO–FIFO, per TTL step
 /// {60, 90, 120, 150, 180} minutes.

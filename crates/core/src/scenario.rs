@@ -17,7 +17,7 @@ use vdtn_sim_core::{SimDuration, SimRng};
 pub enum MapSpec {
     /// Regular grid (tests, analytic scenarios).
     Grid(GridMapGen),
-    /// Synthetic city — the Helsinki substitute (see DESIGN.md).
+    /// Synthetic city — the Helsinki substitute (see [`SyntheticCityGen`]).
     Synthetic(SyntheticCityGen),
     /// Inline WKT text (drop-in for a real map extract).
     WktText(String),

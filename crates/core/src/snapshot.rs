@@ -255,25 +255,36 @@ mod tests {
     }
 
     fn small_world() -> (Scenario, World) {
-        let mut scenario = paper_scenario(PaperProtocol::EpidemicLifetime, 30, 5);
+        world_of(PaperProtocol::EpidemicLifetime)
+    }
+
+    fn world_of(protocol: PaperProtocol) -> (Scenario, World) {
+        let mut scenario = paper_scenario(protocol, 30, 5);
         scenario.duration_secs = 600.0;
         let world = World::build(&scenario);
         (scenario, world)
     }
 
+    /// MaxProp rides along because its state holds infinite path costs,
+    /// which the file's JSON writes as `null`.
     #[test]
     fn file_round_trip_preserves_state_hash() {
-        let (scenario, mut world) = small_world();
-        world.run_until(SimTime::from_secs_f64(300.0));
-        let snap = world.snapshot(&scenario);
-        let path = tmp("roundtrip.snap");
-        save_snapshot(&path, &snap).unwrap();
-        let loaded = load_snapshot(&path).unwrap();
-        assert_eq!(loaded.state_hash, snap.state_hash);
-        assert_eq!(loaded.now, snap.now);
-        let restored = World::restore(&loaded, world.mode(), None);
-        assert_eq!(restored.state_hash(), snap.state_hash);
-        std::fs::remove_file(&path).ok();
+        for (i, protocol) in [PaperProtocol::EpidemicLifetime, PaperProtocol::MaxProp]
+            .into_iter()
+            .enumerate()
+        {
+            let (scenario, mut world) = world_of(protocol);
+            world.run_until(SimTime::from_secs_f64(300.0));
+            let snap = world.snapshot(&scenario);
+            let path = tmp(&format!("roundtrip{i}.snap"));
+            save_snapshot(&path, &snap).unwrap();
+            let loaded = load_snapshot(&path).unwrap();
+            assert_eq!(loaded.state_hash, snap.state_hash);
+            assert_eq!(loaded.now, snap.now);
+            let restored = World::restore(&loaded, world.mode(), None);
+            assert_eq!(restored.state_hash(), snap.state_hash);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

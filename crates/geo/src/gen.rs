@@ -5,10 +5,9 @@
 //! so [`SyntheticCityGen`] produces a *synthetic* city with the same
 //! aggregate properties (extent, block scale, connectivity, mean edge
 //! length): an irregular grid with a fraction of streets deleted, a fraction
-//! of diagonal shortcut streets added, and jittered intersections. The
-//! substitution argument lives in `DESIGN.md`; if you have the original
-//! `roads.wkt`, load it through [`crate::wkt`] instead and everything else
-//! is unchanged.
+//! of diagonal shortcut streets added, and jittered intersections. If you
+//! have the original `roads.wkt`, load it through [`crate::wkt`] instead and
+//! everything else is unchanged.
 
 use crate::graph::{RoadGraph, RoadGraphBuilder};
 use crate::point::Point;
@@ -74,8 +73,8 @@ impl GridMapGen {
 /// policy/protocol effects it reports only arise when 40 vehicles meet
 /// frequently enough to exchange most of their buffers. A 1300 m × 1000 m
 /// area with ≈330 m blocks reproduces the paper's regime (delivery ratios
-/// 0.6–0.98, mean contact ≈30 s; see EXPERIMENTS.md for the calibration
-/// evidence). For the full-city extent use [`SyntheticCityGen::full_city`].
+/// 0.6–0.98, mean contact ≈30 s). For the full-city extent use
+/// [`SyntheticCityGen::full_city`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyntheticCityGen {
     /// Map width in metres.

@@ -13,7 +13,7 @@
 //! * [`ShardMap`] — a fixed tiling of the plane into whole blocks of grid
 //!   cells, for grouping parallel detector work,
 //! * map generators ([`gen`]) including the synthetic-Helsinki substitute
-//!   documented in `DESIGN.md`, and
+//!   ([`SyntheticCityGen`]), and
 //! * a WKT reader/writer ([`wkt`]) compatible with the ONE simulator's map
 //!   format, so a real Helsinki extract can be dropped in.
 //!

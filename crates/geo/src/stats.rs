@@ -1,6 +1,6 @@
 //! Road-network statistics.
 //!
-//! Used to validate the synthetic-Helsinki substitution (DESIGN.md §3): the
+//! Used to validate the synthetic-Helsinki substitution ([`crate::gen`]): the
 //! aggregates that matter for mobility — extent, connectivity, degree
 //! distribution, edge-length distribution — are exactly what this module
 //! measures, for both generated maps and loaded WKT extracts.

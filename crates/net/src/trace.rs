@@ -1,7 +1,7 @@
 //! Contact tracing: aggregate statistics about contact opportunities.
 //!
 //! Not a paper metric by itself, but essential for validating the mobility
-//! substitution (DESIGN.md): the synthetic map must yield contact counts,
+//! substitution (`vdtn_geo::gen`): the synthetic map must yield contact counts,
 //! durations and inter-contact times in the same regime as a real downtown
 //! extract, because bytes-per-contact is what makes scheduling policies
 //! matter.

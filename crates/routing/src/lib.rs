@@ -60,7 +60,7 @@ pub(crate) mod util;
 pub use candidates::{CandidateIndex, CandidateSource, Verdict};
 pub use direct::{DirectDeliveryRouter, FirstContactRouter};
 pub use epidemic::EpidemicRouter;
-pub use maxprop::{MaxPropConfig, MaxPropRouter};
+pub use maxprop::{AckSet, MaxPropConfig, MaxPropRouter};
 pub use offers::{ContactOffers, OfferView};
 pub use prophet::{ProphetConfig, ProphetRouter};
 pub use router::{

@@ -20,15 +20,21 @@
 //! The adaptive threshold follows the MaxProp paper's intent: the head-start
 //! set is sized to (a fraction of) the *average bytes transferable per
 //! contact*, estimated online from completed contacts. (ONE computes the
-//! same statistic; our accounting of it is an approximation documented in
-//! DESIGN.md.)
+//! same statistic; our accounting of it is an approximation: bytes sent per
+//! closed contact, as reported by the engine at link-down.)
+//!
+//! The contact handshake costs word operations. Acks live in an [`AckSet`],
+//! a bitset over the dense message-id space that digests share instead of
+//! copy; a contact merges the peer's set word by word. Peer vectors are
+//! indexed by node and overwritten in place, and Dijkstra reuses its
+//! buffers.
 
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, Digest, ReceiveOutcome, Router, RouterSnapshot};
 use crate::state::NodeState;
 use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use vdtn_bundle::{Message, MessageId};
 use vdtn_sim_core::{NodeId, SimRng, SimTime, StateHash};
 
@@ -49,8 +55,96 @@ impl Default for MaxPropConfig {
     }
 }
 
-/// Memoised digest payload: `(state generation, probs, acks)`.
-type MaxPropDigestCache = (u64, Vec<(NodeId, f64)>, Vec<MessageId>);
+/// A set of message ids, stored as a bitset over the id space.
+///
+/// Message ids are issued densely from 0, so bit `id % 64` of word
+/// `id / 64` marks `id` and the set costs one bit per message ever created.
+/// No word past the highest member is stored, so equal sets have equal
+/// words. Clones share the words: a digest snapshot is a reference-count
+/// bump, and the first change to a shared set copies it, which leaves the
+/// snapshot as it was when taken.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AckSet(Arc<Vec<u64>>);
+
+impl AckSet {
+    /// True if `id` is in the set.
+    pub fn contains(&self, id: MessageId) -> bool {
+        let word = (id.0 / 64) as usize;
+        self.0.get(word).is_some_and(|&w| w >> (id.0 % 64) & 1 == 1)
+    }
+
+    /// Add `id`; true if it was new.
+    pub fn insert(&mut self, id: MessageId) -> bool {
+        if self.contains(id) {
+            return false;
+        }
+        let word = (id.0 / 64) as usize;
+        let words = Arc::make_mut(&mut self.0);
+        if words.len() <= word {
+            words.resize(word + 1, 0);
+        }
+        words[word] |= 1 << (id.0 % 64);
+        true
+    }
+
+    /// Number of ids in the set.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if the set has no ids.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &w)| ones(i, w))
+    }
+
+    /// Add every id of `other` missing from `self`, calling `on_new` with
+    /// each in ascending order; true if any was new. A merge that adds
+    /// nothing only reads, so it never copies a shared set.
+    pub fn merge(&mut self, other: &AckSet, mut on_new: impl FnMut(MessageId)) -> bool {
+        let theirs = &other.0;
+        let mine = &self.0;
+        let lacks = |i: usize| theirs[i] & !mine.get(i).copied().unwrap_or(0) != 0;
+        let Some(first) = (0..theirs.len()).find(|&i| lacks(i)) else {
+            return false;
+        };
+        let words = Arc::make_mut(&mut self.0);
+        if words.len() < theirs.len() {
+            words.resize(theirs.len(), 0);
+        }
+        for (i, (w, &t)) in words.iter_mut().zip(theirs.iter()).enumerate().skip(first) {
+            let new = t & !*w;
+            *w |= new;
+            ones(i, new).for_each(&mut on_new);
+        }
+        true
+    }
+}
+
+impl FromIterator<MessageId> for AckSet {
+    fn from_iter<I: IntoIterator<Item = MessageId>>(ids: I) -> Self {
+        let mut set = AckSet::default();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+/// The ids marked in word `i` of an [`AckSet`], ascending.
+fn ones(i: usize, mut w: u64) -> impl Iterator<Item = MessageId> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let bit = w.trailing_zeros() as u64;
+            w &= w - 1;
+            MessageId(i as u64 * 64 + bit)
+        })
+    })
+}
 
 /// Flooding router with cost-ranked scheduling, adaptive head start and
 /// delivery-ack purging.
@@ -60,21 +154,24 @@ pub struct MaxPropRouter {
     cfg: MaxPropConfig,
     /// Own meeting-probability vector (normalised after the first meeting).
     probs: Vec<f64>,
-    /// Collected vectors of other nodes, from contact digests.
-    known: HashMap<u32, Vec<f64>>,
+    /// Vectors of other nodes from contact digests, by node (`None` until
+    /// this node first meets that peer).
+    known: Vec<Option<Vec<f64>>>,
     /// Flooded delivery acknowledgements.
-    acks: HashSet<MessageId>,
+    acks: AckSet,
     /// Dijkstra result: cost from this node to every destination.
     costs: Vec<f64>,
+    /// Dijkstra scratch: tentative cost of every unsettled node, ∞ once
+    /// settled, so the argmin is one scan of one array.
+    key: Vec<f64>,
     /// Online mean of payload bytes sent per completed contact.
     avg_contact_bytes: f64,
     contacts_closed: u64,
-    /// Monotone counter bumped whenever `probs` or `acks` change; keys
-    /// `digest_cache` (MaxProp digests are time-independent, so the state
-    /// generation alone identifies them).
+    /// Monotone counter bumped whenever `probs` or `acks` change: the
+    /// router's routing generation. Digests are not memoised behind it,
+    /// because every contact moves it (a meeting changes `probs`) between
+    /// the two digests a node hands out.
     state_gen: u64,
-    /// Memoised digest payload for `state_gen`.
-    digest_cache: Option<MaxPropDigestCache>,
     /// Memoised head-start threshold, keyed by `(buffer generation,
     /// contacts_closed)` — its only inputs are buffer membership (hop
     /// counts and sizes are immutable per stored copy) and the per-contact
@@ -91,13 +188,13 @@ impl MaxPropRouter {
             n: n_nodes,
             cfg,
             probs: vec![0.0; n_nodes],
-            known: HashMap::new(),
-            acks: HashSet::new(),
+            known: vec![None; n_nodes],
+            acks: AckSet::default(),
             costs: vec![f64::INFINITY; n_nodes],
+            key: vec![f64::INFINITY; n_nodes],
             avg_contact_bytes: 0.0,
             contacts_closed: 0,
             state_gen: 0,
-            digest_cache: None,
             threshold_cache: None,
         }
     }
@@ -114,7 +211,7 @@ impl MaxPropRouter {
 
     /// Delivery acknowledgements known to this node.
     pub fn acked(&self, id: MessageId) -> bool {
-        self.acks.contains(&id)
+        self.acks.contains(id)
     }
 
     fn record_meeting(&mut self, peer: NodeId) {
@@ -124,6 +221,14 @@ impl MaxPropRouter {
         for p in &mut self.probs {
             *p /= sum;
         }
+    }
+
+    /// Peers whose vectors this node holds, ascending.
+    fn known_peers(&self) -> impl Iterator<Item = (u32, &Vec<f64>)> {
+        self.known
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| Some((i as u32, v.as_ref()?)))
     }
 
     /// Record a delivery acknowledgement; true if it was new.
@@ -137,42 +242,49 @@ impl MaxPropRouter {
 
     /// Single-source Dijkstra over the collected probability vectors.
     /// Edge `u → v` costs `1 − f^u_v` (only where `f^u_v > 0`).
+    ///
+    /// Dense Dijkstra (n ≤ a few hundred in any VDTN scenario) into the
+    /// reused `costs`/`key` buffers. Nodes settle in ascending cost, the
+    /// lowest index first among equal costs. Relaxation needs no settled
+    /// test: a settled `v` has `costs[v] ≤ du ≤ du + (1 − p)` for every
+    /// `p ≤ 1`, so it is never improved.
     fn recompute_costs(&mut self) {
-        let n = self.n;
-        let mut dist = vec![f64::INFINITY; n];
-        let mut settled = vec![false; n];
-        dist[self.own.index()] = 0.0;
-        // Dense Dijkstra: n ≤ a few hundred in any VDTN scenario.
-        for _ in 0..n {
+        let own = self.own.index();
+        let (costs, key) = (&mut self.costs, &mut self.key);
+        costs.fill(f64::INFINITY);
+        key.fill(f64::INFINITY);
+        costs[own] = 0.0;
+        key[own] = 0.0;
+        for _ in 0..self.n {
             let mut u = usize::MAX;
             let mut best = f64::INFINITY;
-            for (i, &d) in dist.iter().enumerate() {
-                if !settled[i] && d < best {
-                    best = d;
+            for (i, &k) in key.iter().enumerate() {
+                if k < best {
+                    best = k;
                     u = i;
                 }
             }
             if u == usize::MAX {
                 break;
             }
-            settled[u] = true;
-            let vec_u: Option<&Vec<f64>> = if u == self.own.index() {
+            key[u] = f64::INFINITY;
+            let fu = if u == own {
                 Some(&self.probs)
             } else {
-                self.known.get(&(u as u32))
+                self.known[u].as_ref()
             };
-            if let Some(fu) = vec_u {
-                for (v, &p) in fu.iter().enumerate() {
-                    if p > 0.0 && !settled[v] {
-                        let cand = dist[u] + (1.0 - p);
-                        if cand < dist[v] {
-                            dist[v] = cand;
-                        }
+            let Some(fu) = fu else { continue };
+            let du = costs[u];
+            for (v, &p) in fu.iter().enumerate() {
+                if p > 0.0 {
+                    let cand = du + (1.0 - p);
+                    if cand < costs[v] {
+                        costs[v] = cand;
+                        key[v] = cand;
                     }
                 }
             }
         }
-        self.costs = dist;
     }
 
     /// Hop-count threshold below which messages get the head start.
@@ -261,23 +373,16 @@ impl Router for MaxPropRouter {
     }
 
     fn digest(&mut self, _own: &NodeState, _now: SimTime) -> Digest {
-        if let Some((gen, probs, acks)) = &self.digest_cache {
-            if *gen == self.state_gen {
-                return Digest::MaxProp {
-                    probs: probs.clone(),
-                    acks: acks.clone(),
-                };
-            }
-        }
-        let probs: Vec<(NodeId, f64)> = self
+        let probs = self
             .probs
             .iter()
             .enumerate()
             .filter_map(|(i, &p)| (p > 0.0).then_some((NodeId(i as u32), p)))
             .collect();
-        let acks: Vec<MessageId> = self.acks.iter().copied().collect();
-        self.digest_cache = Some((self.state_gen, probs.clone(), acks.clone()));
-        Digest::MaxProp { probs, acks }
+        Digest::MaxProp {
+            probs,
+            acks: self.acks.clone(),
+        }
     }
 
     fn on_contact_up(
@@ -290,17 +395,18 @@ impl Router for MaxPropRouter {
         self.record_meeting(peer);
         let mut purged = Vec::new();
         if let Digest::MaxProp { probs, acks } = peer_digest {
-            let mut dense = vec![0.0; self.n];
+            let dense = self.known[peer.index()].get_or_insert_with(|| vec![0.0; self.n]);
+            dense.fill(0.0);
             for &(node, p) in probs {
                 dense[node.index()] = p;
             }
-            self.known.insert(peer.0, dense);
-            for &ack in acks {
-                if self.learn_ack(ack) {
-                    if let Some(m) = own.buffer.remove(ack) {
-                        purged.push(m);
-                    }
+            let learned = self.acks.merge(acks, |id| {
+                if let Some(m) = own.buffer.remove(id) {
+                    purged.push(m);
                 }
+            });
+            if learned {
+                self.state_gen += 1;
             }
         }
         self.recompute_costs();
@@ -337,7 +443,7 @@ impl Router for MaxPropRouter {
             if offers.is_offered(msg.id)
                 || peer.knows(msg.id)
                 || msg.is_expired(now)
-                || self.acks.contains(&msg.id)
+                || self.acks.contains(msg.id)
                 || !peer.buffer.could_fit(msg.size)
             {
                 continue;
@@ -368,7 +474,7 @@ impl Router for MaxPropRouter {
         now: SimTime,
         _rng: &mut SimRng,
     ) -> ReceiveOutcome {
-        if self.acks.contains(&msg.id) && msg.dst != own.id {
+        if self.acks.contains(msg.id) && msg.dst != own.id {
             return ReceiveOutcome::Rejected(crate::router::RejectReason::AlreadyDelivered);
         }
         let threshold = self.threshold(own);
@@ -411,25 +517,21 @@ impl Router for MaxPropRouter {
 
     fn hash_state(&self, h: &mut StateHash) {
         // Semantic state only: probability vectors, acks, costs, and the
-        // adaptive-threshold inputs. `state_gen` and the two memo caches are
-        // within-run bookkeeping. Hash-set/map contents fold in sorted order.
+        // adaptive-threshold inputs. `state_gen` and the threshold memo are
+        // within-run bookkeeping. Peers and acks fold in ascending order.
         h.write_len(self.probs.len());
         for &p in &self.probs {
             h.write_f64(p);
         }
-        let mut peers: Vec<u32> = self.known.keys().copied().collect();
-        peers.sort_unstable();
-        h.write_len(peers.len());
-        for peer in peers {
+        h.write_len(self.known.iter().flatten().count());
+        for (peer, v) in self.known_peers() {
             h.write_u32(peer);
-            for &p in &self.known[&peer] {
+            for &p in v {
                 h.write_f64(p);
             }
         }
-        let mut acks: Vec<MessageId> = self.acks.iter().copied().collect();
-        acks.sort_unstable();
-        h.write_len(acks.len());
-        for ack in acks {
+        h.write_len(self.acks.len());
+        for ack in self.acks.iter() {
             h.write_u64(ack.0);
         }
         h.write_len(self.costs.len());
@@ -441,18 +543,13 @@ impl Router for MaxPropRouter {
     }
 
     fn snapshot_state(&self) -> RouterSnapshot {
-        let mut known: Vec<(u32, Vec<f64>)> = self
-            .known
-            .iter()
-            .map(|(&peer, v)| (peer, v.clone()))
-            .collect();
-        known.sort_unstable_by_key(|&(peer, _)| peer);
-        let mut acks: Vec<MessageId> = self.acks.iter().copied().collect();
-        acks.sort_unstable();
         RouterSnapshot::MaxProp {
             probs: self.probs.clone(),
-            known,
-            acks,
+            known: self
+                .known_peers()
+                .map(|(peer, v)| (peer, v.clone()))
+                .collect(),
+            acks: self.acks.iter().collect(),
             costs: self.costs.clone(),
             avg_contact_bytes: self.avg_contact_bytes,
             contacts_closed: self.contacts_closed,
@@ -471,13 +568,21 @@ impl Router for MaxPropRouter {
             } => {
                 assert_eq!(probs.len(), self.n, "node count mismatch");
                 self.probs = probs;
-                self.known = known.into_iter().collect();
+                self.known = vec![None; self.n];
+                for (peer, v) in known {
+                    self.known[peer as usize] = Some(v);
+                }
                 self.acks = acks.into_iter().collect();
-                self.costs = costs;
+                // An unreachable node costs +∞, which the snapshot file's
+                // JSON writes as `null` and reads back as NaN. No cost is
+                // ever NaN, so NaN can only be a stored ∞.
+                self.costs = costs
+                    .into_iter()
+                    .map(|c| if c.is_nan() { f64::INFINITY } else { c })
+                    .collect();
                 self.avg_contact_bytes = avg_contact_bytes;
                 self.contacts_closed = contacts_closed;
                 self.state_gen = 0;
-                self.digest_cache = None;
                 self.threshold_cache = None;
             }
             other => panic!("MaxProp cannot restore {other:?}"),
@@ -554,7 +659,7 @@ mod tests {
         // Peer digest carries an ack for message 7.
         let digest = Digest::MaxProp {
             probs: vec![],
-            acks: vec![MessageId(7)],
+            acks: [MessageId(7)].into_iter().collect(),
         };
         let purged = r.on_contact_up(&mut s, NodeId(1), &digest, SimTime::ZERO);
         assert_eq!(purged.len(), 1);
@@ -562,7 +667,7 @@ mod tests {
         assert!(!s.buffer.contains(MessageId(7)));
         // And the ack is now re-flooded in our own digest.
         match r.digest(&s, SimTime::ZERO) {
-            Digest::MaxProp { acks, .. } => assert!(acks.contains(&MessageId(7))),
+            Digest::MaxProp { acks, .. } => assert!(acks.contains(MessageId(7))),
             other => panic!("wrong digest {other:?}"),
         }
     }
@@ -572,7 +677,7 @@ mod tests {
         let mut r = MaxPropRouter::new(NodeId(1), 4, MaxPropConfig::default());
         let mut s = state(1);
         let mut rng = SimRng::seed_from_u64(1);
-        r.acks.insert(MessageId(9));
+        r.learn_ack(MessageId(9));
         let out = r.on_message_received(
             &mut s,
             &msg(9, 0, 3, 100),
@@ -712,5 +817,199 @@ mod tests {
         r.on_contact_down(&mut s, NodeId(1), 1000, SimTime::ZERO);
         r.on_contact_down(&mut s, NodeId(1), 3000, SimTime::ZERO);
         assert!((r.avg_contact_bytes - 2000.0).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use vdtn_sim_core::SimDuration;
+
+    /// Ids on both sides of word boundaries, plus sparse ids far past them.
+    const IDS: [u64; 13] = [
+        0, 1, 62, 63, 64, 65, 127, 128, 10_000, 10_063, 10_064, 12_345, 20_000,
+    ];
+    /// Ids no operation ever adds.
+    const ABSENT: [u64; 4] = [2, 129, 9_999, 30_000];
+
+    fn ids_of(set: &AckSet) -> Vec<u64> {
+        set.iter().map(|id| id.0).collect()
+    }
+
+    fn digest_acks(r: &mut MaxPropRouter, s: &NodeState) -> AckSet {
+        match r.digest(s, SimTime::ZERO) {
+            Digest::MaxProp { acks, .. } => acks,
+            other => panic!("wrong digest {other:?}"),
+        }
+    }
+
+    /// The textbook two-array Dijkstra: a `settled` mask beside `dist`,
+    /// fresh buffers per call, settled targets skipped on relaxation.
+    fn oracle_costs(r: &MaxPropRouter) -> Vec<f64> {
+        let n = r.n;
+        let mut dist = vec![f64::INFINITY; n];
+        let mut settled = vec![false; n];
+        dist[r.own.index()] = 0.0;
+        for _ in 0..n {
+            let mut u = usize::MAX;
+            let mut best = f64::INFINITY;
+            for (i, &d) in dist.iter().enumerate() {
+                if !settled[i] && d < best {
+                    best = d;
+                    u = i;
+                }
+            }
+            if u == usize::MAX {
+                break;
+            }
+            settled[u] = true;
+            let vec_u = if u == r.own.index() {
+                Some(&r.probs)
+            } else {
+                r.known[u].as_ref()
+            };
+            if let Some(fu) = vec_u {
+                for (v, &p) in fu.iter().enumerate() {
+                    if p > 0.0 && !settled[v] {
+                        let cand = dist[u] + (1.0 - p);
+                        if cand < dist[v] {
+                            dist[v] = cand;
+                        }
+                    }
+                }
+            }
+        }
+        dist
+    }
+
+    /// Edge probabilities: absent edges, `p = 1` (zero-weight) edges, and
+    /// values whose costs tie (`0.5 + 0.5 = 0.25 + 0.75`).
+    const P: [f64; 8] = [0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.75, 1.0 / 3.0];
+    const MAX_N: usize = 14;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of local acks, created messages, contacts
+        /// (digests with word-boundary and sparse ids, empty digests, and
+        /// this node's own earlier snapshots) and digest snapshots, checked
+        /// step by step against a `BTreeSet` model.
+        #[test]
+        fn ack_set_matches_btreeset_model(
+            ops in proptest::collection::vec((0u8..6, 0usize..IDS.len(), 0u32..1 << 13), 1..60),
+        ) {
+            let mut r = MaxPropRouter::new(NodeId(0), 4, MaxPropConfig::default());
+            let mut s = NodeState::new(NodeId(0), 1_000_000, false);
+            let mut rng = SimRng::seed_from_u64(1);
+            let mut acks: BTreeSet<u64> = BTreeSet::new();
+            let mut stored: BTreeSet<u64> = BTreeSet::new();
+            let mut snapshots: Vec<(AckSet, Vec<u64>)> = Vec::new();
+            for (op, idx, mask) in ops {
+                let gen = r.routing_generation();
+                let mut moves = 0u64;
+                let mut purged: BTreeSet<u64> = BTreeSet::new();
+                let mut expect_purged: BTreeSet<u64> = BTreeSet::new();
+                match op {
+                    0 => {
+                        let new = r.learn_ack(MessageId(IDS[idx]));
+                        prop_assert_eq!(new, acks.insert(IDS[idx]));
+                        moves = new as u64;
+                    }
+                    1 => {
+                        if stored.insert(IDS[idx]) {
+                            let m = Message::new(
+                                MessageId(IDS[idx]),
+                                NodeId(0),
+                                NodeId(3),
+                                100,
+                                SimTime::ZERO,
+                                SimDuration::from_mins(90),
+                            );
+                            let out = r.on_message_created(&mut s, m, SimTime::ZERO, &mut rng);
+                            prop_assert!(out.stored && out.evicted.is_empty());
+                        }
+                    }
+                    2..=4 => {
+                        let theirs = match op {
+                            2 => IDS
+                                .iter()
+                                .enumerate()
+                                .filter(|&(i, _)| mask >> i & 1 == 1)
+                                .map(|(_, &id)| MessageId(id))
+                                .collect(),
+                            3 => AckSet::default(),
+                            _ => snapshots
+                                .get(idx % snapshots.len().max(1))
+                                .map(|(set, _)| set.clone())
+                                .unwrap_or_default(),
+                        };
+                        let new: BTreeSet<u64> =
+                            ids_of(&theirs).into_iter().filter(|id| !acks.contains(id)).collect();
+                        expect_purged = new.intersection(&stored).copied().collect();
+                        let digest = Digest::MaxProp {
+                            probs: vec![(NodeId(2), 1.0)],
+                            acks: theirs,
+                        };
+                        purged = r
+                            .on_contact_up(&mut s, NodeId(1), &digest, SimTime::ZERO)
+                            .iter()
+                            .map(|m| m.id.0)
+                            .collect();
+                        stored.retain(|id| !new.contains(id));
+                        moves = 1 + !new.is_empty() as u64;
+                        acks.extend(new);
+                    }
+                    _ => {
+                        let snap = digest_acks(&mut r, &s);
+                        snapshots.push((snap, acks.iter().copied().collect()));
+                    }
+                }
+                prop_assert_eq!(purged, expect_purged);
+                prop_assert_eq!(r.routing_generation() - gen, moves);
+                for &id in IDS.iter().chain(&ABSENT) {
+                    prop_assert_eq!(r.acked(MessageId(id)), acks.contains(&id));
+                }
+                let listed = ids_of(&digest_acks(&mut r, &s));
+                prop_assert_eq!(&listed, &acks.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(r.acks.len(), acks.len());
+                for (snap, ids) in &snapshots {
+                    prop_assert_eq!(&ids_of(snap), ids, "a digest snapshot changed after it was taken");
+                }
+                let held: BTreeSet<u64> = s.buffer.iter().map(|m| m.id.0).collect();
+                prop_assert_eq!(&held, &stored);
+            }
+        }
+
+        /// Two random tables in turn on one router (so stale buffers would
+        /// show): every cost is bit-identical to the textbook oracle's.
+        #[test]
+        fn dijkstra_matches_textbook_oracle(
+            n in 1usize..MAX_N + 1,
+            own in 0usize..MAX_N,
+            tables in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0usize..P.len(), MAX_N * MAX_N..MAX_N * MAX_N + 1),
+                    proptest::collection::vec(any::<bool>(), MAX_N..MAX_N + 1),
+                ),
+                2..3,
+            ),
+        ) {
+            let own = own % n;
+            let mut r = MaxPropRouter::new(NodeId(own as u32), n, MaxPropConfig::default());
+            for (cells, met) in tables {
+                let row = |u: usize| -> Vec<f64> {
+                    (0..n).map(|v| P[cells[u * MAX_N + v]]).collect()
+                };
+                r.probs = row(own);
+                r.known = (0..n).map(|u| (u != own && met[u]).then(|| row(u))).collect();
+                r.recompute_costs();
+                let want = oracle_costs(&r);
+                let got: Vec<u64> = r.costs.iter().map(|c| c.to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|c| c.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 use crate::offers::OfferView;
 use crate::state::NodeState;
 use crate::{
-    DirectDeliveryRouter, EpidemicRouter, FirstContactRouter, MaxPropConfig, MaxPropRouter,
+    AckSet, DirectDeliveryRouter, EpidemicRouter, FirstContactRouter, MaxPropConfig, MaxPropRouter,
     ProphetConfig, ProphetRouter, SprayAndWaitRouter,
 };
 use serde::{Deserialize, Serialize};
@@ -68,8 +68,9 @@ pub enum Digest {
     MaxProp {
         /// Owner's normalised meeting probabilities.
         probs: Vec<(NodeId, f64)>,
-        /// Ids of messages known to be delivered (flooded acks).
-        acks: Vec<MessageId>,
+        /// Ids of messages known to be delivered (flooded acks), shared
+        /// with the owner's set as it was when the digest was taken.
+        acks: AckSet,
     },
 }
 
@@ -93,7 +94,7 @@ pub trait Router: Send {
 
     /// Metadata to hand to a newly met peer. Called once per contact per
     /// side. Takes `&mut self` so protocols can memoise the assembled
-    /// vectors behind a state-generation check (PRoPHET, MaxProp).
+    /// vectors behind a state-generation check (PRoPHET).
     fn digest(&mut self, _own: &NodeState, _now: SimTime) -> Digest {
         Digest::None
     }
