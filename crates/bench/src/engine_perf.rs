@@ -4,7 +4,7 @@
 //! engine modes.
 
 use vdtn::scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec};
-use vdtn::{DetectorBackend, PolicyCombo, RouterKind, SimDuration, SimReport};
+use vdtn::{PolicyCombo, RouterKind, SimDuration, SimReport};
 use vdtn_geo::{GridMapGen, Point};
 use vdtn_mobility::SpmbConfig;
 use vdtn_net::RadioInterface;
@@ -35,7 +35,6 @@ pub fn engine_scenario(vehicles: usize, duration_secs: f64, seed: u64) -> Scenar
             is_relay: false,
         }],
         radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec::paper(SimDuration::from_mins(30)),
         router: RouterKind::Epidemic,
         policy: PolicyCombo::LIFETIME,
@@ -85,7 +84,6 @@ pub fn dense_routing_scenario(
             is_relay: false,
         }],
         radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec {
             // Creation intervals scale inversely with the fleet so the
             // per-node message pressure (and therefore buffer depth, the

@@ -12,13 +12,12 @@
 //! # Concurrency contract
 //!
 //! The arena is shared as `Arc<MessageArena>` across every buffer of a
-//! world. Interning happens only in the serial phases of the engine
-//! (traffic generation, transfer commit), but **resolution is lock-free**
-//! so the parallel shard scan can reconstruct messages from any number of
-//! threads: metadata lives in a fixed directory of power-of-two-sized
-//! chunks whose slots are write-once [`OnceLock`]s, published before the
-//! handle is handed out. Chunks are never reallocated, so a published
-//! handle stays valid (and its record immutable) for the arena's lifetime.
+//! world. Interning happens only in the engine's traffic and transfer
+//! phases, and takes a mutex; **resolution is lock-free**: metadata lives
+//! in a fixed directory of power-of-two-sized chunks whose slots are
+//! write-once [`OnceLock`]s, published before the handle is handed out.
+//! Chunks are never reallocated, so a published handle stays valid (and
+//! its record immutable) for the arena's lifetime.
 //!
 //! # Handle lifetimes
 //!
@@ -130,8 +129,7 @@ impl MessageArena {
     /// Idempotent per (id, metadata) pair: re-interning an id with equal
     /// metadata returns the existing handle; changed metadata (an id reused
     /// for a genuinely new message) allocates a fresh handle and repoints
-    /// the id to it. Takes the intern mutex — callers are the engine's
-    /// serial phases, never the parallel scan.
+    /// the id to it. Takes the intern mutex.
     pub fn intern(&self, msg: &Message) -> MsgHandle {
         let meta = MsgMeta::of(msg);
         let mut state = self.intern.lock().expect("arena intern lock");

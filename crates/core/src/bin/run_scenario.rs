@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! run_scenario SCENARIO.json [--report REPORT.json] [--csv] [--oracle]
-//!              [--engine ticked|event|parallel] [--threads N]
+//!              [--engine ticked|event|parallel]
 //!              [--hash-stream] [--hash-every SECS]
 //!              [--save-at SECS --snapshot FILE.snap]
-//! run_scenario --restore FILE.snap [--engine MODE] [--threads N] [...]
+//! run_scenario --restore FILE.snap [--engine MODE] [...]
 //! run_scenario --sweep MANIFEST.json [--journal J.jsonl] [--resume]
 //!              [--threads N] [--out POINTS.json]
 //! ```
@@ -18,15 +18,19 @@
 //! `--hash-every` seconds (default 60) of simulated time to stdout — and
 //! *only* those lines, the summary moves to stderr — so CI can `cmp` the
 //! streams of two runs directly. Because the hash is identical by
-//! construction across engine modes and thread counts, any two invocations
-//! of the same scenario must produce bytewise-equal streams; the drift
-//! matrix in CI pins exactly that across the full mode × thread grid.
+//! construction across engine modes, any two invocations of the same
+//! scenario must produce bytewise-equal streams; the drift matrix in CI
+//! pins exactly that across the engine modes. `parallel` is an alias of
+//! `event`: a single run is one serial engine.
+//!
+//! `--threads` applies only to `--sweep`, whose worker threads run
+//! independent runs; a single run or `--restore` rejects it.
 //!
 //! `--save-at T --snapshot F` checkpoints the world at simulated time `T`
 //! into `F` and then *continues to the end* (the snapshot is a side effect,
 //! not an exit). `--restore F` rebuilds the world from `F` — under any
-//! `--engine`/`--threads`, not just the capturing one — and runs the
-//! remainder; the final report is bit-identical to the uninterrupted run.
+//! `--engine`, not just the capturing one — and runs the remainder; the
+//! final report is bit-identical to the uninterrupted run.
 //!
 //! `--sweep` is the batch path: a [`vdtn::SweepManifest`] is expanded into
 //! its canonical run list and executed by the sweep orchestrator —
@@ -54,10 +58,10 @@ use vdtn_sim_core::SimTime;
 
 fn usage(code: i32) -> ! {
     eprintln!("usage: run_scenario SCENARIO.json [--report OUT.json] [--csv] [--oracle]");
-    eprintln!("                    [--engine ticked|event|parallel] [--threads N]");
+    eprintln!("                    [--engine ticked|event|parallel]");
     eprintln!("                    [--hash-stream] [--hash-every SECS]");
     eprintln!("                    [--save-at SECS --snapshot FILE.snap]");
-    eprintln!("       run_scenario --restore FILE.snap [--engine MODE] [--threads N]");
+    eprintln!("       run_scenario --restore FILE.snap [--engine MODE]");
     eprintln!("       run_scenario --sweep MANIFEST.json [--journal J.jsonl] [--resume]");
     eprintln!("                    [--threads N] [--out POINTS.json]");
     eprintln!("       run_scenario --template        # print a scenario template");
@@ -164,7 +168,9 @@ fn main() {
             "unknown --engine '{other}' (want ticked|event|parallel)"
         )),
     };
-    let threads = threads_arg(&args);
+    if args.iter().any(|a| a == "--threads") {
+        usage_error("--threads applies only to --sweep; a single run is one serial engine");
+    }
     let want_oracle = args.iter().any(|a| a == "--oracle");
     let want_csv = args.iter().any(|a| a == "--csv");
     let want_hash_stream = args.iter().any(|a| a == "--hash-stream");
@@ -181,7 +187,7 @@ fn main() {
     let (scenario, mut world) = if let Some(snap_path) = flag_value(&args, "--restore") {
         let snap = load_snapshot(snap_path.as_ref())
             .unwrap_or_else(|e| usage_error(&format!("cannot restore snapshot {snap_path}: {e}")));
-        let world = World::restore(&snap, engine, threads);
+        let world = World::restore(&snap, engine);
         eprintln!(
             "restored `{}` at t={:.0}s (state hash {:016x})",
             snap.scenario.name,
@@ -195,12 +201,7 @@ fn main() {
             usage(2);
         }
         let scenario: Scenario = read_json(path, "scenario");
-        let world = match threads {
-            Some(n) if engine == EngineMode::Parallel => {
-                World::build_parallel_with_threads(&scenario, n)
-            }
-            _ => World::build_with_mode(&scenario, engine),
-        };
+        let world = World::build_with_mode(&scenario, engine);
         (scenario, world)
     };
 

@@ -48,19 +48,11 @@
 //!   nodes whose slack deadline is due re-examine their radio
 //!   neighbourhood, and TTL housekeeping touches only buffers whose
 //!   earliest expiry is due (per-buffer expiry min-heaps).
-//! * [`EngineMode::Parallel`] is the event-driven driver with a pinned
-//!   thread pool serving the two phases that measurably pay for one:
-//!   movement-model advances at decision boundaries fan out across
-//!   workers, and kinematic contact re-queries are partitioned by
-//!   [`ShardMap`] spatial region (merged back in sorted pair-key order
-//!   before any state changes — see
-//!   [`ContactDetector::update_kinematic_sharded`]). The routing round is
-//!   the serial round: its useful frontier is at most one transfer per
-//!   node per tick, so planning every live pair in parallel did several
-//!   times the serial work and lost on dense meshes. Reports are
-//!   byte-equal to both other modes at *every* thread count (the
-//!   invariance matrix in `tests/engine_equivalence.rs` pins pool sizes
-//!   1/2/4/8); ARCHITECTURE.md's *Parallel mode* has the measurements.
+//! * [`EngineMode::Parallel`] is an alias of `EventDriven`, kept so callers
+//!   that name it keep working. A run is one serial event engine:
+//!   parallelism pays between independent runs (the sweep layer), not
+//!   inside one. ARCHITECTURE.md's *Where parallelism lives* has the
+//!   measurements.
 //!
 //! Events are conservative wake-up markers, never obligations: each
 //! executed tick re-derives the actual work from simulation state, so a
@@ -88,7 +80,7 @@ use crate::scenario::{place_relays_high_degree, MobilitySpec, RelayPlacement, Sc
 use crate::snapshot::{LinkSnapshot, NodeSnapshot, TransferSnapshot, WorldSnapshot};
 use std::sync::Arc;
 use vdtn_bundle::{Message, MessageId, TrafficConfig, TrafficGenerator};
-use vdtn_geo::{Point, Segment, ShardMap};
+use vdtn_geo::{Point, Segment};
 use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationary};
 use vdtn_net::{
     pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, MotionCols, TransferOutcome,
@@ -121,12 +113,10 @@ pub enum EngineMode {
     /// parts of the scenario are quiescent, so it is the default.
     #[default]
     EventDriven,
-    /// The event-driven driver with movement advances and contact
-    /// re-queries fanned across a pinned thread pool (the latter sharded by
-    /// spatial region, outputs merged in canonical order before any state
-    /// mutates). The routing round is the serial one. Bit-identical to both
-    /// other modes at every thread count (`VDTN_THREADS` pins the pool;
-    /// see [`World::build_parallel_with_threads`] for an explicit count).
+    /// An alias of [`EngineMode::EventDriven`]: the same serial event
+    /// engine. In-run thread pools did not pay for their synchronisation,
+    /// so parallelism lives between runs (see [`crate::sweep`] and
+    /// [`crate::orchestrator`]).
     Parallel,
 }
 
@@ -169,32 +159,6 @@ impl EngineStats {
             return 0.0;
         }
         1.0 - self.movement_advances as f64 / self.movement_node_ticks as f64
-    }
-}
-
-/// Parallel-mode machinery: a pinned worker pool (movement fan-out and
-/// sharded contact re-query) plus the fixed spatial shard tiling the
-/// detector partitions by. The tiling is built once from the initial
-/// layout and never depends on the thread count, so shard assignment — and
-/// therefore every merge order — is reproducible across pool sizes.
-struct ParState {
-    pool: rayon::ThreadPool,
-    shards: ShardMap,
-}
-
-impl ParState {
-    /// `cell_size` is the contact detector's, so every shard is a whole
-    /// block of detector buckets.
-    fn new(positions: &[Point], cell_size: f64, threads: usize) -> ParState {
-        // Near-square lattice scaled with the node count: sqrt(n) shards
-        // keeps shard populations around sqrt(n) nodes, plenty of slack to
-        // balance work across any realistic pool while staying cheap to
-        // group. Thread count deliberately plays no part.
-        let target = (positions.len() as f64).sqrt().ceil().max(1.0) as usize;
-        ParState {
-            pool: rayon::ThreadPool::new(threads),
-            shards: ShardMap::build(positions, cell_size, target),
-        }
     }
 }
 
@@ -275,8 +239,6 @@ pub struct World {
     /// provably covered by an already-scheduled next-tick event are never
     /// pushed onto the heap at all. Always empty between ticks.
     pending_transfer_wakes: Vec<(SimTime, NodeId, NodeId)>,
-    /// Worker pool + shard tiling, present only in [`EngineMode::Parallel`].
-    par: Option<ParState>,
 }
 
 impl World {
@@ -294,19 +256,6 @@ impl World {
     /// reference and for pathological scenarios where nothing is ever
     /// quiescent (see ARCHITECTURE.md).
     pub fn build_with_mode(scenario: &Scenario, mode: EngineMode) -> World {
-        Self::build_full(scenario, mode, None)
-    }
-
-    /// Materialise a scenario on the [`EngineMode::Parallel`] engine with an
-    /// explicit worker-pool size, bypassing the `VDTN_THREADS` environment
-    /// override. The report is bit-identical at every `threads` value —
-    /// this constructor exists so the thread-count-invariance tests and the
-    /// bench harness can pin pool sizes without touching process state.
-    pub fn build_parallel_with_threads(scenario: &Scenario, threads: usize) -> World {
-        Self::build_full(scenario, EngineMode::Parallel, Some(threads))
-    }
-
-    fn build_full(scenario: &Scenario, mode: EngineMode, threads: Option<usize>) -> World {
         scenario.validate();
         let root = SimRng::seed_from_u64(scenario.seed);
         let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
@@ -451,15 +400,6 @@ impl World {
             events.schedule(SimTime::ZERO, EngineEvent::Sample);
         }
 
-        let detector = ContactDetector::new(scenario.detector, scenario.radio);
-        let par = (mode == EngineMode::Parallel).then(|| {
-            ParState::new(
-                &positions,
-                detector.cell_size(),
-                threads.unwrap_or_else(rayon::current_num_threads),
-            )
-        });
-
         World {
             mode,
             tick,
@@ -477,7 +417,7 @@ impl World {
             states,
             routers,
             node_rngs,
-            detector,
+            detector: ContactDetector::new(scenario.radio),
             links: LinkTable::with_nodes(n),
             traffic,
             contacts: Vec::new(),
@@ -505,7 +445,6 @@ impl World {
                 ..EngineStats::default()
             },
             pending_transfer_wakes: Vec::new(),
-            par,
         }
     }
 
@@ -769,17 +708,7 @@ impl World {
                 start: &self.seg_start,
                 until: &self.seg_until,
             };
-            // A one-thread pool pays the sharded path's grouping and merge
-            // for no concurrency at all — the serial kinematic update is
-            // the same diff (property-tested equal), so only real pools
-            // take the sharded path.
-            let events =
-                match &self.par {
-                    Some(par) if par.pool.num_threads() >= 2 => self
-                        .detector
-                        .update_kinematic_sharded(now, &cols, self.v_glob, &par.pool, &par.shards),
-                    _ => self.detector.update_kinematic(now, &cols, self.v_glob),
-                };
+            let events = self.detector.update_kinematic(now, &cols, self.v_glob);
             self.apply_link_events(events);
         }
         // Arm a wake at the earliest pending slack deadline, unless an
@@ -885,11 +814,6 @@ impl World {
     /// columns from the newly exported segments, schedule the next
     /// boundary wakes, and collapse their detector deadlines — a replaced
     /// segment invalidates every bound derived from the old velocity.
-    ///
-    /// `advance_to` draws each model's own RNG lane at its own boundaries,
-    /// so per-node advances are order-independent; the parallel path
-    /// exploits exactly that, while every observable write below happens
-    /// serially in ascending node order.
     fn phase_movement_event(&mut self, now: SimTime) {
         let mut due = std::mem::take(&mut self.movement_due);
         // Pop order is heap order; canonicalise. One wake is outstanding
@@ -899,23 +823,9 @@ impl World {
         due.dedup();
         due.retain(|&i| self.mover_wake[i as usize] <= now);
 
-        // Advancing a model is the expensive part (trip planning runs
-        // A*); with a real pool and enough due nodes it fans out, each
-        // worker owning its models exclusively.
-        const PAR_DUE_MIN: usize = 32;
-        let fan_out = match &self.par {
-            Some(par) => par.pool.num_threads() >= 2 && due.len() >= PAR_DUE_MIN,
-            None => false,
-        };
-        if fan_out {
-            self.advance_due_parallel(&due, now);
-        }
-
         for &iu in &due {
             let i = iu as usize;
-            if !fan_out {
-                self.movers[i].advance_to(now);
-            }
+            self.movers[i].advance_to(now);
             let seg = self.movers[i].motion();
             self.positions[i] = self.movers[i].position();
             self.seg_origin[i] = seg.origin;
@@ -932,42 +842,6 @@ impl World {
         self.stats.movement_advances += due.len() as u64;
         due.clear();
         self.movement_due = due;
-    }
-
-    /// Advance the due movement models on the worker pool. Models are
-    /// temporarily moved out of `movers` (a parked placeholder holds each
-    /// slot) so every chunk owns its boxes outright; results are read back
-    /// serially by the caller.
-    fn advance_due_parallel(&mut self, due: &[u32], now: SimTime) {
-        let pool = &self
-            .par
-            .as_ref()
-            .expect("parallel advance needs a pool")
-            .pool;
-        let mut owned: Vec<(u32, Box<dyn MovementModel>)> = due
-            .iter()
-            .map(|&i| {
-                let placeholder: Box<dyn MovementModel> =
-                    Box::new(Stationary::new(Point::new(0.0, 0.0)));
-                (
-                    i,
-                    std::mem::replace(&mut self.movers[i as usize], placeholder),
-                )
-            })
-            .collect();
-        let chunk = vdtn_sim_core::par::chunk_len(owned.len(), pool.num_threads());
-        pool.scope(|s| {
-            for ch in owned.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for (_, m) in ch.iter_mut() {
-                        m.advance_to(now);
-                    }
-                });
-            }
-        });
-        for (i, m) in owned {
-            self.movers[i as usize] = m;
-        }
     }
 
     /// True if next tick's routing round could do anything at all: some
@@ -1416,22 +1290,20 @@ impl World {
     /// Canonical hash of the world's semantic state at the current tick
     /// boundary.
     ///
-    /// **Identical by construction across all three [`EngineMode`]s and
-    /// every thread count**: it folds in only state the modes keep
-    /// bit-identical — the clock, positions evaluated through
-    /// [`World::node_position`] (the one closed form both disciplines
-    /// share), buffers in reception order, delivered sets in sorted order,
-    /// router protocol state, RNG stream positions, live links with their
-    /// transfers in ordered-pair-key order, the traffic stream, the
-    /// contact trace, and the report counters. It deliberately excludes
+    /// **Identical by construction across all three [`EngineMode`]s**: it
+    /// folds in only state the modes keep bit-identical — the clock,
+    /// positions evaluated through [`World::node_position`] (the one closed
+    /// form both disciplines share), buffers in reception order, delivered
+    /// sets in sorted order, router protocol state, RNG stream positions,
+    /// live links with their transfers in ordered-pair-key order, the
+    /// traffic stream, the contact trace, and the report counters. It deliberately excludes
     /// everything call-pattern-dependent: mover clock/position anchors,
     /// the raw kinematics columns (never refreshed between boundaries
     /// under `Ticked`), silence memos, cursors, candidate indexes, the
     /// event queue, `wall_secs`, and [`EngineStats`].
     ///
     /// Must be sampled between ticks (never mid-phase). The CI drift
-    /// matrix compares streams of these hashes across the full
-    /// mode × thread grid.
+    /// matrix compares streams of these hashes across the engine modes.
     pub fn state_hash(&self) -> u64 {
         let mut h = StateHash::new();
         self.hash_state(&mut h);
@@ -1523,7 +1395,7 @@ impl World {
     /// `scenario` must be the scenario this world was built from (it is
     /// embedded so [`World::restore`] can re-materialise the static side);
     /// panics if the node count disagrees. The returned snapshot restores
-    /// under any engine mode and thread count.
+    /// under any engine mode.
     pub fn snapshot(&self, scenario: &Scenario) -> WorldSnapshot {
         assert_eq!(
             scenario.node_count(),
@@ -1596,23 +1468,22 @@ impl World {
 
     /// Rebuild a world from a snapshot and continue bit-identically.
     ///
-    /// The engine mode and thread count are free choices — they need not
-    /// match the world that took the snapshot, because the snapshot holds
-    /// only mode-invariant state. The recipe: build the world fresh from
-    /// the embedded scenario (static side: map, detector, pools), then
-    /// overwrite every piece of dynamic state and rebuild the caches
-    /// conservatively — the detector re-primes on the restored layout, the
-    /// event queue is re-seeded with conservative wake-ups (stale wake-ups
-    /// are harmless by the engine's events-are-markers discipline), and
-    /// silence memos/cursors/candidate indexes start cold and rebuild on
-    /// first use.
+    /// The engine mode is a free choice — it need not match the world that
+    /// took the snapshot, because the snapshot holds only mode-invariant
+    /// state. The recipe: build the world fresh from the embedded scenario
+    /// (static side: map, detector), then overwrite every piece of dynamic
+    /// state and rebuild the caches conservatively — the detector re-primes
+    /// on the restored layout, the event queue is re-seeded with
+    /// conservative wake-ups (stale wake-ups are harmless by the engine's
+    /// events-are-markers discipline), and silence memos/cursors/candidate
+    /// indexes start cold and rebuild on first use.
     ///
     /// Panics if the restored world's [`World::state_hash`] does not
     /// reproduce the snapshot's recorded hash: a failed round trip is a
     /// bug, never a degradation to tolerate.
-    pub fn restore(snap: &WorldSnapshot, mode: EngineMode, threads: Option<usize>) -> World {
+    pub fn restore(snap: &WorldSnapshot, mode: EngineMode) -> World {
         let scenario = &snap.scenario;
-        let mut w = Self::build_full(scenario, mode, threads);
+        let mut w = Self::build_with_mode(scenario, mode);
         let n = w.states.len();
         assert_eq!(n, snap.nodes.len(), "snapshot node count mismatch");
         assert_eq!(n, snap.movers.len(), "snapshot mover count mismatch");
@@ -1622,7 +1493,7 @@ impl World {
 
         // Movers: the road graph is not stored on the world, but its
         // construction is deterministic in the scenario seed — rebuild it
-        // exactly as `build_full` did.
+        // exactly as `build_with_mode` did.
         let root = SimRng::seed_from_u64(scenario.seed);
         let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
         for (i, ms) in snap.movers.iter().enumerate() {
@@ -1826,7 +1697,7 @@ mod tests {
     use vdtn_bundle::PolicyCombo;
     use vdtn_geo::GridMapGen;
     use vdtn_mobility::SpmbConfig;
-    use vdtn_net::{DetectorBackend, RadioInterface};
+    use vdtn_net::RadioInterface;
     use vdtn_routing::RouterKind;
 
     /// Small but busy scenario: 8 vehicles on a 3×3 grid, fast contacts.
@@ -1853,7 +1724,6 @@ mod tests {
                 is_relay: false,
             }],
             radio: RadioInterface::paper_80211b(),
-            detector: DetectorBackend::Grid,
             traffic: TrafficSpec::paper(SimDuration::from_mins(30)),
             router,
             policy,
@@ -1985,25 +1855,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_is_bit_identical_at_every_pool_size() {
-        for seed in [1, 23] {
-            let scenario = small(RouterKind::Epidemic, PolicyCombo::LIFETIME, seed);
-            let reference = canon(World::build_with_mode(&scenario, EngineMode::Ticked).run());
-            for threads in [1, 2, 4] {
-                let par = World::build_parallel_with_threads(&scenario, threads).run();
-                assert_eq!(reference, canon(par), "seed {seed}, threads {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_mode_handles_random_scheduling_deferred_pairs() {
         // Random scheduling draws RNG per round, so no direction is ever
-        // memoised silent and every round is loud — the parallel engine
-        // must still match.
+        // memoised silent and every round is loud — the `Parallel` alias
+        // must still match the ticked reference.
         let scenario = small(RouterKind::Epidemic, PolicyCombo::RANDOM_FIFO, 9);
-        let reference = canon(World::build_with_mode(&scenario, EngineMode::EventDriven).run());
-        let par = World::build_parallel_with_threads(&scenario, 2).run();
+        let reference = canon(World::build_with_mode(&scenario, EngineMode::Ticked).run());
+        let par = World::build_with_mode(&scenario, EngineMode::Parallel).run();
         assert_eq!(reference, canon(par));
     }
 

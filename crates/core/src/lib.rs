@@ -15,8 +15,10 @@
 //!   from engine events;
 //! * [`presets`] — the paper's Helsinki scenario parameterised by protocol,
 //!   policy combination and TTL;
-//! * [`sweep`] — a rayon-parallel runner for TTL sweeps and multi-seed
-//!   averaging, which is how every figure is regenerated.
+//! * [`sweep`] and [`orchestrator`] — runners that spread independent runs
+//!   (TTL sweeps, multi-seed averaging) over scoped threads, which is how
+//!   every figure is regenerated. A single run is one serial event engine;
+//!   parallelism lives between runs.
 //!
 //! # Quickstart
 //!
@@ -62,6 +64,5 @@ pub use sweep::{average_reports, run_sweep, SweepError, SweepPoint};
 
 // Convenience re-exports so downstream users need only `vdtn`.
 pub use vdtn_bundle::{DropPolicy, PolicyCombo, SchedulingPolicy};
-pub use vdtn_net::DetectorBackend;
 pub use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind};
 pub use vdtn_sim_core::{NodeId, SimDuration, SimTime};

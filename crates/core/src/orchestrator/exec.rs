@@ -10,11 +10,14 @@
 //!
 //! **Determinism rule:** execution order is a scheduling detail; *reduction
 //! order is canonical*. Every finished run parks its [`RunRecord`] in a
-//! slot indexed by plan position, and after the pool drains the records are
-//! folded into [`CellAccumulator`]s strictly in plan order. Aggregates are
-//! therefore bit-identical at any thread count, any chunk size, and across
-//! kill/resume — the same discipline the parallel engine established for
-//! intra-run work.
+//! slot indexed by plan position, and after the workers finish the records
+//! are folded into [`CellAccumulator`]s strictly in plan order. Aggregates
+//! are therefore bit-identical at any thread count, any chunk size, and
+//! across kill/resume.
+//!
+//! This and [`crate::sweep::run_sweep`] are the only places the simulator
+//! runs threads: a single run is one serial event engine, and parallelism
+//! pays between independent runs.
 
 use super::accum::{CellAccumulator, RunRecord};
 use super::journal::{replay_journal, JournalWriter};
@@ -23,7 +26,7 @@ use crate::engine::{EngineMode, World};
 use crate::report::SimReport;
 use crate::scenario::Scenario;
 use crate::snapshot::{load_snapshot, save_snapshot, scenario_fingerprint};
-use crate::sweep::{SweepError, SweepPoint};
+use crate::sweep::{default_threads, SweepError, SweepPoint};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -42,7 +45,9 @@ pub type ScenarioTweak<'a> = dyn Fn(&mut Scenario) + Sync + 'a;
 /// Execution knobs for [`run_manifest`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Worker threads (0: [`rayon::current_num_threads`]).
+    /// Worker threads (0: `VDTN_THREADS` when it is a positive integer,
+    /// otherwise the host's available parallelism). At most one worker per
+    /// chunk is spawned, so a huge value costs nothing.
     pub threads: usize,
     /// Runs per work-stealing chunk (0: auto-size from the pending count).
     pub chunk_size: usize,
@@ -92,7 +97,7 @@ fn run_one_with_checkpoints(
     let restored = if resume && ckpt.exists() {
         match load_snapshot(ckpt) {
             Ok(snap) if scenario_fingerprint(&snap.scenario) == scenario_fingerprint(scenario) => {
-                Some(World::restore(&snap, engine, None))
+                Some(World::restore(&snap, engine))
             }
             _ => None,
         }
@@ -130,7 +135,7 @@ pub struct SweepOutcome {
     pub runs_replayed: usize,
     /// Work-stealing chunks executed.
     pub chunks: usize,
-    /// Worker threads used.
+    /// Worker threads spawned: the requested count, capped at `chunks`.
     pub threads: usize,
     /// Wall-clock seconds of the execute+reduce phase (measurement only).
     pub wall_secs: f64,
@@ -158,11 +163,10 @@ pub fn run_manifest_with(
     let plan = manifest.expand()?;
     let fnv = manifest.fingerprint();
     let threads = if opts.threads == 0 {
-        rayon::current_num_threads()
+        default_threads()
     } else {
         opts.threads
-    }
-    .max(1);
+    };
 
     // Phase 1: replay. `done` maps run ID → journalled record.
     let mut done: HashMap<String, RunRecord> = HashMap::new();
@@ -210,11 +214,12 @@ pub fn run_manifest_with(
         .collect();
     pending.sort_by_key(|&i| (Reverse(plan.runs[i].cost(base_vehicles)), i));
     let chunk_size = if opts.chunk_size == 0 {
-        (pending.len().div_ceil(threads * 8)).clamp(1, 32)
+        (pending.len().div_ceil(threads.saturating_mul(8))).clamp(1, 32)
     } else {
         opts.chunk_size
     };
     let chunks: Vec<&[usize]> = pending.chunks(chunk_size).collect();
+    let workers = threads.min(chunks.len());
 
     // Phase 3: execute. Workers steal chunks; each finished chunk commits
     // its records to plan-indexed slots and (fsync'd) to the journal.
@@ -222,66 +227,70 @@ pub fn run_manifest_with(
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let io_error: Mutex<Option<SweepError>> = Mutex::new(None);
-    let pool = rayon::ThreadPool::new(threads);
-    pool.scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= chunks.len() {
-                    break;
-                }
-                let mut batch: Vec<(usize, RunRecord)> = Vec::with_capacity(chunks[k].len());
-                for &i in chunks[k] {
-                    let spec = &plan.runs[i];
-                    let mut scenario = spec.scenario(manifest);
-                    if let Some(t) = tweak {
-                        t(&mut scenario);
-                    }
-                    let id = spec.id(&plan.name);
-                    let report = match &opts.checkpoint_dir {
-                        Some(dir) => {
-                            match run_one_with_checkpoints(
-                                &scenario,
-                                spec.engine,
-                                &checkpoint_path(dir, &id),
-                                opts.checkpoint_every_secs,
-                                opts.resume,
-                            ) {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    *io_error.lock().expect("error lock") =
-                                        Some(SweepError::Journal {
-                                            detail: format!("checkpoint for run {id}: {e}"),
-                                        });
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
+    let work = || loop {
+        if abort.load(Ordering::Relaxed) {
+            break;
+        }
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        if k >= chunks.len() {
+            break;
+        }
+        let mut batch: Vec<(usize, RunRecord)> = Vec::with_capacity(chunks[k].len());
+        for &i in chunks[k] {
+            let spec = &plan.runs[i];
+            let mut scenario = spec.scenario(manifest);
+            if let Some(t) = tweak {
+                t(&mut scenario);
+            }
+            let id = spec.id(&plan.name);
+            let report = match &opts.checkpoint_dir {
+                Some(dir) => {
+                    match run_one_with_checkpoints(
+                        &scenario,
+                        spec.engine,
+                        &checkpoint_path(dir, &id),
+                        opts.checkpoint_every_secs,
+                        opts.resume,
+                    ) {
+                        Ok(r) => r,
+                        Err(e) => {
+                            *io_error.lock().expect("error lock") = Some(SweepError::Journal {
+                                detail: format!("checkpoint for run {id}: {e}"),
+                            });
+                            abort.store(true, Ordering::Relaxed);
+                            break;
                         }
-                        None => World::build_with_mode(&scenario, spec.engine).run(),
-                    };
-                    batch.push((i, RunRecord::from_report(&id, &report)));
-                }
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(j) = &journal {
-                    let records: Vec<RunRecord> = batch.iter().map(|(_, r)| r.clone()).collect();
-                    let res = j.lock().expect("journal lock").append_chunk(&records);
-                    if let Err(e) = res {
-                        *io_error.lock().expect("error lock") = Some(e);
-                        abort.store(true, Ordering::Relaxed);
-                        break;
                     }
                 }
-                let mut s = slots.lock().expect("slots lock");
-                for (i, rec) in batch {
-                    s[i] = Some(rec);
-                }
-            });
+                None => World::build_with_mode(&scenario, spec.engine).run(),
+            };
+            batch.push((i, RunRecord::from_report(&id, &report)));
+        }
+        if abort.load(Ordering::Relaxed) {
+            break;
+        }
+        if let Some(j) = &journal {
+            let records: Vec<RunRecord> = batch.iter().map(|(_, r)| r.clone()).collect();
+            let res = j.lock().expect("journal lock").append_chunk(&records);
+            if let Err(e) = res {
+                *io_error.lock().expect("error lock") = Some(e);
+                abort.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+        let mut s = slots.lock().expect("slots lock");
+        for (i, rec) in batch {
+            s[i] = Some(rec);
+        }
+    };
+    // The calling thread is one of the workers, so a one-worker sweep
+    // spawns no thread at all.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        if workers > 0 {
+            work();
         }
     });
     if let Some(e) = io_error.into_inner().expect("error lock") {
@@ -313,7 +322,7 @@ pub fn run_manifest_with(
         runs_executed: pending.len(),
         runs_replayed: plan.len() - pending.len(),
         chunks: chunks.len(),
-        threads,
+        threads: workers,
         wall_secs: start.elapsed().as_secs_f64(),
     })
 }

@@ -11,8 +11,8 @@
 //!    taken, so manifests that describe the same experiment expand
 //!    identically regardless of how their axes were listed.
 //! 2. **[`exec`]** — work-stealing execution: runs sorted by descending
-//!    cost estimate, chunked, claimed through an atomic cursor on the
-//!    vendored rayon pool, then reduced *in plan order* so aggregates are
+//!    cost estimate, chunked, claimed through an atomic cursor by scoped
+//!    worker threads, then reduced *in plan order* so aggregates are
 //!    bit-identical at any thread count.
 //! 3. **[`accum`]** — streaming aggregation: each run collapses to a
 //!    compact [`RunRecord`] and folds into an O(1) [`CellAccumulator`]

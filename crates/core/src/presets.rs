@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use vdtn_bundle::PolicyCombo;
 use vdtn_geo::SyntheticCityGen;
 use vdtn_mobility::SpmbConfig;
-use vdtn_net::{DetectorBackend, RadioInterface};
+use vdtn_net::RadioInterface;
 use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind};
 use vdtn_sim_core::SimDuration;
 
@@ -133,7 +133,6 @@ pub fn paper_scenario(protocol: PaperProtocol, ttl_mins: u64, seed: u64) -> Scen
             },
         ],
         radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec::paper(SimDuration::from_mins(ttl_mins)),
         router,
         policy,

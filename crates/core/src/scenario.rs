@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use vdtn_bundle::PolicyCombo;
 use vdtn_geo::{GridMapGen, Point, RoadGraph, SyntheticCityGen};
 use vdtn_mobility::SpmbConfig;
-use vdtn_net::{DetectorBackend, RadioInterface};
+use vdtn_net::RadioInterface;
 use vdtn_routing::RouterKind;
 use vdtn_sim_core::{SimDuration, SimRng};
 
@@ -101,6 +101,9 @@ impl TrafficSpec {
 }
 
 /// A complete, reproducible experiment description.
+///
+/// Unknown JSON keys are ignored, so scenario files written by older
+/// versions, such as those with a `"detector"` key, still load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Human-readable label carried into reports.
@@ -117,8 +120,6 @@ pub struct Scenario {
     pub groups: Vec<NodeGroup>,
     /// Radio model shared by all nodes.
     pub radio: RadioInterface,
-    /// Contact-detection backend.
-    pub detector: DetectorBackend,
     /// Traffic workload.
     pub traffic: TrafficSpec,
     /// Routing protocol.
@@ -235,7 +236,6 @@ mod tests {
                 is_relay: false,
             }],
             radio: RadioInterface::paper_80211b(),
-            detector: DetectorBackend::Grid,
             traffic: TrafficSpec::paper(SimDuration::from_mins(60)),
             router: RouterKind::Epidemic,
             policy: PolicyCombo::FIFO_FIFO,
@@ -308,5 +308,17 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    /// Scenario files written while the detector backend was a choice
+    /// carry `"detector": "Naive"` (or `"Grid"`); the reader ignores it.
+    #[test]
+    fn legacy_detector_key_is_ignored() {
+        let json = serde_json::to_string(&minimal()).unwrap();
+        let legacy = json.replacen("\"traffic\":", "\"detector\":\"Naive\",\"traffic\":", 1);
+        assert_ne!(json, legacy, "the legacy key was spliced in");
+        let parsed: Scenario = serde_json::from_str(&legacy).unwrap();
+        let plain: Scenario = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed, plain);
     }
 }

@@ -13,9 +13,9 @@
 //! itself follows).
 //!
 //! Restoring is mode-agnostic: a snapshot taken under any
-//! [`EngineMode`](crate::EngineMode) resumes under any other, at any thread
-//! count, because the captured state is exactly the canonical state the
-//! three modes keep bit-identical (`tests/engine_equivalence.rs`).
+//! [`EngineMode`](crate::EngineMode) resumes under any other, because the
+//! captured state is exactly the canonical state the three modes keep
+//! bit-identical (`tests/engine_equivalence.rs`).
 //!
 //! # File format
 //!
@@ -281,7 +281,7 @@ mod tests {
             let loaded = load_snapshot(&path).unwrap();
             assert_eq!(loaded.state_hash, snap.state_hash);
             assert_eq!(loaded.now, snap.now);
-            let restored = World::restore(&loaded, world.mode(), None);
+            let restored = World::restore(&loaded, world.mode());
             assert_eq!(restored.state_hash(), snap.state_hash);
             std::fs::remove_file(&path).ok();
         }

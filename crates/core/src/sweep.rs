@@ -3,8 +3,10 @@
 //! Every figure in the paper is a sweep: protocols × TTLs, each cell
 //! averaged over seeds. Runs are fully independent (deterministic per-seed
 //! RNG lanes, no shared state), so the sweep is embarrassingly parallel —
-//! [`run_sweep`] fans the scenario list across a rayon thread pool and
-//! collects reports in input order.
+//! [`run_sweep`] splits the scenario list into one contiguous chunk per
+//! scoped thread and collects reports in input order. The thread count is
+//! the `VDTN_THREADS` environment variable when it is a positive integer,
+//! otherwise the host's available parallelism.
 //!
 //! This module holds the small, report-level surface (run a scenario list,
 //! average one cell); the batch experiment system built on top of it —
@@ -15,7 +17,6 @@ use crate::engine::World;
 use crate::orchestrator::CellAccumulator;
 use crate::report::SimReport;
 use crate::scenario::Scenario;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -92,14 +93,46 @@ impl From<std::io::Error> for SweepError {
     }
 }
 
-/// Run every scenario on the default engine, in parallel, returning
-/// reports in input order. They are bit-identical to serial execution
-/// (each run is independent and internally deterministic).
+/// Worker threads a sweep uses by default: the `VDTN_THREADS` environment
+/// variable when it parses as a positive integer, otherwise
+/// `std::thread::available_parallelism` (1 if that is unavailable).
+pub(crate) fn default_threads() -> usize {
+    threads_from_env(std::env::var("VDTN_THREADS").ok().as_deref())
+}
+
+/// Pure core of [`default_threads`]: `var` is the raw value of
+/// `VDTN_THREADS` (`None` when unset). Zero, negative or non-numeric
+/// values fall back to the hardware default.
+fn threads_from_env(var: Option<&str>) -> usize {
+    match var.and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
+    }
+}
+
+/// Run every scenario on the default engine, on up to `VDTN_THREADS`
+/// scoped threads (see the [module docs](self)), returning reports in
+/// input order. They are bit-identical to serial execution (each run is
+/// independent and internally deterministic).
 pub fn run_sweep(scenarios: &[Scenario]) -> Vec<SimReport> {
-    scenarios
-        .par_iter()
-        .map(|s| World::build(s).run())
-        .collect()
+    let threads = default_threads().min(scenarios.len()).max(1);
+    let chunk = scenarios.len().div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = scenarios
+            .chunks(chunk)
+            .map(|part| {
+                scope.spawn(move || {
+                    part.iter()
+                        .map(|s| World::build(s).run())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// A figure data point: one (configuration, TTL) cell averaged over seeds.
@@ -183,6 +216,42 @@ impl SweepPoint {
 mod tests {
     use super::*;
     use crate::presets::{mini_scenario, PaperProtocol};
+
+    #[test]
+    fn threads_from_env_parses_positive_counts_and_falls_back() {
+        let hw = threads_from_env(None);
+        assert!(hw >= 1);
+        assert_eq!(threads_from_env(Some("3")), 3);
+        assert_eq!(threads_from_env(Some(" 8 ")), 8);
+        assert_eq!(threads_from_env(Some("0")), hw);
+        assert_eq!(threads_from_env(Some("-2")), hw);
+        assert_eq!(threads_from_env(Some("lots")), hw);
+        assert_eq!(threads_from_env(Some("")), hw);
+    }
+
+    #[test]
+    fn run_sweep_matches_serial_runs_in_input_order() {
+        let scenario = |seed| {
+            let mut s = mini_scenario(PaperProtocol::EpidemicLifetime, 30, seed);
+            s.duration_secs = 300.0;
+            s
+        };
+        let canon = |mut r: SimReport| {
+            r.wall_secs = 0.0;
+            serde_json::to_string(&r).expect("report serialises")
+        };
+        // No scenarios, one (fewer than threads on any multi-core host),
+        // and one more than there are threads.
+        for n in [0, 1, default_threads() as u64 + 1] {
+            let scenarios: Vec<Scenario> = (0..n).map(|k| scenario(100 + k)).collect();
+            let got: Vec<String> = run_sweep(&scenarios).into_iter().map(canon).collect();
+            let want: Vec<String> = scenarios
+                .iter()
+                .map(|s| canon(World::build(s).run()))
+                .collect();
+            assert_eq!(got, want, "{n} scenarios");
+        }
+    }
 
     #[test]
     fn sweep_preserves_order_and_determinism() {

@@ -73,6 +73,51 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Only `--sweep` runs threads: a single run or a restore given `--threads`
+/// is told so in one line and exits 2 before reading its input.
+#[test]
+fn threads_outside_sweep_exit_2_with_one_line() {
+    let scenario = std::env::temp_dir().join("vdtn-cli-threads-unread.json");
+    let snap = std::env::temp_dir().join("vdtn-cli-threads-unread.snap");
+    let (scenario, snap) = (scenario.to_str().unwrap(), snap.to_str().unwrap());
+    for args in [
+        vec![scenario, "--threads", "2"],
+        vec![scenario, "--engine", "parallel", "--threads", "8"],
+        vec!["--restore", snap, "--threads", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+            .args(&args)
+            .output()
+            .expect("run_scenario binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+        assert!(
+            stderr.contains("--threads applies only to --sweep"),
+            "{args:?}: stderr {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+    }
+
+    // A sweep caps an absurd worker count at its chunk count.
+    let mut manifest = SweepManifest::paper("cli", &[PaperProtocol::EpidemicFifo], &[60], &[1]);
+    manifest.duration_secs = 10.0;
+    let sweep = std::env::temp_dir().join(format!("vdtn-cli-threads-{}.json", std::process::id()));
+    std::fs::write(&sweep, serde_json::to_string(&manifest).unwrap()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+        .args(["--sweep", sweep.to_str().unwrap()])
+        .args(["--threads", &usize::MAX.to_string()])
+        .output()
+        .expect("run_scenario binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr {stderr:?}");
+    assert!(
+        stderr.contains("1 chunks on 1 threads"),
+        "stderr {stderr:?}"
+    );
+    std::fs::remove_file(&sweep).ok();
+}
+
 /// Each output path of a 10 s run or sweep is unwritable.
 #[test]
 fn unwritable_outputs_exit_1_with_one_line_and_no_backtrace() {

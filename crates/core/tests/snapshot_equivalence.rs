@@ -1,7 +1,7 @@
 //! Cross-mode state-hash and checkpoint/restore equivalence.
 //!
 //! The state hash is only useful if it is *identical by construction*
-//! across every engine mode and thread count — these tests pin that, and
+//! across every engine mode — these tests pin that, and
 //! pin the stronger property the CI drift matrix builds on: a run split by
 //! a snapshot/restore at any tick boundary (restored under any mode) is
 //! bit-identical to the uninterrupted run, in both its final report and
@@ -14,7 +14,7 @@ use vdtn::{EngineMode, MobilitySpec, SimReport, World};
 use vdtn_bundle::PolicyCombo;
 use vdtn_geo::GridMapGen;
 use vdtn_mobility::SpmbConfig;
-use vdtn_net::{DetectorBackend, RadioInterface};
+use vdtn_net::RadioInterface;
 use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind};
 use vdtn_sim_core::{SimDuration, SimTime};
 
@@ -42,7 +42,6 @@ fn small(router: RouterKind, policy: PolicyCombo, seed: u64) -> Scenario {
             is_relay: false,
         }],
         radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec::paper(SimDuration::from_mins(30)),
         router,
         policy,
@@ -74,7 +73,7 @@ fn hash_stream(mut world: World, duration_secs: f64, period_secs: f64) -> Vec<(u
 }
 
 #[test]
-fn hash_streams_identical_across_modes_and_threads() {
+fn hash_streams_identical_across_modes() {
     for seed in [1, 23] {
         let scenario = small(RouterKind::Epidemic, PolicyCombo::LIFETIME, seed);
         let reference = hash_stream(
@@ -88,14 +87,12 @@ fn hash_streams_identical_across_modes_and_threads() {
             60.0,
         );
         assert_eq!(reference, event, "seed {seed}: event-driven drifted");
-        for threads in [1, 2, 4] {
-            let par = hash_stream(
-                World::build_parallel_with_threads(&scenario, threads),
-                scenario.duration_secs,
-                60.0,
-            );
-            assert_eq!(reference, par, "seed {seed}, threads {threads}: drifted");
-        }
+        let par = hash_stream(
+            World::build_with_mode(&scenario, EngineMode::Parallel),
+            scenario.duration_secs,
+            60.0,
+        );
+        assert_eq!(reference, par, "seed {seed}: parallel drifted");
     }
 }
 
@@ -126,15 +123,9 @@ fn restore_resumes_bit_identically_in_every_mode() {
     );
 
     for (label, resumed) in [
-        ("ticked", World::restore(&snap, EngineMode::Ticked, None)),
-        (
-            "event",
-            World::restore(&snap, EngineMode::EventDriven, None),
-        ),
-        (
-            "parallel-3",
-            World::restore(&snap, EngineMode::Parallel, Some(3)),
-        ),
+        ("ticked", World::restore(&snap, EngineMode::Ticked)),
+        ("event", World::restore(&snap, EngineMode::EventDriven)),
+        ("parallel", World::restore(&snap, EngineMode::Parallel)),
     ] {
         assert_eq!(
             reference,
@@ -154,7 +145,7 @@ fn restore_works_on_the_paper_scenario_with_relays() {
     let mut donor = World::build(&scenario);
     donor.run_until(SimTime::from_secs_f64(450.0));
     let snap = donor.snapshot(&scenario);
-    let resumed = World::restore(&snap, EngineMode::EventDriven, None);
+    let resumed = World::restore(&snap, EngineMode::EventDriven);
     assert_eq!(reference, canon(resumed.run()));
 }
 
@@ -214,7 +205,7 @@ proptest! {
         let snap = donor.snapshot(&scenario);
         drop(donor);
         let restore_mode = if seed % 2 == 0 { EngineMode::Ticked } else { EngineMode::EventDriven };
-        let mut resumed = World::restore(&snap, restore_mode, None);
+        let mut resumed = World::restore(&snap, restore_mode);
         let mut resumed_stream = Vec::new();
         let mut t = save_at.as_millis() as f64 / 1_000.0;
         while t < scenario.duration_secs {

@@ -69,11 +69,6 @@ impl SpatialGrid {
         }
     }
 
-    /// Side length of one cell.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     #[inline]
     fn cell_of(&self, p: Point) -> (i32, i32) {
         (
@@ -207,8 +202,8 @@ impl SpatialGrid {
         out.dedup();
     }
 
-    /// Naive O(n²) pair scan over the same stored points — the reference
-    /// implementation behind `DetectorBackend::Naive` and the tests.
+    /// Naive O(n²) pair scan over the same stored points — the test oracle
+    /// for [`SpatialGrid::pairs_within`] and the contact detector.
     pub fn pairs_within_naive(&self, radius: f64, out: &mut Vec<(u32, u32)>) {
         let r2 = radius * radius;
         let n = self.points.len();

@@ -10,8 +10,6 @@
 //! * [`SpatialGrid`] — a uniform hash grid for radius queries, cheapest
 //!   when its cell size equals the query radius (contact detection in
 //!   `vdtn-net` sizes it to its `3·range` re-query radius),
-//! * [`ShardMap`] — a fixed tiling of the plane into whole blocks of grid
-//!   cells, for grouping parallel detector work,
 //! * map generators ([`gen`]) including the synthetic-Helsinki substitute
 //!   ([`SyntheticCityGen`]), and
 //! * a WKT reader/writer ([`wkt`]) compatible with the ONE simulator's map
@@ -35,7 +33,6 @@ pub mod graph;
 pub mod grid;
 pub mod point;
 pub mod segment;
-pub mod shard;
 pub mod shortest_path;
 pub mod stats;
 pub mod wkt;
@@ -45,6 +42,5 @@ pub use graph::{EdgeId, RoadGraph, RoadGraphBuilder, VertexId};
 pub use grid::SpatialGrid;
 pub use point::{Bounds, Point};
 pub use segment::Segment;
-pub use shard::ShardMap;
 pub use shortest_path::{astar, dijkstra, distance_lower_bound, PathResult};
 pub use stats::{map_stats, MapStats};

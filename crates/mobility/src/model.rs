@@ -39,7 +39,8 @@ pub(crate) fn floor_secs(secs: f64) -> SimDuration {
 ///
 /// Implementations own all their state (current position, pending path,
 /// per-node RNG stream) so the engine can hold them as `Box<dyn MovementModel>`
-/// and advance them independently — including in parallel, hence `Send`.
+/// and advance them independently; `Send` keeps a world that owns them
+/// movable between threads.
 pub trait MovementModel: Send {
     /// Advance the model to absolute time `t`, crossing every decision
     /// boundary (wait expiry, waypoint arrival) on the way, and return the

@@ -12,8 +12,10 @@
 //!   whose deadline is due (or whose segment changed, via
 //!   [`ContactDetector::on_motion_change`]); a pair neither of whose
 //!   endpoints is due provably kept its in-range status, so the diff is
-//!   exact, not heuristic. [`ContactDetector::update_kinematic_sharded`]
-//!   runs the same re-queries on a thread pool.
+//!   exact, not heuristic.
+//!
+//! Both find pairs through a [`SpatialGrid`]; the tests check them against
+//! the O(n²) scan ([`SpatialGrid::pairs_within_naive`]).
 //!
 //! Pairs entering the set produce [`LinkEvent::Up`], pairs leaving produce
 //! [`LinkEvent::Down`]. Events are emitted in deterministic order (downs
@@ -21,20 +23,10 @@
 //! disciplines.
 
 use crate::interface::RadioInterface;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use vdtn_geo::{Point, Segment, ShardMap, SpatialGrid};
+use vdtn_geo::{Point, Segment, SpatialGrid};
 use vdtn_sim_core::{NodeId, SimDuration, SimTime};
-
-/// Which pair-finding algorithm the detector uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DetectorBackend {
-    /// O(n²) scan over all pairs — simple reference implementation.
-    Naive,
-    /// Uniform spatial hash grid — O(n + pairs) per tick.
-    Grid,
-}
 
 /// Canonical (low, high) key for an unordered node pair — the one key form
 /// used for pair-indexed state everywhere (detector sets, link table,
@@ -167,7 +159,6 @@ pub enum LinkEvent {
 
 /// Stateful contact detector.
 pub struct ContactDetector {
-    backend: DetectorBackend,
     range: f64,
     grid: SpatialGrid,
     current: HashSet<(u32, u32)>,
@@ -191,8 +182,7 @@ pub struct ContactDetector {
     /// Min-heap of `(deadline, node)` wake entries. Entries are lazily
     /// invalidated: one whose time no longer equals `deadline[node]` is
     /// stale and discarded on pop. `(time, node)` keys totally order the
-    /// pops, so push order never matters — the sharded merge needs no
-    /// sequence counter.
+    /// pops, so push order never matters.
     due_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Scratch for the due set popped per update.
     due_scratch: Vec<u32>,
@@ -200,10 +190,9 @@ pub struct ContactDetector {
 
 impl ContactDetector {
     /// Create a detector for interfaces with the given uniform range.
-    pub fn new(backend: DetectorBackend, interface: RadioInterface) -> Self {
+    pub fn new(interface: RadioInterface) -> Self {
         interface.validate();
         ContactDetector {
-            backend,
             range: interface.range,
             grid: SpatialGrid::new(REQUERY_RADII * interface.range),
             current: HashSet::new(),
@@ -222,12 +211,6 @@ impl ContactDetector {
         self.range
     }
 
-    /// Side of the detector grid's cells (`3·range`). Parallel shard
-    /// tilings built with this cell size are whole blocks of buckets.
-    pub fn cell_size(&self) -> f64 {
-        self.grid.cell_size()
-    }
-
     /// Currently connected pairs (lexicographic order not guaranteed).
     pub fn active_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.current.iter().map(|&(a, b)| (NodeId(a), NodeId(b)))
@@ -243,17 +226,8 @@ impl ContactDetector {
     /// contacts — then ups, each lexicographically sorted).
     pub fn update(&mut self, positions: &[Point]) -> Vec<LinkEvent> {
         self.pairs_scratch.clear();
-        match self.backend {
-            DetectorBackend::Naive => {
-                self.grid.rebuild(positions);
-                self.grid
-                    .pairs_within_naive(self.range, &mut self.pairs_scratch);
-            }
-            DetectorBackend::Grid => {
-                self.grid.rebuild(positions);
-                self.grid.pairs_within(self.range, &mut self.pairs_scratch);
-            }
-        }
+        self.grid.rebuild(positions);
+        self.grid.pairs_within(self.range, &mut self.pairs_scratch);
         let fresh: HashSet<(u32, u32)> = self.pairs_scratch.iter().copied().collect();
 
         let downs: Vec<(u32, u32)> = self.current.difference(&fresh).copied().collect();
@@ -392,7 +366,7 @@ impl ContactDetector {
         let mut query = std::mem::take(&mut self.query_scratch);
         let mut still: Vec<u32> = Vec::new();
         for &i in &due {
-            let rq = kin_requery(
+            let deadline = kin_requery(
                 i,
                 now,
                 cols,
@@ -402,87 +376,15 @@ impl ContactDetector {
                 &self.neighbors,
                 &mut query,
                 &mut still,
+                &mut downs,
+                &mut ups,
             );
-            self.deadline[i as usize] = rq.deadline;
-            if rq.deadline < SimTime::MAX {
-                self.due_heap.push(Reverse((rq.deadline, i)));
+            self.deadline[i as usize] = deadline;
+            if deadline < SimTime::MAX {
+                self.due_heap.push(Reverse((deadline, i)));
             }
-            downs.extend(rq.downs);
-            ups.extend(rq.ups);
         }
         self.query_scratch = query;
-        self.due_scratch = due;
-        self.apply_diff(downs, ups)
-    }
-
-    /// Sharded variant of [`ContactDetector::update_kinematic`]: identical
-    /// event stream and deadline state at every pool size. The due set is
-    /// popped serially; re-queries read only round-start shared state
-    /// (grid, columns, adjacency) into private records, so shard grouping
-    /// and chunk geometry affect scheduling only; the merge is serial and
-    /// funnels the pair diffs through the same sort + dedup as the serial
-    /// path, which collapses pairs discovered from both endpoints in any
-    /// order. Heap pushes commute because `(time, node)` keys totally order
-    /// the pops, so merge order cannot leak into the due schedule either.
-    pub fn update_kinematic_sharded(
-        &mut self,
-        now: SimTime,
-        cols: &MotionCols,
-        v_glob: f64,
-        pool: &rayon::ThreadPool,
-        shards: &ShardMap,
-    ) -> Vec<LinkEvent> {
-        if !self.kin_valid {
-            return self.prime_kinematic(now, cols);
-        }
-        self.pop_due(now);
-        if self.due_scratch.is_empty() {
-            return Vec::new();
-        }
-        let due = std::mem::take(&mut self.due_scratch);
-        let centers: Vec<Point> = due
-            .iter()
-            .map(|&i| cols.position_at(i as usize, now))
-            .collect();
-        for (&i, &c) in due.iter().zip(&centers) {
-            self.grid.move_point(i, c);
-        }
-        // Group due nodes by owning shard — a locality hint only;
-        // determinism does not depend on the grouping.
-        let shard_of: Vec<u32> = centers.iter().map(|&c| shards.of_point(c)).collect();
-        let order = vdtn_sim_core::par::order_of(&shard_of);
-        let grouped: Vec<u32> = order.iter().map(|&k| due[k]).collect();
-
-        let mut results: Vec<Option<KinRequery>> = Vec::new();
-        results.resize_with(grouped.len(), || None);
-        let chunk = vdtn_sim_core::par::chunk_len(grouped.len(), pool.num_threads());
-        let grid = &self.grid;
-        let neighbors = &self.neighbors;
-        let range = self.range;
-        pool.scope(|s| {
-            for (nodes, out) in grouped.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    let mut query: Vec<u32> = Vec::new();
-                    let mut still: Vec<u32> = Vec::new();
-                    for (slot, &i) in out.iter_mut().zip(nodes) {
-                        *slot = Some(kin_requery(
-                            i, now, cols, v_glob, range, grid, neighbors, &mut query, &mut still,
-                        ));
-                    }
-                });
-            }
-        });
-
-        let mut downs: Vec<(u32, u32)> = Vec::new();
-        let mut ups: Vec<(u32, u32)> = Vec::new();
-        for rq in results.into_iter().map(|r| r.expect("all chunks ran")) {
-            self.deadline[rq.node as usize] = rq.deadline;
-            if rq.deadline < SimTime::MAX {
-                self.due_heap.push(Reverse((rq.deadline, rq.node)));
-            }
-            downs.extend(rq.downs);
-            ups.extend(rq.ups);
-        }
         self.due_scratch = due;
         self.apply_diff(downs, ups)
     }
@@ -517,21 +419,9 @@ impl ContactDetector {
     }
 }
 
-/// Private result of one kinematic re-query, applied serially afterwards.
-/// Shared by the serial and sharded paths so they are one algorithm.
-struct KinRequery {
-    node: u32,
-    deadline: SimTime,
-    downs: Vec<(u32, u32)>,
-    ups: Vec<(u32, u32)>,
-}
-
-/// Re-query node `i` against the grid at time `now`: exact pair diff from
-/// true (analytic) distances, plus a fresh conservative slack deadline.
-///
-/// Pure with respect to shared state — grid, columns, and adjacency are
-/// only read — so the sharded path runs many of these concurrently and
-/// merges the records serially.
+/// Re-query node `i` against the grid at time `now`: append its exact
+/// pair diff (from true, analytic distances) to `downs` and `ups`, and
+/// return a fresh conservative slack deadline.
 ///
 /// The grid query uses radius `3·range` ([`REQUERY_RADII`]): candidate
 /// discovery must find any node within a *true* `2·range`, and a non-due
@@ -551,7 +441,9 @@ fn kin_requery(
     neighbors: &[Vec<u32>],
     query: &mut Vec<u32>,
     still: &mut Vec<u32>,
-) -> KinRequery {
+    downs: &mut Vec<(u32, u32)>,
+    ups: &mut Vec<(u32, u32)>,
+) -> SimTime {
     let idx = i as usize;
     let seg_i = cols.segment(idx);
     let center = seg_i.position_at(now);
@@ -561,12 +453,7 @@ fn kin_requery(
     query.clear();
     grid.query_within(center, REQUERY_RADII * range, Some(i), query);
 
-    let mut rq = KinRequery {
-        node: i,
-        deadline: SimTime::MAX,
-        downs: Vec::new(),
-        ups: Vec::new(),
-    };
+    let mut deadline = SimTime::MAX;
     still.clear();
 
     if seg_i.is_parked() {
@@ -579,7 +466,7 @@ fn kin_requery(
             if pj.distance_sq(center) <= r2 {
                 still.push(j);
                 if neighbors[idx].binary_search(&j).is_err() {
-                    rq.ups.push(pair_key(NodeId(i), NodeId(j)));
+                    ups.push(pair_key(NodeId(i), NodeId(j)));
                 }
             }
         }
@@ -590,7 +477,7 @@ fn kin_requery(
         // `on_motion_change` resets the deadline anyway; everyone else is
         // bounded by the global maximum).
         let closing = seg_i.speed() + v_glob;
-        rq.deadline = now.saturating_add(floor_ms(range / closing));
+        deadline = now.saturating_add(floor_ms(range / closing));
         for &j in query.iter() {
             let seg_j = cols.segment(j as usize);
             let pj = seg_j.position_at(now);
@@ -601,24 +488,22 @@ fn kin_requery(
             if d2 <= r2 {
                 still.push(j);
                 if neighbors[idx].binary_search(&j).is_err() {
-                    rq.ups.push(pair_key(NodeId(i), NodeId(j)));
+                    ups.push(pair_key(NodeId(i), NodeId(j)));
                 }
             }
             let bound = pair_flip_bound(now, range, closing, &seg_i, &seg_j, center, pj, d2);
-            rq.deadline = rq.deadline.min(bound);
+            deadline = deadline.min(bound);
         }
         // Livelock guard: the fresh deadline is strictly in the future.
-        rq.deadline = rq
-            .deadline
-            .max(now.saturating_add(SimDuration::from_millis(1)));
+        deadline = deadline.max(now.saturating_add(SimDuration::from_millis(1)));
     }
     still.sort_unstable();
     for &j in &neighbors[idx] {
         if still.binary_search(&j).is_err() {
-            rq.downs.push(pair_key(NodeId(i), NodeId(j)));
+            downs.push(pair_key(NodeId(i), NodeId(j)));
         }
     }
-    rq
+    deadline
 }
 
 /// Earliest time the pair `(i, j)` can flip its in-range status, bounded
@@ -728,13 +613,44 @@ fn pair_flip_bound(
 mod tests {
     use super::*;
 
-    fn detector(backend: DetectorBackend) -> ContactDetector {
-        ContactDetector::new(backend, RadioInterface::paper_80211b())
+    fn detector() -> ContactDetector {
+        ContactDetector::new(RadioInterface::paper_80211b())
+    }
+
+    /// The O(n²) reference: every tick's full in-range pair set from
+    /// [`SpatialGrid::pairs_within_naive`], diffed against the previous
+    /// tick's into the canonical event stream.
+    struct NaiveScan {
+        range: f64,
+        grid: SpatialGrid,
+        current: HashSet<(u32, u32)>,
+    }
+
+    impl NaiveScan {
+        fn new() -> NaiveScan {
+            let range = RadioInterface::paper_80211b().range;
+            NaiveScan {
+                range,
+                grid: SpatialGrid::new(range),
+                current: HashSet::new(),
+            }
+        }
+
+        fn update(&mut self, positions: &[Point]) -> Vec<LinkEvent> {
+            self.grid.rebuild(positions);
+            let mut pairs = Vec::new();
+            self.grid.pairs_within_naive(self.range, &mut pairs);
+            let fresh: HashSet<(u32, u32)> = pairs.into_iter().collect();
+            let downs = self.current.difference(&fresh).copied().collect();
+            let ups = fresh.difference(&self.current).copied().collect();
+            self.current = fresh;
+            assemble_events(downs, ups)
+        }
     }
 
     #[test]
     fn detects_up_and_down() {
-        let mut d = detector(DetectorBackend::Grid);
+        let mut d = detector();
         // Two nodes approach, meet, separate.
         let apart = vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)];
         let close = vec![Point::new(0.0, 0.0), Point::new(20.0, 0.0)];
@@ -751,7 +667,7 @@ mod tests {
 
     #[test]
     fn exact_range_is_connected() {
-        let mut d = detector(DetectorBackend::Naive);
+        let mut d = detector();
         let ev = d.update(&[Point::new(0.0, 0.0), Point::new(30.0, 0.0)]);
         assert_eq!(ev.len(), 1, "distance == range counts as in range");
         let ev = d.update(&[Point::new(0.0, 0.0), Point::new(30.001, 0.0)]);
@@ -760,8 +676,8 @@ mod tests {
 
     #[test]
     fn backends_agree_on_random_walk() {
-        let mut naive = detector(DetectorBackend::Naive);
-        let mut grid = detector(DetectorBackend::Grid);
+        let mut naive = NaiveScan::new();
+        let mut grid = detector();
         // Deterministic pseudo-random positions for 30 nodes over 50 ticks.
         let mut state = 99u64;
         let mut next = move || {
@@ -786,7 +702,7 @@ mod tests {
 
     #[test]
     fn downs_emitted_before_ups() {
-        let mut d = detector(DetectorBackend::Grid);
+        let mut d = detector();
         // Node 1 near node 0, node 2 far.
         d.update(&[
             Point::new(0.0, 0.0),
@@ -818,7 +734,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_links() {
-        let mut d = detector(DetectorBackend::Grid);
+        let mut d = detector();
         d.update(&[Point::new(0.0, 0.0), Point::new(5.0, 0.0)]);
         assert_eq!(d.active_count(), 1);
         d.reset();
@@ -830,7 +746,7 @@ mod tests {
 
     #[test]
     fn three_node_clique() {
-        let mut d = detector(DetectorBackend::Grid);
+        let mut d = detector();
         let ev = d.update(&[
             Point::new(0.0, 0.0),
             Point::new(10.0, 0.0),
@@ -1024,9 +940,9 @@ mod tests {
         /// Kinematic edge cases against the naive O(n²) scan at every tick
         /// of a 0.1 s grid: coincident nodes, pairs exactly at `range`,
         /// tangential grazes, parked and zero-velocity nodes, and speeds up
-        /// to 1 000 m/s. The serial path and the sharded path at pool sizes
-        /// 1 and 2 must all emit the reference stream exactly — a silently
-        /// missed contact would hide inside the GUARD/ROOT_SAFETY bands.
+        /// to 1 000 m/s. The kinematic path must emit the reference stream
+        /// exactly — a silently missed contact would hide inside the
+        /// GUARD/ROOT_SAFETY bands.
         #[test]
         fn kinematic_matches_naive_on_adversarial_geometry(
             seed0 in 1u64..u64::MAX,
@@ -1035,45 +951,29 @@ mod tests {
         ) {
             let vmax = [12.0, 100.0, 1_000.0][speed_class];
             let mut seed = seed0;
-            let mut reference = detector(DetectorBackend::Naive);
-            let range = reference.range();
+            let mut reference = NaiveScan::new();
+            let range = reference.range;
             let span = 4.0 * range;
             let mut w = KinWorld::adversarial(&mut seed, n, span, range);
-            let pools = [rayon::ThreadPool::new(1), rayon::ThreadPool::new(2)];
-            let mut serial = detector(DetectorBackend::Grid);
-            let mut sharded = [detector(DetectorBackend::Grid), detector(DetectorBackend::Grid)];
+            let mut kin = detector();
             let dt = SimDuration::from_millis(100);
             let mut now = SimTime::ZERO;
             w.replan_adversarial(&mut seed, now, vmax, span, range);
-            let shards = ShardMap::build(&w.materialize(now), range, 4);
             for tick in 0..300 {
                 if tick > 0 {
                     now += dt;
                     for i in w.replan_adversarial(&mut seed, now, vmax, span, range) {
-                        serial.on_motion_change(i, now);
-                        for d in &mut sharded {
-                            d.on_motion_change(i, now);
-                        }
+                        kin.on_motion_change(i, now);
                     }
                 }
                 let want = reference.update(&w.materialize(now));
-                let got = if serial.next_deadline() <= now {
-                    serial.update_kinematic(now, &w.cols(), vmax)
+                let got = if kin.next_deadline() <= now {
+                    kin.update_kinematic(now, &w.cols(), vmax)
                 } else {
                     Vec::new()
                 };
-                proptest::prop_assert_eq!(&want, &got, "serial, tick {}", tick);
-                for (d, pool) in sharded.iter_mut().zip(&pools) {
-                    let got = if d.next_deadline() <= now {
-                        d.update_kinematic_sharded(now, &w.cols(), vmax, pool, &shards)
-                    } else {
-                        Vec::new()
-                    };
-                    proptest::prop_assert_eq!(
-                        &want, &got, "{} threads, tick {}", pool.num_threads(), tick
-                    );
-                }
-                proptest::prop_assert_eq!(reference.active_count(), serial.active_count());
+                proptest::prop_assert_eq!(&want, &got, "tick {}", tick);
+                proptest::prop_assert_eq!(reference.current.len(), kin.active_count());
             }
         }
     }
@@ -1085,8 +985,8 @@ mod tests {
     fn kinematic_matches_reference_on_segment_walks() {
         let mut seed = 11u64;
         let mut w = KinWorld::new(&mut seed, 40);
-        let mut reference = detector(DetectorBackend::Grid);
-        let mut kin = detector(DetectorBackend::Grid);
+        let mut reference = detector();
+        let mut kin = detector();
         let dt = SimDuration::from_secs(1);
         let mut now = SimTime::ZERO;
         w.replan(&mut seed, now);
@@ -1122,8 +1022,8 @@ mod tests {
         let mut seed = 31u64;
         let n = 4;
         let mut w = KinWorld::new(&mut seed, n);
-        let mut reference = detector(DetectorBackend::Grid);
-        let mut kin = detector(DetectorBackend::Grid);
+        let mut reference = detector();
+        let mut kin = detector();
         let dt = SimDuration::from_secs(1);
         let mut now = SimTime::ZERO;
         // Long segments: replans (which force wakes) are rare.
@@ -1171,51 +1071,6 @@ mod tests {
         assert!(skipped > 0, "deadlines never skipped a tick — vacuous test");
     }
 
-    /// Sharded kinematic updates must match the serial ones (and the
-    /// reference) at every pool size.
-    #[test]
-    fn kinematic_sharded_matches_serial_at_every_pool_size() {
-        for &threads in &[1usize, 2, 4] {
-            let pool = rayon::ThreadPool::new(threads);
-            let mut seed = 23u64;
-            let mut w = KinWorld::new(&mut seed, 40);
-            let mut reference = detector(DetectorBackend::Grid);
-            let mut serial = detector(DetectorBackend::Grid);
-            let mut sharded = detector(DetectorBackend::Grid);
-            let dt = SimDuration::from_secs(1);
-            let mut now = SimTime::ZERO;
-            w.replan(&mut seed, now);
-            let shards = ShardMap::build(&w.materialize(now), reference.range(), 8);
-            let er = reference.update(&w.materialize(now));
-            let es = serial.update_kinematic(now, &w.cols(), KIN_VMAX);
-            let eh = sharded.update_kinematic_sharded(now, &w.cols(), KIN_VMAX, &pool, &shards);
-            assert_eq!(er, es);
-            assert_eq!(er, eh);
-            for tick in 0..200 {
-                now += dt;
-                for &i in &w.replan(&mut seed, now) {
-                    serial.on_motion_change(i, now);
-                    sharded.on_motion_change(i, now);
-                }
-                let er = reference.update(&w.materialize(now));
-                let es = if serial.next_deadline() <= now {
-                    serial.update_kinematic(now, &w.cols(), KIN_VMAX)
-                } else {
-                    Vec::new()
-                };
-                let eh = if sharded.next_deadline() <= now {
-                    sharded.update_kinematic_sharded(now, &w.cols(), KIN_VMAX, &pool, &shards)
-                } else {
-                    Vec::new()
-                };
-                assert_eq!(er, es, "threads {threads} tick {tick}: serial diverged");
-                assert_eq!(er, eh, "threads {threads} tick {tick}: sharded diverged");
-                assert_eq!(serial.next_deadline(), sharded.next_deadline());
-                assert_eq!(serial.active_count(), sharded.active_count());
-            }
-        }
-    }
-
     /// An all-parked world settles to an empty heap: no wakes, ever.
     #[test]
     fn kinematic_parked_world_needs_no_wakes() {
@@ -1233,7 +1088,7 @@ mod tests {
             start: &start,
             until: &until,
         };
-        let mut kin = detector(DetectorBackend::Grid);
+        let mut kin = detector();
         let ev = kin.update_kinematic(SimTime::ZERO, &cols, 0.0);
         assert_eq!(ev, vec![LinkEvent::Up(NodeId(0), NodeId(1))]);
         assert_eq!(kin.next_deadline(), SimTime::MAX);

@@ -6,9 +6,9 @@
 //!   — two nodes are connected whenever their distance is at most the range
 //!   (30 m in the paper), with a fixed link rate (6 Mbit/s = 750 000 B/s).
 //! * **Contact detection** ([`ContactDetector`]): per-tick diffing of the
-//!   in-range pair set into link-up / link-down events, with naive O(n²) and
-//!   spatial-grid back-ends (tested equal), plus the kinematic
-//!   slack-deadline path the event engines use.
+//!   in-range pair set into link-up / link-down events over a spatial grid
+//!   (tested against the naive O(n²) scan), plus the kinematic
+//!   slack-deadline path the event engine uses.
 //! * **Connections and transfers** ([`LinkTable`], [`Transfer`]): one
 //!   message in flight per connection, one transfer per node at a time
 //!   (half-duplex radio, as ONE models it); a transfer is an immutable
@@ -22,11 +22,10 @@
 //!
 //! ```
 //! use vdtn_geo::Point;
-//! use vdtn_net::{ContactDetector, DetectorBackend, LinkEvent, RadioInterface};
+//! use vdtn_net::{ContactDetector, LinkEvent, RadioInterface};
 //! use vdtn_sim_core::NodeId;
 //!
-//! let mut detector =
-//!     ContactDetector::new(DetectorBackend::Grid, RadioInterface::paper_80211b());
+//! let mut detector = ContactDetector::new(RadioInterface::paper_80211b());
 //! // Two nodes 20 m apart: inside the paper's 30 m radio range.
 //! let events = detector.update(&[Point::new(0.0, 0.0), Point::new(20.0, 0.0)]);
 //! assert_eq!(events, vec![LinkEvent::Up(NodeId(0), NodeId(1))]);
@@ -40,7 +39,7 @@ pub mod interface;
 pub mod link;
 pub mod trace;
 
-pub use contact::{pair_key, ContactDetector, DetectorBackend, LinkEvent, MotionCols};
+pub use contact::{pair_key, ContactDetector, LinkEvent, MotionCols};
 pub use interface::RadioInterface;
 pub use link::{LinkError, LinkTable, Transfer, TransferOutcome};
 pub use trace::ContactTrace;

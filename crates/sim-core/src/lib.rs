@@ -37,7 +37,6 @@
 
 pub mod events;
 pub mod ids;
-pub mod par;
 pub mod rng;
 pub mod statehash;
 pub mod stats;

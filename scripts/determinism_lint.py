@@ -28,6 +28,12 @@ would silently break engine-mode equivalence. Audited sites (e.g. the
 engine's `wall_secs` stopwatch, which only feeds a report field the
 identity checks zero out) use the allowlist identifier `wallclock`.
 
+A third check flags thread creation (`thread::spawn`, `thread::scope`)
+in simulation crates: a run is one serial event engine, and threads may
+only run independent runs side by side. The audited run-level sites (the
+sweep orchestrator's workers and `run_sweep`) use the allowlist
+identifier `threads`.
+
 The allowlist itself is checked: every line must parse as
 `path:identifier  # justification`, name a file that exists, carry a
 non-empty justification, be unique — and actually suppress something. A
@@ -35,11 +41,12 @@ stale entry (its site was removed or rewritten) fails the lint, so the
 audit record can never rot into a blanket waiver.
 
 `--self-test` runs the declaration matching against built-in plain and
-aliased fixtures instead of the tree, so a lint that silently stopped
-seeing hash-table fields fails loudly.
+aliased fixtures, and the thread check against a spawning fixture,
+instead of the tree, so a lint that silently stopped seeing hash-table
+fields or threads fails loudly.
 
-Exit status: 0 clean, 1 on unaudited iteration, wall-clock read, or a
-malformed/stale allowlist (or a failed self-test).
+Exit status: 0 clean, 1 on unaudited iteration, wall-clock read, thread
+creation, or a malformed/stale allowlist (or a failed self-test).
 """
 
 from __future__ import annotations
@@ -145,6 +152,14 @@ def load_allowlist() -> tuple[set[tuple[str, str]], list[str]]:
 
 
 WALLCLOCK_RE = re.compile(r"\b(?:Instant|SystemTime)\s*::\s*now\s*\(")
+THREAD_RE = re.compile(r"\bthread\s*::\s*(?:spawn|scope)\b")
+
+# Site-wide checks for simulation crates (bench is measurement code):
+# (pattern, allowlist identifier, what the failure calls the site).
+SITE_CHECKS = (
+    (WALLCLOCK_RE, "wallclock", "wall-clock read"),
+    (THREAD_RE, "threads", "thread creation"),
+)
 
 
 def scan(
@@ -156,18 +171,19 @@ def scan(
 ) -> None:
     """Lint one file's test-stripped source: record audited sites it hits
     in `used` and unaudited ones in `failures`."""
-    # Wall-clock reads in simulation crates (bench is measurement code).
+    # Wall-clock reads and threads in simulation crates.
     if not rel.startswith("crates/bench/"):
         for i, line in enumerate(src.splitlines(), start=1):
             if line.lstrip().startswith("//"):
                 continue
-            if WALLCLOCK_RE.search(line):
-                if (rel, "wallclock") in allowed:
-                    used.add((rel, "wallclock"))
-                else:
-                    failures.append(
-                        f"{rel}:{i}: wall-clock read in simulation code: {line.strip()}"
-                    )
+            for pattern, ident, what in SITE_CHECKS:
+                if pattern.search(line):
+                    if (rel, ident) in allowed:
+                        used.add((rel, ident))
+                    else:
+                        failures.append(
+                            f"{rel}:{i}: {what} in simulation code: {line.strip()}"
+                        )
     hashy = set()
     for m in decl_re(src).finditer(src):
         hashy.add(m.group(1) or m.group(2))
@@ -215,6 +231,22 @@ FIXTURES = {
     + FIXTURE_BODY.replace("CELLS_TYPE", "Cells"),
 }
 
+# A phase fanning out inside one run: both forms of thread creation must be
+# flagged in a simulation crate, suppressed by a `threads` entry, and
+# ignored in the bench crate and in comments.
+THREAD_FIXTURE = """
+fn phase_movement(movers: &mut [Mover]) {
+    // thread::scope would look like this in a comment
+    std::thread::scope(|s| {
+        for m in movers.iter_mut() {
+            s.spawn(move || m.advance());
+        }
+    });
+    let h = thread::spawn(|| ());
+    h.join().unwrap();
+}
+"""
+
 
 def self_test() -> int:
     errors = []
@@ -229,12 +261,26 @@ def self_test() -> int:
         scan("fixture.rs", src, {entry}, used, failures)
         if failures or used != {entry}:
             errors.append(f"{label}: allowlisted `cells` left {failures}, used {used}")
+    rel = "crates/core/src/fixture.rs"
+    used = set()
+    failures = []
+    scan(rel, THREAD_FIXTURE, set(), used, failures)
+    if len(failures) != 2 or not all("thread creation" in f for f in failures):
+        errors.append(f"threads: expected two unaudited thread sites, got {failures}")
+    failures = []
+    scan(rel, THREAD_FIXTURE, {(rel, "threads")}, used, failures)
+    if failures or used != {(rel, "threads")}:
+        errors.append(f"threads: allowlisted sites left {failures}, used {used}")
+    failures = []
+    scan("crates/bench/src/fixture.rs", THREAD_FIXTURE, set(), set(), failures)
+    if failures:
+        errors.append(f"threads: bench crate flagged {failures}")
     if errors:
         print("determinism lint self-test FAILED:")
         for e in errors:
             print(f"  {e}")
         return 1
-    print(f"determinism lint self-test: ok ({len(FIXTURES)} fixtures)")
+    print(f"determinism lint self-test: ok ({len(FIXTURES) + 1} fixtures)")
     return 0
 
 
@@ -266,13 +312,15 @@ def main() -> int:
             print(f"  {p}")
         status = 1
     if failures:
-        print("determinism lint: unaudited HashMap/HashSet iteration in non-test code:")
+        print("determinism lint: unaudited sites in non-test code:")
         for f in failures:
             print(f"  {f}")
         print(
             "\nEither sort the collected entries before any observable use and add\n"
             f"`<path>:<identifier>  # reason` to {ALLOWLIST.relative_to(ROOT)}, or\n"
-            "switch the container to an order-stable structure (sorted Vec, slab)."
+            "switch the container to an order-stable structure (sorted Vec, slab).\n"
+            "Wall-clock reads and threads belong outside a run; an audited site\n"
+            "is allowlisted as `<path>:wallclock` or `<path>:threads`."
         )
         status = 1
     if status == 0:

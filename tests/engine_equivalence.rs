@@ -7,8 +7,8 @@
 //! contract two ways:
 //!
 //! * deterministic runs covering every routing protocol, relay
-//!   infrastructure (stationary nodes), both detector backends, sampling
-//!   on/off, and a TTL short enough to exercise the expiry path;
+//!   infrastructure (stationary nodes), sampling on/off, and a TTL short
+//!   enough to exercise the expiry path;
 //! * a property test over randomly drawn small scenarios (seed, node
 //!   count, TTL, policy, duration), the satellite requested in the issue;
 //! * transfer-heavy scenarios for the event-time transfer pipeline: slow
@@ -18,15 +18,10 @@
 //!   stationary mesh force simultaneous completions that must resolve in
 //!   pair-key order — deterministic runs plus a dedicated property test;
 //! * a saturated 64-node stationary mesh (every node busy every tick)
-//!   under Epidemic with Lifetime and Random scheduling, in both the
-//!   Ticked-vs-event cases and the thread-count sweep;
-//! * the parallel engine ([`EngineMode::Parallel`]): a fourth column in
-//!   the router × policy matrix, plus a thread-count-invariance sweep
-//!   pinning byte-equal reports and work counters at pool sizes 1, 2, 4
-//!   and 8 — the proof that movement fan-out, shard partitioning and the
-//!   merge rules leak nothing about the worker count into the simulation.
-//!   A 1 500-vehicle fleet in that sweep is large enough for movement to
-//!   actually fan out across the pool.
+//!   under Epidemic with Lifetime and Random scheduling;
+//! * [`EngineMode::Parallel`], an alias of the event engine: a third
+//!   column in the router × policy matrix, plus byte-equal reports and
+//!   work counters against `EventDriven`.
 
 use proptest::prelude::*;
 use vdtn_repro::geo::{GridMapGen, Point};
@@ -37,8 +32,8 @@ use vdtn_repro::vdtn::scenario::{
     MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec,
 };
 use vdtn_repro::vdtn::{
-    DetectorBackend, DropPolicy, MaxPropConfig, PolicyCombo, ProphetConfig, RouterKind,
-    SchedulingPolicy, SimDuration, SimReport,
+    DropPolicy, MaxPropConfig, PolicyCombo, ProphetConfig, RouterKind, SchedulingPolicy,
+    SimDuration, SimReport,
 };
 
 /// Canonical serialisation with the wall clock zeroed: equal strings ⟺
@@ -64,7 +59,6 @@ fn scenario(
     vehicles: usize,
     ttl_mins: u64,
     duration_secs: f64,
-    detector: DetectorBackend,
     sample_period_secs: f64,
 ) -> Scenario {
     Scenario {
@@ -98,7 +92,6 @@ fn scenario(
             },
         ],
         radio: RadioInterface::paper_80211b(),
-        detector,
         traffic: TrafficSpec::paper(SimDuration::from_mins(ttl_mins)),
         router,
         policy,
@@ -135,7 +128,6 @@ fn saturated_mesh(policy: PolicyCombo, seed: u64) -> Scenario {
             is_relay: false,
         }],
         radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec {
             interval_lo: 0.5,
             interval_hi: 1.5,
@@ -145,38 +137,6 @@ fn saturated_mesh(policy: PolicyCombo, seed: u64) -> Scenario {
         },
         router: RouterKind::Epidemic,
         policy,
-        sample_period_secs: 0.0,
-    }
-}
-
-/// The benchmark's city-scale fleet cut to 1 500 vehicles and 300 s: paper
-/// SPMB vehicles on a 39 × 39 grid 150 m apart. `Parallel` hands a tick's
-/// due movers to its pool only when at least 32 are due at once; this is
-/// the one scenario here that reaches that (46 fan-outs at 2 threads).
-fn fan_out_fleet() -> Scenario {
-    let side = 39;
-    Scenario {
-        name: "movement-fan-out".into(),
-        seed: 42,
-        duration_secs: 300.0,
-        tick_secs: 1.0,
-        map: MapSpec::Grid(GridMapGen {
-            cols: side,
-            rows: side,
-            spacing: 150.0,
-        }),
-        groups: vec![NodeGroup {
-            name: "vehicles".into(),
-            count: 1_500,
-            buffer_bytes: 20_000_000,
-            mobility: MobilitySpec::ShortestPathMapBased(SpmbConfig::default()),
-            is_relay: false,
-        }],
-        radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
-        traffic: TrafficSpec::paper(SimDuration::from_mins(30)),
-        router: RouterKind::Epidemic,
-        policy: PolicyCombo::LIFETIME,
         sample_period_secs: 0.0,
     }
 }
@@ -203,7 +163,6 @@ fn every_protocol_is_bit_identical_across_modes() {
                 8,
                 10, // short TTL: messages expire mid-run, exercising TTL events
                 1_500.0,
-                DetectorBackend::Grid,
                 60.0,
             )
         })
@@ -222,11 +181,11 @@ fn every_protocol_is_bit_identical_across_modes() {
 
 /// The acceptance matrix: for **every router × every scheduling policy**,
 /// the candidate-index routing round must be bit-identical across engine
-/// modes. Three runs per combination: Ticked, EventDriven, and the
-/// Parallel engine (2-thread pool) — any divergence in the per-direction
-/// index maintenance (delta application, rank keying, `Never` pruning,
-/// `Random`/discontinuity fallbacks, the insert-count silence key) or in
-/// the parallel engine's sharded phases shows up as a report diff here.
+/// modes. Three runs per combination: Ticked, EventDriven and its
+/// Parallel alias — any divergence in the per-direction index maintenance
+/// (delta application, rank keying, `Never` pruning, `Random`/discontinuity
+/// fallbacks, the insert-count silence key) shows up as a report diff
+/// here.
 /// The index's order itself is checked against a fresh rescan by the
 /// `vdtn_routing::candidates` property tests.
 #[test]
@@ -272,12 +231,11 @@ fn candidate_index_is_bit_identical_for_every_router_and_policy() {
                 6,
                 8, // short TTL: expiry deltas flow mid-run
                 700.0,
-                DetectorBackend::Grid,
                 0.0,
             );
             let ticked = canon(World::build_with_mode(&sc, EngineMode::Ticked).run());
             let event = canon(World::build_with_mode(&sc, EngineMode::EventDriven).run());
-            let parallel = canon(World::build_parallel_with_threads(&sc, 2).run());
+            let parallel = canon(World::build_with_mode(&sc, EngineMode::Parallel).run());
             assert_eq!(ticked, event, "{kind:?} × {sched:?}: engine modes diverged");
             assert_eq!(
                 event, parallel,
@@ -287,18 +245,13 @@ fn candidate_index_is_bit_identical_for_every_router_and_policy() {
     }
 }
 
-/// Thread-count invariance: the parallel engine must produce byte-equal
-/// reports at pool sizes 1, 2, 4 and 8 — and equal to the serial event
-/// engine — on scenarios exercising flooding, utility metrics, quota
-/// routing, RNG-drawing Random scheduling, the saturated mesh and a fleet
-/// large enough for movement fan-out. The shard tiling is fixed from the
-/// initial layout and sharded outputs merge in canonical order, so nothing
-/// about the pool size may leak into a single simulation byte. The work
-/// counters must match too: both engines advance the same movers, run the
-/// same routing round and the same covered-wake elision, which on the
-/// saturated mesh must actually elide wakes.
+/// Ticked = EventDriven = Parallel on reports, and EventDriven = Parallel
+/// on work counters, on scenarios exercising flooding, utility metrics,
+/// quota routing, RNG-drawing Random scheduling and the saturated mesh.
+/// Every started transfer is either woken or elided, and on the saturated
+/// mesh the covered-wake elision must actually elide wakes.
 #[test]
-fn parallel_engine_is_thread_count_invariant() {
+fn parallel_alias_matches_event_engine_reports_and_work() {
     let mut cases: Vec<Scenario> = [
         (RouterKind::Epidemic, PolicyCombo::LIFETIME, 301u64),
         (
@@ -314,22 +267,10 @@ fn parallel_engine_is_thread_count_invariant() {
         ),
     ]
     .into_iter()
-    .map(|(kind, policy, seed)| {
-        scenario(
-            kind,
-            policy,
-            seed,
-            8,
-            12,
-            1_200.0,
-            DetectorBackend::Grid,
-            60.0,
-        )
-    })
+    .map(|(kind, policy, seed)| scenario(kind, policy, seed, 8, 12, 1_200.0, 60.0))
     .collect();
     cases.push(saturated_mesh(PolicyCombo::LIFETIME, 305));
     cases.push(saturated_mesh(PolicyCombo::RANDOM_FIFO, 306));
-    cases.push(fan_out_fleet());
     for sc in &cases {
         let label = format!("{} {:?} × {:?}", sc.name, sc.router, sc.policy);
         let (reference, ref_stats) =
@@ -354,36 +295,16 @@ fn parallel_engine_is_thread_count_invariant() {
             );
         }
         let reference = canon(reference);
-        for threads in [1usize, 2, 4, 8] {
-            let (par, stats) = World::build_parallel_with_threads(sc, threads).run_with_stats();
-            assert_eq!(
-                reference,
-                canon(par),
-                "{label}: report depends on pool size {threads}"
-            );
-            assert_eq!(
-                work(ref_stats),
-                work(stats),
-                "{label}: work counters depend on pool size {threads}"
-            );
-        }
+        let ticked = canon(World::build_with_mode(sc, EngineMode::Ticked).run());
+        assert_eq!(reference, ticked, "{label}: ticked diverged");
+        let (par, stats) = World::build_with_mode(sc, EngineMode::Parallel).run_with_stats();
+        assert_eq!(reference, canon(par), "{label}: parallel diverged");
+        assert_eq!(
+            work(ref_stats),
+            work(stats),
+            "{label}: work counters differ"
+        );
     }
-}
-
-#[test]
-fn naive_detector_backend_is_bit_identical_across_modes() {
-    let sc = scenario(
-        RouterKind::Epidemic,
-        PolicyCombo::FIFO_FIFO,
-        91,
-        6,
-        20,
-        1_200.0,
-        DetectorBackend::Naive,
-        0.0, // sampling off: exercises the no-Sample-event path
-    );
-    let (ticked, event) = both_modes(&sc);
-    assert_eq!(ticked, event);
 }
 
 #[test]
@@ -398,7 +319,6 @@ fn long_quiet_tail_is_skipped_identically() {
         5,
         5,
         3_600.0,
-        DetectorBackend::Grid,
         120.0,
     );
     if let MobilitySpec::ShortestPathMapBased(cfg) = &mut sc.groups[0].mobility {
@@ -425,16 +345,7 @@ fn transfer_heavy_scenario(
     size_hi: u64,
     duration_secs: f64,
 ) -> Scenario {
-    let mut sc = scenario(
-        router,
-        policy,
-        seed,
-        vehicles,
-        30,
-        duration_secs,
-        DetectorBackend::Grid,
-        60.0,
-    );
+    let mut sc = scenario(router, policy, seed, vehicles, 30, duration_secs, 60.0);
     sc.name = "transfer-heavy".into();
     sc.radio = RadioInterface {
         range: 30.0,
@@ -485,7 +396,6 @@ fn simultaneous_completions_resolve_identically() {
         6,
         20,
         1_200.0,
-        DetectorBackend::Grid,
         0.0,
     );
     sc.name = "simultaneous-completions".into();
@@ -534,7 +444,6 @@ proptest! {
             vehicles,
             ttl_mins,
             duration_ticks as f64,
-            DetectorBackend::Grid,
             if sampled { 90.0 } else { 0.0 },
         );
         let (ticked, event) = both_modes(&sc);

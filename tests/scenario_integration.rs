@@ -2,7 +2,7 @@
 
 use vdtn::presets::{mini_scenario, PaperProtocol};
 use vdtn::scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec};
-use vdtn::{DetectorBackend, PolicyCombo, RouterKind, SimDuration, World};
+use vdtn::{PolicyCombo, RouterKind, SimDuration, World};
 use vdtn_geo::GridMapGen;
 use vdtn_mobility::SpmbConfig;
 use vdtn_net::RadioInterface;
@@ -62,20 +62,6 @@ fn json_round_trip_of_scenario_and_report() {
     let rback: vdtn::SimReport = serde_json::from_str(&rjson).unwrap();
     assert_eq!(report.messages.created, rback.messages.created);
     assert_eq!(report.seed, rback.seed);
-}
-
-#[test]
-fn detector_backends_agree_end_to_end() {
-    let mut a = short_mini(PaperProtocol::EpidemicLifetime, 60, 5);
-    a.detector = DetectorBackend::Grid;
-    let mut b = a.clone();
-    b.detector = DetectorBackend::Naive;
-    let ra = World::build(&a).run();
-    let rb = World::build(&b).run();
-    // The backend is an implementation detail: identical physics.
-    assert_eq!(ra.contacts, rb.contacts);
-    assert_eq!(ra.messages.delivered_unique, rb.messages.delivered_unique);
-    assert_eq!(ra.messages.relayed, rb.messages.relayed);
 }
 
 #[test]
@@ -177,7 +163,6 @@ fn grid_map_scenario_with_explicit_relays() {
             },
         ],
         radio: RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec::paper(SimDuration::from_mins(30)),
         router: RouterKind::Epidemic,
         policy: PolicyCombo::LIFETIME,

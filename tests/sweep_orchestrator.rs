@@ -141,7 +141,7 @@ fn points_json(outcome: &vdtn::orchestrator::SweepOutcome) -> String {
     serde_json::to_string(&outcome.points).expect("points serialise")
 }
 
-/// Aggregates are bit-identical whatever the pool size and chunking.
+/// Aggregates are bit-identical whatever the worker count and chunking.
 #[test]
 fn aggregates_bit_identical_at_any_thread_count() {
     let manifest = tiny_manifest();
@@ -171,6 +171,33 @@ fn aggregates_bit_identical_at_any_thread_count() {
             "aggregate diverged at {threads} threads / chunk size {chunk_size}"
         );
     }
+}
+
+/// A worker count far above the chunk count spawns one worker per chunk:
+/// no overflow while sizing chunks, no thread per requested worker, and
+/// the same aggregates as one thread.
+#[test]
+fn unbounded_thread_request_is_capped_at_the_chunk_count() {
+    let manifest = tiny_manifest();
+    let one = run_manifest(
+        &manifest,
+        &SweepOptions {
+            threads: 1,
+            ..SweepOptions::default()
+        },
+    )
+    .expect("tiny sweep runs");
+    let max = run_manifest(
+        &manifest,
+        &SweepOptions {
+            threads: usize::MAX,
+            ..SweepOptions::default()
+        },
+    )
+    .expect("tiny sweep runs");
+    assert_eq!(points_json(&max), points_json(&one));
+    assert_eq!(max.threads, max.chunks);
+    assert!(max.chunks <= max.runs_total);
 }
 
 proptest! {

@@ -11,7 +11,7 @@ use vdtn_repro::vdtn::presets::PaperProtocol;
 use vdtn_repro::vdtn::scenario::TrafficSpec;
 use vdtn_repro::vdtn::sweep::run_sweep;
 use vdtn_repro::vdtn::{
-    DetectorBackend, MapSpec, MobilitySpec, NodeGroup, PolicyCombo, RouterKind, Scenario, World,
+    MapSpec, MobilitySpec, NodeGroup, PolicyCombo, RouterKind, Scenario, World,
 };
 use vdtn_repro::{geo, mobility, net};
 
@@ -36,7 +36,6 @@ fn five_node_scenario(seed: u64) -> Scenario {
             is_relay: false,
         }],
         radio: net::RadioInterface::paper_80211b(),
-        detector: DetectorBackend::Grid,
         traffic: TrafficSpec::paper(SimDuration::from_mins(10)),
         router: RouterKind::Epidemic,
         policy: PolicyCombo::FIFO_FIFO,
