@@ -50,10 +50,10 @@ pub fn engine_scenario(vehicles: usize, duration_secs: f64, seed: u64) -> Scenar
 /// here; what remains is phase 5 — every idle connection asking its routers
 /// for the next message each tick. Traffic is paced so each new message
 /// floods the mesh within a few ticks and the contacts then sit *idle with
-/// full buffers*: the regime the issue targets, where the baseline
-/// re-allocates, re-sorts and rescans every buffer per connection per tick
-/// for nothing, and where the schedule cache, offer cursors and silent-round
-/// memo reduce the whole round to generation checks.
+/// full buffers*: the regime where a naive round re-sorts and rescans every
+/// buffer per connection per tick for nothing, and where the candidate
+/// indexes and silent-round memo reduce the whole round to generation
+/// checks.
 pub fn dense_routing_scenario(
     nodes: usize,
     duration_secs: f64,

@@ -270,7 +270,7 @@ pub struct Buffer {
     expiry: Vec<ExpiryEntry>,
     /// Monotone membership-change counter: bumped on every successful
     /// insert and remove (and therefore on eviction and TTL drain, which go
-    /// through `remove`). [`crate::ScheduleCache`] revalidates against it.
+    /// through `remove`). Routing candidate indexes sync against it.
     /// In-place mutation via [`Buffer::copies_mut`] does *not* bump it —
     /// see `generation()` for the contract.
     generation: u64,

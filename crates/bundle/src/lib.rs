@@ -13,6 +13,13 @@
 //! lifetime scheduling, size-based policies, random drop) are provided for
 //! the ablation benches.
 //!
+//! [`SchedulingPolicy::order`] is the reference ordering. Routers do not
+//! call it per round: the routing layer keeps each contact direction's
+//! candidates in a delta-patched index ranked by the policy, and picks
+//! `Random`'s message with one draw over the accepted candidates. The
+//! buffer's delta log ([`Buffer::watch`], [`Buffer::deltas_since`]) is what
+//! that index is patched from.
+//!
 //! # Example
 //!
 //! ```
@@ -42,12 +49,10 @@ pub mod arena;
 pub mod buffer;
 pub mod message;
 pub mod policy;
-pub mod schedule;
 pub mod traffic;
 
 pub use arena::{MessageArena, MsgHandle, MsgMeta};
 pub use buffer::{Buffer, BufferDelta, BufferError, DeltaKind, RankMeta};
 pub use message::{Message, MessageId};
 pub use policy::{DropPolicy, PolicyCombo, SchedulingPolicy};
-pub use schedule::ScheduleCache;
 pub use traffic::{TrafficConfig, TrafficGenerator};

@@ -45,8 +45,9 @@ impl SchedulingPolicy {
     ///
     /// Every policy except [`SchedulingPolicy::Random`] keys on **immutable**
     /// message fields, so the result is a pure function of the buffer's
-    /// membership state and can be cached across ticks (see
-    /// [`crate::ScheduleCache`]). In particular the lifetime policies sort by
+    /// membership state; the routing layer's per-contact candidate index
+    /// keeps it incrementally and uses this function as its test oracle.
+    /// In particular the lifetime policies sort by
     /// *absolute expiry* rather than remaining TTL: at any fixed `now` the
     /// two keys induce the same ranking over non-expired messages (expiry =
     /// now + remaining), and expired messages — where the saturating

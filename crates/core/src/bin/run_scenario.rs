@@ -39,8 +39,9 @@
 //! continues with `--resume` instead of restarting. Aggregate output is
 //! bit-identical at any `--threads` value and across kill/resume.
 //!
-//! A bad flag or operand, an unreadable input file or invalid JSON prints
-//! one line on stderr and exits with code 2; an output path that cannot be
+//! A bad flag or operand, an unreadable input file, invalid JSON or a
+//! scenario that fails `Scenario::validate` prints one line on stderr and
+//! exits with code 2; an output path that cannot be
 //! written (`--report`, `--snapshot`, `--checkpoint-dir`, `--out`) prints
 //! one line and exits with code 1.
 //!
@@ -201,6 +202,9 @@ fn main() {
             usage(2);
         }
         let scenario: Scenario = read_json(path, "scenario");
+        if let Err(e) = scenario.validate() {
+            usage_error(&format!("invalid scenario {path}: {e}"));
+        }
         let world = World::build_with_mode(&scenario, engine);
         (scenario, world)
     };

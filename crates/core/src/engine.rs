@@ -16,8 +16,11 @@
 //!    the receiving router (which may deliver, store — evicting via its
 //!    drop policy — or reject);
 //! 5. **routing round**: every idle connection asks the endpoint routers
-//!    (alternating initiative per tick) for the next message to send, as
-//!    ordered by the scheduling policy;
+//!    (alternating initiative per tick) for the next message to send: the
+//!    first accepted candidate in the scheduling policy's order, or under
+//!    `Random` one RNG draw over every accepted candidate. A direction
+//!    that answered `None` is not asked again until an input of its
+//!    silence key changes — a `None` round draws no RNG under any policy;
 //! 6. **TTL sweep**: expired messages leave the buffers;
 //! 7. **sampling**: optional time-series collectors.
 //!
@@ -197,8 +200,8 @@ pub struct World {
     links: LinkTable,
     traffic: TrafficGenerator,
     /// Per-connection offer state: ids already offered during the contact
-    /// (TTL-pruned so long contacts stay bounded), the per-direction resume
-    /// cursors into the cached schedule orders, and the per-direction
+    /// (TTL-pruned so long contacts stay bounded), the per-direction
+    /// candidate indexes and silence memos, and the per-direction
     /// payload-byte counters (`[lower id, higher id]` of the pair key).
     /// Indexed by the connection's [`LinkTable`] slot handle, so lookups are
     /// a vector index and the table's length is bounded by *peak
@@ -255,8 +258,13 @@ impl World {
     /// modes produce bit-identical reports; `Ticked` exists as the equivalence
     /// reference and for pathological scenarios where nothing is ever
     /// quiescent (see ARCHITECTURE.md).
+    ///
+    /// Panics with the [`ScenarioError`](crate::scenario::ScenarioError)
+    /// message if the scenario fails [`Scenario::validate`].
     pub fn build_with_mode(scenario: &Scenario, mode: EngineMode) -> World {
-        scenario.validate();
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
         let root = SimRng::seed_from_u64(scenario.seed);
         let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
         assert!(
@@ -633,9 +641,8 @@ impl World {
         // Phase 4: transfer progress.
         self.phase_transfers();
 
-        // Phase 5: routing round. Every tick executes here, so the quiet
-        // verdict has no wake to answer.
-        self.phase_routing_tracked();
+        // Phase 5: routing round.
+        self.phase_routing();
 
         // Phase 6: TTL sweep.
         for i in 0..self.states.len() {
@@ -720,16 +727,14 @@ impl World {
         }
 
         // Phases 4 + 5: transfers and routing exist only on open contacts.
-        // The routing round reports whether it ended **provably quiet** —
-        // every pair still idle after the round had both directions
-        // answered `None` and memoised under its current silence key, with
-        // no RNG-drawing direction left — which pre-answers the `LinkRound`
+        // The routing round ends **provably quiet** — every pair still idle
+        // after it had both directions answer `None` and memoised under
+        // their current silence keys — which pre-answers the `LinkRound`
         // re-arm below without a second pass over the idle pairs. With no
         // open contacts the round is vacuously quiet.
-        let mut round_quiet = true;
         if self.links.connection_count() > 0 {
             self.phase_transfers();
-            round_quiet = self.phase_routing_tracked();
+            self.phase_routing();
         }
 
         // Phase 6: TTL — only buffers whose scheduled expiry wake is due;
@@ -764,19 +769,12 @@ impl World {
         // and every state change that could flip a silent verdict (traffic,
         // contact churn, completions, TTL expiry, deliveries) happens
         // inside an executed tick, where this re-arm is re-evaluated. The
-        // routing round answers this for free in *both* directions (unless
-        // TTL work ran after it and may have moved a silence-key input):
-        // quiet means every idle direction is memoised silent (the sweep
-        // would conclude false), loud means some idle RNG-drawing direction
-        // remains (the sweep would conclude true on reaching it) — so the
-        // verdict *is* `routing_work_possible()` and the sweep is skipped
-        // on every non-TTL executed tick.
-        let work_possible = if !ttl_ran {
-            debug_assert_eq!(!round_quiet, self.routing_work_possible());
-            !round_quiet
-        } else {
-            self.routing_work_possible()
-        };
+        // routing round already answered this (unless TTL work ran after
+        // it and may have moved a silence-key input): it left every idle
+        // direction memoised silent, so the sweep would conclude false and
+        // is skipped on every non-TTL executed tick.
+        debug_assert!(ttl_ran || !self.routing_work_possible());
+        let work_possible = ttl_ran && self.routing_work_possible();
         if !self.link_round_scheduled && work_possible {
             self.link_round_scheduled = true;
             self.events
@@ -845,11 +843,10 @@ impl World {
     }
 
     /// True if next tick's routing round could do anything at all: some
-    /// idle connection has a direction whose router draws RNG per round
-    /// (never skippable) or whose last `None` verdict is stale under the
-    /// current [`vdtn_routing::offers::SilenceKey`] inputs. When this is
-    /// false, phase 5 next tick is provably the empty round the ticked
-    /// reference would also execute — `try_start_transfer` would
+    /// idle connection has a direction whose last `None` verdict is stale
+    /// under the current [`vdtn_routing::offers::SilenceKey`] inputs. When
+    /// this is false, phase 5 next tick is provably the empty round the
+    /// ticked reference would also execute — `try_start_transfer` would
     /// short-circuit every direction without touching state or RNG — so no
     /// `LinkRound` wake is needed (the silent-round memo re-arms through
     /// here as soon as a completion frees a busy endpoint or any generation
@@ -863,10 +860,6 @@ impl World {
                 return true; // conservative: unknown state ⇒ wake
             };
             for (from, to, side) in [(a, b, 0usize), (b, a, 1usize)] {
-                let rf = &self.routers[from.index()];
-                if rf.next_transfer_draws_rng() {
-                    return true;
-                }
                 let key = self.silence_key(from, to);
                 if !contact.is_silent(side, &key) {
                     return true;
@@ -946,22 +939,16 @@ impl World {
     /// Phase 5: routing round over idle connections, in canonical pair
     /// order. Initiative alternates per tick so neither endpoint of a long
     /// contact monopolises the link. `try_start_transfer` short-circuits
-    /// silent directions and memoises fresh `None` verdicts, so a
-    /// non-started pair ends either memoised silent or holding an
-    /// RNG-drawing direction (collected, then re-checked for idleness after
-    /// the round — a later pair's transfer can seize one of its endpoints).
-    ///
-    /// Returns **true iff the round ended provably quiet**: every pair left
-    /// idle had both directions answer `None` under their current silence
-    /// keys, and none of them draws RNG — exactly the conditions under
-    /// which [`World::routing_work_possible`] would walk every idle pair
-    /// only to conclude `false`. Busy pairs need no accounting: the idle
-    /// set can only shrink during a round, and a pair freed by a later
-    /// completion is re-examined on that completion's executed tick.
-    fn phase_routing_tracked(&mut self) -> bool {
-        let pairs = self.links.idle_contacts();
-        let mut rng_declined: Vec<(NodeId, NodeId)> = Vec::new();
-        for (a, b, slot) in pairs {
+    /// silent directions and memoises fresh `None` verdicts, so the round
+    /// ends **provably quiet**: every pair left idle had both directions
+    /// answer `None` under their current silence keys — exactly the
+    /// condition under which [`World::routing_work_possible`] would walk
+    /// every idle pair only to conclude `false`. Busy pairs need no
+    /// accounting: the idle set can only shrink during a round, and a pair
+    /// freed by a later completion is re-examined on that completion's
+    /// executed tick.
+    fn phase_routing(&mut self) {
+        for (a, b, slot) in self.links.idle_contacts() {
             if self.links.is_busy(a) || self.links.is_busy(b) {
                 continue; // became busy earlier in this round
             }
@@ -970,18 +957,10 @@ impl World {
             } else {
                 (b, a)
             };
-            let started = self.try_start_transfer(first, second, slot)
-                || self.try_start_transfer(second, first, slot);
-            if !started
-                && (self.routers[first.index()].next_transfer_draws_rng()
-                    || self.routers[second.index()].next_transfer_draws_rng())
-            {
-                rng_declined.push((a, b));
+            if !self.try_start_transfer(first, second, slot) {
+                self.try_start_transfer(second, first, slot);
             }
         }
-        !rng_declined
-            .iter()
-            .any(|&(a, b)| !self.links.is_busy(a) && !self.links.is_busy(b))
     }
 
     /// Phase 6 for one node: expire due messages and run router
@@ -1000,9 +979,7 @@ impl World {
             // Prune this node's per-contact offer sets so they stay bounded
             // by live traffic over arbitrarily long contacts. Behaviour-
             // neutral (ids are never reused and expired messages are never
-            // re-offered), and cursor-safe: the drain above bumped this
-            // buffer's generation, so any cursor into a stale order rewinds
-            // at its next scan. O(degree) via the adjacency mirror.
+            // re-offered). O(degree) via the adjacency mirror.
             let node = NodeId(i as u32);
             let arena = self.states[i].buffer.arena().clone();
             for &(_, slot) in self.links.neighbors(node) {
@@ -1193,8 +1170,8 @@ impl World {
         let key = pair_key(from, to);
         let side = usize::from(from.0 != key.0);
         // Single slot index serves the whole call: the router scans through
-        // a directional view (offered set + this direction's resume cursor)
-        // and a successful offer is recorded on the same borrow.
+        // a directional view (offered set + this direction's candidate
+        // index) and a successful offer is recorded on the same borrow.
         let contact = self.contacts[slot as usize]
             .as_mut()
             .expect("routing round only visits live connections");
@@ -1204,9 +1181,10 @@ impl World {
         // exactly this state snapshot, re-asking is provably futile (see
         // `SilenceKey` — the sender buffer contributes its insert count, so
         // sender-side removals keep the memo); skipping the scan is
-        // bit-identical as long as the router draws no RNG in
-        // `next_transfer`. Same inputs as `silence_key()` (inlined here
-        // because the routers are already split-borrowed).
+        // bit-identical because a `None` round draws no RNG (`Random`
+        // scheduling draws only once something is accepted). Same inputs
+        // as `silence_key()` (inlined here because the routers are already
+        // split-borrowed).
         let silence_key = [
             self.states[from.index()].buffer.insert_count(),
             rf.routing_generation(),
@@ -1214,8 +1192,7 @@ impl World {
             rt.routing_generation(),
             self.states[to.index()].delivered.len() as u64,
         ];
-        let cacheable = !rf.next_transfer_draws_rng();
-        if cacheable && contact.is_silent(side, &silence_key) {
+        if contact.is_silent(side, &silence_key) {
             return false;
         }
 
@@ -1251,9 +1228,7 @@ impl World {
                 true
             }
             None => {
-                if cacheable {
-                    contact.set_silent(side, silence_key);
-                }
+                contact.set_silent(side, silence_key);
                 false
             }
         }
@@ -1299,7 +1274,7 @@ impl World {
     /// traffic stream, the contact trace, and the report counters. It deliberately excludes
     /// everything call-pattern-dependent: mover clock/position anchors,
     /// the raw kinematics columns (never refreshed between boundaries
-    /// under `Ticked`), silence memos, cursors, candidate indexes, the
+    /// under `Ticked`), silence memos, candidate indexes, the
     /// event queue, `wall_secs`, and [`EngineStats`].
     ///
     /// Must be sampled between ticks (never mid-phase). The CI drift
@@ -1475,7 +1450,7 @@ impl World {
     /// state and rebuild the caches conservatively — the detector re-primes
     /// on the restored layout, the event queue is re-seeded with
     /// conservative wake-ups (stale wake-ups are harmless by the engine's
-    /// events-are-markers discipline), and silence memos/cursors/candidate
+    /// events-are-markers discipline), and silence memos and candidate
     /// indexes start cold and rebuild on first use.
     ///
     /// Panics if the restored world's [`World::state_hash`] does not
@@ -1856,9 +1831,10 @@ mod tests {
 
     #[test]
     fn parallel_mode_handles_random_scheduling_deferred_pairs() {
-        // Random scheduling draws RNG per round, so no direction is ever
-        // memoised silent and every round is loud — the `Parallel` alias
-        // must still match the ticked reference.
+        // Random scheduling draws RNG only in rounds that accept a
+        // candidate, so its silent directions join the memo and the event
+        // engine skips their ticks — the `Parallel` alias must still match
+        // the ticked reference draw for draw.
         let scenario = small(RouterKind::Epidemic, PolicyCombo::RANDOM_FIFO, 9);
         let reference = canon(World::build_with_mode(&scenario, EngineMode::Ticked).run());
         let par = World::build_with_mode(&scenario, EngineMode::Parallel).run();

@@ -56,7 +56,7 @@ pub use orchestrator::{
     SweepOptions, SweepOutcome,
 };
 pub use report::{DropCause, MessageStats, SimReport};
-pub use scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario};
+pub use scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, ScenarioError};
 pub use snapshot::{
     load_snapshot, save_snapshot, scenario_fingerprint, SnapshotHeader, WorldSnapshot,
 };

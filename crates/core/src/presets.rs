@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn paper_scenario_matches_section_iii() {
         let s = paper_scenario(PaperProtocol::EpidemicFifo, 60, 1);
-        s.validate();
+        assert_eq!(s.validate(), Ok(()));
         assert_eq!(s.duration_secs, 43_200.0);
         assert_eq!(s.node_count(), 45);
         assert_eq!(s.groups[0].count, 40);
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn mini_scenario_validates_and_is_small() {
         let s = mini_scenario(PaperProtocol::EpidemicLifetime, 60, 3);
-        s.validate();
+        assert_eq!(s.validate(), Ok(()));
         assert!(s.node_count() < 20);
         assert!(s.duration_secs <= 3_600.0);
     }

@@ -1,10 +1,12 @@
 //! Scenario descriptions: everything needed to reproduce a run.
 //!
 //! A [`Scenario`] is plain serialisable data (JSON via serde) so experiments
-//! can be stored next to their results. `Scenario::validate` catches
-//! configuration nonsense before the engine ever runs.
+//! can be stored next to their results. [`Scenario::validate`] catches
+//! configuration nonsense before the engine ever runs and names it with a
+//! [`ScenarioError`].
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use vdtn_bundle::PolicyCombo;
 use vdtn_geo::{GridMapGen, Point, RoadGraph, SyntheticCityGen};
 use vdtn_mobility::SpmbConfig;
@@ -137,15 +139,22 @@ impl Scenario {
         self.groups.iter().map(|g| g.count).sum()
     }
 
-    /// Panic with a descriptive message if the configuration is invalid.
-    pub fn validate(&self) {
-        assert!(self.duration_secs > 0.0, "duration must be positive");
-        assert!(self.tick_secs > 0.0, "tick must be positive");
-        assert!(
-            self.tick_secs <= self.duration_secs,
-            "tick longer than the run"
-        );
-        assert!(!self.groups.is_empty(), "no node groups");
+    /// Check the scenario's own rules, returning the first one broken. The
+    /// radio and SPMB configurations it embeds still panic on their own
+    /// invalid values.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        if self.duration_secs.is_nan() || self.duration_secs <= 0.0 {
+            return Err(ScenarioError::Duration(self.duration_secs));
+        }
+        if self.tick_secs.is_nan() || self.tick_secs <= 0.0 {
+            return Err(ScenarioError::Tick(self.tick_secs));
+        }
+        if self.tick_secs > self.duration_secs {
+            return Err(ScenarioError::TickLongerThanRun);
+        }
+        if self.groups.is_empty() {
+            return Err(ScenarioError::NoGroups);
+        }
         self.radio.validate();
         let traffic_nodes: usize = self
             .groups
@@ -153,27 +162,73 @@ impl Scenario {
             .filter(|g| !g.is_relay)
             .map(|g| g.count)
             .sum();
-        assert!(
-            traffic_nodes >= 2,
-            "need at least two non-relay nodes for traffic"
-        );
-        assert!(
-            self.traffic.interval_lo > 0.0 && self.traffic.interval_hi >= self.traffic.interval_lo,
-            "invalid traffic interval"
-        );
-        assert!(
-            self.traffic.size_lo > 0 && self.traffic.size_hi >= self.traffic.size_lo,
-            "invalid traffic sizes"
-        );
+        if traffic_nodes < 2 {
+            return Err(ScenarioError::TrafficNodes(traffic_nodes));
+        }
+        let t = &self.traffic;
+        if !(t.interval_lo > 0.0 && t.interval_hi >= t.interval_lo) {
+            return Err(ScenarioError::TrafficInterval);
+        }
+        if !(t.size_lo > 0 && t.size_hi >= t.size_lo) {
+            return Err(ScenarioError::TrafficSizes);
+        }
         for g in &self.groups {
-            assert!(g.count > 0, "empty group '{}'", g.name);
-            assert!(g.buffer_bytes > 0, "zero buffer in group '{}'", g.name);
+            if g.count == 0 {
+                return Err(ScenarioError::EmptyGroup(g.name.clone()));
+            }
+            if g.buffer_bytes == 0 {
+                return Err(ScenarioError::ZeroBuffer(g.name.clone()));
+            }
             if let MobilitySpec::ShortestPathMapBased(cfg) = &g.mobility {
                 cfg.validate();
             }
         }
+        Ok(())
     }
 }
+
+/// The scenario rule [`Scenario::validate`] found broken.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioError {
+    /// `duration_secs` is not positive.
+    Duration(f64),
+    /// `tick_secs` is not positive.
+    Tick(f64),
+    /// `tick_secs` exceeds `duration_secs`.
+    TickLongerThanRun,
+    /// `groups` is empty.
+    NoGroups,
+    /// Fewer than two non-relay nodes can exchange traffic.
+    TrafficNodes(usize),
+    /// The traffic interval range is empty or not positive.
+    TrafficInterval,
+    /// The traffic size range is empty or zero.
+    TrafficSizes,
+    /// The named group has no nodes.
+    EmptyGroup(String),
+    /// The named group has a zero-byte buffer.
+    ZeroBuffer(String),
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::Duration(x) => write!(f, "duration must be positive, got {x}"),
+            ScenarioError::Tick(x) => write!(f, "tick must be positive, got {x}"),
+            ScenarioError::TickLongerThanRun => write!(f, "tick longer than the run"),
+            ScenarioError::NoGroups => write!(f, "no node groups"),
+            ScenarioError::TrafficNodes(n) => {
+                write!(f, "need at least two non-relay nodes for traffic, got {n}")
+            }
+            ScenarioError::TrafficInterval => write!(f, "invalid traffic interval"),
+            ScenarioError::TrafficSizes => write!(f, "invalid traffic sizes"),
+            ScenarioError::EmptyGroup(name) => write!(f, "empty group '{name}'"),
+            ScenarioError::ZeroBuffer(name) => write!(f, "zero buffer in group '{name}'"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 /// Pick `count` relay positions: highest-degree vertices, greedily enforcing
 /// a minimum spread of a quarter of the map diagonal (relaxed geometrically
@@ -245,7 +300,7 @@ mod tests {
 
     #[test]
     fn minimal_scenario_validates() {
-        minimal().validate();
+        assert_eq!(minimal().validate(), Ok(()));
         assert_eq!(minimal().node_count(), 4);
     }
 
@@ -254,7 +309,9 @@ mod tests {
     fn rejects_relay_only_traffic() {
         let mut s = minimal();
         s.groups[0].is_relay = true;
-        s.validate();
+        assert_eq!(s.validate(), Err(ScenarioError::TrafficNodes(0)));
+        // The message `World::build` panics with.
+        panic!("{}", s.validate().unwrap_err());
     }
 
     #[test]
@@ -262,7 +319,30 @@ mod tests {
     fn rejects_zero_duration() {
         let mut s = minimal();
         s.duration_secs = 0.0;
-        s.validate();
+        assert_eq!(s.validate(), Err(ScenarioError::Duration(0.0)));
+        // The message `World::build` panics with.
+        panic!("{}", s.validate().unwrap_err());
+    }
+
+    #[test]
+    fn rejects_bad_clock_values_with_typed_errors() {
+        let mut s = minimal();
+        s.duration_secs = -5.0;
+        assert_eq!(s.validate(), Err(ScenarioError::Duration(-5.0)));
+        s.duration_secs = f64::NAN;
+        assert!(matches!(s.validate(), Err(ScenarioError::Duration(_))));
+        let mut s = minimal();
+        s.tick_secs = 0.0;
+        assert_eq!(s.validate(), Err(ScenarioError::Tick(0.0)));
+        s.tick_secs = s.duration_secs + 1.0;
+        assert_eq!(s.validate(), Err(ScenarioError::TickLongerThanRun));
+        let mut s = minimal();
+        s.groups[0].buffer_bytes = 0;
+        let err = s.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("zero buffer in group '{}'", s.groups[0].name)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! sets, router protocol state, RNG stream positions, mover trajectories,
 //! the traffic generator mid-stream, live links with their in-flight
 //! transfers and per-contact offer state, and the contact trace. Caches —
-//! silence memos, schedule cursors, candidate indexes, router digest
+//! silence memos, candidate indexes, router digest
 //! caches, the event queue — are deliberately *not* captured: they rebuild
 //! conservatively at restore, degrading to rescans, never to wrong answers
 //! (the same "events are markers, not obligations" discipline the engine

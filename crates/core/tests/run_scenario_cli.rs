@@ -41,6 +41,12 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let manifest = SweepManifest::paper("cli", &[PaperProtocol::EpidemicFifo], &[60], &[1]);
     let sweep = write("sweep.json", &serde_json::to_string(&manifest).unwrap());
     let bad = write("bad.json", "{\"name\": ");
+    let mut negative = scenario.clone();
+    negative.duration_secs = -5.0;
+    let negative = write("negative.json", &serde_json::to_string(&negative).unwrap());
+    let mut no_tick = scenario.clone();
+    no_tick.tick_secs = 0.0;
+    let no_tick = write("no_tick.json", &serde_json::to_string(&no_tick).unwrap());
     let missing = dir.join("missing.json").to_str().unwrap().to_string();
     let snap = dir.join("out.snap").to_str().unwrap().to_string();
     assert!(!Path::new(&missing).exists());
@@ -60,6 +66,8 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![g, "--engine", "warp"],
         vec![&missing],
         vec![&bad],
+        vec![&negative],
+        vec![&no_tick],
         vec!["--restore", &missing],
         vec!["--sweep", &missing],
         vec!["--sweep", &bad],

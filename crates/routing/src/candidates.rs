@@ -1,11 +1,11 @@
 //! Delta-maintained per-direction routing candidate index.
 //!
-//! The PR 3 offer cursors made the *offered prefix* of a schedule order
-//! cheap to skip, but a direction still rescanned its whole cached order
-//! whenever the **peer's** buffer changed — on a saturated dense mesh that
-//! rescan (mostly `peer.knows` hash hits) was the last super-constant cost
-//! per membership change. [`CandidateIndex`] removes it: each direction of a
-//! contact keeps the *set of messages still worth offering* —
+//! A routing round asks the sender's scheduling policy for the first
+//! message the peer should get. Re-deriving that from the whole buffer on
+//! every round (re-sorting it, re-checking every already-offered or
+//! peer-known message) is the dominant cost of a saturated dense mesh.
+//! [`CandidateIndex`] removes it: each direction of a contact keeps the
+//! *set of messages still worth offering* —
 //!
 //! ```text
 //! candidates(from → to) ⊇ { m ∈ from.buffer :
@@ -25,8 +25,8 @@
 //! size, creation time, stored hop count) and `seq` is the sender buffer's
 //! insertion sequence number, which encodes reception order. Lexicographic
 //! `(rank, seq)` order is therefore exactly the stable sort
-//! [`SchedulingPolicy::order`] performs — bit-identical scan results, not
-//! just statistically equal ones.
+//! [`SchedulingPolicy::order`] performs for every deterministic policy —
+//! bit-identical scan results, not just statistically equal ones.
 //!
 //! Since the arena refactor the index is **three parallel sorted columns
 //! and nothing else** — `rank: u64`, `seq: u32`, arena handle: `u32`, 16
@@ -52,23 +52,35 @@
 //! (e.g. a peer eviction replays as a receiver `Remove` delta and re-admits
 //! the id).
 //!
-//! # Fallbacks
+//! # Random scheduling
 //!
-//! * [`SchedulingPolicy::Random`] re-draws its permutation (and RNG stream)
-//!   per call by contract, so it never uses the index — routers fall back
-//!   to the full-rescan path (`ScheduleCache` + cursor-less scan), keeping
-//!   the RNG stream bit-identical to the uncached engine.
-//! * A generation discontinuity — consumer older than the delta ring,
-//!   unwatched buffer, or a fresh contact — rebuilds the index from the
-//!   sender's buffer in one O(B log B) pass, exactly what the first scan of
-//!   a contact always cost.
+//! [`SchedulingPolicy::Random`] ranks every entry `0`, so its index is in
+//! reception order, like FIFO's. Its scan ([`CandidateIndex::draw`]) visits
+//! every entry, prunes [`Verdict::Never`] entries as the deterministic scan
+//! does, and then makes **one** `rng.index(|accepted|)` draw over the
+//! accepted entries in `(rank, seq)` order — and no draw when nothing is
+//! accepted. The first accepted message of a uniform shuffle of the buffer
+//! is uniform over the accepted set, and so is this draw, so the policy's
+//! distribution is the paper's "random order, re-drawn per contact".
+//! Stale entries are pruned by the verdict before the draw, so the accepted
+//! set (and with it the RNG use) never depends on cache state: a restored
+//! world, whose indexes start cold, draws exactly as the uninterrupted run.
+//! A round that accepts nothing draws nothing, so Random directions join
+//! the engine's silent-round memo like every other policy.
+//!
+//! # Rebuilds
+//!
+//! A generation discontinuity — consumer older than the delta ring,
+//! unwatched buffer, or a fresh contact — rebuilds the index from the
+//! sender's buffer in one O(B log B) pass, exactly what the first scan of a
+//! contact always cost.
 
 use crate::offers::OfferedSet;
 use crate::state::NodeState;
 use vdtn_bundle::{
-    Buffer, DeltaKind, MessageArena, MessageId, MsgHandle, RankMeta, ScheduleCache,
-    SchedulingPolicy,
+    Buffer, DeltaKind, MessageArena, MessageId, MsgHandle, RankMeta, SchedulingPolicy,
 };
+use vdtn_sim_core::SimRng;
 
 /// A router's verdict on one candidate during a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,10 +105,8 @@ pub enum Verdict {
 /// equals the policy's stable sort over reception order.
 fn rank_key(policy: SchedulingPolicy, m: &RankMeta) -> u64 {
     match policy {
-        SchedulingPolicy::Fifo => 0, // seq (reception order) decides alone
-        SchedulingPolicy::Random => {
-            unreachable!("Random scheduling uses the full-rescan fallback")
-        }
+        // seq (reception order) decides alone; Random draws over it.
+        SchedulingPolicy::Fifo | SchedulingPolicy::Random => 0,
         SchedulingPolicy::LifetimeDesc => u64::MAX - m.expiry.as_millis(),
         SchedulingPolicy::LifetimeAsc => m.expiry.as_millis(),
         SchedulingPolicy::SmallestFirst => m.size,
@@ -323,16 +333,51 @@ impl CandidateIndex {
     pub fn scan(
         &mut self,
         arena: &MessageArena,
-        mut eligible: impl FnMut(MessageId) -> Verdict,
+        eligible: impl FnMut(MessageId) -> Verdict,
     ) -> Option<MessageId> {
         let mut found = None;
+        self.walk(arena, eligible, |id| {
+            found = Some(id);
+            true
+        });
+        found
+    }
+
+    /// The [`SchedulingPolicy::Random`] scan: judge **every** candidate,
+    /// pruning [`Verdict::Never`] entries, then pick one accepted id with a
+    /// single `rng` draw — none when nothing is accepted (see the
+    /// [module docs](self)).
+    pub fn draw(
+        &mut self,
+        arena: &MessageArena,
+        rng: &mut SimRng,
+        eligible: impl FnMut(MessageId) -> Verdict,
+    ) -> Option<MessageId> {
+        let mut accepted = Vec::new();
+        self.walk(arena, eligible, |id| {
+            accepted.push(id);
+            false
+        });
+        (!accepted.is_empty()).then(|| *rng.choose(&accepted))
+    }
+
+    /// Visit the candidates in rank order, handing each accepted id to
+    /// `on_accept` (which returns `true` to stop the walk) and pruning
+    /// [`Verdict::Never`] entries.
+    fn walk(
+        &mut self,
+        arena: &MessageArena,
+        mut eligible: impl FnMut(MessageId) -> Verdict,
+        mut on_accept: impl FnMut(MessageId) -> bool,
+    ) {
         let mut dead: Vec<usize> = Vec::new();
         for (pos, &h) in self.handles.iter().enumerate() {
             let id = arena.resolve(MsgHandle(h)).id;
             match eligible(id) {
                 Verdict::Accept => {
-                    found = Some(id);
-                    break;
+                    if on_accept(id) {
+                        break;
+                    }
                 }
                 Verdict::Never => dead.push(pos),
                 Verdict::NotNow => {}
@@ -343,37 +388,6 @@ impl CandidateIndex {
         for &pos in dead.iter().rev() {
             self.remove_at(pos);
         }
-        found
-    }
-}
-
-/// A policy-driven router's order source: the per-direction candidate
-/// index for every deterministic scheduling policy, and the cursor-rescan
-/// [`ScheduleCache`] as the `Random` fallback (untouched otherwise).
-#[derive(Debug, Clone, Default)]
-pub struct CandidateSource {
-    /// The full-rescan cache, handed to the crate-internal `scan_policy`
-    /// dispatcher through the accessor below.
-    cache: ScheduleCache,
-}
-
-impl CandidateSource {
-    /// A source with an empty fallback cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cache backing the full-rescan path.
-    pub(crate) fn cache_mut(&mut self) -> &mut ScheduleCache {
-        &mut self.cache
-    }
-
-    /// True when this source patches per-direction candidate indexes from
-    /// buffer deltas under `scheduling` — the single definition behind
-    /// every policy router's `Router::wants_buffer_deltas` and the
-    /// condition for the scan dispatcher taking the index path.
-    pub fn wants_deltas(&self, scheduling: SchedulingPolicy) -> bool {
-        scheduling != SchedulingPolicy::Random
     }
 }
 
@@ -572,17 +586,65 @@ mod tests {
         assert_eq!(index.ids_in_rank_order(sender.arena())[0], MessageId(1));
     }
 
+    /// The Random scan judges every entry, prunes `Never`, makes exactly
+    /// one draw per pick (none when nothing is accepted), and picks each
+    /// accepted id uniformly.
     #[test]
-    fn source_backend_dispatch() {
-        // Every deterministic policy takes the index; `Random` alone falls
-        // back to the cursor rescan.
-        let source = CandidateSource::new();
-        for policy in proptests::POLICIES {
-            assert_eq!(
-                source.wants_deltas(policy),
-                policy != SchedulingPolicy::Random
-            );
+    fn random_draw_is_one_uniform_pick_over_the_accepted_set() {
+        let mut sender = Buffer::new(100_000);
+        let recv = NodeState::new(NodeId(2), 100_000, false);
+        let offered = OfferedSet::new();
+        let mut index = CandidateIndex::new();
+        for id in 1..=8u64 {
+            sender.insert(msg(id, 100, 0.0, 60)).unwrap();
         }
+        index.sync(SchedulingPolicy::Random, &sender, &recv, &offered);
+        let verdict = |id: MessageId| match id.0 {
+            1 | 5 => Verdict::Never,
+            2 | 6 => Verdict::NotNow,
+            _ => Verdict::Accept,
+        };
+        let mut rng = vdtn_sim_core::SimRng::seed_from_u64(5);
+
+        // Nothing accepted: no pick, no draw.
+        let before = rng.state_words();
+        let got = index.draw(sender.arena(), &mut rng, |id| match verdict(id) {
+            Verdict::Accept => Verdict::NotNow,
+            v => v,
+        });
+        assert_eq!(got, None);
+        assert_eq!(
+            rng.state_words(),
+            before,
+            "an empty accepted set draws nothing"
+        );
+        assert_eq!(
+            index.ids_in_rank_order(sender.arena()),
+            [2, 3, 4, 6, 7, 8].map(MessageId),
+            "Never entries pruned, reception order kept"
+        );
+
+        // Accepted set {3, 4, 7, 8} in (rank, seq) order: each pick is
+        // `accepted[twin.index(4)]` with the twin lane in lockstep.
+        let accepted = [3, 4, 7, 8].map(MessageId);
+        let mut twin = rng.clone();
+        const PICKS: usize = 20_000;
+        let mut counts = [0usize; 4];
+        for _ in 0..PICKS {
+            let got = index.draw(sender.arena(), &mut rng, verdict);
+            let k = twin.index(accepted.len());
+            assert_eq!(got, Some(accepted[k]));
+            assert_eq!(rng.state_words(), twin.state_words(), "one draw per pick");
+            counts[k] += 1;
+        }
+        // Pearson chi-square against uniform, 3 degrees of freedom: 16.27
+        // is the 0.999 quantile.
+        let expected = PICKS as f64 / accepted.len() as f64;
+        let chi2: f64 = counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(chi2 < 16.27, "counts {counts:?} give chi-square {chi2}");
     }
 }
 
@@ -593,9 +655,8 @@ mod proptests {
     use vdtn_bundle::Message;
     use vdtn_sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
-    /// All seven scheduling policies; `Random` exercises the fallback
-    /// contract instead of the index.
-    pub(super) const POLICIES: [SchedulingPolicy; 7] = [
+    /// All seven scheduling policies.
+    const POLICIES: [SchedulingPolicy; 7] = [
         SchedulingPolicy::Fifo,
         SchedulingPolicy::Random,
         SchedulingPolicy::LifetimeDesc,
@@ -610,10 +671,10 @@ mod proptests {
         /// TTL expiries, peer-buffer churn, offered records, destination
         /// consumption and index/generation resets, the index's rank order
         /// equals a fresh `SchedulingPolicy::order` rescan (restricted to
-        /// live candidates) for every policy, at every step. `Random` — the
-        /// fallback policy — instead checks the index is bypassed by
-        /// asserting the fresh order is a permutation (its order is drawn
-        /// per call by contract and covered by the `ScheduleCache` suite).
+        /// live candidates) for every deterministic policy, at every step.
+        /// `Random` ranks every entry `0`, so its index must hold the
+        /// candidates in reception order, and its draw's accepted set must
+        /// equal the candidates of a fresh `Random` rescan.
         #[test]
         fn index_order_matches_fresh_rescan(
             policy_idx in 0usize..POLICIES.len(),
@@ -681,28 +742,48 @@ mod proptests {
                         index.reset();
                     }
                 }
-                if policy == SchedulingPolicy::Random {
-                    let fresh = policy.order(&sender, now, &mut rng);
-                    let mut sorted: Vec<u64> = fresh.iter().map(|m| m.0).collect();
-                    sorted.sort_unstable();
-                    let mut expected: Vec<u64> = sender.ids_in_order().map(|m| m.0).collect();
-                    expected.sort_unstable();
-                    prop_assert_eq!(sorted, expected, "Random stays a permutation");
-                    continue;
-                }
                 index.sync(policy, &sender, &recv, &offered);
-                // A real scan prunes peer-known entries via `Never`.
-                index.scan(sender.arena(), |id| {
-                    if recv.knows(id) {
-                        Verdict::Never
-                    } else {
-                        Verdict::NotNow
-                    }
-                });
-                let expected: Vec<MessageId> = policy
+                let live = |id: &MessageId| !offered.contains(*id) && !recv.knows(*id);
+                if policy == SchedulingPolicy::Random {
+                    // A real scan prunes peer-known entries via `Never`.
+                    let mut accepted = Vec::new();
+                    let drawn = index.draw(sender.arena(), &mut rng, |id| {
+                        if recv.knows(id) {
+                            Verdict::Never
+                        } else {
+                            accepted.push(id);
+                            Verdict::Accept
+                        }
+                    });
+                    prop_assert_eq!(drawn.is_some(), !accepted.is_empty());
+                    prop_assert!(drawn.map_or(true, |id| accepted.contains(&id)));
+                    let mut fresh: Vec<MessageId> = policy
+                        .order(&sender, now, &mut rng)
+                        .into_iter()
+                        .filter(live)
+                        .collect();
+                    fresh.sort_unstable();
+                    accepted.sort_unstable();
+                    prop_assert_eq!(accepted, fresh, "accepted set equals a fresh rescan's");
+                } else {
+                    index.scan(sender.arena(), |id| {
+                        if recv.knows(id) {
+                            Verdict::Never
+                        } else {
+                            Verdict::NotNow
+                        }
+                    });
+                }
+                // Random's index is in reception order: FIFO's.
+                let oracle = if policy == SchedulingPolicy::Random {
+                    SchedulingPolicy::Fifo
+                } else {
+                    policy
+                };
+                let expected: Vec<MessageId> = oracle
                     .order(&sender, now, &mut rng)
                     .into_iter()
-                    .filter(|&id| !offered.contains(id) && !recv.knows(id))
+                    .filter(live)
                     .collect();
                 prop_assert_eq!(index.ids_in_rank_order(sender.arena()), &expected[..]);
             }

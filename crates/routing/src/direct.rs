@@ -7,28 +7,24 @@
 //! extension benches and as sanity anchors in the integration tests
 //! (Epidemic must dominate both on delivery ratio).
 
-use crate::candidates::{CandidateSource, Verdict};
+use crate::candidates::Verdict;
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router};
 use crate::state::NodeState;
-use crate::util::{make_room_and_store, policy_victim, scan_policy, standard_receive};
-use vdtn_bundle::{Message, MessageId, PolicyCombo, SchedulingPolicy};
+use crate::util::{make_room_and_store, policy_victim, standard_receive};
+use vdtn_bundle::{Message, MessageId, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Source holds every message until it meets the destination.
 pub struct DirectDeliveryRouter {
     policy: PolicyCombo,
-    source: CandidateSource,
 }
 
 impl DirectDeliveryRouter {
     /// Create with the given buffer policies (scheduling matters only for
     /// the order of multiple deliverable messages at one contact).
     pub fn new(policy: PolicyCombo) -> Self {
-        DirectDeliveryRouter {
-            policy,
-            source: CandidateSource::new(),
-        }
+        DirectDeliveryRouter { policy }
     }
 }
 
@@ -37,12 +33,8 @@ impl Router for DirectDeliveryRouter {
         "Direct Delivery"
     }
 
-    fn next_transfer_draws_rng(&self) -> bool {
-        self.policy.scheduling == SchedulingPolicy::Random
-    }
-
     fn wants_buffer_deltas(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
+        true
     }
 
     fn on_message_created(
@@ -75,13 +67,10 @@ impl Router for DirectDeliveryRouter {
     ) -> Option<MessageId> {
         // The destination test is constant per direction and expiry is
         // final, so every rejection is permanent for this contact.
-        scan_policy(
-            &mut self.source,
+        offers.scan_index(
             self.policy.scheduling,
             &own.buffer,
             peer,
-            offers,
-            now,
             rng,
             direct_verdict(own, peer, now),
         )
@@ -156,16 +145,12 @@ fn first_contact_verdict<'a>(
 /// the sender), hopping until it meets the destination or expires.
 pub struct FirstContactRouter {
     policy: PolicyCombo,
-    source: CandidateSource,
 }
 
 impl FirstContactRouter {
     /// Create with the given buffer policies.
     pub fn new(policy: PolicyCombo) -> Self {
-        FirstContactRouter {
-            policy,
-            source: CandidateSource::new(),
-        }
+        FirstContactRouter { policy }
     }
 }
 
@@ -174,12 +159,8 @@ impl Router for FirstContactRouter {
         "First Contact"
     }
 
-    fn next_transfer_draws_rng(&self) -> bool {
-        self.policy.scheduling == SchedulingPolicy::Random
-    }
-
     fn wants_buffer_deltas(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
+        true
     }
 
     fn on_message_created(
@@ -210,13 +191,10 @@ impl Router for FirstContactRouter {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<MessageId> {
-        scan_policy(
-            &mut self.source,
+        offers.scan_index(
             self.policy.scheduling,
             &own.buffer,
             peer,
-            offers,
-            now,
             rng,
             first_contact_verdict(own, peer, now),
         )

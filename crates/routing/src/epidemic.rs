@@ -6,27 +6,23 @@
 //! scheduling and dropping policies — which is precisely the knob the paper
 //! turns.
 
-use crate::candidates::{CandidateSource, Verdict};
+use crate::candidates::Verdict;
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router};
 use crate::state::NodeState;
-use crate::util::{make_room_and_store, policy_victim, scan_policy, standard_receive};
-use vdtn_bundle::{Message, MessageId, PolicyCombo, SchedulingPolicy};
+use crate::util::{make_room_and_store, policy_victim, standard_receive};
+use vdtn_bundle::{Message, MessageId, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Flooding router with pluggable buffer policies.
 pub struct EpidemicRouter {
     policy: PolicyCombo,
-    source: CandidateSource,
 }
 
 impl EpidemicRouter {
     /// Create with the given scheduling/dropping combination.
     pub fn new(policy: PolicyCombo) -> Self {
-        EpidemicRouter {
-            policy,
-            source: CandidateSource::new(),
-        }
+        EpidemicRouter { policy }
     }
 
     /// The active policy combination.
@@ -61,12 +57,8 @@ impl Router for EpidemicRouter {
         "Epidemic"
     }
 
-    fn next_transfer_draws_rng(&self) -> bool {
-        self.policy.scheduling == SchedulingPolicy::Random
-    }
-
     fn wants_buffer_deltas(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
+        true
     }
 
     fn on_message_created(
@@ -99,13 +91,10 @@ impl Router for EpidemicRouter {
     ) -> Option<MessageId> {
         // Scheduling policy orders the buffer; offer the first message the
         // peer does not already know and that could physically fit there.
-        scan_policy(
-            &mut self.source,
+        offers.scan_index(
             self.policy.scheduling,
             &own.buffer,
             peer,
-            offers,
-            now,
             rng,
             flood_verdict(own, peer, now),
         )
@@ -237,8 +226,7 @@ mod tests {
             "expired message must not be offered"
         );
         // Message larger than the peer's whole buffer is never offered.
-        // (Fresh router for the fresh node: a router's schedule cache is
-        // bound to its own node's buffer, as in the engine.)
+        // (Fresh router for the fresh node, as in the engine.)
         let mut r2 = EpidemicRouter::new(PolicyCombo::LIFETIME);
         let mut own2 = NodeState::new(NodeId(1), 10_000, false);
         r2.on_message_created(&mut own2, msg(2, 9, 9_000, 90), now, &mut rng);

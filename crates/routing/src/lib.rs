@@ -57,7 +57,7 @@ pub mod sprayfocus;
 pub mod state;
 pub(crate) mod util;
 
-pub use candidates::{CandidateIndex, CandidateSource, Verdict};
+pub use candidates::{CandidateIndex, Verdict};
 pub use direct::{DirectDeliveryRouter, FirstContactRouter};
 pub use epidemic::EpidemicRouter;
 pub use maxprop::{AckSet, MaxPropConfig, MaxPropRouter};

@@ -1,33 +1,18 @@
 //! Per-contact offer bookkeeping: what was already offered on a connection,
-//! plus each direction's resume cursor into its cached schedule order.
+//! each direction's candidate index, and the silent-round memo.
 //!
 //! The engine owns one [`ContactOffers`] per live connection (replacing the
 //! former pair-keyed `HashSet<MessageId>` + separate sent-bytes map) and
-//! hands routers a directional [`OfferView`] at every routing round.
-//!
-//! # The offer-cursor protocol
-//!
-//! A schedule-order router scans its cached order for the first message the
-//! peer should get. During a long contact that order's prefix fills up with
-//! already-offered messages, and a scan that restarts from zero re-checks
-//! every one of them each round. The cursor removes that rescan:
-//!
-//! * [`OfferView::resume`] returns the saved position when the supplied
-//!   **token** (the sender's cached-order generation) matches the one the
-//!   cursor was saved under, and `0` otherwise — the cursor *only rewinds
-//!   when the generation changes*;
-//! * the router advances past the contiguous offered prefix and calls
-//!   [`OfferView::save`] so the next round starts there;
-//! * soundness: the offered set only grows during a contact (TTL pruning
-//!   removes only globally expired ids, which every router filters out
-//!   anyway), and a cached order is immutable for its generation — so every
-//!   position below the cursor stays offered-or-expired for as long as the
-//!   token matches.
+//! hands routers a directional [`OfferView`] at every routing round. A
+//! router scans through [`OfferView::scan_index`], which syncs that
+//! direction's [`CandidateIndex`] from both endpoints' buffer deltas and
+//! asks the router's verdict only for live candidates (see
+//! [`crate::candidates`]).
 
 use crate::candidates::{CandidateIndex, Verdict};
 use crate::state::NodeState;
 use vdtn_bundle::{Buffer, MessageArena, MessageId, MsgHandle, SchedulingPolicy};
-use vdtn_sim_core::SimTime;
+use vdtn_sim_core::{SimRng, SimTime};
 
 /// The ids already offered during one contact, as a sorted vector.
 ///
@@ -86,14 +71,6 @@ impl OfferedSet {
     }
 }
 
-/// One direction's resume point into a cached schedule order.
-#[derive(Debug, Clone, Copy, Default)]
-struct Cursor {
-    token: u64,
-    pos: u32,
-    valid: bool,
-}
-
 /// Snapshot of every input that can turn a silent routing round loud again:
 /// `[sender buffer insert-count, sender routing generation, receiver buffer
 /// generation, receiver routing generation, receiver delivered-count]`.
@@ -123,11 +100,9 @@ pub struct ContactOffers {
     /// arena) so the set stays bounded by *live* traffic over arbitrarily
     /// long contacts.
     offered: OfferedSet,
-    /// Scan cursors per direction: `[lower-id sender, higher-id sender]`.
-    cursors: [Cursor; 2],
-    /// Delta-maintained candidate sets per direction (same indexing), used
-    /// by policy-driven routers; empty and untouched under `Random`
-    /// scheduling and by protocols with native orders.
+    /// Delta-maintained candidate sets per direction
+    /// (`[lower-id sender, higher-id sender]`), used by policy-driven
+    /// routers; empty and untouched by protocols with native orders.
     indexes: [CandidateIndex; 2],
     /// Payload bytes completed per direction (same indexing), feeding
     /// MaxProp's per-contact volume estimator at contact teardown.
@@ -169,10 +144,7 @@ impl ContactOffers {
     ///
     /// Behaviour-neutral: message ids are never reused and every router
     /// refuses to offer expired messages, so a pruned id can never be
-    /// re-offered — this is purely a memory bound. Cursors stay valid: an
-    /// expired id below a cursor was drained from the sender's buffer by
-    /// the same tick's TTL sweep, which bumped the buffer generation and
-    /// therefore rewinds that cursor at its next scan.
+    /// re-offered — this is purely a memory bound.
     pub fn prune_expired(&mut self, now: SimTime, arena: &MessageArena) {
         self.offered.prune_expired(now, arena);
     }
@@ -205,10 +177,9 @@ impl ContactOffers {
     }
 
     /// Rebuild contact state from snapshotted semantic fields: the offered
-    /// ids (sorted) and per-direction sent bytes. Cursors, candidate
-    /// indexes, and silence memos are caches — they start cold and rebuild
-    /// on first use, degrading only to rescans, never to different
-    /// decisions.
+    /// ids (sorted) and per-direction sent bytes. Candidate indexes and
+    /// silence memos are caches — they start cold and rebuild on first
+    /// use, degrading only to rescans, never to different decisions.
     pub fn restore(offered_ids: Vec<MessageId>, sent_bytes: [u64; 2]) -> Self {
         debug_assert!(offered_ids.windows(2).all(|w| w[0] < w[1]), "ids sorted");
         ContactOffers {
@@ -219,8 +190,8 @@ impl ContactOffers {
     }
 
     /// Fold the contact's semantic state (offered ids + sent bytes) into a
-    /// canonical state hash. Cursors, indexes, and silence memos are
-    /// excluded for the same reason [`ContactOffers::restore`] drops them.
+    /// canonical state hash. Indexes and silence memos are excluded for
+    /// the same reason [`ContactOffers::restore`] drops them.
     pub fn hash_into(&self, h: &mut vdtn_sim_core::StateHash) {
         h.write_len(self.offered.ids.len());
         for id in &self.offered.ids {
@@ -234,18 +205,16 @@ impl ContactOffers {
     pub fn view(&mut self, side: usize) -> OfferView<'_> {
         OfferView {
             offered: &self.offered,
-            cursor: &mut self.cursors[side],
             index: &mut self.indexes[side],
         }
     }
 }
 
 /// What a router sees of a contact's offer state when choosing the next
-/// transfer: the offered-id set plus its own direction's cursor.
+/// transfer: the offered-id set plus its own direction's candidate index.
 #[derive(Debug)]
 pub struct OfferView<'a> {
     offered: &'a OfferedSet,
-    cursor: &'a mut Cursor,
     index: &'a mut CandidateIndex,
 }
 
@@ -255,41 +224,32 @@ impl OfferView<'_> {
         self.offered.contains(id)
     }
 
-    /// Sync this direction's candidate index against both endpoints and
-    /// return the first candidate `eligible` accepts, in scheduling-rank
-    /// order (see [`crate::candidates`]).
-    /// Must not be called for [`SchedulingPolicy::Random`], which keeps the
-    /// full-rescan fallback for RNG parity.
+    /// The scheduling scan of every policy-driven router: sync this
+    /// direction's candidate index against both endpoints, then return the
+    /// first candidate `eligible` accepts in scheduling-rank order — or,
+    /// under [`SchedulingPolicy::Random`], one uniform `rng` draw over every
+    /// accepted candidate (see [`crate::candidates`]).
+    ///
+    /// `eligible` receives the bare id and returns a [`Verdict`] — routers
+    /// order their rejection tests cheapest-first (a `peer.knows` hit
+    /// should not pay for a message fetch) and classify each rejection as
+    /// [`Verdict::Never`] (permanent for this direction and contact: the
+    /// index drops the entry) or [`Verdict::NotNow`] (re-evaluated next
+    /// round).
     pub fn scan_index(
         &mut self,
         policy: SchedulingPolicy,
         buffer: &Buffer,
         peer: &NodeState,
+        rng: &mut SimRng,
         eligible: impl FnMut(MessageId) -> Verdict,
     ) -> Option<MessageId> {
-        debug_assert_ne!(policy, SchedulingPolicy::Random);
         self.index.sync(policy, buffer, peer, self.offered);
-        self.index.scan(buffer.arena(), eligible)
-    }
-
-    /// Scan-start position for the schedule order identified by `token`;
-    /// rewinds to 0 when the order changed since the cursor was saved.
-    pub fn resume(&self, token: u64) -> usize {
-        if self.cursor.valid && self.cursor.token == token {
-            self.cursor.pos as usize
+        if policy == SchedulingPolicy::Random {
+            self.index.draw(buffer.arena(), rng, eligible)
         } else {
-            0
+            self.index.scan(buffer.arena(), eligible)
         }
-    }
-
-    /// Save the resume position for the order identified by `token`. Every
-    /// position below `pos` must be offered (see the module docs).
-    pub fn save(&mut self, token: u64, pos: usize) {
-        *self.cursor = Cursor {
-            token,
-            pos: pos as u32,
-            valid: true,
-        };
     }
 }
 
@@ -334,20 +294,6 @@ mod tests {
         assert!(c.is_offered(MessageId(2)));
         assert!(c.is_offered(MessageId(9)));
         assert_eq!(c.offered_count(), 2);
-    }
-
-    #[test]
-    fn cursor_resumes_per_token_and_side() {
-        let mut c = ContactOffers::new();
-        // Unsaved cursor always starts at zero.
-        assert_eq!(c.view(0).resume(7), 0);
-        c.view(0).save(7, 3);
-        assert_eq!(c.view(0).resume(7), 3, "same token resumes");
-        assert_eq!(c.view(0).resume(8), 0, "generation change rewinds");
-        assert_eq!(c.view(1).resume(7), 0, "sides are independent");
-        c.view(1).save(9, 5);
-        assert_eq!(c.view(0).resume(7), 3);
-        assert_eq!(c.view(1).resume(9), 5);
     }
 
     #[test]

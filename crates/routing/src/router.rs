@@ -129,9 +129,13 @@ pub trait Router: Send {
     /// `offers` tracks the messages already attempted during this contact
     /// (the engine keeps it to mirror ONE's per-contact retry suppression):
     /// [`OfferView::is_offered`] ids must not be offered again, and
-    /// schedule-order routers may use the view's resume cursor (see
-    /// [`crate::offers`]) to skip the already-offered prefix of their
-    /// cached order. Return `None` to stay silent this round.
+    /// policy-driven routers scan through [`OfferView::scan_index`], which
+    /// skips them. `rng` is this node's lane; only
+    /// [`vdtn_bundle::SchedulingPolicy::Random`] draws from it here, once
+    /// per round that accepts a candidate, so a `None` round draws nothing
+    /// and the engine may skip re-asking under an unchanged
+    /// [`crate::offers::SilenceKey`]. Return `None` to stay silent this
+    /// round.
     fn next_transfer(
         &mut self,
         own: &NodeState,
@@ -198,14 +202,6 @@ pub trait Router: Send {
         0
     }
 
-    /// True when [`Router::next_transfer`] consumes RNG draws (the `Random`
-    /// scheduling policy re-shuffles per call). The engine never skips
-    /// rounds for such routers — a skipped draw would shift the node's RNG
-    /// lane and change downstream behaviour.
-    fn next_transfer_draws_rng(&self) -> bool {
-        false
-    }
-
     /// Fold this protocol's *semantic* state — everything that influences
     /// future routing decisions — into the canonical state hash, in a fixed
     /// field order. Memoisation caches (digest caches, threshold caches) and
@@ -233,8 +229,7 @@ pub trait Router: Send {
     }
 
     /// True when this router patches per-direction candidate indexes from
-    /// buffer deltas (every policy-driven router under a non-`Random`
-    /// scheduling policy). The engine calls
+    /// buffer deltas (every policy-driven router). The engine calls
     /// [`vdtn_bundle::Buffer::watch`] on every node buffer when any router
     /// asks, so both endpoints' membership changes are replayable; without
     /// the subscription the index still works but rebuilds on every change

@@ -11,12 +11,12 @@
 //! the total number of logical copies in the network never exceeds `L`
 //! (property-tested in the integration suite).
 
-use crate::candidates::{CandidateSource, Verdict};
+use crate::candidates::Verdict;
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router};
 use crate::state::NodeState;
-use crate::util::{make_room_and_store, policy_victim, scan_policy, standard_receive};
-use vdtn_bundle::{Message, MessageId, PolicyCombo, SchedulingPolicy};
+use crate::util::{make_room_and_store, policy_victim, standard_receive};
+use vdtn_bundle::{Message, MessageId, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Quota-replication router with pluggable buffer policies.
@@ -24,7 +24,6 @@ pub struct SprayAndWaitRouter {
     initial_copies: u32,
     binary: bool,
     policy: PolicyCombo,
-    source: CandidateSource,
 }
 
 impl SprayAndWaitRouter {
@@ -36,7 +35,6 @@ impl SprayAndWaitRouter {
             initial_copies,
             binary,
             policy,
-            source: CandidateSource::new(),
         }
     }
 
@@ -88,12 +86,8 @@ impl Router for SprayAndWaitRouter {
         "Spray and Wait"
     }
 
-    fn next_transfer_draws_rng(&self) -> bool {
-        self.policy.scheduling == SchedulingPolicy::Random
-    }
-
     fn wants_buffer_deltas(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
+        true
     }
 
     fn on_message_created(
@@ -125,13 +119,10 @@ impl Router for SprayAndWaitRouter {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<MessageId> {
-        scan_policy(
-            &mut self.source,
+        offers.scan_index(
             self.policy.scheduling,
             &own.buffer,
             peer,
-            offers,
-            now,
             rng,
             spray_verdict(own, peer, now),
         )
@@ -244,8 +235,8 @@ mod tests {
             Some(MessageId(1))
         );
         // Force the wait phase: single copy left. The in-place quota edit
-        // must be visible through the schedule cache (copies is not a
-        // scheduling key, so the cached order stays valid).
+        // must be visible to the scan (copies is not a scheduling key, so
+        // the indexed order stays valid).
         *own.buffer.copies_mut(MessageId(1)).unwrap() = 1;
         assert_eq!(
             r.next_transfer(

@@ -8,12 +8,12 @@
 //! where the source's spray never reaches the destination's neighbourhood,
 //! and is the natural "future work" extension of the paper's SnW results.
 
-use crate::candidates::{CandidateSource, Verdict};
+use crate::candidates::Verdict;
 use crate::offers::OfferView;
 use crate::router::{CreateOutcome, ReceiveOutcome, Router, RouterSnapshot};
 use crate::state::NodeState;
-use crate::util::{make_room_and_store, policy_victim, scan_policy, standard_receive};
-use vdtn_bundle::{Message, MessageId, PolicyCombo, SchedulingPolicy};
+use crate::util::{make_room_and_store, policy_victim, standard_receive};
+use vdtn_bundle::{Message, MessageId, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime, StateHash};
 
 /// Quota-replication router with utility-based focus phase.
@@ -25,7 +25,6 @@ pub struct SprayAndFocusRouter {
     /// Bumped on every `last_met` write; the focus-phase eligibility
     /// compares recencies, so this is the router's routing generation.
     met_gen: u64,
-    source: CandidateSource,
 }
 
 impl SprayAndFocusRouter {
@@ -38,7 +37,6 @@ impl SprayAndFocusRouter {
             policy,
             last_met: vec![None; n_nodes],
             met_gen: 0,
-            source: CandidateSource::new(),
         }
     }
 
@@ -94,12 +92,8 @@ impl Router for SprayAndFocusRouter {
         self.met_gen
     }
 
-    fn next_transfer_draws_rng(&self) -> bool {
-        self.policy.scheduling == SchedulingPolicy::Random
-    }
-
     fn wants_buffer_deltas(&self) -> bool {
-        self.source.wants_deltas(self.policy.scheduling)
+        true
     }
 
     fn on_message_created(
@@ -143,15 +137,10 @@ impl Router for SprayAndFocusRouter {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<MessageId> {
-        // Split borrows: the scan holds the source mutably while the
-        // eligibility check reads the encounter table.
-        scan_policy(
-            &mut self.source,
+        offers.scan_index(
             self.policy.scheduling,
             &own.buffer,
             peer,
-            offers,
-            now,
             rng,
             focus_verdict(own, peer, peer_router, &self.last_met, now),
         )
@@ -212,8 +201,8 @@ impl Router for SprayAndFocusRouter {
     }
 
     fn hash_state(&self, h: &mut StateHash) {
-        // The encounter table is the only semantic state; `met_gen` and the
-        // candidate-source cache are within-run bookkeeping.
+        // The encounter table is the only semantic state; `met_gen` is
+        // within-run bookkeeping.
         h.write_len(self.last_met.len());
         for met in &self.last_met {
             match met {

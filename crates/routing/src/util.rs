@@ -1,10 +1,9 @@
-//! Shared storage and scheduling-scan logic used by every protocol.
+//! Shared storage and reception logic used by every protocol. The shared
+//! scheduling scan is [`crate::offers::OfferView::scan_index`].
 
-use crate::candidates::{CandidateSource, Verdict};
-use crate::offers::OfferView;
 use crate::router::{ReceiveOutcome, RejectReason};
 use crate::state::NodeState;
-use vdtn_bundle::{Buffer, DropPolicy, Message, MessageId, ScheduleCache, SchedulingPolicy};
+use vdtn_bundle::{DropPolicy, Message, MessageId};
 use vdtn_sim_core::{SimRng, SimTime};
 
 /// Store `msg` in `own.buffer`, evicting victims chosen by `pick_victim`
@@ -44,74 +43,6 @@ pub fn make_room_and_store(
     }
     own.buffer.insert(msg).expect("space was just ensured");
     Ok(evicted)
-}
-
-/// The shared scheduling scan of every policy-driven router. `eligible`
-/// receives the bare id and returns a [`Verdict`] — routers order their
-/// rejection tests cheapest-first (a `peer.knows` hit should not pay for a
-/// message fetch) and classify each rejection as [`Verdict::Never`]
-/// (permanent for this direction and contact: the index drops the entry)
-/// or [`Verdict::NotNow`] (re-evaluated next round).
-///
-/// Deterministic policies sync the per-direction candidate index from
-/// buffer deltas and scan only live candidates — O(changes) per round on a
-/// quiescent contact. `Random` scheduling re-draws its order per call, so
-/// it takes [`scan_schedule`] over the source's cache instead, keeping its
-/// RNG draws bit-identical.
-#[allow(clippy::too_many_arguments)] // mirrors `Router::next_transfer`'s surface
-pub fn scan_policy(
-    source: &mut CandidateSource,
-    policy: SchedulingPolicy,
-    buffer: &Buffer,
-    peer: &NodeState,
-    offers: &mut OfferView<'_>,
-    now: SimTime,
-    rng: &mut SimRng,
-    mut eligible: impl FnMut(MessageId) -> Verdict,
-) -> Option<MessageId> {
-    if source.wants_deltas(policy) {
-        offers.scan_index(policy, buffer, peer, eligible)
-    } else {
-        scan_schedule(source.cache_mut(), policy, buffer, offers, now, rng, |id| {
-            eligible(id) == Verdict::Accept
-        })
-    }
-}
-
-/// The full-rescan scan: walk the cached schedule order and return the
-/// first not-yet-offered message that `eligible` accepts (peer- and
-/// protocol-specific checks).
-///
-/// Implements the consumer side of the offer-cursor protocol (see
-/// [`crate::offers`]): scanning resumes at the saved cursor when the cached
-/// order's generation still matches, the contiguous offered prefix advances
-/// the cursor for the next round, and `Random` orders — which carry no
-/// cursor token — always scan from the front. Exactly equivalent to
-/// re-ordering the buffer and scanning from zero, minus the redundant work.
-pub fn scan_schedule(
-    cache: &mut ScheduleCache,
-    policy: SchedulingPolicy,
-    buffer: &Buffer,
-    offers: &mut OfferView<'_>,
-    now: SimTime,
-    rng: &mut SimRng,
-    mut eligible: impl FnMut(MessageId) -> bool,
-) -> Option<MessageId> {
-    let (order, token) = cache.refresh(policy, buffer, now, rng);
-    let mut start = match token {
-        Some(t) => offers.resume(t),
-        None => 0,
-    };
-    while start < order.len() && offers.is_offered(order[start]) {
-        start += 1;
-    }
-    if let Some(t) = token {
-        offers.save(t, start);
-    }
-    order[start..]
-        .iter()
-        .copied()
-        .find(|&id| !offers.is_offered(id) && eligible(id))
 }
 
 /// The standard reception pipeline shared by every protocol:

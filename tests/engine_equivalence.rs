@@ -183,9 +183,9 @@ fn every_protocol_is_bit_identical_across_modes() {
 /// the candidate-index routing round must be bit-identical across engine
 /// modes. Three runs per combination: Ticked, EventDriven and its
 /// Parallel alias — any divergence in the per-direction index maintenance
-/// (delta application, rank keying, `Never` pruning, `Random`/discontinuity
-/// fallbacks, the insert-count silence key) shows up as a report diff
-/// here.
+/// (delta application, rank keying, `Never` pruning, `Random`'s single
+/// draw, discontinuity rebuilds, the insert-count silence key) shows up as
+/// a report diff here.
 /// The index's order itself is checked against a fresh rescan by the
 /// `vdtn_routing::candidates` property tests.
 #[test]

@@ -78,7 +78,7 @@ fn paper_preset_builds_through_umbrella() {
     use vdtn_repro::vdtn::presets::paper_scenario;
 
     let s = paper_scenario(PaperProtocol::EpidemicLifetime, 60, 1);
-    s.validate();
+    assert!(s.validate().is_ok());
     // Paper setup: 45 vehicles (plus optional relays depending on preset).
     assert!(s.node_count() >= 45);
 }
