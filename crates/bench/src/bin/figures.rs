@@ -18,6 +18,9 @@
 //! Each figure prints the value table the paper plots, the measured deltas
 //! against the FIFO–FIFO baseline side by side with the deltas the paper's
 //! text states, and writes `DIR/<fig>.csv`.
+//!
+//! An unknown flag, a missing value or a bad `--seeds` count prints one
+//! line on stderr and exits with code 2 before any simulation runs.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -42,6 +45,12 @@ struct Options {
     quick: bool,
     out_dir: String,
     replot: bool,
+}
+
+/// Reject bad command-line input: one line on stderr, exit code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("figures: {msg}");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
@@ -107,10 +116,11 @@ fn parse_args() -> Options {
                 explicit = true;
             }
             "--seeds" => {
-                opts.seeds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seeds needs a number");
+                let v = it.next().map_or("", String::as_str);
+                opts.seeds = match v.parse() {
+                    Ok(n) if n >= 1 => n,
+                    _ => usage_error(&format!("--seeds needs an integer >= 1, got '{v}'")),
+                };
             }
             "--quick" => opts.quick = true,
             "--replot" => {
@@ -118,12 +128,12 @@ fn parse_args() -> Options {
                 explicit = true;
             }
             "--out" => {
-                opts.out_dir = it.next().expect("--out needs a directory").clone();
+                opts.out_dir = it
+                    .next()
+                    .unwrap_or_else(|| usage_error("--out needs a directory"))
+                    .clone();
             }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     if !explicit {
@@ -246,7 +256,6 @@ fn run_template_cell(
         policies: Vec::new(),
         vehicles: Vec::new(),
         ttls_mins: vec![ttl],
-        engines: Vec::new(),
         seeds: (0..seeds).map(|s| 1000 + s).collect(),
         duration_secs: 0.0,
     };

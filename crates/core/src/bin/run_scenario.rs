@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! run_scenario SCENARIO.json [--report REPORT.json] [--csv] [--oracle]
-//!              [--engine ticked|event|parallel]
+//!              [--engine ticked|event]
 //!              [--hash-stream] [--hash-every SECS]
 //!              [--save-at SECS --snapshot FILE.snap]
 //! run_scenario --restore FILE.snap [--engine MODE] [...]
@@ -20,8 +20,8 @@
 //! streams of two runs directly. Because the hash is identical by
 //! construction across engine modes, any two invocations of the same
 //! scenario must produce bytewise-equal streams; the drift matrix in CI
-//! pins exactly that across the engine modes. `parallel` is an alias of
-//! `event`: a single run is one serial engine.
+//! pins exactly that across the two engine modes. A single run is one
+//! serial engine.
 //!
 //! `--threads` applies only to `--sweep`, whose worker threads run
 //! independent runs; a single run or `--restore` rejects it.
@@ -59,7 +59,7 @@ use vdtn_sim_core::SimTime;
 
 fn usage(code: i32) -> ! {
     eprintln!("usage: run_scenario SCENARIO.json [--report OUT.json] [--csv] [--oracle]");
-    eprintln!("                    [--engine ticked|event|parallel]");
+    eprintln!("                    [--engine ticked|event]");
     eprintln!("                    [--hash-stream] [--hash-every SECS]");
     eprintln!("                    [--save-at SECS --snapshot FILE.snap]");
     eprintln!("       run_scenario --restore FILE.snap [--engine MODE]");
@@ -164,10 +164,7 @@ fn main() {
         None => EngineMode::default(),
         Some("ticked") => EngineMode::Ticked,
         Some("event") => EngineMode::EventDriven,
-        Some("parallel") => EngineMode::Parallel,
-        Some(other) => usage_error(&format!(
-            "unknown --engine '{other}' (want ticked|event|parallel)"
-        )),
+        Some(other) => usage_error(&format!("unknown --engine '{other}' (want ticked|event)")),
     };
     if args.iter().any(|a| a == "--threads") {
         usage_error("--threads applies only to --sweep; a single run is one serial engine");
@@ -284,7 +281,6 @@ fn run_sweep_manifest(args: &[String]) {
         .unwrap_or_else(|| usage_error("--sweep needs a manifest path"));
     let opts = SweepOptions {
         threads: threads_arg(args).unwrap_or(0),
-        chunk_size: 0,
         journal: flag_value(args, "--journal").map(std::path::PathBuf::from),
         resume: args.iter().any(|a| a == "--resume"),
         checkpoint_dir: flag_value(args, "--checkpoint-dir").map(std::path::PathBuf::from),

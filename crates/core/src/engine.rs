@@ -26,7 +26,7 @@
 //!
 //! # Hybrid event-driven scheduling
 //!
-//! The engine runs in one of three [`EngineMode`]s producing **bit-identical
+//! The engine runs in one of two [`EngineMode`]s producing **bit-identical
 //! reports** (property-tested in `tests/engine_equivalence.rs`):
 //!
 //! * [`EngineMode::Ticked`] executes every tick and scans every node in
@@ -51,11 +51,10 @@
 //!   nodes whose slack deadline is due re-examine their radio
 //!   neighbourhood, and TTL housekeeping touches only buffers whose
 //!   earliest expiry is due (per-buffer expiry min-heaps).
-//! * [`EngineMode::Parallel`] is an alias of `EventDriven`, kept so callers
-//!   that name it keep working. A run is one serial event engine:
-//!   parallelism pays between independent runs (the sweep layer), not
-//!   inside one. ARCHITECTURE.md's *Where parallelism lives* has the
-//!   measurements.
+//!
+//! A run is one serial engine: parallelism pays between independent runs
+//! (the sweep layer), not inside one. ARCHITECTURE.md's *Where parallelism
+//! lives* has the measurements.
 //!
 //! Events are conservative wake-up markers, never obligations: each
 //! executed tick re-derives the actual work from simulation state, so a
@@ -104,7 +103,7 @@ fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 }
 
 /// How the engine advances simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Execute every tick, scanning every node in every phase. The
     /// reference implementation: simple, obviously correct, and kept as the
@@ -116,15 +115,18 @@ pub enum EngineMode {
     /// parts of the scenario are quiescent, so it is the default.
     #[default]
     EventDriven,
-    /// An alias of [`EngineMode::EventDriven`]: the same serial event
-    /// engine. In-run thread pools did not pay for their synchronisation,
-    /// so parallelism lives between runs (see [`crate::sweep`] and
-    /// [`crate::orchestrator`]).
-    Parallel,
+}
+
+impl EngineMode {
+    /// Former name of the event engine; parallelism lives between runs
+    /// (see [`crate::orchestrator`]).
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Parallel: EngineMode = EngineMode::EventDriven;
 }
 
 /// Scheduler-efficiency counters. Deliberately **not** part of
-/// [`SimReport`]: the three engine modes produce byte-identical reports
+/// [`SimReport`]: the two engine modes produce byte-identical reports
 /// while doing very different amounts of work, and these counters describe
 /// the work side. Read them through [`World::run_with_stats`] or
 /// [`World::engine_stats`]; the repository benchmark (`benchmark/`) reports
@@ -254,7 +256,7 @@ impl World {
         Self::build_with_mode(scenario, EngineMode::default())
     }
 
-    /// Materialise a scenario with an explicit [`EngineMode`]. All three
+    /// Materialise a scenario with an explicit [`EngineMode`]. Both
     /// modes produce bit-identical reports; `Ticked` exists as the equivalence
     /// reference and for pathological scenarios where nothing is ever
     /// quiescent (see ARCHITECTURE.md).
@@ -456,9 +458,8 @@ impl World {
         }
     }
 
-    /// True when the world runs on the event-driven driver (both
-    /// [`EngineMode::EventDriven`] and [`EngineMode::Parallel`] do; only
-    /// the ticked reference polls instead of scheduling wake-ups).
+    /// True when the world runs on the event-driven driver (only the
+    /// ticked reference polls instead of scheduling wake-ups).
     fn event_driven(&self) -> bool {
         self.mode != EngineMode::Ticked
     }
@@ -570,7 +571,7 @@ impl World {
                     self.step_ticked();
                 }
             }
-            EngineMode::EventDriven | EngineMode::Parallel => self.run_event_until(stop),
+            EngineMode::EventDriven => self.run_event_until(stop),
         }
     }
 
@@ -579,7 +580,7 @@ impl World {
     pub fn step(&mut self) {
         match self.mode {
             EngineMode::Ticked => self.step_ticked(),
-            EngineMode::EventDriven | EngineMode::Parallel => self.step_event(),
+            EngineMode::EventDriven => self.step_event(),
         }
     }
 
@@ -919,17 +920,13 @@ impl World {
 
     /// Phase 4: complete transfers whose byte-drain instant has passed, in
     /// ordered-pair-key order (the deterministic tie-break for completions
-    /// due at the same instant). The ticked reference polls via
-    /// [`LinkTable::tick`]; the event engine reaches the same drain through
-    /// [`LinkTable::complete_due`] on ticks a `TransferComplete` wake (or
-    /// any other event) forces to execute — the two are the same function,
-    /// which is what makes the modes structurally bit-identical here.
+    /// due at the same instant), through [`LinkTable::complete_due`]. The
+    /// ticked reference polls it every tick; the event engine reaches it
+    /// on ticks a `TransferComplete` wake (or any other event) forces to
+    /// execute — one function in both modes, which is what makes them
+    /// structurally bit-identical here.
     fn phase_transfers(&mut self) {
-        let done = match self.mode {
-            EngineMode::Ticked => self.links.tick(self.now),
-            EngineMode::EventDriven | EngineMode::Parallel => self.links.complete_due(self.now),
-        };
-        for outcome in done {
+        for outcome in self.links.complete_due(self.now) {
             if let TransferOutcome::Completed(t) = outcome {
                 self.handle_transfer_complete(t);
             }
@@ -1265,7 +1262,7 @@ impl World {
     /// Canonical hash of the world's semantic state at the current tick
     /// boundary.
     ///
-    /// **Identical by construction across all three [`EngineMode`]s**: it
+    /// **Identical by construction across both [`EngineMode`]s**: it
     /// folds in only state the modes keep bit-identical — the clock,
     /// positions evaluated through [`World::node_position`] (the one closed
     /// form both disciplines share), buffers in reception order, delivered
@@ -1546,7 +1543,7 @@ impl World {
         // set, which the link table already holds.
         let primed = match w.mode {
             EngineMode::Ticked => w.detector.update(&w.positions),
-            EngineMode::EventDriven | EngineMode::Parallel => {
+            EngineMode::EventDriven => {
                 let cols = MotionCols {
                     origin: &w.seg_origin,
                     velocity: &w.seg_vel,
@@ -1830,15 +1827,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_handles_random_scheduling_deferred_pairs() {
+    fn event_mode_handles_random_scheduling_deferred_pairs() {
         // Random scheduling draws RNG only in rounds that accept a
         // candidate, so its silent directions join the memo and the event
-        // engine skips their ticks — the `Parallel` alias must still match
-        // the ticked reference draw for draw.
+        // engine skips their ticks — it must still match the ticked
+        // reference draw for draw.
         let scenario = small(RouterKind::Epidemic, PolicyCombo::RANDOM_FIFO, 9);
         let reference = canon(World::build_with_mode(&scenario, EngineMode::Ticked).run());
-        let par = World::build_with_mode(&scenario, EngineMode::Parallel).run();
-        assert_eq!(reference, canon(par));
+        let event = World::build_with_mode(&scenario, EngineMode::EventDriven).run();
+        assert_eq!(reference, canon(event));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! * [`presets`] — the paper's Helsinki scenario parameterised by protocol,
 //!   policy combination and TTL;
 //! * [`sweep`] and [`orchestrator`] — runners that spread independent runs
-//!   (TTL sweeps, multi-seed averaging) over scoped threads, which is how
-//!   every figure is regenerated. A single run is one serial event engine;
-//!   parallelism lives between runs.
+//!   (TTL sweeps, multi-seed averaging) over one work-stealing executor,
+//!   which is how every figure is regenerated. A single run is one serial
+//!   event engine on either of the two [`EngineMode`]s; parallelism lives
+//!   between runs.
 //!
 //! # Quickstart
 //!

@@ -9,15 +9,15 @@
 //! instead of idling (the irregular-wavefront dispatch pattern).
 //!
 //! **Determinism rule:** execution order is a scheduling detail; *reduction
-//! order is canonical*. Every finished run parks its [`RunRecord`] in a
-//! slot indexed by plan position, and after the workers finish the records
-//! are folded into [`CellAccumulator`]s strictly in plan order. Aggregates
-//! are therefore bit-identical at any thread count, any chunk size, and
-//! across kill/resume.
+//! order is canonical*. Every finished run's [`RunRecord`] is kept under
+//! its run ID, and after the workers finish the records are folded into
+//! [`CellAccumulator`]s strictly in plan order. Aggregates are therefore
+//! bit-identical at any thread count and across kill/resume.
 //!
-//! This and [`crate::sweep::run_sweep`] are the only places the simulator
-//! runs threads: a single run is one serial event engine, and parallelism
-//! pays between independent runs.
+//! The cursor/slot/abort loop is one helper, `fan_out`, which
+//! [`crate::sweep::run_sweep`] also uses for plain scenario lists. It is
+//! the only place the simulator runs threads: a single run is one serial
+//! event engine, and parallelism pays between independent runs.
 
 use super::accum::{CellAccumulator, RunRecord};
 use super::journal::{replay_journal, JournalWriter};
@@ -47,10 +47,9 @@ pub type ScenarioTweak<'a> = dyn Fn(&mut Scenario) + Sync + 'a;
 pub struct SweepOptions {
     /// Worker threads (0: `VDTN_THREADS` when it is a positive integer,
     /// otherwise the host's available parallelism). At most one worker per
-    /// chunk is spawned, so a huge value costs nothing.
+    /// chunk is spawned, so a huge value costs nothing. Chunks hold
+    /// `ceil(pending / (8 · threads))` runs, clamped to 1..=32.
     pub threads: usize,
-    /// Runs per work-stealing chunk (0: auto-size from the pending count).
-    pub chunk_size: usize,
     /// Journal path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
     /// Replay an existing journal at `journal` before executing the
@@ -84,7 +83,6 @@ fn checkpoint_path(dir: &Path, run_id: &str) -> PathBuf {
 /// way, or resumed after a kill.
 fn run_one_with_checkpoints(
     scenario: &Scenario,
-    engine: EngineMode,
     ckpt: &Path,
     every_secs: f64,
     resume: bool,
@@ -97,14 +95,14 @@ fn run_one_with_checkpoints(
     let restored = if resume && ckpt.exists() {
         match load_snapshot(ckpt) {
             Ok(snap) if scenario_fingerprint(&snap.scenario) == scenario_fingerprint(scenario) => {
-                Some(World::restore(&snap, engine))
+                Some(World::restore(&snap, EngineMode::default()))
             }
             _ => None,
         }
     } else {
         None
     };
-    let mut world = restored.unwrap_or_else(|| World::build_with_mode(scenario, engine));
+    let mut world = restored.unwrap_or_else(|| World::build(scenario));
     let end = scenario.duration_secs;
     let mut t = world.now().as_secs_f64() + every;
     while t < end {
@@ -168,7 +166,7 @@ pub fn run_manifest_with(
         opts.threads
     };
 
-    // Phase 1: replay. `done` maps run ID → journalled record.
+    // Phase 1: replay. `done` maps run ID → finished record.
     let mut done: HashMap<String, RunRecord> = HashMap::new();
     let mut journal: Option<Mutex<JournalWriter>> = None;
     if let Some(path) = &opts.journal {
@@ -213,29 +211,17 @@ pub fn run_manifest_with(
         .filter(|&i| !done.contains_key(&plan.runs[i].id(&plan.name)))
         .collect();
     pending.sort_by_key(|&i| (Reverse(plan.runs[i].cost(base_vehicles)), i));
-    let chunk_size = if opts.chunk_size == 0 {
-        (pending.len().div_ceil(threads.saturating_mul(8))).clamp(1, 32)
-    } else {
-        opts.chunk_size
-    };
+    let chunk_size = pending
+        .len()
+        .div_ceil(threads.saturating_mul(8))
+        .clamp(1, 32);
     let chunks: Vec<&[usize]> = pending.chunks(chunk_size).collect();
-    let workers = threads.min(chunks.len());
 
     // Phase 3: execute. Workers steal chunks; each finished chunk commits
-    // its records to plan-indexed slots and (fsync'd) to the journal.
-    let slots: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; plan.len()]);
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let io_error: Mutex<Option<SweepError>> = Mutex::new(None);
-    let work = || loop {
-        if abort.load(Ordering::Relaxed) {
-            break;
-        }
-        let k = cursor.fetch_add(1, Ordering::Relaxed);
-        if k >= chunks.len() {
-            break;
-        }
-        let mut batch: Vec<(usize, RunRecord)> = Vec::with_capacity(chunks[k].len());
+    // its records (fsync'd) to the journal before it counts as done, and
+    // joins the replayed records in `done`.
+    let run_chunk = |k: usize| -> Result<Vec<RunRecord>, SweepError> {
+        let mut batch = Vec::with_capacity(chunks[k].len());
         for &i in chunks[k] {
             let spec = &plan.runs[i];
             let mut scenario = spec.scenario(manifest);
@@ -244,74 +230,40 @@ pub fn run_manifest_with(
             }
             let id = spec.id(&plan.name);
             let report = match &opts.checkpoint_dir {
-                Some(dir) => {
-                    match run_one_with_checkpoints(
-                        &scenario,
-                        spec.engine,
-                        &checkpoint_path(dir, &id),
-                        opts.checkpoint_every_secs,
-                        opts.resume,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            *io_error.lock().expect("error lock") = Some(SweepError::Journal {
-                                detail: format!("checkpoint for run {id}: {e}"),
-                            });
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                None => World::build_with_mode(&scenario, spec.engine).run(),
+                Some(dir) => run_one_with_checkpoints(
+                    &scenario,
+                    &checkpoint_path(dir, &id),
+                    opts.checkpoint_every_secs,
+                    opts.resume,
+                )
+                .map_err(|e| SweepError::Journal {
+                    detail: format!("checkpoint for run {id}: {e}"),
+                })?,
+                None => World::build(&scenario).run(),
             };
-            batch.push((i, RunRecord::from_report(&id, &report)));
-        }
-        if abort.load(Ordering::Relaxed) {
-            break;
+            batch.push(RunRecord::from_report(&id, &report));
         }
         if let Some(j) = &journal {
-            let records: Vec<RunRecord> = batch.iter().map(|(_, r)| r.clone()).collect();
-            let res = j.lock().expect("journal lock").append_chunk(&records);
-            if let Err(e) = res {
-                *io_error.lock().expect("error lock") = Some(e);
-                abort.store(true, Ordering::Relaxed);
-                break;
-            }
+            j.lock().expect("journal lock").append_chunk(&batch)?;
         }
-        let mut s = slots.lock().expect("slots lock");
-        for (i, rec) in batch {
-            s[i] = Some(rec);
-        }
+        Ok(batch)
     };
-    // The calling thread is one of the workers, so a one-worker sweep
-    // spawns no thread at all.
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(work);
-        }
-        if workers > 0 {
-            work();
-        }
-    });
-    if let Some(e) = io_error.into_inner().expect("error lock") {
-        return Err(e);
+    let (batches, workers) = fan_out(chunks.len(), threads, run_chunk)?;
+    for rec in batches.into_iter().flatten() {
+        done.insert(rec.id.clone(), rec);
     }
 
     // Phase 4: canonical reduce, strictly in plan order — the step that
     // makes aggregates independent of scheduling and of resume history.
-    let slots = slots.into_inner().expect("slots lock");
     let mut accs: Vec<CellAccumulator> = plan
         .cells
         .iter()
         .map(|c| CellAccumulator::new(&c.label(), c.ttl_mins as f64))
         .collect();
-    for (i, spec) in plan.runs.iter().enumerate() {
-        let rec = match &slots[i] {
-            Some(r) => r,
-            None => done
-                .get(&spec.id(&plan.name))
-                .expect("every planned run is executed or replayed"),
-        };
+    for spec in &plan.runs {
+        let rec = done
+            .get(&spec.id(&plan.name))
+            .expect("every planned run is executed or replayed");
         accs[spec.cell].push_record(rec);
     }
 
@@ -325,6 +277,59 @@ pub fn run_manifest_with(
         threads: workers,
         wall_secs: start.elapsed().as_secs_f64(),
     })
+}
+
+/// Run `job(k)` for every `k` in `0..jobs` on up to `threads` scoped
+/// workers that claim indices through one atomic cursor; the calling
+/// thread is one of them, so a single worker spawns no thread. Returns the
+/// results in index order together with the number of workers used. After
+/// the first error no worker claims another index, and that error is
+/// returned.
+pub(crate) fn fan_out<T: Send, E: Send>(
+    jobs: usize,
+    threads: usize,
+    job: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<(Vec<T>, usize), E> {
+    let workers = threads.min(jobs);
+    // The atomics publish no data: results and the error travel through
+    // mutexes, and the scope's join orders them before the reads below.
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..jobs).map(|_| None).collect());
+    let cursor = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let error: Mutex<Option<E>> = Mutex::new(None);
+    let work = || {
+        while !abort.load(Ordering::Relaxed) {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= jobs {
+                break;
+            }
+            match job(k) {
+                Ok(v) => slots.lock().expect("slots lock")[k] = Some(v),
+                Err(e) => {
+                    error.lock().expect("error lock").get_or_insert(e);
+                    abort.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        if workers > 0 {
+            work();
+        }
+    });
+    if let Some(e) = error.into_inner().expect("error lock") {
+        return Err(e);
+    }
+    let results = slots
+        .into_inner()
+        .expect("slots lock")
+        .into_iter()
+        .map(|v| v.expect("every index ran"))
+        .collect();
+    Ok((results, workers))
 }
 
 #[cfg(test)]
@@ -377,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_invariant_across_threads_and_chunk_sizes() {
+    fn aggregates_invariant_across_threads() {
         let m = tiny_manifest();
         let baseline = canon_points(
             &run_manifest(
@@ -389,21 +394,16 @@ mod tests {
             )
             .unwrap(),
         );
-        for (threads, chunk) in [(2, 1), (3, 2), (4, 5)] {
+        for threads in [2, 3, 4] {
             let o = run_manifest(
                 &m,
                 &SweepOptions {
                     threads,
-                    chunk_size: chunk,
                     ..SweepOptions::default()
                 },
             )
             .unwrap();
-            assert_eq!(
-                canon_points(&o),
-                baseline,
-                "threads={threads} chunk={chunk}"
-            );
+            assert_eq!(canon_points(&o), baseline, "threads={threads}");
         }
     }
 
@@ -451,21 +451,20 @@ mod tests {
         let scenario = spec.scenario(&m);
         let ckpt = checkpoint_path(&dir, &spec.id(&plan.name));
         std::fs::remove_file(&ckpt).ok();
-        let reference = canon_report(World::build_with_mode(&scenario, spec.engine).run());
+        let reference = canon_report(World::build(&scenario).run());
 
         // Straight through with periodic checkpoints: identical report,
         // and the checkpoint is cleaned up on completion.
-        let straight =
-            run_one_with_checkpoints(&scenario, spec.engine, &ckpt, 120.0, false).unwrap();
+        let straight = run_one_with_checkpoints(&scenario, &ckpt, 120.0, false).unwrap();
         assert_eq!(reference, canon_report(straight));
         assert!(!ckpt.exists(), "completed run must remove its checkpoint");
 
         // Simulated kill: a mid-run checkpoint is left behind; resume must
         // pick the run up there and still land on the identical report.
-        let mut donor = World::build_with_mode(&scenario, spec.engine);
+        let mut donor = World::build(&scenario);
         donor.run_until(SimTime::from_secs_f64(300.0));
         save_snapshot(&ckpt, &donor.snapshot(&scenario)).unwrap();
-        let resumed = run_one_with_checkpoints(&scenario, spec.engine, &ckpt, 120.0, true).unwrap();
+        let resumed = run_one_with_checkpoints(&scenario, &ckpt, 120.0, true).unwrap();
         assert_eq!(reference, canon_report(resumed));
         assert!(!ckpt.exists());
 
@@ -473,11 +472,11 @@ mod tests {
         // trusted: the run cold-starts and produces its own reference.
         let mut other = scenario.clone();
         other.seed += 1_000;
-        let other_reference = canon_report(World::build_with_mode(&other, spec.engine).run());
-        let mut donor = World::build_with_mode(&scenario, spec.engine);
+        let other_reference = canon_report(World::build(&other).run());
+        let mut donor = World::build(&scenario);
         donor.run_until(SimTime::from_secs_f64(300.0));
         save_snapshot(&ckpt, &donor.snapshot(&scenario)).unwrap();
-        let cold = run_one_with_checkpoints(&other, spec.engine, &ckpt, 120.0, true).unwrap();
+        let cold = run_one_with_checkpoints(&other, &ckpt, 120.0, true).unwrap();
         assert_eq!(other_reference, canon_report(cold));
     }
 
@@ -535,5 +534,42 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SweepError::Journal { .. }));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        let (results, workers) = fan_out(37, 4, |k| Ok::<_, ()>(k * k)).expect("no job fails");
+        assert_eq!(workers, 4);
+        assert_eq!(results, (0..37).map(|k| k * k).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_of_zero_jobs_uses_no_worker() {
+        let (results, workers) = fan_out(0, 8, |_| -> Result<(), ()> {
+            unreachable!("no job to run")
+        })
+        .expect("nothing fails");
+        assert!(results.is_empty());
+        assert_eq!(workers, 0);
+    }
+
+    #[test]
+    fn fan_out_stops_claiming_after_the_first_error() {
+        let executed = AtomicUsize::new(0);
+        let err = fan_out(10, 1, |k| {
+            executed.fetch_add(1, Ordering::Relaxed);
+            if k == 3 {
+                Err(format!("job {k} failed"))
+            } else {
+                Ok(k)
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, "job 3 failed");
+        assert_eq!(
+            executed.load(Ordering::Relaxed),
+            4,
+            "jobs 4..10 were claimed"
+        );
     }
 }

@@ -10,20 +10,23 @@
 //!
 //! Expansion is **canonical**: every axis is deduplicated and sorted into
 //! a fixed order (protocols by figure order, policies by scheduling then
-//! dropping rank, vehicle counts / TTLs / seeds ascending, engines ticked
-//! → event → parallel) before the nested product is taken, with the axis
-//! nesting order fixed as
+//! dropping rank, vehicle counts / TTLs / seeds ascending) before the
+//! nested product is taken, with the axis nesting order fixed as
 //!
 //! ```text
-//! protocols × policies × vehicles × ttls × engines × seeds
+//! protocols × policies × vehicles × ttls × seeds
 //! ```
 //!
 //! (seeds innermost, so one cell's runs are contiguous). Two manifests
 //! whose axes hold the same *sets* of values therefore expand to the same
 //! run list, in the same order, with the same IDs — the property the
 //! resume journal, the reduce step and the expansion proptest all lean on.
+//!
+//! Every run executes on the default event engine. Unknown manifest keys,
+//! such as an older file's `engines` axis, are ignored; the fingerprint
+//! covers only the current fields, so a journal written under the older
+//! format is refused rather than replayed.
 
-use crate::engine::EngineMode;
 use crate::presets::{mini_scenario, paper_scenario, PaperProtocol};
 use crate::scenario::Scenario;
 use crate::sweep::SweepError;
@@ -45,7 +48,7 @@ pub enum ScenarioBase {
 }
 
 /// A serialisable sweep description: scenario base plus the experiment
-/// axes. Empty optional axes (`policies`, `vehicles`, `engines`) mean
+/// axes. Empty optional axes (`policies`, `vehicles`) mean
 /// "the base default" and contribute a single implicit element to the
 /// product; `protocols`, `ttls_mins` and `seeds` must be non-empty (except
 /// `protocols` with a [`ScenarioBase::Custom`] base, where empty means
@@ -64,8 +67,6 @@ pub struct SweepManifest {
     pub vehicles: Vec<usize>,
     /// TTL axis, minutes.
     pub ttls_mins: Vec<u64>,
-    /// Engine-mode axis (empty: event-driven only).
-    pub engines: Vec<EngineMode>,
     /// Seed axis.
     pub seeds: Vec<u64>,
     /// Simulated-duration override in seconds (0: the base's duration).
@@ -82,7 +83,6 @@ impl SweepManifest {
             policies: Vec::new(),
             vehicles: Vec::new(),
             ttls_mins: ttls.to_vec(),
-            engines: Vec::new(),
             seeds: seeds.to_vec(),
             duration_secs: 0.0,
         }
@@ -121,18 +121,12 @@ impl SweepManifest {
         let policies = canon_axis(&self.policies, policy_rank);
         let vehicles = canon_axis(&self.vehicles, |&v| v);
         let ttls = canon_axis(&self.ttls_mins, |&t| t);
-        let engines = canon_axis(&self.engines, engine_rank);
         let seeds = canon_axis(&self.seeds, |&s| s);
 
         // Optional axes contribute one implicit `None` element.
         let protocols: Vec<Option<PaperProtocol>> = opt_axis(protocols);
         let policies: Vec<Option<PolicyCombo>> = opt_axis(policies);
         let vehicles: Vec<Option<usize>> = opt_axis(vehicles);
-        let engines: Vec<EngineMode> = if engines.is_empty() {
-            vec![EngineMode::EventDriven]
-        } else {
-            engines
-        };
 
         let mut cells = Vec::new();
         let mut runs = Vec::new();
@@ -140,27 +134,23 @@ impl SweepManifest {
             for &policy in &policies {
                 for &veh in &vehicles {
                     for &ttl in &ttls {
-                        for &engine in &engines {
-                            let cell_index = cells.len();
-                            cells.push(CellKey {
+                        let cell_index = cells.len();
+                        cells.push(CellKey {
+                            protocol,
+                            policy,
+                            vehicles: veh,
+                            ttl_mins: ttl,
+                        });
+                        for &seed in &seeds {
+                            runs.push(RunSpec {
+                                index: runs.len(),
+                                cell: cell_index,
                                 protocol,
                                 policy,
                                 vehicles: veh,
                                 ttl_mins: ttl,
-                                engine,
+                                seed,
                             });
-                            for &seed in &seeds {
-                                runs.push(RunSpec {
-                                    index: runs.len(),
-                                    cell: cell_index,
-                                    protocol,
-                                    policy,
-                                    vehicles: veh,
-                                    ttl_mins: ttl,
-                                    engine,
-                                    seed,
-                                });
-                            }
                         }
                     }
                 }
@@ -200,7 +190,6 @@ impl SweepManifest {
         canon.policies = canon_axis(&self.policies, policy_rank);
         canon.vehicles = canon_axis(&self.vehicles, |&v| v);
         canon.ttls_mins = canon_axis(&self.ttls_mins, |&t| t);
-        canon.engines = canon_axis(&self.engines, engine_rank);
         canon.seeds = canon_axis(&self.seeds, |&s| s);
         let json = serde_json::to_string(&canon).expect("manifest serialises");
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -270,23 +259,6 @@ fn policy_rank(p: &PolicyCombo) -> (u8, u8) {
     (scheduling_rank(&p.scheduling), dropping_rank(&p.dropping))
 }
 
-fn engine_rank(e: &EngineMode) -> u8 {
-    match e {
-        EngineMode::Ticked => 0,
-        EngineMode::EventDriven => 1,
-        EngineMode::Parallel => 2,
-    }
-}
-
-/// Short engine tag for run IDs and labels.
-fn engine_tag(e: EngineMode) -> &'static str {
-    match e {
-        EngineMode::Ticked => "ticked",
-        EngineMode::EventDriven => "event",
-        EngineMode::Parallel => "parallel",
-    }
-}
-
 /// One aggregation cell: every axis except the seed. Runs sharing a cell
 /// are averaged into one [`crate::sweep::SweepPoint`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -299,8 +271,6 @@ pub struct CellKey {
     pub vehicles: Option<usize>,
     /// TTL, minutes.
     pub ttl_mins: u64,
-    /// Engine mode the cell's runs execute on.
-    pub engine: EngineMode,
 }
 
 impl CellKey {
@@ -323,9 +293,6 @@ impl CellKey {
         if let Some(v) = self.vehicles {
             label.push_str(&format!(" v{v}"));
         }
-        if self.engine != EngineMode::EventDriven {
-            label.push_str(&format!(" [{}]", engine_tag(self.engine)));
-        }
         label
     }
 }
@@ -345,8 +312,6 @@ pub struct RunSpec {
     pub vehicles: Option<usize>,
     /// TTL, minutes.
     pub ttl_mins: u64,
-    /// Engine mode to run on.
-    pub engine: EngineMode,
     /// Master seed.
     pub seed: u64,
 }
@@ -368,10 +333,8 @@ impl RunSpec {
             None => "base".to_string(),
         };
         format!(
-            "{sweep_name}/{proto}/{policy}/v{veh}/ttl{}/{}/s{}",
-            self.ttl_mins,
-            engine_tag(self.engine),
-            self.seed
+            "{sweep_name}/{proto}/{policy}/v{veh}/ttl{}/s{}",
+            self.ttl_mins, self.seed
         )
     }
 
@@ -535,24 +498,28 @@ mod tests {
         assert_ne!(a, m.fingerprint());
     }
 
-    /// Manifests written before the routing-backend switch was removed
-    /// still carry `"backend": "Index"`; the reader ignores the key.
+    /// Manifests written before the routing-backend switch and the engine
+    /// axis were removed still carry `"backend": "Index"` and an
+    /// `"engines"` list; the reader ignores both keys.
     #[test]
     fn legacy_backend_key_is_ignored() {
         let m = manifest();
         let json = serde_json::to_string(&m).unwrap();
         let legacy = json.replacen(
             "\"duration_secs\"",
-            "\"backend\":\"Index\",\"duration_secs\"",
+            "\"backend\":\"Index\",\"engines\":[\"Ticked\",\"Parallel\"],\"duration_secs\"",
             1,
         );
-        assert_ne!(json, legacy, "the legacy key was spliced in");
+        assert_ne!(json, legacy, "the legacy keys were spliced in");
         let parsed: SweepManifest = serde_json::from_str(&legacy).unwrap();
         assert_eq!(
             parsed,
             serde_json::from_str::<SweepManifest>(&json).unwrap()
         );
         assert_eq!(parsed, m);
+        let (a, b) = (parsed.expand().unwrap(), m.expand().unwrap());
+        assert_eq!(a.runs, b.runs);
+        assert_eq!(a.cells, b.cells);
     }
 
     #[test]
@@ -564,8 +531,7 @@ mod tests {
             policy: None,
             vehicles: Some(100),
             ttl_mins: 60,
-            engine: EngineMode::Parallel,
         };
-        assert_eq!(cell.label(), "Epidemic FIFO-FIFO v100 [parallel]");
+        assert_eq!(cell.label(), "Epidemic FIFO-FIFO v100");
     }
 }

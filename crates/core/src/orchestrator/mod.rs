@@ -1,9 +1,9 @@
 //! The sweep orchestrator: a batch experiment system over the simulator.
 //!
 //! Every figure in the paper — and every scaling study beyond it — is a
-//! cross product of a few axes (protocol, policy, TTL, seed, fleet size,
-//! engine), each cell averaged over seeds. This module turns that shape
-//! into infrastructure, in four layers:
+//! cross product of a few axes (protocol, policy, fleet size, TTL, seed),
+//! each cell averaged over seeds. This module turns that shape into
+//! infrastructure, in four layers:
 //!
 //! 1. **[`manifest`]** — a serialisable [`SweepManifest`] whose
 //!    [`expand`](SweepManifest::expand) produces a canonical, stable-ID'd
@@ -13,7 +13,9 @@
 //! 2. **[`exec`]** — work-stealing execution: runs sorted by descending
 //!    cost estimate, chunked, claimed through an atomic cursor by scoped
 //!    worker threads, then reduced *in plan order* so aggregates are
-//!    bit-identical at any thread count.
+//!    bit-identical at any thread count. The same executor runs
+//!    [`crate::sweep::run_sweep`]'s scenario lists; it is the simulator's
+//!    only thread fan-out.
 //! 3. **[`accum`]** — streaming aggregation: each run collapses to a
 //!    compact [`RunRecord`] and folds into an O(1) [`CellAccumulator`]
 //!    (Welford moments + a deterministic reservoir for percentiles), so a
@@ -38,8 +40,12 @@
 //! let plan = manifest.expand().unwrap();
 //! assert_eq!(plan.len(), 4 * 5 * 5);
 //! assert_eq!(plan.cells.len(), 4 * 5);
-//! // Run IDs are stable coordinates, independent of axis listing order.
-//! assert!(plan.runs[0].id(&plan.name).starts_with("figure8/EpidemicLifetime/"));
+//! // Run IDs are stable coordinates, independent of axis listing order:
+//! // name/protocol/policy/vVEHICLES/ttlTTL/sSEED.
+//! assert_eq!(
+//!     plan.runs[0].id(&plan.name),
+//!     "figure8/EpidemicLifetime/preset/vbase/ttl60/s1"
+//! );
 //! ```
 
 pub mod accum;

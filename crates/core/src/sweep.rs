@@ -3,10 +3,11 @@
 //! Every figure in the paper is a sweep: protocols × TTLs, each cell
 //! averaged over seeds. Runs are fully independent (deterministic per-seed
 //! RNG lanes, no shared state), so the sweep is embarrassingly parallel —
-//! [`run_sweep`] splits the scenario list into one contiguous chunk per
-//! scoped thread and collects reports in input order. The thread count is
-//! the `VDTN_THREADS` environment variable when it is a positive integer,
-//! otherwise the host's available parallelism.
+//! [`run_sweep`] hands the scenario list to the orchestrator's
+//! work-stealing executor, one scenario per claim, and collects reports
+//! in input order. The thread count is the `VDTN_THREADS` environment
+//! variable when it is a positive integer, otherwise the host's available
+//! parallelism.
 //!
 //! This module holds the small, report-level surface (run a scenario list,
 //! average one cell); the batch experiment system built on top of it —
@@ -14,6 +15,7 @@
 //! journal — lives in [`crate::orchestrator`].
 
 use crate::engine::World;
+use crate::orchestrator::exec::fan_out;
 use crate::orchestrator::CellAccumulator;
 use crate::report::SimReport;
 use crate::scenario::Scenario;
@@ -111,28 +113,15 @@ fn threads_from_env(var: Option<&str>) -> usize {
 }
 
 /// Run every scenario on the default engine, on up to `VDTN_THREADS`
-/// scoped threads (see the [module docs](self)), returning reports in
-/// input order. They are bit-identical to serial execution (each run is
+/// workers (see the [module docs](self)), returning reports in input
+/// order. They are bit-identical to serial execution (each run is
 /// independent and internally deterministic).
 pub fn run_sweep(scenarios: &[Scenario]) -> Vec<SimReport> {
-    let threads = default_threads().min(scenarios.len()).max(1);
-    let chunk = scenarios.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = scenarios
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|s| World::build(s).run())
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+    let run = |k: usize| Ok::<_, std::convert::Infallible>(World::build(&scenarios[k]).run());
+    match fan_out(scenarios.len(), default_threads(), run) {
+        Ok((reports, _)) => reports,
+        Err(never) => match never {},
+    }
 }
 
 /// A figure data point: one (configuration, TTL) cell averaged over seeds.

@@ -64,6 +64,7 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![g, "--save-at", "10"],
         vec![g, "--snapshot", &snap],
         vec![g, "--engine", "warp"],
+        vec![g, "--engine", "parallel"],
         vec![&missing],
         vec![&bad],
         vec![&negative],
@@ -90,7 +91,7 @@ fn threads_outside_sweep_exit_2_with_one_line() {
     let (scenario, snap) = (scenario.to_str().unwrap(), snap.to_str().unwrap());
     for args in [
         vec![scenario, "--threads", "2"],
-        vec![scenario, "--engine", "parallel", "--threads", "8"],
+        vec![scenario, "--engine", "event", "--threads", "8"],
         vec!["--restore", snap, "--threads", "2"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))

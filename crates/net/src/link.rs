@@ -19,9 +19,8 @@
 //! ([`Transfer::bytes_transferred`]). This is what lets the engine schedule
 //! one completion event per transfer instead of draining byte counters
 //! every tick: [`LinkTable::complete_due`] pops every transfer whose
-//! completion instant has passed, and [`LinkTable::tick`] survives only as
-//! the per-tick poll of the `Ticked` reference engine (it is the same
-//! function).
+//! completion instant has passed. The event engine calls it at scheduled
+//! completion instants; the ticked reference engine polls it every tick.
 //!
 //! Completions due at the same instant resolve in **ordered-pair-key
 //! order**: connections live in per-node sorted adjacency lists, and both
@@ -458,14 +457,6 @@ impl LinkTable {
         done
     }
 
-    /// Per-tick completion poll, kept for the `EngineMode::Ticked`
-    /// reference engine: identical to [`LinkTable::complete_due`] (the
-    /// event-driven engine calls that at scheduled completion instants
-    /// instead of polling).
-    pub fn tick(&mut self, now: SimTime) -> Vec<TransferOutcome> {
-        self.complete_due(now)
-    }
-
     /// Drop every connection (end of run), returning aborted transfers with
     /// their partial bytes settled at `now`, in ordered-pair-key order.
     pub fn clear(&mut self, now: SimTime) -> Vec<TransferOutcome> {
@@ -552,17 +543,6 @@ mod tests {
         assert_eq!(completes, SimTime::from_millis(3_334));
         assert!(lt.complete_due(SimTime::from_millis(3_333)).is_empty());
         assert_eq!(lt.complete_due(SimTime::from_millis(3_334)).len(), 1);
-    }
-
-    #[test]
-    fn tick_is_the_same_poll_as_complete_due() {
-        let mut lt = LinkTable::new();
-        lt.link_up(NodeId(0), NodeId(1), t(0.0), 1_000.0).unwrap();
-        lt.start_transfer(NodeId(0), NodeId(1), msg(1, 2_000), t(0.0));
-        assert!(lt.tick(t(1.0)).is_empty());
-        let done = lt.tick(t(2.0));
-        assert_eq!(done.len(), 1);
-        assert!(matches!(&done[0], TransferOutcome::Completed(tr) if tr.msg.id == MessageId(1)));
     }
 
     #[test]

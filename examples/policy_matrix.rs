@@ -53,7 +53,6 @@ fn main() {
             .collect(),
         vehicles: Vec::new(),
         ttls_mins: vec![60],
-        engines: Vec::new(),
         seeds: vec![99],
         duration_secs: 2.0 * 3600.0,
     };

@@ -19,15 +19,14 @@
 //!   pair-key order — deterministic runs plus a dedicated property test;
 //! * a saturated 64-node stationary mesh (every node busy every tick)
 //!   under Epidemic with Lifetime and Random scheduling;
-//! * [`EngineMode::Parallel`], an alias of the event engine: a third
-//!   column in the router × policy matrix, plus byte-equal reports and
-//!   work counters against `EventDriven`.
+//! * the event engine's transfer-wake accounting: every started transfer
+//!   is either woken or elided, and the saturated mesh elides wakes.
 
 use proptest::prelude::*;
 use vdtn_repro::geo::{GridMapGen, Point};
 use vdtn_repro::mobility::SpmbConfig;
 use vdtn_repro::net::RadioInterface;
-use vdtn_repro::vdtn::engine::{EngineMode, EngineStats, World};
+use vdtn_repro::vdtn::engine::{EngineMode, World};
 use vdtn_repro::vdtn::scenario::{
     MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, TrafficSpec,
 };
@@ -181,8 +180,8 @@ fn every_protocol_is_bit_identical_across_modes() {
 
 /// The acceptance matrix: for **every router × every scheduling policy**,
 /// the candidate-index routing round must be bit-identical across engine
-/// modes. Three runs per combination: Ticked, EventDriven and its
-/// Parallel alias — any divergence in the per-direction index maintenance
+/// modes. Two runs per combination, Ticked and EventDriven — any
+/// divergence in the per-direction index maintenance
 /// (delta application, rank keying, `Never` pruning, `Random`'s single
 /// draw, discontinuity rebuilds, the insert-count silence key) shows up as
 /// a report diff here.
@@ -235,23 +234,18 @@ fn candidate_index_is_bit_identical_for_every_router_and_policy() {
             );
             let ticked = canon(World::build_with_mode(&sc, EngineMode::Ticked).run());
             let event = canon(World::build_with_mode(&sc, EngineMode::EventDriven).run());
-            let parallel = canon(World::build_with_mode(&sc, EngineMode::Parallel).run());
             assert_eq!(ticked, event, "{kind:?} × {sched:?}: engine modes diverged");
-            assert_eq!(
-                event, parallel,
-                "{kind:?} × {sched:?}: parallel engine diverged"
-            );
         }
     }
 }
 
-/// Ticked = EventDriven = Parallel on reports, and EventDriven = Parallel
-/// on work counters, on scenarios exercising flooding, utility metrics,
-/// quota routing, RNG-drawing Random scheduling and the saturated mesh.
-/// Every started transfer is either woken or elided, and on the saturated
-/// mesh the covered-wake elision must actually elide wakes.
+/// Ticked = EventDriven on reports, on scenarios exercising flooding,
+/// utility metrics, quota routing, RNG-drawing Random scheduling and the
+/// saturated mesh. Every started transfer is either woken or elided, and
+/// on the saturated mesh the covered-wake elision must actually elide
+/// wakes.
 #[test]
-fn parallel_alias_matches_event_engine_reports_and_work() {
+fn event_engine_wakes_cover_every_transfer_and_match_ticked() {
     let mut cases: Vec<Scenario> = [
         (RouterKind::Epidemic, PolicyCombo::LIFETIME, 301u64),
         (
@@ -275,14 +269,6 @@ fn parallel_alias_matches_event_engine_reports_and_work() {
         let label = format!("{} {:?} × {:?}", sc.name, sc.router, sc.policy);
         let (reference, ref_stats) =
             World::build_with_mode(sc, EngineMode::EventDriven).run_with_stats();
-        let work = |s: EngineStats| {
-            (
-                s.ticks_executed,
-                s.movement_advances,
-                s.transfer_wakes_scheduled,
-                s.transfer_wakes_elided,
-            )
-        };
         assert_eq!(
             ref_stats.transfer_wakes_scheduled + ref_stats.transfer_wakes_elided,
             reference.messages.transfers_started,
@@ -297,13 +283,6 @@ fn parallel_alias_matches_event_engine_reports_and_work() {
         let reference = canon(reference);
         let ticked = canon(World::build_with_mode(sc, EngineMode::Ticked).run());
         assert_eq!(reference, ticked, "{label}: ticked diverged");
-        let (par, stats) = World::build_with_mode(sc, EngineMode::Parallel).run_with_stats();
-        assert_eq!(reference, canon(par), "{label}: parallel diverged");
-        assert_eq!(
-            work(ref_stats),
-            work(stats),
-            "{label}: work counters differ"
-        );
     }
 }
 

@@ -141,7 +141,7 @@ fn points_json(outcome: &vdtn::orchestrator::SweepOutcome) -> String {
     serde_json::to_string(&outcome.points).expect("points serialise")
 }
 
-/// Aggregates are bit-identical whatever the worker count and chunking.
+/// Aggregates are bit-identical whatever the worker count.
 #[test]
 fn aggregates_bit_identical_at_any_thread_count() {
     let manifest = tiny_manifest();
@@ -155,12 +155,11 @@ fn aggregates_bit_identical_at_any_thread_count() {
         )
         .expect("tiny sweep runs"),
     );
-    for (threads, chunk_size) in [(2, 0), (4, 1), (8, 3)] {
+    for threads in [2, 4, 8] {
         let outcome = run_manifest(
             &manifest,
             &SweepOptions {
                 threads,
-                chunk_size,
                 ..SweepOptions::default()
             },
         )
@@ -168,7 +167,7 @@ fn aggregates_bit_identical_at_any_thread_count() {
         assert_eq!(
             points_json(&outcome),
             baseline,
-            "aggregate diverged at {threads} threads / chunk size {chunk_size}"
+            "aggregate diverged at {threads} threads"
         );
     }
 }
