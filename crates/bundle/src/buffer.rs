@@ -370,11 +370,6 @@ impl Buffer {
         }
     }
 
-    /// True once [`Buffer::watch`] has been called.
-    pub fn is_watched(&self) -> bool {
-        self.log_on
-    }
-
     /// The membership changes between the observed generation `gen` and the
     /// current one, oldest first, or `None` when the log cannot prove the
     /// interval (never watched, consumer older than the retained window, or

@@ -39,8 +39,9 @@
 //! continues with `--resume` instead of restarting. Aggregate output is
 //! bit-identical at any `--threads` value and across kill/resume.
 //!
-//! A bad flag or operand, an unreadable input file, invalid JSON or a
-//! scenario that fails `Scenario::validate` prints one line on stderr and
+//! A bad flag or operand, an unreadable input file, invalid JSON, a
+//! scenario that fails `Scenario::validate`, or a sweep manifest that does
+//! not expand or plans such a scenario prints one line on stderr and
 //! exits with code 2; an output path that cannot be
 //! written (`--report`, `--snapshot`, `--checkpoint-dir`, `--out`) prints
 //! one line and exits with code 1.
@@ -288,6 +289,16 @@ fn run_sweep_manifest(args: &[String]) {
     };
     let out_path = flag_value(args, "--out");
     let manifest: SweepManifest = read_json(path, "manifest");
+    // Check every planned run before any runs: bad input is a usage error.
+    let plan = manifest
+        .expand()
+        .unwrap_or_else(|e| usage_error(&format!("invalid manifest {path}: {e}")));
+    for run in &plan.runs {
+        if let Err(e) = run.scenario(&manifest).validate() {
+            let id = run.id(&manifest.name);
+            usage_error(&format!("invalid manifest {path}: run {id}: {e}"));
+        }
+    }
     if let Some(dir) = &opts.checkpoint_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             output_error(&format!(

@@ -293,15 +293,8 @@ impl World {
                     Some(place_relays_high_degree(&map, group.count))
                 }
                 MobilitySpec::Stationary(RelayPlacement::Explicit(points)) => {
-                    assert_eq!(
-                        points.len(),
-                        group.count,
-                        "group '{}' has {} nodes but {} explicit positions",
-                        group.name,
-                        group.count,
-                        points.len()
-                    );
-                    // Snap to the road network, as relays sit at crossroads.
+                    // One point per node (`Scenario::validate`), snapped to
+                    // the road network, as relays sit at crossroads.
                     Some(
                         points
                             .iter()

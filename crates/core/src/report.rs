@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use vdtn_sim_core::stats::{Ratio, Welford};
-use vdtn_sim_core::{SimDuration, SimTime};
+use vdtn_sim_core::SimTime;
 
 /// Why a stored message left a buffer without being forwarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -212,11 +212,6 @@ impl SimReport {
             self.messages.overhead_ratio(),
         )
     }
-}
-
-/// Convenience conversion for TTL bookkeeping.
-pub fn ttl_minutes(ttl: SimDuration) -> f64 {
-    ttl.as_mins_f64()
 }
 
 #[cfg(test)]

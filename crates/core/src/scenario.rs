@@ -139,9 +139,9 @@ impl Scenario {
         self.groups.iter().map(|g| g.count).sum()
     }
 
-    /// Check the scenario's own rules, returning the first one broken. The
-    /// radio and SPMB configurations it embeds still panic on their own
-    /// invalid values.
+    /// Check the scenario's rules, including those of the radio, traffic,
+    /// SPMB and relay-placement values it embeds, returning the first one
+    /// broken.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.duration_secs.is_nan() || self.duration_secs <= 0.0 {
             return Err(ScenarioError::Duration(self.duration_secs));
@@ -155,7 +155,7 @@ impl Scenario {
         if self.groups.is_empty() {
             return Err(ScenarioError::NoGroups);
         }
-        self.radio.validate();
+        self.radio.validate().map_err(ScenarioError::Radio)?;
         let traffic_nodes: usize = self
             .groups
             .iter()
@@ -172,6 +172,9 @@ impl Scenario {
         if !(t.size_lo > 0 && t.size_hi >= t.size_lo) {
             return Err(ScenarioError::TrafficSizes);
         }
+        if t.ttl.is_zero() {
+            return Err(ScenarioError::TrafficTtl);
+        }
         for g in &self.groups {
             if g.count == 0 {
                 return Err(ScenarioError::EmptyGroup(g.name.clone()));
@@ -179,8 +182,14 @@ impl Scenario {
             if g.buffer_bytes == 0 {
                 return Err(ScenarioError::ZeroBuffer(g.name.clone()));
             }
-            if let MobilitySpec::ShortestPathMapBased(cfg) = &g.mobility {
-                cfg.validate();
+            match &g.mobility {
+                MobilitySpec::ShortestPathMapBased(cfg) => cfg
+                    .validate()
+                    .map_err(|reason| ScenarioError::Spmb(g.name.clone(), reason))?,
+                MobilitySpec::Stationary(RelayPlacement::Explicit(p)) if p.len() != g.count => {
+                    return Err(ScenarioError::RelayPoints(g.name.clone(), g.count, p.len()));
+                }
+                MobilitySpec::Stationary(_) => {}
             }
         }
         Ok(())
@@ -208,6 +217,15 @@ pub enum ScenarioError {
     EmptyGroup(String),
     /// The named group has a zero-byte buffer.
     ZeroBuffer(String),
+    /// The radio range or rate is not finite and positive.
+    Radio(&'static str),
+    /// The traffic TTL is zero, so every message would expire at birth.
+    TrafficTtl,
+    /// The named group's SPMB configuration is invalid, for the given reason.
+    Spmb(String, String),
+    /// The named group has this many nodes but that many explicit relay
+    /// points.
+    RelayPoints(String, usize, usize),
 }
 
 impl fmt::Display for ScenarioError {
@@ -224,6 +242,12 @@ impl fmt::Display for ScenarioError {
             ScenarioError::TrafficSizes => write!(f, "invalid traffic sizes"),
             ScenarioError::EmptyGroup(name) => write!(f, "empty group '{name}'"),
             ScenarioError::ZeroBuffer(name) => write!(f, "zero buffer in group '{name}'"),
+            ScenarioError::Radio(reason) => f.write_str(reason),
+            ScenarioError::TrafficTtl => write!(f, "traffic ttl must be positive"),
+            ScenarioError::Spmb(name, reason) => write!(f, "group '{name}': {reason}"),
+            ScenarioError::RelayPoints(name, n, k) => {
+                write!(f, "group '{name}' has {n} nodes but {k} explicit positions")
+            }
         }
     }
 }
@@ -343,6 +367,32 @@ mod tests {
             err.to_string(),
             format!("zero buffer in group '{}'", s.groups[0].name)
         );
+    }
+
+    #[test]
+    fn rejects_bad_nested_values_with_typed_errors() {
+        let mut s = minimal();
+        s.radio.range = -1.0;
+        let err = s.validate().unwrap_err();
+        assert_eq!(err.to_string(), "radio range must be finite and positive");
+        let mut s = minimal();
+        s.traffic.ttl = SimDuration::ZERO;
+        assert_eq!(s.validate(), Err(ScenarioError::TrafficTtl));
+        let mut s = minimal();
+        s.groups[0].mobility = MobilitySpec::ShortestPathMapBased(SpmbConfig {
+            speed_lo: 0.0,
+            ..SpmbConfig::default()
+        });
+        let err = s.validate().unwrap_err();
+        assert!(matches!(&err, ScenarioError::Spmb(name, _) if name == "vehicles"));
+        assert!(err.to_string().contains("invalid speed range"), "{err}");
+        let explicit =
+            |n| MobilitySpec::Stationary(RelayPlacement::Explicit(vec![Point::ORIGIN; n]));
+        s.groups[0].mobility = explicit(1);
+        let err = ScenarioError::RelayPoints("vehicles".into(), 4, 1);
+        assert_eq!(s.validate(), Err(err));
+        s.groups[0].mobility = explicit(4);
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use std::path::Path;
 use std::process::Command;
 use vdtn::presets::{paper_scenario, PaperProtocol};
-use vdtn::SweepManifest;
+use vdtn::{MobilitySpec, RelayPlacement, Scenario, ScenarioBase, SimDuration, SweepManifest};
+use vdtn_geo::Point;
 
 /// Run the binary and require `code`, exactly one stderr line and no
 /// panic; returns stdout.
@@ -43,16 +44,44 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let bad = write("bad.json", "{\"name\": ");
     let mut negative = scenario.clone();
     negative.duration_secs = -5.0;
-    let negative = write("negative.json", &serde_json::to_string(&negative).unwrap());
     let mut no_tick = scenario.clone();
     no_tick.tick_secs = 0.0;
-    let no_tick = write("no_tick.json", &serde_json::to_string(&no_tick).unwrap());
+    // Scenarios failing `Scenario::validate`, nested values included (SPMB
+    // speed, radio range, traffic TTL, relay points), and bad sweeps.
+    let mut slow = scenario.clone();
+    if let MobilitySpec::ShortestPathMapBased(cfg) = &mut slow.groups[0].mobility {
+        cfg.speed_lo = 0.0;
+    }
+    let (mut deaf, mut ttl_zero, mut one_point) =
+        (scenario.clone(), scenario.clone(), scenario.clone());
+    deaf.radio.range = -1.0;
+    ttl_zero.traffic.ttl = SimDuration::ZERO;
+    one_point.groups[1].mobility =
+        MobilitySpec::Stationary(RelayPlacement::Explicit(vec![Point::ORIGIN]));
+    let custom = |t: &Scenario| SweepManifest {
+        base: ScenarioBase::Custom(Box::new(t.clone())),
+        protocols: Vec::new(),
+        ..manifest.clone()
+    };
+    let (mut ttl_sweep, mut no_seeds) = (manifest.clone(), manifest.clone());
+    ttl_sweep.ttls_mins = vec![0];
+    no_seeds.seeds.clear();
+    let invalid: Vec<String> = [&negative, &no_tick, &slow, &deaf, &ttl_zero, &one_point]
+        .iter()
+        .enumerate()
+        .map(|(i, s)| write(&format!("n{i}.json"), &serde_json::to_string(s).unwrap()))
+        .collect();
+    let bad_sweeps: Vec<String> = [custom(&negative), custom(&slow), ttl_sweep, no_seeds]
+        .iter()
+        .enumerate()
+        .map(|(i, m)| write(&format!("m{i}.json"), &serde_json::to_string(m).unwrap()))
+        .collect();
     let missing = dir.join("missing.json").to_str().unwrap().to_string();
     let snap = dir.join("out.snap").to_str().unwrap().to_string();
     assert!(!Path::new(&missing).exists());
 
     let g = good.as_str();
-    let cases: Vec<Vec<&str>> = vec![
+    let mut cases: Vec<Vec<&str>> = vec![
         vec![g, "--threads", "x"],
         vec![g, "--threads"],
         vec![g, "--threads", "0"],
@@ -67,14 +96,14 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![g, "--engine", "parallel"],
         vec![&missing],
         vec![&bad],
-        vec![&negative],
-        vec![&no_tick],
         vec!["--restore", &missing],
         vec!["--sweep", &missing],
         vec!["--sweep", &bad],
         vec!["--sweep", &sweep, "--threads", "0"],
         vec!["--sweep", &sweep, "--checkpoint-every", "-1"],
     ];
+    cases.extend(invalid.iter().map(|p| vec![p.as_str()]));
+    cases.extend(bad_sweeps.iter().map(|p| vec!["--sweep", p.as_str()]));
     for args in &cases {
         let stdout = run_expecting(args, 2);
         assert!(stdout.is_empty(), "{args:?}: ran before rejecting");

@@ -5,9 +5,10 @@
 //! location along the shortest road path at a per-trip random speed
 //! (U\[30, 50\] km/h in the scenario), then pauses for a random wait
 //! (U\[5, 15\] min) before picking the next destination. Relay nodes are
-//! stationary. This crate implements those two plus two extension models
-//! (fixed routes for bus-like nodes and free-space random waypoint) behind a
-//! single [`MovementModel`] trait that the engine steps once per tick.
+//! stationary. This crate implements exactly those two behind the
+//! [`MovementModel`] trait, whose closed-form motion segments let the
+//! event-driven engine advance a node only when its segment expires (see
+//! [`model`]).
 //!
 //! # Example
 //!
@@ -31,16 +32,12 @@
 //! ```
 
 pub mod model;
-pub mod route;
 pub mod snapshot;
 pub mod spmb;
-pub mod waypoint;
 
 pub use model::{MovementModel, Stationary};
-pub use route::{MapRouteMovement, RouteConfig};
-pub use snapshot::{restore_mover, FreePhase, MoverSnapshot, PathPhase};
+pub use snapshot::{restore_mover, MoverSnapshot, PathPhase};
 pub use spmb::{ShortestPathMapBased, SpmbConfig};
-pub use waypoint::{RandomWaypoint, WaypointConfig};
 
 /// Convert km/h to the m/s the simulator uses internally.
 pub fn kmh_to_ms(kmh: f64) -> f64 {

@@ -86,23 +86,6 @@ pub trait MovementModel: Send {
         self.advance_to(now + dt)
     }
 
-    /// Closed-form position `elapsed` after the current state, without
-    /// mutating the model.
-    ///
-    /// Exact (bit-identical to `advance_to`) while no *random* decision
-    /// boundary is crossed within `elapsed`: deterministic leg changes inside
-    /// a planned trip project exactly, and beyond the last waypoint (or for
-    /// parked nodes, beyond the wait — whose outcome needs an RNG draw) the
-    /// result conservatively clamps in place. Default: the current position
-    /// (correct for anything not moving).
-    fn position_at(&self, elapsed: SimDuration) -> Point {
-        let _ = elapsed;
-        self.position()
-    }
-
-    /// Diagnostic name for reports.
-    fn name(&self) -> &'static str;
-
     /// Capture the model's full dynamic state for checkpointing.
     ///
     /// Restoring the snapshot with [`crate::restore_mover`] reproduces the
@@ -152,10 +135,6 @@ impl MovementModel for Stationary {
         true
     }
 
-    fn name(&self) -> &'static str {
-        "Stationary"
-    }
-
     fn snapshot(&self) -> MoverSnapshot {
         MoverSnapshot::Stationary { pos: self.pos }
     }
@@ -195,8 +174,9 @@ pub(crate) fn leg_segment(origin: Point, target: Point, speed: f64, start: SimTi
 /// wait RNG at the returned segment's `start`) the segment is a stationary
 /// sentinel parked on the final waypoint and the index equals `path.len()`.
 ///
-/// Pure: both `advance_to` and `position_at` route through this, which is
-/// what makes within-trip projections bit-identical to stepping.
+/// Pure: stepping every tick and jumping straight to `t` cross the same
+/// boundaries, which is what makes the trajectory independent of the call
+/// pattern.
 pub(crate) fn project_legs(
     path: &[Point],
     mut leg: usize,
@@ -228,14 +208,13 @@ mod tests {
             assert_eq!(p, p0);
         }
         assert!(s.is_stationary());
-        assert_eq!(s.name(), "Stationary");
     }
 
     #[test]
     fn stationary_decision_time_is_never() {
         let s = Stationary::new(Point::ORIGIN);
         assert_eq!(s.next_decision_time(), SimTime::MAX);
-        assert_eq!(s.position_at(SimDuration::from_hours(5)), Point::ORIGIN);
+        assert_eq!(s.motion().position_at(SimTime::MAX), Point::ORIGIN);
         assert!(s.motion().is_parked());
         assert_eq!(s.max_speed(), 0.0);
     }

@@ -9,8 +9,8 @@
 //!
 //! # Snapshot vs. hash
 //!
-//! The snapshot includes `pos`/`clock` (the `position_at` anchor): they are
-//! needed to resume. The canonical *hash* ([`MovementModel::hash_state`])
+//! The snapshot includes `pos`/`clock` (the last `advance_to` anchor): they
+//! are needed to resume. The canonical *hash* ([`MovementModel::hash_state`])
 //! deliberately excludes them — mid-leg they depend on how often the engine
 //! happened to call `advance_to`, which differs between the ticked and
 //! event-driven disciplines even though the trajectories are bit-identical.
@@ -18,20 +18,14 @@
 //! mode-invariant, so the hash folds the segment, the remaining path, and
 //! the RNG words instead.
 
-use crate::route::RouteConfig;
 use crate::spmb::SpmbConfig;
-use crate::waypoint::WaypointConfig;
-use crate::{MapRouteMovement, MovementModel, RandomWaypoint, ShortestPathMapBased, Stationary};
+use crate::{MovementModel, ShortestPathMapBased, Stationary};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdtn_geo::{Point, RoadGraph, Segment, VertexId};
 use vdtn_sim_core::{SimRng, SimTime};
 
-/// Phase image for path-driving models (SPMB and fixed-route).
-///
-/// `speed` mirrors the SPMB per-trip draw; for [`MapRouteMovement`] it
-/// records the config cruise speed (redundant but kept so the variant is
-/// self-describing).
+/// Phase image for [`ShortestPathMapBased`]; `speed` is the per-trip draw.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PathPhase {
     /// Parked on a stationary segment until `seg.until`.
@@ -44,15 +38,6 @@ pub enum PathPhase {
         speed: f64,
         seg: Segment,
     },
-}
-
-/// Phase image for the free-space waypoint model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FreePhase {
-    /// Paused until `seg.until`.
-    Waiting { seg: Segment },
-    /// Straight-line leg towards `target`.
-    Moving { target: Point, seg: Segment },
 }
 
 /// Full dynamic state of one movement model, ready for serialisation.
@@ -70,30 +55,13 @@ pub enum MoverSnapshot {
         anchor_b: VertexId,
         phase: PathPhase,
     },
-    /// Free-space random waypoint node.
-    Waypoint {
-        cfg: WaypointConfig,
-        rng: SimRng,
-        pos: Point,
-        clock: SimTime,
-        phase: FreePhase,
-    },
-    /// Cyclic fixed-route node.
-    MapRoute {
-        cfg: RouteConfig,
-        pos: Point,
-        clock: SimTime,
-        next_stop: usize,
-        phase: PathPhase,
-    },
 }
 
 /// Rebuild a movement model from its snapshot.
 ///
 /// `graph` is the world's road network — map-based models hold an
 /// `Arc<RoadGraph>` that is scenario state, not mover state, so it travels
-/// outside the snapshot and is re-attached here. Free-space and stationary
-/// models ignore it.
+/// outside the snapshot and is re-attached here. Stationary models ignore it.
 pub fn restore_mover(snap: MoverSnapshot, graph: &Arc<RoadGraph>) -> Box<dyn MovementModel> {
     match snap {
         MoverSnapshot::Stationary { pos } => Box::new(Stationary::new(pos)),
@@ -115,34 +83,13 @@ pub fn restore_mover(snap: MoverSnapshot, graph: &Arc<RoadGraph>) -> Box<dyn Mov
             anchor_b,
             phase,
         )),
-        MoverSnapshot::Waypoint {
-            cfg,
-            rng,
-            pos,
-            clock,
-            phase,
-        } => Box::new(RandomWaypoint::from_snapshot(cfg, rng, pos, clock, phase)),
-        MoverSnapshot::MapRoute {
-            cfg,
-            pos,
-            clock,
-            next_stop,
-            phase,
-        } => Box::new(MapRouteMovement::from_snapshot(
-            graph.clone(),
-            cfg,
-            pos,
-            clock,
-            next_stop,
-            phase,
-        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdtn_geo::{Bounds, GridMapGen};
+    use vdtn_geo::GridMapGen;
     use vdtn_sim_core::{SimDuration, StateHash};
 
     fn grid() -> Arc<RoadGraph> {
@@ -196,53 +143,6 @@ mod tests {
         let b = drive(restored.as_mut(), resume, 2_000);
         assert_eq!(a, b, "restored trajectory diverged");
         assert_eq!(hash_of(&original), hash_of(restored.as_mut()));
-    }
-
-    #[test]
-    fn waypoint_snapshot_round_trips_bitwise() {
-        let mut bounds = Bounds::empty();
-        bounds.expand(Point::new(0.0, 0.0));
-        bounds.expand(Point::new(500.0, 500.0));
-        let cfg = WaypointConfig {
-            bounds,
-            speed_lo: 2.0,
-            speed_hi: 8.0,
-            wait_lo: 0.0,
-            wait_hi: 5.0,
-        };
-        let mut original = RandomWaypoint::new(cfg, SimRng::seed_from_u64(7));
-        drive(&mut original, SimTime::ZERO, 333);
-
-        let g = grid(); // unused by the model; restore_mover still wants one
-        let mut restored = restore_mover(original.snapshot(), &g);
-        assert_eq!(hash_of(&original), hash_of(restored.as_ref()));
-        let resume = SimTime::from_millis(333_000);
-        assert_eq!(
-            drive(&mut original, resume, 1_500),
-            drive(restored.as_mut(), resume, 1_500)
-        );
-    }
-
-    #[test]
-    fn route_snapshot_round_trips_bitwise() {
-        let g = grid();
-        let stops: Vec<VertexId> = vec![VertexId(0), VertexId(4), VertexId(24), VertexId(20)];
-        let cfg = RouteConfig {
-            stops,
-            speed: 9.0,
-            stop_wait: 6.0,
-        };
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut original = MapRouteMovement::new(g.clone(), cfg, &mut rng);
-        drive(&mut original, SimTime::ZERO, 77);
-
-        let mut restored = restore_mover(original.snapshot(), &g);
-        assert_eq!(hash_of(&original), hash_of(restored.as_ref()));
-        let resume = SimTime::from_millis(77_000);
-        assert_eq!(
-            drive(&mut original, resume, 1_000),
-            drive(restored.as_mut(), resume, 1_000)
-        );
     }
 
     #[test]

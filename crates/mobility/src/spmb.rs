@@ -16,9 +16,9 @@
 //!
 //! Motion follows the segment protocol (see [`crate::model`]): each driving
 //! leg is a [`Segment`] evaluated in closed form, transitions happen at
-//! segment expiry with RNG draws anchored to the boundary time, and
-//! [`MovementModel::position_at`] projects across leg boundaries exactly —
-//! a whole trip is deterministic once planned.
+//! segment expiry with RNG draws anchored to the boundary time, and leg
+//! changes inside a planned trip draw nothing — a whole trip is
+//! deterministic once planned.
 
 use crate::model::{leg_segment, project_legs, MovementModel, MIN_WAIT};
 use crate::snapshot::{MoverSnapshot, PathPhase};
@@ -53,20 +53,18 @@ impl Default for SpmbConfig {
 }
 
 impl SpmbConfig {
-    /// Validate ranges; panics with a descriptive message on nonsense input.
-    pub fn validate(&self) {
-        assert!(
-            self.speed_lo > 0.0 && self.speed_hi >= self.speed_lo,
-            "invalid speed range [{}, {}]",
-            self.speed_lo,
-            self.speed_hi
-        );
-        assert!(
-            self.wait_lo >= 0.0 && self.wait_hi >= self.wait_lo,
-            "invalid wait range [{}, {}]",
-            self.wait_lo,
-            self.wait_hi
-        );
+    /// Check the speed and wait ranges, naming the first one that is empty
+    /// or not positive.
+    pub fn validate(&self) -> Result<(), String> {
+        let (lo, hi) = (self.speed_lo, self.speed_hi);
+        if !(lo > 0.0 && hi >= lo) {
+            return Err(format!("invalid speed range [{lo}, {hi}]"));
+        }
+        let (lo, hi) = (self.wait_lo, self.wait_hi);
+        if !(lo >= 0.0 && hi >= lo) {
+            return Err(format!("invalid wait range [{lo}, {hi}]"));
+        }
+        Ok(())
     }
 }
 
@@ -95,7 +93,7 @@ pub struct ShortestPathMapBased {
     cfg: SpmbConfig,
     rng: SimRng,
     pos: Point,
-    /// Time of the last `advance_to` (the anchor for `position_at`).
+    /// Time of the last `advance_to` (kept so snapshots restore exactly).
     clock: SimTime,
     /// The two road vertices the current position lies between (equal when
     /// parked exactly at an intersection). These are the legal ways back
@@ -110,8 +108,10 @@ impl ShortestPathMapBased {
     ///
     /// The vehicle starts waiting at a uniformly random road point, with an
     /// initial residual wait drawn from `[0, wait_hi]`.
+    ///
+    /// Panics if `cfg` fails [`SpmbConfig::validate`].
     pub fn new(graph: Arc<RoadGraph>, cfg: SpmbConfig, mut rng: SimRng) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(graph.vertex_count() > 0, "map has no vertices");
         let (pos, anchor_a, anchor_b) = random_road_point(&graph, &mut rng);
         let initial_wait = SimDuration::from_secs_f64(rng.range_f64(0.0, cfg.wait_hi.max(1.0)));
@@ -144,7 +144,7 @@ impl ShortestPathMapBased {
         anchor_b: VertexId,
         phase: PathPhase,
     ) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let phase = match phase {
             PathPhase::Waiting { seg } => Phase::Waiting { seg },
             PathPhase::Driving {
@@ -307,27 +307,6 @@ impl MovementModel for ShortestPathMapBased {
 
     fn position(&self) -> Point {
         self.pos
-    }
-
-    fn position_at(&self, elapsed: SimDuration) -> Point {
-        let t = self.clock + elapsed;
-        match &self.phase {
-            Phase::Waiting { .. } => self.pos,
-            Phase::Driving {
-                path,
-                leg,
-                speed,
-                seg,
-                ..
-            } => {
-                let (nseg, _) = project_legs(path, *leg, *seg, *speed, t);
-                nseg.position_at(t)
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "ShortestPathMapBased"
     }
 
     fn snapshot(&self) -> MoverSnapshot {
@@ -548,12 +527,9 @@ mod tests {
             let end = now + dt;
             let seg = m.motion();
             let driving = !seg.is_parked();
-            let predicted = m.position_at(dt);
             let actual = m.step(now, dt);
             if seg.until > end {
-                // No decision boundary inside the tick: the projection and
-                // the exported segment are both bit-exact.
-                assert_eq!(predicted, actual, "peek diverged at {end}");
+                // No decision boundary inside the tick: the segment is exact.
                 assert_eq!(seg.position_at(end), actual, "segment diverged at {end}");
                 if driving {
                     checked += 1;
@@ -590,6 +566,7 @@ mod tests {
             speed_hi: 5.0,
             ..SpmbConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 }

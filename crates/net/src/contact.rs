@@ -190,8 +190,10 @@ pub struct ContactDetector {
 
 impl ContactDetector {
     /// Create a detector for interfaces with the given uniform range.
+    ///
+    /// Panics if `interface` fails [`RadioInterface::validate`].
     pub fn new(interface: RadioInterface) -> Self {
-        interface.validate();
+        interface.validate().unwrap_or_else(|e| panic!("{e}"));
         ContactDetector {
             range: interface.range,
             grid: SpatialGrid::new(REQUERY_RADII * interface.range),
@@ -209,11 +211,6 @@ impl ContactDetector {
     /// Radio range in use.
     pub fn range(&self) -> f64 {
         self.range
-    }
-
-    /// Currently connected pairs (lexicographic order not guaranteed).
-    pub fn active_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.current.iter().map(|&(a, b)| (NodeId(a), NodeId(b)))
     }
 
     /// Number of active links.

@@ -25,19 +25,18 @@ impl RadioInterface {
         }
     }
 
-    /// Validate parameters. Rates must be finite as well as positive —
-    /// `LinkTable::link_up` rejects non-finite rates (they would poison
-    /// every completion time), and validating here keeps that a
-    /// configuration-time error instead of a mid-run one.
-    pub fn validate(&self) {
-        assert!(
-            self.range.is_finite() && self.range > 0.0,
-            "radio range must be finite and positive"
-        );
-        assert!(
-            self.rate.is_finite() && self.rate > 0.0,
-            "radio rate must be finite and positive"
-        );
+    /// Validate parameters, naming the first bad one. Rates must be finite
+    /// as well as positive — `LinkTable::link_up` rejects non-finite rates
+    /// (they would poison every completion time), and validating here keeps
+    /// that a configuration-time error instead of a mid-run one.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !(self.range.is_finite() && self.range > 0.0) {
+            return Err("radio range must be finite and positive");
+        }
+        if !(self.rate.is_finite() && self.rate > 0.0) {
+            return Err("radio rate must be finite and positive");
+        }
+        Ok(())
     }
 
     /// Effective rate between two interfaces: the slower side limits, as in
@@ -59,7 +58,7 @@ mod tests {
     #[test]
     fn paper_values() {
         let r = RadioInterface::paper_80211b();
-        r.validate();
+        assert_eq!(r.validate(), Ok(()));
         assert_eq!(r.range, 30.0);
         assert_eq!(r.rate, 750_000.0);
     }
@@ -96,7 +95,8 @@ mod tests {
             range: 0.0,
             rate: 1.0,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -106,6 +106,7 @@ mod tests {
             range: 30.0,
             rate: f64::INFINITY,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 }

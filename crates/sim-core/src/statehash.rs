@@ -88,12 +88,6 @@ impl StateHash {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Fold an `i64` via its two's-complement bits.
-    #[inline]
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
     /// Fold a length prefix (domain-separates adjacent collections).
     #[inline]
     pub fn write_len(&mut self, n: usize) {

@@ -109,102 +109,6 @@ impl Welford {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `n` equal-width buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "bad histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.buckets.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.buckets[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Total samples recorded (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bucket counts, in order.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile (linear within the winning bucket).
-    /// Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if seen + c >= target && c > 0 {
-                let into = (target - seen) as f64 / c as f64;
-                return Some(self.lo + width * (i as f64 + into));
-            }
-            seen += c;
-        }
-        Some(self.hi)
-    }
-
-    /// Merge another histogram with identical bounds/buckets.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo);
-        assert_eq!(self.hi, other.hi);
-        assert_eq!(self.buckets.len(), other.buckets.len());
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-    }
-}
-
 /// Bounded reservoir sample (Vitter's algorithm R) for exact medians on
 /// moderate sample counts without unbounded memory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -348,34 +252,6 @@ mod tests {
         let b = Welford::new();
         a.merge(&b); // merging empties is a no-op
         assert_eq!(a.count(), 0);
-    }
-
-    #[test]
-    fn histogram_counts_and_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.push(i as f64);
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.buckets().iter().all(|&c| c == 10));
-        let med = h.quantile(0.5).unwrap();
-        assert!((med - 50.0).abs() <= 10.0, "median ≈ 50, got {med}");
-        h.push(-5.0);
-        h.push(1e9);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let mut b = Histogram::new(0.0, 10.0, 5);
-        a.push(1.0);
-        b.push(9.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.buckets()[0], 1);
-        assert_eq!(a.buckets()[4], 1);
     }
 
     #[test]
