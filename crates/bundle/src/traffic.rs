@@ -157,15 +157,6 @@ impl TrafficGenerator {
             next_id,
         }
     }
-
-    /// Fold the generator's dynamic state into a canonical state hash.
-    pub fn hash_into(&self, h: &mut vdtn_sim_core::StateHash) {
-        for w in self.rng.state_words() {
-            h.write_u64(w);
-        }
-        h.write_u64(self.next_time.as_millis());
-        h.write_u64(self.next_id);
-    }
 }
 
 #[cfg(test)]

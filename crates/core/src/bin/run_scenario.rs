@@ -190,8 +190,8 @@ fn main() {
         eprintln!(
             "restored `{}` at t={:.0}s (state hash {:016x})",
             snap.scenario.name,
-            snap.now.as_secs_f64(),
-            snap.state_hash,
+            snap.state.now.as_secs_f64(),
+            world.state_hash(),
         );
         (snap.scenario, world)
     } else {
@@ -246,8 +246,8 @@ fn main() {
             .unwrap_or_else(|e| output_error(&format!("cannot write snapshot {path}: {e}")));
         eprintln!(
             "snapshot at t={:.0}s written to {path} (state hash {:016x})",
-            snap.now.as_secs_f64(),
-            snap.state_hash,
+            snap.state.now.as_secs_f64(),
+            snap.state.digest(),
         );
     }
 

@@ -79,16 +79,16 @@
 use crate::logging::{SimLog, SimLogBuilder};
 use crate::report::{DropCause, Sample, SimReport};
 use crate::scenario::{place_relays_high_degree, MobilitySpec, RelayPlacement, Scenario};
-use crate::snapshot::{LinkSnapshot, NodeSnapshot, TransferSnapshot, WorldSnapshot};
+use crate::snapshot::{LinkSnapshot, NodeSnapshot, TransferSnapshot, WorldSnapshot, WorldState};
 use std::sync::Arc;
-use vdtn_bundle::{Message, MessageId, TrafficConfig, TrafficGenerator};
+use vdtn_bundle::{MessageId, TrafficConfig, TrafficGenerator};
 use vdtn_geo::{Point, Segment};
 use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationary};
 use vdtn_net::{
     pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, MotionCols, TransferOutcome,
 };
 use vdtn_routing::{ContactOffers, NodeState, ReceiveOutcome, Router};
-use vdtn_sim_core::{EngineEvent, EventQueue, NodeId, SimDuration, SimRng, SimTime, StateHash};
+use vdtn_sim_core::{EngineEvent, EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
 /// Split two distinct mutable references out of a slice.
 fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
@@ -953,19 +953,12 @@ impl World {
         }
     }
 
-    /// Phase 6 for one node: expire due messages and run router
-    /// housekeeping.
-    ///
-    /// Note for [`Router`] implementors: under the event-driven scheduler
-    /// `on_tick` fires only on ticks this node's TTL housekeeping runs, not
-    /// once per simulated second — it must not be used as a wall clock (no
-    /// in-tree router does; all are no-ops).
+    /// Phase 6 for one node: expire due messages.
     fn expire_node(&mut self, i: usize, now: SimTime) {
         let expired = self.states[i].buffer.drain_expired(now);
         if !expired.is_empty() {
-            let ids: Vec<MessageId> = expired.iter().map(|m| m.id).collect();
-            self.routers[i].on_messages_expired(&mut self.states[i], &ids);
-            self.report.on_dropped(DropCause::Expired, ids.len() as u64);
+            self.report
+                .on_dropped(DropCause::Expired, expired.len() as u64);
             // Prune this node's per-contact offer sets so they stay bounded
             // by live traffic over arbitrarily long contacts. Behaviour-
             // neutral (ids are never reused and expired messages are never
@@ -982,7 +975,6 @@ impl World {
                 }
             }
         }
-        self.routers[i].on_tick(&mut self.states[i], now);
     }
 
     /// Phase 7: record time-series samples; true if a sample was taken.
@@ -1058,17 +1050,11 @@ impl World {
     fn handle_link_down(&mut self, a: NodeId, b: NodeId) {
         let slot = self.links.slot_of(a, b);
         if let Some(TransferOutcome::Aborted {
-            transfer: t,
-            bytes_transferred,
+            bytes_transferred, ..
         }) = self.links.link_down(a, b, self.now)
         {
             self.report.messages.transfers_aborted += 1;
             self.report.messages.bytes_aborted += bytes_transferred;
-            self.routers[t.from.index()].on_transfer_aborted(
-                &mut self.states[t.from.index()],
-                t.msg.id,
-                t.to,
-            );
         }
         self.trace.on_down(a, b, self.now);
         if let Some(log) = &mut self.log {
@@ -1145,9 +1131,8 @@ impl World {
             }
             ReceiveOutcome::Rejected(_) => {
                 // The bandwidth was spent but the copy was refused; the
-                // sender's state is untouched (mirrors an aborted transfer).
+                // sender's state is untouched (as after an aborted transfer).
                 self.report.messages.transfers_rejected += 1;
-                self.routers[from].on_transfer_aborted(&mut self.states[from], t.msg.id, t.to);
             }
         }
         self.refresh_ttl_wake(to);
@@ -1253,109 +1238,24 @@ impl World {
 
 impl World {
     /// Canonical hash of the world's semantic state at the current tick
-    /// boundary.
+    /// boundary: the [`WorldState::digest`] of the state a
+    /// [`World::snapshot`] taken now would hold.
     ///
-    /// **Identical by construction across both [`EngineMode`]s**: it
-    /// folds in only state the modes keep bit-identical — the clock,
-    /// positions evaluated through [`World::node_position`] (the one closed
-    /// form both disciplines share), buffers in reception order, delivered
-    /// sets in sorted order, router protocol state, RNG stream positions,
-    /// live links with their transfers in ordered-pair-key order, the
-    /// traffic stream, the contact trace, and the report counters. It deliberately excludes
-    /// everything call-pattern-dependent: mover clock/position anchors,
-    /// the raw kinematics columns (never refreshed between boundaries
-    /// under `Ticked`), silence memos, candidate indexes, the
-    /// event queue, `wall_secs`, and [`EngineStats`].
+    /// **Identical across both [`EngineMode`]s**, because the capture is:
+    /// it holds only state the modes keep bit-identical and none of what is
+    /// call-pattern-dependent — mover `advance_to` anchors, the raw
+    /// kinematics columns (never refreshed between boundaries under
+    /// `Ticked`), silence memos, candidate indexes, the event queue, and
+    /// [`EngineStats`].
     ///
     /// Must be sampled between ticks (never mid-phase). The CI drift
     /// matrix compares streams of these hashes across the engine modes.
     pub fn state_hash(&self) -> u64 {
-        let mut h = StateHash::new();
-        self.hash_state(&mut h);
-        h.finish()
+        self.capture().digest()
     }
 
-    /// Fold the canonical state into an existing [`StateHash`] (see
-    /// [`World::state_hash`] for what is included and why).
-    pub fn hash_state(&self, h: &mut StateHash) {
-        h.write_tag("world");
-        h.write_u64(self.now.as_millis());
-        h.write_u64(self.tick_index);
-
-        h.write_tag("nodes");
-        h.write_len(self.states.len());
-        for i in 0..self.states.len() {
-            let st = &self.states[i];
-            self.node_position(NodeId(i as u32)).hash_into(h);
-            h.write_u64(st.buffer.used());
-            let msgs: Vec<Message> = st.buffer.iter().collect();
-            h.write_len(msgs.len());
-            for m in &msgs {
-                hash_message(h, m);
-            }
-            let mut delivered: Vec<MessageId> = st.delivered.iter().copied().collect();
-            delivered.sort_unstable();
-            h.write_len(delivered.len());
-            for d in delivered {
-                h.write_u64(d.0);
-            }
-            self.routers[i].hash_state(h);
-            for w in self.node_rngs[i].state_words() {
-                h.write_u64(w);
-            }
-        }
-
-        h.write_tag("movers");
-        for m in &self.movers {
-            m.hash_state(h);
-        }
-
-        h.write_tag("traffic");
-        self.traffic.hash_into(h);
-
-        h.write_tag("links");
-        let conns = self.links.connections();
-        h.write_len(conns.len());
-        for (a, b, up_since, rate, transfer) in conns {
-            h.write_u32(a.0);
-            h.write_u32(b.0);
-            h.write_u64(up_since.as_millis());
-            h.write_f64(rate);
-            match transfer {
-                Some(t) => {
-                    h.write_u8(1);
-                    h.write_u32(t.from.0);
-                    h.write_u32(t.to.0);
-                    hash_message(h, &t.msg);
-                    h.write_u64(t.started.as_millis());
-                    h.write_f64(t.rate);
-                }
-                None => h.write_u8(0),
-            }
-            let slot = self
-                .links
-                .slot_of(a, b)
-                .expect("listed connection has a slot");
-            match self.contacts.get(slot as usize).and_then(Option::as_ref) {
-                Some(c) => {
-                    h.write_u8(1);
-                    c.hash_into(h);
-                }
-                None => h.write_u8(0),
-            }
-        }
-
-        h.write_tag("trace");
-        self.trace.hash_into(h);
-
-        h.write_tag("report");
-        hash_report(h, &self.report);
-
-        h.write_tag("sampling");
-        h.write_u64(self.next_sample.as_millis());
-    }
-
-    /// Capture the world's full dynamic state between two ticks.
+    /// Capture the world's full dynamic state between two ticks, paired
+    /// with the scenario that built it.
     ///
     /// `scenario` must be the scenario this world was built from (it is
     /// embedded so [`World::restore`] can re-materialise the static side);
@@ -1367,6 +1267,16 @@ impl World {
             self.states.len(),
             "snapshot scenario does not match the running world"
         );
+        WorldSnapshot {
+            scenario: scenario.clone(),
+            state: self.capture(),
+        }
+    }
+
+    /// The world's dynamic state between two ticks — the one canonical
+    /// description that both [`World::snapshot`] and
+    /// [`World::state_hash`] are made from.
+    fn capture(&self) -> WorldState {
         let nodes: Vec<NodeSnapshot> = self
             .states
             .iter()
@@ -1409,13 +1319,10 @@ impl World {
                 }
             })
             .collect();
-        let (trace_open, trace_last_end) = self.trace.snapshot_maps();
         let (traffic_rng, traffic_next_time, traffic_next_id) = self.traffic.snapshot_state();
-        WorldSnapshot {
-            scenario: scenario.clone(),
+        WorldState {
             now: self.now,
             tick_index: self.tick_index,
-            state_hash: self.state_hash(),
             nodes,
             movers: self.movers.iter().map(|m| m.snapshot()).collect(),
             node_rngs: self.node_rngs.clone(),
@@ -1424,8 +1331,6 @@ impl World {
             traffic_next_id,
             links,
             trace: self.trace.clone(),
-            trace_open,
-            trace_last_end,
             report: self.report.clone(),
             next_sample: self.next_sample,
         }
@@ -1443,11 +1348,11 @@ impl World {
     /// events-are-markers discipline), and silence memos and candidate
     /// indexes start cold and rebuild on first use.
     ///
-    /// Panics if the restored world's [`World::state_hash`] does not
-    /// reproduce the snapshot's recorded hash: a failed round trip is a
-    /// bug, never a degradation to tolerate.
-    pub fn restore(snap: &WorldSnapshot, mode: EngineMode) -> World {
-        let scenario = &snap.scenario;
+    /// Panics if the restored world does not re-capture a state with the
+    /// snapshot's digest: a failed round trip is a bug, never a
+    /// degradation to tolerate.
+    pub fn restore(snapshot: &WorldSnapshot, mode: EngineMode) -> World {
+        let (scenario, snap) = (&snapshot.scenario, &snapshot.state);
         let mut w = Self::build_with_mode(scenario, mode);
         let n = w.states.len();
         assert_eq!(n, snap.nodes.len(), "snapshot node count mismatch");
@@ -1462,13 +1367,7 @@ impl World {
         let root = SimRng::seed_from_u64(scenario.seed);
         let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
         for (i, ms) in snap.movers.iter().enumerate() {
-            w.movers[i] = restore_mover(ms.clone(), &map);
-            // Normalise the advance anchor to the restore instant. Every
-            // restored segment satisfies `until > now` (a boundary at or
-            // before `now` would have been crossed before the snapshot),
-            // so this stays within-segment: clock and position update, no
-            // boundary crossing, no RNG draw.
-            w.movers[i].advance_to(w.now);
+            w.movers[i] = restore_mover(ms.clone(), &map, w.now);
             let seg = w.movers[i].motion();
             w.positions[i] = w.movers[i].position();
             w.seg_origin[i] = seg.origin;
@@ -1526,8 +1425,6 @@ impl World {
         }
 
         w.trace = snap.trace.clone();
-        w.trace
-            .restore_maps(snap.trace_open.clone(), snap.trace_last_end.clone());
         w.report = snap.report.clone();
         w.next_sample = snap.next_sample;
 
@@ -1600,58 +1497,12 @@ impl World {
             }
         }
 
-        let hash = w.state_hash();
         assert_eq!(
-            hash, snap.state_hash,
+            w.state_hash(),
+            snap.digest(),
             "restored world does not reproduce the snapshot's state hash"
         );
         w
-    }
-}
-
-/// Fold one message copy into a state hash (all fields drive behaviour:
-/// identity, routing, size/drain time, TTL, FIFO order, spray quotas).
-fn hash_message(h: &mut StateHash, m: &Message) {
-    h.write_u64(m.id.0);
-    h.write_u32(m.src.0);
-    h.write_u32(m.dst.0);
-    h.write_u64(m.size);
-    h.write_u64(m.created.as_millis());
-    h.write_u64(m.ttl.as_millis());
-    h.write_u32(m.hops);
-    h.write_u32(m.copies);
-    h.write_u64(m.received.as_millis());
-}
-
-/// Fold the report's accumulated metrics into a state hash — everything
-/// except `wall_secs` (measurement, not state) and the static labels.
-fn hash_report(h: &mut StateHash, r: &SimReport) {
-    let m = &r.messages;
-    for c in [
-        m.created,
-        m.delivered_unique,
-        m.delivered_duplicate,
-        m.relayed,
-        m.transfers_started,
-        m.transfers_aborted,
-        m.transfers_rejected,
-        m.dropped_congestion,
-        m.dropped_expired,
-        m.dropped_ack,
-        m.dropped_at_creation,
-        m.bytes_transferred,
-        m.bytes_aborted,
-    ] {
-        h.write_u64(c);
-    }
-    m.delay.hash_into(h);
-    m.hops.hash_into(h);
-    for series in [&r.buffer_occupancy, &r.deliveries_over_time] {
-        h.write_len(series.len());
-        for s in series {
-            h.write_f64(s.t_secs);
-            h.write_f64(s.value);
-        }
     }
 }
 

@@ -59,7 +59,7 @@ pub use orchestrator::{
 pub use report::{DropCause, MessageStats, SimReport};
 pub use scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, ScenarioError};
 pub use snapshot::{
-    load_snapshot, save_snapshot, scenario_fingerprint, SnapshotHeader, WorldSnapshot,
+    load_snapshot, save_snapshot, scenario_fingerprint, SnapshotHeader, WorldSnapshot, WorldState,
 };
 pub use sweep::{average_reports, run_sweep, SweepError, SweepPoint};
 

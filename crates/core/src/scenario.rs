@@ -25,14 +25,39 @@ pub enum MapSpec {
     WktText(String),
 }
 
+/// Endpoints of inline WKT streets closer than this many metres are one
+/// intersection.
+const WKT_SNAP_METRES: f64 = 0.5;
+
 impl MapSpec {
+    /// Check the map parameters, naming the first rule broken. Inline WKT
+    /// must parse and hold at least one road.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            MapSpec::Grid(g) => g.validate(),
+            MapSpec::Synthetic(s) => s.validate(),
+            MapSpec::WktText(text) => {
+                let graph = vdtn_geo::wkt::parse_document_connected(text, WKT_SNAP_METRES)
+                    .map_err(|e| e.to_string())?;
+                if graph.vertex_count() == 0 {
+                    return Err("WKT map has no roads".into());
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Materialise the road graph (deterministic given `rng`).
+    ///
+    /// Panics if the map fails [`MapSpec::validate`].
     pub fn build(&self, rng: &mut SimRng) -> RoadGraph {
         match self {
             MapSpec::Grid(g) => g.generate(),
             MapSpec::Synthetic(s) => s.generate(rng),
-            MapSpec::WktText(text) => vdtn_geo::wkt::parse_document_connected(text, 0.5)
-                .expect("invalid WKT map in scenario"),
+            MapSpec::WktText(text) => {
+                vdtn_geo::wkt::parse_document_connected(text, WKT_SNAP_METRES)
+                    .unwrap_or_else(|e| panic!("{e}"))
+            }
         }
     }
 }
@@ -139,9 +164,9 @@ impl Scenario {
         self.groups.iter().map(|g| g.count).sum()
     }
 
-    /// Check the scenario's rules, including those of the radio, traffic,
-    /// SPMB and relay-placement values it embeds, returning the first one
-    /// broken.
+    /// Check the scenario's rules, including those of the map, radio,
+    /// traffic, SPMB and relay-placement values it embeds, returning the
+    /// first one broken.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.duration_secs.is_nan() || self.duration_secs <= 0.0 {
             return Err(ScenarioError::Duration(self.duration_secs));
@@ -152,6 +177,7 @@ impl Scenario {
         if self.tick_secs > self.duration_secs {
             return Err(ScenarioError::TickLongerThanRun);
         }
+        self.map.validate().map_err(ScenarioError::Map)?;
         if self.groups.is_empty() {
             return Err(ScenarioError::NoGroups);
         }
@@ -205,6 +231,8 @@ pub enum ScenarioError {
     Tick(f64),
     /// `tick_secs` exceeds `duration_secs`.
     TickLongerThanRun,
+    /// The map spec is invalid, for the given reason.
+    Map(String),
     /// `groups` is empty.
     NoGroups,
     /// Fewer than two non-relay nodes can exchange traffic.
@@ -234,6 +262,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Duration(x) => write!(f, "duration must be positive, got {x}"),
             ScenarioError::Tick(x) => write!(f, "tick must be positive, got {x}"),
             ScenarioError::TickLongerThanRun => write!(f, "tick longer than the run"),
+            ScenarioError::Map(reason) => write!(f, "invalid map: {reason}"),
             ScenarioError::NoGroups => write!(f, "no node groups"),
             ScenarioError::TrafficNodes(n) => {
                 write!(f, "need at least two non-relay nodes for traffic, got {n}")
@@ -393,6 +422,38 @@ mod tests {
         assert_eq!(s.validate(), Err(err));
         s.groups[0].mobility = explicit(4);
         assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
+    fn rejects_bad_maps_with_typed_errors() {
+        let reason = |map: MapSpec| {
+            let mut s = minimal();
+            s.map = map;
+            match s.validate() {
+                Err(ScenarioError::Map(reason)) => reason,
+                other => panic!("expected a map error, got {other:?}"),
+            }
+        };
+        let grid = |cols, spacing| {
+            MapSpec::Grid(GridMapGen {
+                cols,
+                rows: 3,
+                spacing,
+            })
+        };
+        assert!(reason(grid(1, 100.0)).contains("at least 2×2"));
+        assert!(reason(grid(3, 0.0)).contains("grid spacing"));
+        let city = MapSpec::Synthetic(SyntheticCityGen {
+            delete_fraction: 1.0,
+            ..SyntheticCityGen::default()
+        });
+        assert!(reason(city).contains("delete_fraction"));
+        let torn = reason(MapSpec::WktText("LINESTRING (0 0".into()));
+        assert!(torn.contains("WKT"), "{torn}");
+        assert_eq!(
+            reason(MapSpec::WktText("# no roads".into())),
+            "WKT map has no roads"
+        );
     }
 
     #[test]

@@ -1,21 +1,29 @@
-//! Checkpoint/restore: the world snapshot and its on-disk format.
+//! Checkpoint/restore and the state hash: the world's one canonical
+//! description of its state, and its on-disk format.
 //!
-//! A [`WorldSnapshot`] captures everything a [`World`](crate::World) needs
+//! A [`WorldState`] captures everything a [`World`](crate::World) needs
 //! to resume a run mid-flight and finish **bit-identically** to the
 //! uninterrupted run: simulation clock, per-node buffers and delivered
 //! sets, router protocol state, RNG stream positions, mover trajectories,
 //! the traffic generator mid-stream, live links with their in-flight
-//! transfers and per-contact offer state, and the contact trace. Caches —
-//! silence memos, candidate indexes, router digest
+//! transfers and per-contact offer state, the contact trace, and the
+//! report so far. Caches — silence memos, candidate indexes, router digest
 //! caches, the event queue — are deliberately *not* captured: they rebuild
 //! conservatively at restore, degrading to rescans, never to wrong answers
 //! (the same "events are markers, not obligations" discipline the engine
-//! itself follows).
+//! itself follows). A [`WorldSnapshot`] pairs it with the [`Scenario`]
+//! that re-materialises the static side.
 //!
-//! Restoring is mode-agnostic: a snapshot taken under any
-//! [`EngineMode`](crate::EngineMode) resumes under any other, because the
-//! captured state is exactly the canonical state the three modes keep
-//! bit-identical (`tests/engine_equivalence.rs`).
+//! The same value defines the state hash: [`WorldState::digest`] is the
+//! FNV-1a digest of its canonical JSON, and
+//! [`World::state_hash`](crate::World::state_hash) is the digest of a
+//! fresh capture. There is no second description of world state to keep
+//! in step with this one.
+//!
+//! The capture is mode-invariant: the two [`EngineMode`](crate::EngineMode)s
+//! capture byte-identical states at every tick boundary, so a snapshot
+//! taken under either resumes under the other and the two modes' hash
+//! streams are equal (`tests/snapshot_equivalence.rs`).
 //!
 //! # File format
 //!
@@ -47,8 +55,8 @@ use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Snapshot file magic.
 const MAGIC: &str = "vdtn-snapshot";
-/// Snapshot format version.
-const VERSION: u32 = 1;
+/// Snapshot format version; [`load_snapshot`] refuses any other.
+const VERSION: u32 = 2;
 
 /// One node's store-and-forward state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -99,21 +107,27 @@ pub struct LinkSnapshot {
     pub sent_bytes: [u64; 2],
 }
 
-/// Complete dynamic state of a [`World`](crate::World) between two ticks.
+/// A restorable world: the scenario that builds its static side plus its
+/// dynamic state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorldSnapshot {
     /// The scenario that built the world. Restore re-materialises the
     /// static side (map, node groups, radio) from it, then overwrites the
-    /// dynamic state with the fields below.
+    /// dynamic state with [`WorldSnapshot::state`].
     pub scenario: Scenario,
+    /// The world's dynamic state at capture.
+    pub state: WorldState,
+}
+
+/// Complete dynamic state of a [`World`](crate::World) between two ticks,
+/// in canonical order: nodes by id, buffers in reception order, sets and
+/// maps sorted, links in ordered-pair-key order.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct WorldState {
     /// Simulation clock at capture (a tick boundary).
     pub now: SimTime,
     /// Tick counter at capture (drives routing-initiative parity).
     pub tick_index: u64,
-    /// Canonical state hash at capture ([`crate::World::state_hash`]).
-    /// Restore recomputes and verifies it — a round trip that does not
-    /// reproduce the hash is a bug, not a degradation.
-    pub state_hash: u64,
     /// Per-node store-and-forward state, indexed by node id.
     pub nodes: Vec<NodeSnapshot>,
     /// Per-node movement-model state, indexed by node id.
@@ -128,17 +142,28 @@ pub struct WorldSnapshot {
     pub traffic_next_id: u64,
     /// Live links in ordered-pair-key order.
     pub links: Vec<LinkSnapshot>,
-    /// Contact-trace accumulators (the serde derive persists the Welford
-    /// moments; the dynamic maps travel separately below).
+    /// Contact trace: accumulators and per-pair maps.
     pub trace: vdtn_net::ContactTrace,
-    /// Open contacts (pair → start), sorted by pair key.
-    pub trace_open: Vec<((u32, u32), SimTime)>,
-    /// Last contact end per pair, sorted by pair key.
-    pub trace_last_end: Vec<((u32, u32), SimTime)>,
-    /// Report accumulated so far (counters, Welford moments, samples).
+    /// Report accumulated so far (counters, Welford moments, samples;
+    /// `wall_secs` is only set when a run finishes, so it is 0 here).
     pub report: SimReport,
     /// Next sampling boundary.
     pub next_sample: SimTime,
+}
+
+impl WorldState {
+    /// The canonical state hash: FNV-1a over this state's JSON.
+    ///
+    /// The JSON writes floats with round-trip precision, so a one-ULP
+    /// change or a `0.0`/`-0.0` flip changes the digest. Non-finite floats
+    /// hash as `null`, exactly as snapshot files store them; the only ones
+    /// in world state are MaxProp's +∞ costs to unreachable nodes and an
+    /// empty Welford accumulator's ±∞ bounds, both unambiguous in context,
+    /// so the digest loses nothing a restore keeps.
+    pub fn digest(&self) -> u64 {
+        let json = serde_json::to_string(self).expect("world state serialises");
+        fnv1a_64(json.as_bytes())
+    }
 }
 
 /// First line of a snapshot file.
@@ -154,7 +179,7 @@ pub struct SnapshotHeader {
     pub scenario_fnv: u64,
     /// Capture clock, milliseconds.
     pub now_ms: u64,
-    /// Canonical state hash at capture.
+    /// Canonical state hash at capture ([`WorldState::digest`]).
     pub state_hash: u64,
     /// Byte length of the payload line (excluding the trailing newline).
     pub payload_len: u64,
@@ -181,8 +206,8 @@ pub fn save_snapshot(path: &Path, snap: &WorldSnapshot) -> io::Result<()> {
         snapshot: MAGIC.to_string(),
         version: VERSION,
         scenario_fnv: scenario_fingerprint(&snap.scenario),
-        now_ms: snap.now.as_millis(),
-        state_hash: snap.state_hash,
+        now_ms: snap.state.now.as_millis(),
+        state_hash: snap.state.digest(),
         payload_len: payload.len() as u64,
         payload_fnv: fnv1a_64(payload.as_bytes()),
     };
@@ -279,10 +304,10 @@ mod tests {
             let path = tmp(&format!("roundtrip{i}.snap"));
             save_snapshot(&path, &snap).unwrap();
             let loaded = load_snapshot(&path).unwrap();
-            assert_eq!(loaded.state_hash, snap.state_hash);
-            assert_eq!(loaded.now, snap.now);
+            assert_eq!(loaded.state.digest(), world.state_hash());
+            assert_eq!(loaded.state.now, snap.state.now);
             let restored = World::restore(&loaded, world.mode());
-            assert_eq!(restored.state_hash(), snap.state_hash);
+            assert_eq!(restored.state_hash(), world.state_hash());
             std::fs::remove_file(&path).ok();
         }
     }

@@ -5,8 +5,10 @@
 use std::path::Path;
 use std::process::Command;
 use vdtn::presets::{paper_scenario, PaperProtocol};
-use vdtn::{MobilitySpec, RelayPlacement, Scenario, ScenarioBase, SimDuration, SweepManifest};
-use vdtn_geo::Point;
+use vdtn::{
+    MapSpec, MobilitySpec, RelayPlacement, Scenario, ScenarioBase, SimDuration, SweepManifest,
+};
+use vdtn_geo::{GridMapGen, Point};
 
 /// Run the binary and require `code`, exactly one stderr line and no
 /// panic; returns stdout.
@@ -47,7 +49,7 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let mut no_tick = scenario.clone();
     no_tick.tick_secs = 0.0;
     // Scenarios failing `Scenario::validate`, nested values included (SPMB
-    // speed, radio range, traffic TTL, relay points), and bad sweeps.
+    // speed, radio range, traffic TTL, relay points, map), and bad sweeps.
     let mut slow = scenario.clone();
     if let MobilitySpec::ShortestPathMapBased(cfg) = &mut slow.groups[0].mobility {
         cfg.speed_lo = 0.0;
@@ -58,6 +60,13 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     ttl_zero.traffic.ttl = SimDuration::ZERO;
     one_point.groups[1].mobility =
         MobilitySpec::Stationary(RelayPlacement::Explicit(vec![Point::ORIGIN]));
+    let (mut torn_wkt, mut tiny_grid) = (scenario.clone(), scenario.clone());
+    torn_wkt.map = MapSpec::WktText("LINESTRING (0 0".into());
+    tiny_grid.map = MapSpec::Grid(GridMapGen {
+        cols: 1,
+        rows: 1,
+        spacing: 100.0,
+    });
     let custom = |t: &Scenario| SweepManifest {
         base: ScenarioBase::Custom(Box::new(t.clone())),
         protocols: Vec::new(),
@@ -66,16 +75,24 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let (mut ttl_sweep, mut no_seeds) = (manifest.clone(), manifest.clone());
     ttl_sweep.ttls_mins = vec![0];
     no_seeds.seeds.clear();
-    let invalid: Vec<String> = [&negative, &no_tick, &slow, &deaf, &ttl_zero, &one_point]
-        .iter()
-        .enumerate()
-        .map(|(i, s)| write(&format!("n{i}.json"), &serde_json::to_string(s).unwrap()))
-        .collect();
+    let invalid: Vec<String> = [
+        &negative, &no_tick, &slow, &deaf, &ttl_zero, &one_point, &torn_wkt, &tiny_grid,
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, s)| write(&format!("n{i}.json"), &serde_json::to_string(s).unwrap()))
+    .collect();
     let bad_sweeps: Vec<String> = [custom(&negative), custom(&slow), ttl_sweep, no_seeds]
         .iter()
         .enumerate()
         .map(|(i, m)| write(&format!("m{i}.json"), &serde_json::to_string(m).unwrap()))
         .collect();
+    // A snapshot in an older format version is refused from its header.
+    let old_snap = write(
+        "v1.snap",
+        "{\"snapshot\":\"vdtn-snapshot\",\"version\":1,\"scenario_fnv\":0,\"now_ms\":0,\
+         \"state_hash\":0,\"payload_len\":2,\"payload_fnv\":0}\n{}\n",
+    );
     let missing = dir.join("missing.json").to_str().unwrap().to_string();
     let snap = dir.join("out.snap").to_str().unwrap().to_string();
     assert!(!Path::new(&missing).exists());
@@ -97,6 +114,7 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![&missing],
         vec![&bad],
         vec!["--restore", &missing],
+        vec!["--restore", &old_snap],
         vec!["--sweep", &missing],
         vec!["--sweep", &bad],
         vec!["--sweep", &sweep, "--threads", "0"],

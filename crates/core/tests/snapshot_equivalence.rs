@@ -1,21 +1,21 @@
 //! Cross-mode state-hash and checkpoint/restore equivalence.
 //!
-//! The state hash is only useful if it is *identical by construction*
-//! across every engine mode — these tests pin that, and
-//! pin the stronger property the CI drift matrix builds on: a run split by
-//! a snapshot/restore at any tick boundary (restored under any mode) is
-//! bit-identical to the uninterrupted run, in both its final report and
-//! its hash stream.
+//! The state hash is the digest of the world's snapshot, so it is only
+//! useful if the snapshot is *identical* across every engine mode — these
+//! tests pin that, byte for byte, and pin the stronger property the CI
+//! drift matrix builds on: a run split by a snapshot/restore at any tick
+//! boundary (restored under any mode) is bit-identical to the
+//! uninterrupted run, in both its final report and its hash stream.
 
 use proptest::prelude::*;
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::scenario::{MapSpec, NodeGroup, Scenario, TrafficSpec};
-use vdtn::{EngineMode, MobilitySpec, SimReport, World};
+use vdtn::{EngineMode, MobilitySpec, SimReport, World, WorldSnapshot};
 use vdtn_bundle::PolicyCombo;
 use vdtn_geo::GridMapGen;
 use vdtn_mobility::SpmbConfig;
 use vdtn_net::RadioInterface;
-use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind};
+use vdtn_routing::{MaxPropConfig, ProphetConfig, RouterKind, RouterSnapshot};
 use vdtn_sim_core::{SimDuration, SimTime};
 
 /// Small but busy scenario: 8 vehicles on a 3×3 grid, fast contacts.
@@ -88,6 +88,68 @@ fn hash_streams_identical_across_modes() {
         );
         assert_eq!(reference, event, "seed {seed}: event-driven drifted");
     }
+}
+
+/// Every stateful router, plus Random scheduling on Epidemic.
+#[test]
+fn snapshots_serialise_identically_across_modes() {
+    let lifetime = PolicyCombo::LIFETIME;
+    for (router, policy) in [
+        (RouterKind::Epidemic, lifetime),
+        (RouterKind::paper_snw(), lifetime),
+        (RouterKind::Prophet(ProphetConfig::default()), lifetime),
+        (RouterKind::MaxProp(MaxPropConfig::default()), lifetime),
+        (RouterKind::SprayAndFocus { copies: 12 }, lifetime),
+        (RouterKind::Epidemic, PolicyCombo::RANDOM_FIFO),
+    ] {
+        let label = format!("{} {}", router.label(), policy.label());
+        let scenario = small(router, policy, 5);
+        let mut ticked = World::build_with_mode(&scenario, EngineMode::Ticked);
+        let mut event = World::build_with_mode(&scenario, EngineMode::EventDriven);
+        for at in [61.0, 450.0, 1_201.0] {
+            let at = SimTime::from_secs_f64(at);
+            ticked.run_until(at);
+            event.run_until(at);
+            let a = serde_json::to_string(&ticked.snapshot(&scenario)).unwrap();
+            let b = serde_json::to_string(&event.snapshot(&scenario)).unwrap();
+            assert!(a == b, "{label}: snapshots at {at:?} differ across modes");
+        }
+    }
+}
+
+/// The JSON route keeps IEEE bit sensitivity: a one-ULP change or a sign
+/// flip of zero in a single router float changes the state hash.
+#[test]
+fn router_float_bit_flips_change_state_hash() {
+    let scenario = small(
+        RouterKind::Prophet(ProphetConfig::default()),
+        PolicyCombo::LIFETIME,
+        3,
+    );
+    let mut world = World::build(&scenario);
+    world.run_until(SimTime::from_secs_f64(900.0));
+    let snap = world.snapshot(&scenario);
+    let hash = world.state_hash();
+    assert_eq!(hash, snap.state.digest());
+
+    // Rewrite the first table entry `pick` accepts in node 0's PRoPHET
+    // state, then restore: the world re-captures the edited state.
+    let flipped = |pick: fn(f64) -> bool, edit: fn(f64) -> f64| -> u64 {
+        let mut snap: WorldSnapshot = snap.clone();
+        let RouterSnapshot::Prophet { table } = &mut snap.state.nodes[0].router else {
+            panic!("PRoPHET scenario snapshots a PRoPHET table");
+        };
+        let entry = table
+            .iter_mut()
+            .find(|(p, _)| pick(*p))
+            .expect("table has a matching entry");
+        entry.0 = edit(entry.0);
+        World::restore(&snap, EngineMode::EventDriven).state_hash()
+    };
+    let one_ulp = flipped(|p| p > 0.0, |p| f64::from_bits(p.to_bits() + 1));
+    let neg_zero = flipped(|p| p == 0.0, |p| -p);
+    assert_ne!(one_ulp, hash, "one ULP must change the hash");
+    assert_ne!(neg_zero, hash, "0.0 -> -0.0 must change the hash");
 }
 
 #[test]

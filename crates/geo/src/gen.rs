@@ -39,10 +39,17 @@ impl Default for GridMapGen {
 }
 
 impl GridMapGen {
+    /// Check the grid's shape and spacing, naming the first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        check_shape("grid", self.cols, self.rows)?;
+        check_extent("grid spacing", self.spacing)
+    }
+
     /// Generate the grid graph.
+    ///
+    /// Panics if the grid fails [`GridMapGen::validate`].
     pub fn generate(&self) -> RoadGraph {
-        assert!(self.cols >= 2 && self.rows >= 2, "grid needs at least 2×2");
-        assert!(self.spacing > 0.0);
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut b = RoadGraphBuilder::new();
         let at = |i: usize, j: usize| Point::new(i as f64 * self.spacing, j as f64 * self.spacing);
         for i in 0..self.cols {
@@ -126,12 +133,32 @@ impl SyntheticCityGen {
 }
 
 impl SyntheticCityGen {
+    /// Check the city's shape, extent and street fractions, naming the
+    /// first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        check_shape("city", self.cols, self.rows)?;
+        check_extent("city width", self.width)?;
+        check_extent("city height", self.height)?;
+        if !(0.0..1.0).contains(&self.delete_fraction) {
+            return Err(format!(
+                "city delete_fraction must lie in [0, 1), got {}",
+                self.delete_fraction
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.diagonal_fraction) {
+            return Err(format!(
+                "city diagonal_fraction must lie in [0, 1], got {}",
+                self.diagonal_fraction
+            ));
+        }
+        Ok(())
+    }
+
     /// Generate the city graph deterministically from `rng`.
+    ///
+    /// Panics if the city fails [`SyntheticCityGen::validate`].
     pub fn generate(&self, rng: &mut SimRng) -> RoadGraph {
-        assert!(self.cols >= 2 && self.rows >= 2, "city needs at least 2×2");
-        assert!(self.width > 0.0 && self.height > 0.0);
-        assert!((0.0..1.0).contains(&self.delete_fraction));
-        assert!((0.0..=1.0).contains(&self.diagonal_fraction));
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
 
         let dx = self.width / (self.cols - 1) as f64;
         let dy = self.height / (self.rows - 1) as f64;
@@ -186,6 +213,24 @@ impl SyntheticCityGen {
         //    two vertices that mobility might sample.
         b.build_largest_component()
     }
+}
+
+/// Both generators lay out at least a 2×2 lattice of intersections.
+fn check_shape(what: &str, cols: usize, rows: usize) -> Result<(), String> {
+    if cols < 2 || rows < 2 {
+        return Err(format!(
+            "{what} needs at least 2×2 intersections, got {cols}×{rows}"
+        ));
+    }
+    Ok(())
+}
+
+/// Lengths in metres are finite and positive.
+fn check_extent(what: &str, metres: f64) -> Result<(), String> {
+    if !(metres.is_finite() && metres > 0.0) {
+        return Err(format!("{what} must be finite and positive, got {metres}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

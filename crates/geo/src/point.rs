@@ -22,14 +22,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// Fold both coordinates into a canonical state hash (IEEE bit
-    /// patterns, x before y).
-    #[inline]
-    pub fn hash_into(self, h: &mut vdtn_sim_core::StateHash) {
-        h.write_f64(self.x);
-        h.write_f64(self.y);
-    }
-
     /// Euclidean distance to another point.
     #[inline]
     pub fn distance(self, other: Point) -> f64 {

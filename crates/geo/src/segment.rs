@@ -41,16 +41,6 @@ impl Segment {
         }
     }
 
-    /// Fold the segment's four canonical fields into a state hash
-    /// (origin, velocity, start, until).
-    #[inline]
-    pub fn hash_into(&self, h: &mut vdtn_sim_core::StateHash) {
-        self.origin.hash_into(h);
-        self.velocity.hash_into(h);
-        h.write_u64(self.start.as_millis());
-        h.write_u64(self.until.as_millis());
-    }
-
     /// Closed-form position at absolute time `t`, clamped to the segment's
     /// validity window. This is the one shared evaluation path — every
     /// caller (model stepping, engine columns, contact prediction) must go

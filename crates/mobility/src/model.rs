@@ -18,7 +18,7 @@
 
 use crate::snapshot::MoverSnapshot;
 use vdtn_geo::{Point, Segment};
-use vdtn_sim_core::{SimDuration, SimTime, StateHash};
+use vdtn_sim_core::{SimDuration, SimTime};
 
 /// Minimum length of any waiting segment. A parked phase always lasts at
 /// least one millisecond, which guarantees `advance_to` makes progress even
@@ -88,17 +88,10 @@ pub trait MovementModel: Send {
 
     /// Capture the model's full dynamic state for checkpointing.
     ///
-    /// Restoring the snapshot with [`crate::restore_mover`] reproduces the
-    /// model bit-for-bit: identical future RNG draws, boundary crossings,
-    /// and positions.
+    /// Restoring the snapshot with [`crate::restore_mover`] at the capture
+    /// instant reproduces the model bit-for-bit: identical future RNG
+    /// draws, boundary crossings, and positions.
     fn snapshot(&self) -> MoverSnapshot;
-
-    /// Fold the model's *mode-invariant* semantic state into a canonical
-    /// state hash: phase, motion segment, planned path, and RNG words — but
-    /// not the `advance_to` clock/position anchor, which depends on how
-    /// often the engine happened to call the model (see
-    /// [`crate::snapshot`] module docs).
-    fn hash_state(&self, h: &mut StateHash);
 }
 
 /// A node that never moves (the paper's stationary relay nodes).
@@ -137,11 +130,6 @@ impl MovementModel for Stationary {
 
     fn snapshot(&self) -> MoverSnapshot {
         MoverSnapshot::Stationary { pos: self.pos }
-    }
-
-    fn hash_state(&self, h: &mut StateHash) {
-        h.write_tag("mov.stationary");
-        self.pos.hash_into(h);
     }
 }
 

@@ -1,22 +1,23 @@
 //! Movement-model checkpointing.
 //!
-//! [`MoverSnapshot`] is the serialisable image of a movement model's full
-//! dynamic state — RNG stream, phase, planned path, clock anchor. Restoring
-//! one via [`restore_mover`] reproduces the original model bit-for-bit: every
-//! future RNG draw, boundary crossing, and closed-form position is identical
-//! to the uninterrupted run, because the snapshot captures exactly the
-//! private fields the model evolves and nothing derived.
+//! [`MoverSnapshot`] is the serialisable image of a movement model's
+//! dynamic state — RNG stream, phase, planned path, motion segment.
+//! Restoring one via [`restore_mover`] at the capture instant reproduces
+//! the original model bit-for-bit: every future RNG draw, boundary
+//! crossing, and closed-form position is identical to the uninterrupted
+//! run, because the snapshot captures exactly the private fields the model
+//! evolves and nothing derived.
 //!
-//! # Snapshot vs. hash
+//! # Mode invariance
 //!
-//! The snapshot includes `pos`/`clock` (the last `advance_to` anchor): they
-//! are needed to resume. The canonical *hash* ([`MovementModel::hash_state`])
-//! deliberately excludes them — mid-leg they depend on how often the engine
-//! happened to call `advance_to`, which differs between the ticked and
-//! event-driven disciplines even though the trajectories are bit-identical.
-//! The segment protocol guarantees `motion()` and all future decisions are
-//! mode-invariant, so the hash folds the segment, the remaining path, and
-//! the RNG words instead.
+//! The snapshot is also the mover's part of the world's canonical state
+//! hash, so it must not depend on how often the engine happened to call
+//! `advance_to` — the ticked and event-driven disciplines call it on
+//! different ticks even though the trajectories are bit-identical. It
+//! therefore holds no `advance_to` anchor (last position and clock): the
+//! segment protocol makes `motion()` and every future decision
+//! mode-invariant, and [`restore_mover`] re-derives the position from the
+//! segment at the restore instant.
 
 use crate::spmb::SpmbConfig;
 use crate::{MovementModel, ShortestPathMapBased, Stationary};
@@ -49,27 +50,28 @@ pub enum MoverSnapshot {
     Spmb {
         cfg: SpmbConfig,
         rng: SimRng,
-        pos: Point,
-        clock: SimTime,
         anchor_a: VertexId,
         anchor_b: VertexId,
         phase: PathPhase,
     },
 }
 
-/// Rebuild a movement model from its snapshot.
+/// Rebuild a movement model from its snapshot, positioned at `now` (the
+/// capture instant).
 ///
 /// `graph` is the world's road network — map-based models hold an
 /// `Arc<RoadGraph>` that is scenario state, not mover state, so it travels
 /// outside the snapshot and is re-attached here. Stationary models ignore it.
-pub fn restore_mover(snap: MoverSnapshot, graph: &Arc<RoadGraph>) -> Box<dyn MovementModel> {
+pub fn restore_mover(
+    snap: MoverSnapshot,
+    graph: &Arc<RoadGraph>,
+    now: SimTime,
+) -> Box<dyn MovementModel> {
     match snap {
         MoverSnapshot::Stationary { pos } => Box::new(Stationary::new(pos)),
         MoverSnapshot::Spmb {
             cfg,
             rng,
-            pos,
-            clock,
             anchor_a,
             anchor_b,
             phase,
@@ -77,11 +79,10 @@ pub fn restore_mover(snap: MoverSnapshot, graph: &Arc<RoadGraph>) -> Box<dyn Mov
             graph.clone(),
             cfg,
             rng,
-            pos,
-            clock,
             anchor_a,
             anchor_b,
             phase,
+            now,
         )),
     }
 }
@@ -90,7 +91,7 @@ pub fn restore_mover(snap: MoverSnapshot, graph: &Arc<RoadGraph>) -> Box<dyn Mov
 mod tests {
     use super::*;
     use vdtn_geo::GridMapGen;
-    use vdtn_sim_core::{SimDuration, StateHash};
+    use vdtn_sim_core::SimDuration;
 
     fn grid() -> Arc<RoadGraph> {
         Arc::new(
@@ -115,12 +116,6 @@ mod tests {
         trace
     }
 
-    fn hash_of(m: &dyn MovementModel) -> u64 {
-        let mut h = StateHash::new();
-        m.hash_state(&mut h);
-        h.finish()
-    }
-
     #[test]
     fn spmb_snapshot_round_trips_bitwise() {
         let g = grid();
@@ -133,42 +128,45 @@ mod tests {
         // Advance into the middle of the run (mid-trip for most seeds).
         drive(&mut original, SimTime::ZERO, 500);
 
-        let snap = original.snapshot();
-        let mut restored = restore_mover(snap.clone(), &g);
-        assert_eq!(snap, restored.snapshot(), "snapshot must round-trip");
-        assert_eq!(hash_of(&original), hash_of(restored.as_ref()));
-
         let resume = SimTime::from_millis(500_000);
+        let snap = original.snapshot();
+        let mut restored = restore_mover(snap.clone(), &g, resume);
+        assert_eq!(snap, restored.snapshot(), "snapshot must round-trip");
+        assert_eq!(original.position(), restored.position());
+
         let a = drive(&mut original, resume, 2_000);
         let b = drive(restored.as_mut(), resume, 2_000);
         assert_eq!(a, b, "restored trajectory diverged");
-        assert_eq!(hash_of(&original), hash_of(restored.as_mut()));
+        assert_eq!(original.snapshot(), restored.snapshot());
     }
 
     #[test]
     fn stationary_snapshot_round_trips() {
         let s = Stationary::new(Point::new(3.0, 4.0));
         let g = grid();
-        let restored = restore_mover(s.snapshot(), &g);
+        let restored = restore_mover(s.snapshot(), &g, SimTime::ZERO);
         assert_eq!(restored.position(), Point::new(3.0, 4.0));
         assert!(restored.is_stationary());
-        assert_eq!(hash_of(&s), hash_of(restored.as_ref()));
+        assert_eq!(s.snapshot(), restored.snapshot());
     }
 
     #[test]
     fn hash_distinguishes_divergent_movers() {
+        // Movers on different RNG streams snapshot (and so hash)
+        // differently from the first instant.
         let g = grid();
         let cfg = SpmbConfig::default();
         let a = ShortestPathMapBased::new(g.clone(), cfg, SimRng::seed_from_u64(1));
         let b = ShortestPathMapBased::new(g, cfg, SimRng::seed_from_u64(2));
-        assert_ne!(hash_of(&a), hash_of(&b));
+        assert_ne!(a.snapshot(), b.snapshot());
     }
 
     #[test]
     fn hash_ignores_mid_segment_clock() {
         // Advancing within one segment (no boundary crossed, no RNG draw)
-        // must not change the canonical hash: the clock/pos anchor is
-        // call-pattern-dependent and is excluded by design.
+        // must not change the snapshot, and so not the world's state hash:
+        // how often `advance_to` ran is call-pattern-dependent. Both a
+        // parked and a driving segment are covered.
         let g = grid();
         let cfg = SpmbConfig {
             wait_lo: 100.0,
@@ -176,9 +174,18 @@ mod tests {
             ..SpmbConfig::default()
         };
         let mut m = ShortestPathMapBased::new(g, cfg, SimRng::seed_from_u64(3));
-        let before = hash_of(&m);
+        let before = m.snapshot();
         // The initial wait lasts at least 100 s; advance 1 s into it.
         m.advance_to(SimTime::from_millis(1_000));
-        assert_eq!(before, hash_of(&m));
+        assert_eq!(before, m.snapshot());
+
+        // Advance onto a driving leg, then 1 ms within it.
+        let depart = m.next_decision_time();
+        m.advance_to(depart);
+        let leg = m.motion();
+        assert!(!leg.is_parked() && leg.until > depart + SimDuration::from_millis(1));
+        let before = m.snapshot();
+        m.advance_to(depart + SimDuration::from_millis(1));
+        assert_eq!(before, m.snapshot());
     }
 }

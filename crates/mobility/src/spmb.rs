@@ -25,7 +25,7 @@ use crate::snapshot::{MoverSnapshot, PathPhase};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdtn_geo::{astar, distance_lower_bound, Point, RoadGraph, Segment, VertexId};
-use vdtn_sim_core::{SimDuration, SimRng, SimTime, StateHash};
+use vdtn_sim_core::{SimDuration, SimRng, SimTime};
 
 /// Parameters for [`ShortestPathMapBased`]. Defaults are the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,9 +92,8 @@ pub struct ShortestPathMapBased {
     graph: Arc<RoadGraph>,
     cfg: SpmbConfig,
     rng: SimRng,
+    /// Position at the last `advance_to`.
     pos: Point,
-    /// Time of the last `advance_to` (kept so snapshots restore exactly).
-    clock: SimTime,
     /// The two road vertices the current position lies between (equal when
     /// parked exactly at an intersection). These are the legal ways back
     /// onto the vertex graph when planning the next trip.
@@ -121,7 +120,6 @@ impl ShortestPathMapBased {
             cfg,
             rng,
             pos,
-            clock: SimTime::ZERO,
             anchor_a,
             anchor_b,
             phase: Phase::Waiting {
@@ -130,19 +128,21 @@ impl ShortestPathMapBased {
         }
     }
 
-    /// Rebuild a vehicle from its [`MoverSnapshot::Spmb`] parts. Exact
-    /// inverse of [`MovementModel::snapshot`]: no RNG draws, no validation
-    /// beyond the config's own invariants.
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuild a vehicle from its [`MoverSnapshot::Spmb`] parts, advanced
+    /// to `now`: the inverse of [`MovementModel::snapshot`] followed by
+    /// `advance_to(now)`. `now` must lie before the snapshot segment's
+    /// `until` (a snapshot is taken after every boundary up to its instant
+    /// was crossed), so the position is the segment's closed form at `now`
+    /// and nothing is drawn. No validation beyond the config's own
+    /// invariants.
     pub(crate) fn from_snapshot(
         graph: Arc<RoadGraph>,
         cfg: SpmbConfig,
         rng: SimRng,
-        pos: Point,
-        clock: SimTime,
         anchor_a: VertexId,
         anchor_b: VertexId,
         phase: PathPhase,
+        now: SimTime,
     ) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let phase = match phase {
@@ -159,12 +159,16 @@ impl ShortestPathMapBased {
                 seg,
             },
         };
+        // A parked vehicle sits exactly on its segment's origin.
+        let pos = match &phase {
+            Phase::Waiting { seg } => seg.origin,
+            Phase::Driving { seg, .. } => seg.position_at(now),
+        };
         ShortestPathMapBased {
             graph,
             cfg,
             rng,
             pos,
-            clock,
             anchor_a,
             anchor_b,
             phase,
@@ -258,7 +262,6 @@ impl MovementModel for ShortestPathMapBased {
             match &mut self.phase {
                 Phase::Waiting { seg } => {
                     if t < seg.until {
-                        self.clock = t;
                         return self.pos;
                     }
                     let depart = seg.until;
@@ -275,7 +278,6 @@ impl MovementModel for ShortestPathMapBased {
                         *seg = nseg;
                         *leg = nleg;
                         self.pos = nseg.position_at(t);
-                        self.clock = t;
                         return self.pos;
                     }
                     // Arrived at `nseg.start`, parked exactly on the final
@@ -327,41 +329,9 @@ impl MovementModel for ShortestPathMapBased {
         MoverSnapshot::Spmb {
             cfg: self.cfg,
             rng: self.rng.clone(),
-            pos: self.pos,
-            clock: self.clock,
             anchor_a: self.anchor_a,
             anchor_b: self.anchor_b,
             phase,
-        }
-    }
-
-    fn hash_state(&self, h: &mut StateHash) {
-        h.write_tag("mov.spmb");
-        h.write_u32(self.anchor_a.0);
-        h.write_u32(self.anchor_b.0);
-        for w in self.rng.state_words() {
-            h.write_u64(w);
-        }
-        match &self.phase {
-            Phase::Waiting { seg } => {
-                h.write_u8(0);
-                seg.hash_into(h);
-            }
-            Phase::Driving {
-                path,
-                leg,
-                speed,
-                seg,
-            } => {
-                h.write_u8(1);
-                h.write_len(path.len());
-                for p in path {
-                    p.hash_into(h);
-                }
-                h.write_len(*leg);
-                h.write_f64(*speed);
-                seg.hash_into(h);
-            }
         }
     }
 }

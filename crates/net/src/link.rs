@@ -366,7 +366,7 @@ impl LinkTable {
 
     /// Every live connection in ordered-pair-key order:
     /// `(lo, hi, up_since, rate, in-flight transfer)`. This is the canonical
-    /// enumeration snapshotting and state hashing fold over — the same order
+    /// enumeration a world snapshot records — the same order
     /// the drain entry points use, so it is deterministic by construction.
     pub fn connections(&self) -> Vec<(NodeId, NodeId, SimTime, f64, Option<&Transfer>)> {
         let mut out = Vec::with_capacity(self.conn_count);

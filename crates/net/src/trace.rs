@@ -7,14 +7,15 @@
 //! matter.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use vdtn_sim_core::stats::Welford;
 use vdtn_sim_core::{NodeId, SimTime};
 
-/// One dynamic-map entry reified for snapshotting: canonical pair → time.
-pub type PairTime = ((u32, u32), SimTime);
-
 /// Aggregate contact statistics, fed from link events.
+///
+/// The pair maps are ordered, so the serde derive writes the whole trace
+/// in canonical pair-key order — it is part of the world snapshot and so
+/// of the state hash.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ContactTrace {
     /// Total link-up events observed.
@@ -22,11 +23,9 @@ pub struct ContactTrace {
     durations: Welford,
     intercontact: Welford,
     /// Open contacts: pair → start time.
-    #[serde(skip)]
-    open: HashMap<(u32, u32), SimTime>,
+    open: BTreeMap<(u32, u32), SimTime>,
     /// Last contact end per pair, for inter-contact times.
-    #[serde(skip)]
-    last_end: HashMap<(u32, u32), SimTime>,
+    last_end: BTreeMap<(u32, u32), SimTime>,
 }
 
 fn key(a: NodeId, b: NodeId) -> (u32, u32) {
@@ -63,15 +62,10 @@ impl ContactTrace {
     }
 
     /// Close any still-open contacts at end of run so their durations count.
+    /// They close in pair-key order: Welford accumulation is
+    /// order-sensitive at the ULP level.
     pub fn finish(&mut self, now: SimTime) {
-        // Sorted order matters: Welford accumulation is order-sensitive at
-        // the ULP level, and HashMap iteration order is randomised per
-        // instance — without the sort, two runs of the same seed could
-        // disagree in the last bit of the mean.
-        let mut open: Vec<(u32, u32)> = self.open.keys().copied().collect();
-        open.sort_unstable();
-        for k in open {
-            let start = self.open.remove(&k).expect("listed key");
+        for start in std::mem::take(&mut self.open).into_values() {
             self.durations.push(now.since(start).as_secs_f64());
         }
     }
@@ -94,41 +88,6 @@ impl ContactTrace {
     /// Estimated bytes transferable per average contact at `rate` B/s.
     pub fn mean_bytes_per_contact(&self, rate: f64) -> f64 {
         self.mean_duration() * rate
-    }
-
-    /// The serde-skipped dynamic maps, reified in sorted-key order:
-    /// `(open contacts, last contact end per pair)`. Snapshotting needs them
-    /// explicitly because the serde derive persists only the accumulators.
-    pub fn snapshot_maps(&self) -> (Vec<PairTime>, Vec<PairTime>) {
-        let mut open: Vec<_> = self.open.iter().map(|(&k, &v)| (k, v)).collect();
-        open.sort_unstable_by_key(|&(k, _)| k);
-        let mut last_end: Vec<_> = self.last_end.iter().map(|(&k, &v)| (k, v)).collect();
-        last_end.sort_unstable_by_key(|&(k, _)| k);
-        (open, last_end)
-    }
-
-    /// Re-install dynamic maps captured by [`ContactTrace::snapshot_maps`].
-    pub fn restore_maps(&mut self, open: Vec<PairTime>, last_end: Vec<PairTime>) {
-        self.open = open.into_iter().collect();
-        self.last_end = last_end.into_iter().collect();
-    }
-
-    /// Fold the full trace state (accumulators + dynamic maps in sorted-key
-    /// order) into a canonical state hash.
-    pub fn hash_into(&self, h: &mut vdtn_sim_core::StateHash) {
-        h.write_u64(self.contact_count);
-        self.durations.hash_into(h);
-        self.intercontact.hash_into(h);
-        let (open, last_end) = self.snapshot_maps();
-        for (label, map) in [("open", &open), ("last_end", &last_end)] {
-            h.write_tag(label);
-            h.write_len(map.len());
-            for &((a, b), t) in map {
-                h.write_u32(a);
-                h.write_u32(b);
-                h.write_u64(t.as_millis());
-            }
-        }
     }
 }
 

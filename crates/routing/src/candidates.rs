@@ -607,17 +607,13 @@ mod tests {
         let mut rng = vdtn_sim_core::SimRng::seed_from_u64(5);
 
         // Nothing accepted: no pick, no draw.
-        let before = rng.state_words();
+        let before = rng.clone();
         let got = index.draw(sender.arena(), &mut rng, |id| match verdict(id) {
             Verdict::Accept => Verdict::NotNow,
             v => v,
         });
         assert_eq!(got, None);
-        assert_eq!(
-            rng.state_words(),
-            before,
-            "an empty accepted set draws nothing"
-        );
+        assert_eq!(rng, before, "an empty accepted set draws nothing");
         assert_eq!(
             index.ids_in_rank_order(sender.arena()),
             [2, 3, 4, 6, 7, 8].map(MessageId),
@@ -634,7 +630,7 @@ mod tests {
             let got = index.draw(sender.arena(), &mut rng, verdict);
             let k = twin.index(accepted.len());
             assert_eq!(got, Some(accepted[k]));
-            assert_eq!(rng.state_words(), twin.state_words(), "one draw per pick");
+            assert_eq!(rng, twin, "one draw per pick");
             counts[k] += 1;
         }
         // Pearson chi-square against uniform, 3 degrees of freedom: 16.27

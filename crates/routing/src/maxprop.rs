@@ -36,7 +36,7 @@ use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdtn_bundle::{Message, MessageId};
-use vdtn_sim_core::{NodeId, SimRng, SimTime, StateHash};
+use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// MaxProp tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -501,10 +501,6 @@ impl Router for MaxPropRouter {
         }
     }
 
-    fn on_messages_expired(&mut self, _own: &mut NodeState, _ids: &[MessageId]) {
-        // Expired ids stay in the ack set harmlessly; nothing to clean.
-    }
-
     fn delivery_metric(&self, dest: NodeId, _now: SimTime) -> Option<f64> {
         Some(-self.costs[dest.index()])
     }
@@ -515,34 +511,10 @@ impl Router for MaxPropRouter {
         self.state_gen
     }
 
-    fn hash_state(&self, h: &mut StateHash) {
+    fn snapshot_state(&self) -> RouterSnapshot {
         // Semantic state only: probability vectors, acks, costs, and the
         // adaptive-threshold inputs. `state_gen` and the threshold memo are
-        // within-run bookkeeping. Peers and acks fold in ascending order.
-        h.write_len(self.probs.len());
-        for &p in &self.probs {
-            h.write_f64(p);
-        }
-        h.write_len(self.known.iter().flatten().count());
-        for (peer, v) in self.known_peers() {
-            h.write_u32(peer);
-            for &p in v {
-                h.write_f64(p);
-            }
-        }
-        h.write_len(self.acks.len());
-        for ack in self.acks.iter() {
-            h.write_u64(ack.0);
-        }
-        h.write_len(self.costs.len());
-        for &c in &self.costs {
-            h.write_f64(c);
-        }
-        h.write_f64(self.avg_contact_bytes);
-        h.write_u64(self.contacts_closed);
-    }
-
-    fn snapshot_state(&self) -> RouterSnapshot {
+        // within-run bookkeeping. Peers and acks list in ascending order.
         RouterSnapshot::MaxProp {
             probs: self.probs.clone(),
             known: self

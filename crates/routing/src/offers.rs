@@ -170,8 +170,8 @@ impl ContactOffers {
         self.silence[side] = Some(key);
     }
 
-    /// The offered ids, sorted — the canonical enumeration snapshotting and
-    /// state hashing fold over.
+    /// The offered ids, sorted — the canonical enumeration a snapshot
+    /// records.
     pub fn offered_ids(&self) -> &[MessageId] {
         &self.offered.ids
     }
@@ -187,18 +187,6 @@ impl ContactOffers {
             sent_bytes,
             ..Self::default()
         }
-    }
-
-    /// Fold the contact's semantic state (offered ids + sent bytes) into a
-    /// canonical state hash. Indexes and silence memos are excluded for
-    /// the same reason [`ContactOffers::restore`] drops them.
-    pub fn hash_into(&self, h: &mut vdtn_sim_core::StateHash) {
-        h.write_len(self.offered.ids.len());
-        for id in &self.offered.ids {
-            h.write_u64(id.0);
-        }
-        h.write_u64(self.sent_bytes[0]);
-        h.write_u64(self.sent_bytes[1]);
     }
 
     /// Directional view for the sender on `side` (0 = lower node id).

@@ -24,7 +24,7 @@ use crate::state::NodeState;
 use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
 use vdtn_bundle::{DropPolicy, Message, MessageId};
-use vdtn_sim_core::{NodeId, SimRng, SimTime, StateHash};
+use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// PRoPHET parameters (defaults from the draft / ONE).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -281,17 +281,9 @@ impl Router for ProphetRouter {
         self.table_gen
     }
 
-    fn hash_state(&self, h: &mut StateHash) {
+    fn snapshot_state(&self) -> RouterSnapshot {
         // The table is the protocol's entire semantic state; `table_gen` and
         // the digest cache are within-run bookkeeping and excluded.
-        h.write_len(self.table.len());
-        for e in &self.table {
-            h.write_f64(e.p);
-            h.write_u64(e.last_update.as_millis());
-        }
-    }
-
-    fn snapshot_state(&self) -> RouterSnapshot {
         RouterSnapshot::Prophet {
             table: self.table.iter().map(|e| (e.p, e.last_update)).collect(),
         }

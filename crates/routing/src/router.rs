@@ -8,7 +8,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use vdtn_bundle::{Message, MessageId, PolicyCombo};
-use vdtn_sim_core::{NodeId, SimRng, SimTime, StateHash};
+use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Result of handing a freshly created message to its source's router.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,17 +170,6 @@ pub trait Router: Send {
         now: SimTime,
     );
 
-    /// An outgoing transfer was aborted by contact loss. Default: no-op
-    /// (the copy was never surrendered).
-    fn on_transfer_aborted(&mut self, _own: &mut NodeState, _msg_id: MessageId, _to: NodeId) {}
-
-    /// Per-tick housekeeping (PRoPHET aging). Default: no-op.
-    fn on_tick(&mut self, _own: &mut NodeState, _now: SimTime) {}
-
-    /// Messages expired out of the buffer by the engine's TTL sweep;
-    /// protocols with per-message state can clean up here.
-    fn on_messages_expired(&mut self, _own: &mut NodeState, _ids: &[MessageId]) {}
-
     /// Protocol's delivery preference for `dest` at time `now`, higher =
     /// better (PRoPHET: aged predictability; MaxProp: negated path cost).
     /// `None` for protocols without such a metric.
@@ -202,16 +191,12 @@ pub trait Router: Send {
         0
     }
 
-    /// Fold this protocol's *semantic* state — everything that influences
-    /// future routing decisions — into the canonical state hash, in a fixed
-    /// field order. Memoisation caches (digest caches, threshold caches) and
-    /// within-run generation counters are excluded: they are rebuilt lazily
-    /// and never change a decision. Default: nothing (stateless protocols).
-    fn hash_state(&self, _h: &mut StateHash) {}
-
-    /// Capture this protocol's semantic state for checkpointing. The
-    /// counterpart of [`Router::restore_state`]; the same cache exclusions
-    /// as [`Router::hash_state`] apply (caches rebuild after restore).
+    /// Capture this protocol's *semantic* state — everything that
+    /// influences future routing decisions — for checkpointing and, through
+    /// the world snapshot, the canonical state hash. The counterpart of
+    /// [`Router::restore_state`]. Memoisation caches (digest caches,
+    /// threshold caches) and within-run generation counters are excluded:
+    /// they rebuild lazily after restore and never change a decision.
     /// Default: [`RouterSnapshot::Stateless`].
     fn snapshot_state(&self) -> RouterSnapshot {
         RouterSnapshot::Stateless

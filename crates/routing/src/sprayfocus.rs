@@ -14,7 +14,7 @@ use crate::router::{CreateOutcome, ReceiveOutcome, Router, RouterSnapshot};
 use crate::state::NodeState;
 use crate::util::{make_room_and_store, policy_victim, standard_receive};
 use vdtn_bundle::{Message, MessageId, PolicyCombo};
-use vdtn_sim_core::{NodeId, SimRng, SimTime, StateHash};
+use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Quota-replication router with utility-based focus phase.
 pub struct SprayAndFocusRouter {
@@ -200,22 +200,9 @@ impl Router for SprayAndFocusRouter {
         self.recency_secs(dest, now).map(|s| -s)
     }
 
-    fn hash_state(&self, h: &mut StateHash) {
+    fn snapshot_state(&self) -> RouterSnapshot {
         // The encounter table is the only semantic state; `met_gen` is
         // within-run bookkeeping.
-        h.write_len(self.last_met.len());
-        for met in &self.last_met {
-            match met {
-                Some(t) => {
-                    h.write_bool(true);
-                    h.write_u64(t.as_millis());
-                }
-                None => h.write_bool(false),
-            }
-        }
-    }
-
-    fn snapshot_state(&self) -> RouterSnapshot {
         RouterSnapshot::SprayFocus {
             last_met: self.last_met.clone(),
         }

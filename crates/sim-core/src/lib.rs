@@ -45,5 +45,4 @@ pub mod time;
 pub use events::{EngineEvent, EventQueue};
 pub use ids::NodeId;
 pub use rng::SimRng;
-pub use statehash::StateHash;
 pub use time::{SimDuration, SimTime};

@@ -62,11 +62,7 @@ impl SimRng {
     /// The label is hashed with FNV-1a so call sites read declaratively:
     /// `rng.derive("mobility", node_id)`.
     pub fn derive(&self, label: &str, index: u64) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = crate::statehash::fnv1a_64(label.as_bytes());
         // Mix the parent state, label hash, and index through SplitMix64.
         let mut sm = SplitMix64::new(
             self.s[0]
@@ -76,14 +72,6 @@ impl SimRng {
         SimRng {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
-    }
-
-    /// The raw 256-bit generator state, for canonical state hashing. The
-    /// words fully determine the stream position, so two generators with
-    /// equal state words produce identical futures.
-    #[inline]
-    pub fn state_words(&self) -> [u64; 4] {
-        self.s
     }
 
     /// Next 64 random bits (xoshiro256++ step).

@@ -77,17 +77,6 @@ impl Welford {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Fold every field into a canonical state hash (IEEE bit patterns —
-    /// Welford accumulation is order-sensitive at the ULP level, which is
-    /// exactly what drift detection must observe).
-    pub fn hash_into(&self, h: &mut crate::StateHash) {
-        h.write_u64(self.count);
-        h.write_f64(self.mean);
-        h.write_f64(self.m2);
-        h.write_f64(self.min);
-        h.write_f64(self.max);
-    }
-
     /// Merge another accumulator into this one (parallel reduction step).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {
