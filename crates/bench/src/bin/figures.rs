@@ -24,13 +24,15 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use vdtn::orchestrator::{run_manifest_with, ScenarioBase, SweepManifest, SweepOptions};
+use vdtn::orchestrator::{
+    run_manifest_with, ScenarioBase, ScenarioTweak, SweepManifest, SweepOptions,
+};
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::scenario::{MapSpec, MobilitySpec};
 use vdtn::sweep::{SweepError, SweepPoint};
 use vdtn::Scenario;
 use vdtn_bench::harness::{
-    assemble_figure, format_csv, format_table, paper_ttls, run_cells, FigureSpec, ScenarioTweak,
+    assemble_figure, format_csv, format_table, paper_ttls, run_cells, FigureSpec,
 };
 use vdtn_bench::reference::{paper_delta_reference, paper_ordering_claims};
 use vdtn_geo::SyntheticCityGen;

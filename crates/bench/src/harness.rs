@@ -7,10 +7,9 @@
 //! (`vdtn::orchestrator`), replacing the hand-rolled scenario loops each
 //! figure used to build.
 
-use vdtn::orchestrator::{run_manifest_with, SweepManifest, SweepOptions};
+use vdtn::orchestrator::{run_manifest_with, ScenarioTweak, SweepManifest, SweepOptions};
 use vdtn::presets::{PaperProtocol, PAPER_TTLS_MIN};
 use vdtn::sweep::SweepPoint;
-use vdtn::Scenario;
 
 /// Which paper metric a figure plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,9 +135,6 @@ pub struct FigureResult {
     /// TTL axis, minutes.
     pub ttls: Vec<u64>,
 }
-
-/// Scenario builder hook: lets callers shrink duration for quick runs.
-pub type ScenarioTweak<'a> = dyn Fn(&mut Scenario) + Sync + 'a;
 
 /// Run one figure: `seeds` runs per (configuration, TTL) cell, averaged.
 ///

@@ -55,4 +55,4 @@ pub use arena::{MessageArena, MsgHandle, MsgMeta};
 pub use buffer::{Buffer, BufferDelta, BufferError, DeltaKind, RankMeta};
 pub use message::{Message, MessageId};
 pub use policy::{DropPolicy, PolicyCombo, SchedulingPolicy};
-pub use traffic::{TrafficConfig, TrafficGenerator};
+pub use traffic::{TrafficGenerator, TrafficSpec};

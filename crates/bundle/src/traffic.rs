@@ -9,9 +9,11 @@ use crate::message::{Message, MessageId};
 use serde::{Deserialize, Serialize};
 use vdtn_sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
-/// Workload parameters. Defaults are the paper's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrafficConfig {
+/// Workload parameters. [`TrafficSpec::paper`] gives the paper's. The
+/// endpoints are not part of the spec: a world derives them from its
+/// non-relay nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct TrafficSpec {
     /// Minimum inter-creation interval, seconds.
     pub interval_lo: f64,
     /// Maximum inter-creation interval, seconds.
@@ -22,45 +24,38 @@ pub struct TrafficConfig {
     pub size_hi: u64,
     /// Message time-to-live.
     pub ttl: SimDuration,
-    /// Nodes eligible as sources and destinations (the scenario's vehicles).
-    pub endpoints: Vec<NodeId>,
 }
 
-impl TrafficConfig {
-    /// Paper defaults for the given endpoint set and TTL.
-    pub fn paper(endpoints: Vec<NodeId>, ttl: SimDuration) -> Self {
-        TrafficConfig {
+impl TrafficSpec {
+    /// The paper's workload at the given TTL.
+    pub fn paper(ttl: SimDuration) -> Self {
+        TrafficSpec {
             interval_lo: 15.0,
             interval_hi: 30.0,
             size_lo: 500_000,
             size_hi: 2_000_000,
             ttl,
-            endpoints,
         }
     }
 
-    /// Validate parameters; panics with a descriptive message on nonsense.
-    pub fn validate(&self) {
-        assert!(
-            self.interval_lo > 0.0 && self.interval_hi >= self.interval_lo,
-            "invalid interval range [{}, {}]",
-            self.interval_lo,
-            self.interval_hi
-        );
-        assert!(
-            self.size_lo > 0 && self.size_hi >= self.size_lo,
-            "invalid size range [{}, {}]",
-            self.size_lo,
-            self.size_hi
-        );
-        assert!(
-            self.endpoints.len() >= 2,
-            "traffic needs at least two endpoints"
-        );
-        assert!(
-            !self.ttl.is_zero(),
-            "zero TTL would expire messages at birth"
-        );
+    /// Check the parameters, naming the first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.interval_lo > 0.0 && self.interval_hi >= self.interval_lo) {
+            return Err(format!(
+                "invalid interval range [{}, {}]",
+                self.interval_lo, self.interval_hi
+            ));
+        }
+        if !(self.size_lo > 0 && self.size_hi >= self.size_lo) {
+            return Err(format!(
+                "invalid size range [{}, {}]",
+                self.size_lo, self.size_hi
+            ));
+        }
+        if self.ttl.is_zero() {
+            return Err("zero TTL would expire messages at birth".into());
+        }
+        Ok(())
     }
 
     /// Expected messages created over `horizon` (mean-interval estimate).
@@ -74,7 +69,9 @@ impl TrafficConfig {
 /// Acts as an iterator of messages tagged with creation times; the engine
 /// feeds them into its event queue. Ids are assigned sequentially from 0.
 pub struct TrafficGenerator {
-    cfg: TrafficConfig,
+    spec: TrafficSpec,
+    /// Nodes eligible as sources and destinations (the scenario's vehicles).
+    endpoints: Vec<NodeId>,
     rng: SimRng,
     next_time: SimTime,
     next_id: u64,
@@ -82,11 +79,18 @@ pub struct TrafficGenerator {
 
 impl TrafficGenerator {
     /// Create a generator; the first message appears one interval after t=0.
-    pub fn new(cfg: TrafficConfig, mut rng: SimRng) -> Self {
-        cfg.validate();
-        let first = SimDuration::from_secs_f64(rng.range_f64(cfg.interval_lo, cfg.interval_hi));
+    ///
+    /// Panics if `spec` fails [`TrafficSpec::validate`] or there are fewer
+    /// than two endpoints.
+    pub fn new(spec: TrafficSpec, endpoints: Vec<NodeId>, mut rng: SimRng) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
+        assert!(endpoints.len() >= 2, "traffic needs at least two endpoints");
+        let first = SimDuration::from_secs_f64(rng.range_f64(spec.interval_lo, spec.interval_hi));
         TrafficGenerator {
-            cfg,
+            spec,
+            endpoints,
             rng,
             next_time: SimTime::ZERO + first,
             next_id: 0,
@@ -100,22 +104,22 @@ impl TrafficGenerator {
 
     /// Produce the next message (advancing the internal clock).
     pub fn next_message(&mut self) -> Message {
-        let (si, di) = self.rng.choose_two_distinct(self.cfg.endpoints.len());
-        let src = self.cfg.endpoints[si];
-        let dst = self.cfg.endpoints[di];
-        let size = self.rng.range_u64(self.cfg.size_lo, self.cfg.size_hi);
+        let (si, di) = self.rng.choose_two_distinct(self.endpoints.len());
+        let src = self.endpoints[si];
+        let dst = self.endpoints[di];
+        let size = self.rng.range_u64(self.spec.size_lo, self.spec.size_hi);
         let msg = Message::new(
             MessageId(self.next_id),
             src,
             dst,
             size,
             self.next_time,
-            self.cfg.ttl,
+            self.spec.ttl,
         );
         self.next_id += 1;
         let gap = self
             .rng
-            .range_f64(self.cfg.interval_lo, self.cfg.interval_hi);
+            .range_f64(self.spec.interval_lo, self.spec.interval_hi);
         self.next_time += SimDuration::from_secs_f64(gap);
         msg
     }
@@ -134,28 +138,20 @@ impl TrafficGenerator {
         self.next_id
     }
 
-    /// The workload parameters this generator draws from.
-    pub fn config(&self) -> &TrafficConfig {
-        &self.cfg
-    }
-
     /// Dynamic state for snapshotting: (RNG, next creation time, next id).
-    /// The config is not included — restore re-supplies it from the scenario.
+    /// The spec and endpoints are not included — they come from the
+    /// scenario.
     pub fn snapshot_state(&self) -> (SimRng, SimTime, u64) {
         (self.rng.clone(), self.next_time, self.next_id)
     }
 
-    /// Rebuild a generator mid-stream from snapshotted state. Unlike
-    /// [`TrafficGenerator::new`] this draws nothing: the first interval was
-    /// already consumed by the original generator.
-    pub fn restore(cfg: TrafficConfig, rng: SimRng, next_time: SimTime, next_id: u64) -> Self {
-        cfg.validate();
-        TrafficGenerator {
-            cfg,
-            rng,
-            next_time,
-            next_id,
-        }
+    /// Continue mid-stream from snapshotted state, keeping this
+    /// generator's spec and endpoints. Draws nothing: the first interval
+    /// was already consumed by the original generator.
+    pub fn restore_state(&mut self, rng: SimRng, next_time: SimTime, next_id: u64) {
+        self.rng = rng;
+        self.next_time = next_time;
+        self.next_id = next_id;
     }
 }
 
@@ -163,13 +159,21 @@ impl TrafficGenerator {
 mod tests {
     use super::*;
 
-    fn cfg() -> TrafficConfig {
-        TrafficConfig::paper((0..40).map(NodeId).collect(), SimDuration::from_mins(60))
+    fn spec() -> TrafficSpec {
+        TrafficSpec::paper(SimDuration::from_mins(60))
+    }
+
+    fn gen(seed: u64) -> TrafficGenerator {
+        TrafficGenerator::new(
+            spec(),
+            (0..40).map(NodeId).collect(),
+            SimRng::seed_from_u64(seed),
+        )
     }
 
     #[test]
     fn intervals_within_range() {
-        let mut g = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(1));
+        let mut g = gen(1);
         let mut prev = SimTime::ZERO;
         for _ in 0..1_000 {
             let t = g.peek_time();
@@ -185,7 +189,7 @@ mod tests {
 
     #[test]
     fn sizes_within_range_and_endpoints_distinct() {
-        let mut g = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(2));
+        let mut g = gen(2);
         for _ in 0..1_000 {
             let m = g.next_message();
             assert!((500_000..=2_000_000).contains(&m.size));
@@ -198,7 +202,7 @@ mod tests {
 
     #[test]
     fn ids_sequential_and_unique() {
-        let mut g = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(3));
+        let mut g = gen(3);
         for i in 0..100 {
             assert_eq!(g.next_message().id, MessageId(i));
         }
@@ -207,7 +211,7 @@ mod tests {
 
     #[test]
     fn drain_due_respects_clock() {
-        let mut g = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(4));
+        let mut g = gen(4);
         let first = g.peek_time();
         assert!(g.drain_due(first - SimDuration::from_millis(1)).is_empty());
         let batch = g.drain_due(first + SimDuration::from_secs(120));
@@ -224,10 +228,10 @@ mod tests {
 
     #[test]
     fn rate_matches_expectation_over_long_horizon() {
-        let mut g = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(5));
+        let mut g = gen(5);
         let horizon = SimDuration::from_hours(12);
         let batch = g.drain_due(SimTime::ZERO + horizon);
-        let expected = cfg().expected_messages(horizon); // 43200 / 22.5 = 1920
+        let expected = spec().expected_messages(horizon); // 43200 / 22.5 = 1920
         let actual = batch.len() as f64;
         assert!(
             (actual - expected).abs() / expected < 0.05,
@@ -237,8 +241,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(6));
-        let mut b = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(6));
+        let mut a = gen(6);
+        let mut b = gen(6);
         for _ in 0..200 {
             assert_eq!(a.next_message(), b.next_message());
         }
@@ -246,12 +250,13 @@ mod tests {
 
     #[test]
     fn restore_resumes_identical_stream() {
-        let mut a = TrafficGenerator::new(cfg(), SimRng::seed_from_u64(7));
+        let mut a = gen(7);
         for _ in 0..50 {
             a.next_message();
         }
         let (rng, t, id) = a.snapshot_state();
-        let mut b = TrafficGenerator::restore(cfg(), rng, t, id);
+        let mut b = gen(99);
+        b.restore_state(rng, t, id);
         for _ in 0..50 {
             assert_eq!(a.next_message(), b.next_message());
         }
@@ -260,14 +265,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two endpoints")]
     fn rejects_single_endpoint() {
-        TrafficConfig::paper(vec![NodeId(0)], SimDuration::from_mins(60)).validate();
+        TrafficGenerator::new(spec(), vec![NodeId(0)], SimRng::seed_from_u64(1));
     }
 
     #[test]
     #[should_panic(expected = "invalid interval range")]
     fn rejects_bad_interval() {
-        let mut c = cfg();
-        c.interval_hi = 1.0;
-        c.validate();
+        let mut s = spec();
+        s.interval_hi = 1.0;
+        assert_eq!(s.validate(), Err("invalid interval range [15, 1]".into()));
+        TrafficGenerator::new(s, vec![NodeId(0), NodeId(1)], SimRng::seed_from_u64(1));
     }
 }

@@ -186,7 +186,8 @@ fn main() {
     let (scenario, mut world) = if let Some(snap_path) = flag_value(&args, "--restore") {
         let snap = load_snapshot(snap_path.as_ref())
             .unwrap_or_else(|e| usage_error(&format!("cannot restore snapshot {snap_path}: {e}")));
-        let world = World::restore(&snap, engine);
+        let world = World::restore(&snap, engine)
+            .unwrap_or_else(|e| usage_error(&format!("cannot restore snapshot {snap_path}: {e}")));
         eprintln!(
             "restored `{}` at t={:.0}s (state hash {:016x})",
             snap.scenario.name,

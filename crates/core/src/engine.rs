@@ -81,8 +81,8 @@ use crate::report::{DropCause, Sample, SimReport};
 use crate::scenario::{place_relays_high_degree, MobilitySpec, RelayPlacement, Scenario};
 use crate::snapshot::{LinkSnapshot, NodeSnapshot, TransferSnapshot, WorldSnapshot, WorldState};
 use std::sync::Arc;
-use vdtn_bundle::{MessageId, TrafficConfig, TrafficGenerator};
-use vdtn_geo::{Point, Segment};
+use vdtn_bundle::{MessageId, TrafficGenerator};
+use vdtn_geo::{Point, RoadGraph, Segment};
 use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationary};
 use vdtn_net::{
     pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, MotionCols, TransferOutcome,
@@ -176,6 +176,9 @@ pub struct World {
     tick_index: u64,
     radio_rate: f64,
 
+    /// The road map every map-based mover drives on, kept so a restore
+    /// re-attaches the snapshot's movers to it.
+    map: Arc<RoadGraph>,
     movers: Vec<Box<dyn MovementModel>>,
     /// Materialised per-node positions. The ticked loop refreshes every
     /// mobile entry each tick; the event engine refreshes an entry only
@@ -333,36 +336,30 @@ impl World {
             }
         }
 
-        // Delta-log subscription: when the routers patch per-direction
-        // candidate indexes from buffer deltas, every buffer must record
-        // its membership changes — each direction consumes the *sender's*
-        // and the *receiver's* log. Purely an optimisation contract: an
-        // unwatched buffer degrades the index to rebuild-per-change, never
-        // to a wrong answer.
-        if routers.iter().any(|r| r.wants_buffer_deltas()) {
+        // Delta-log subscription: the policy-driven routers patch
+        // per-direction candidate indexes from buffer deltas, so every
+        // buffer must record its membership changes — each direction
+        // consumes the *sender's* and the *receiver's* log. Purely an
+        // optimisation contract: an unwatched buffer degrades the index to
+        // rebuild-per-change, never to a wrong answer. PRoPHET and MaxProp
+        // keep native orders and ignore the policy.
+        let policy_driven = !matches!(
+            scenario.router,
+            vdtn_routing::RouterKind::Prophet(_) | vdtn_routing::RouterKind::MaxProp(_)
+        );
+        if policy_driven {
             for state in &mut states {
                 state.buffer.watch();
             }
         }
 
-        let traffic = TrafficGenerator::new(
-            TrafficConfig {
-                interval_lo: scenario.traffic.interval_lo,
-                interval_hi: scenario.traffic.interval_hi,
-                size_lo: scenario.traffic.size_lo,
-                size_hi: scenario.traffic.size_hi,
-                ttl: scenario.traffic.ttl,
-                endpoints,
-            },
-            root.derive("traffic", 0),
-        );
+        let traffic = TrafficGenerator::new(scenario.traffic, endpoints, root.derive("traffic", 0));
 
         let positions: Vec<Point> = movers.iter().map(|m| m.position()).collect();
-        let policy_label = match &scenario.router {
-            vdtn_routing::RouterKind::Prophet(_) | vdtn_routing::RouterKind::MaxProp(_) => {
-                String::new()
-            }
-            _ => scenario.policy.label(),
+        let policy_label = if policy_driven {
+            scenario.policy.label()
+        } else {
+            String::new()
         };
 
         let tick = SimDuration::from_secs_f64(scenario.tick_secs);
@@ -410,6 +407,7 @@ impl World {
             now: SimTime::ZERO,
             tick_index: 0,
             radio_rate: scenario.radio.rate,
+            map,
             movers,
             positions,
             seg_origin,
@@ -1348,26 +1346,36 @@ impl World {
     /// events-are-markers discipline), and silence memos and candidate
     /// indexes start cold and rebuild on first use.
     ///
-    /// Panics if the restored world does not re-capture a state with the
-    /// snapshot's digest: a failed round trip is a bug, never a
-    /// degradation to tolerate.
-    pub fn restore(snapshot: &WorldSnapshot, mode: EngineMode) -> World {
+    /// Fails with a one-line reason when the snapshot's payload does not
+    /// belong to its embedded scenario: an invalid scenario, node, mover or
+    /// RNG-lane counts that disagree with it, a router state of another
+    /// kind, a buffer over capacity, a link that is not a new pair of
+    /// scenario nodes or has a bad rate, a transfer that is not between a
+    /// link's two idle endpoints, or a state that does not re-capture to
+    /// the snapshot's digest.
+    pub fn restore(snapshot: &WorldSnapshot, mode: EngineMode) -> Result<World, String> {
         let (scenario, snap) = (&snapshot.scenario, &snapshot.state);
+        scenario
+            .validate()
+            .map_err(|e| format!("snapshot scenario is invalid: {e}"))?;
         let mut w = Self::build_with_mode(scenario, mode);
         let n = w.states.len();
-        assert_eq!(n, snap.nodes.len(), "snapshot node count mismatch");
-        assert_eq!(n, snap.movers.len(), "snapshot mover count mismatch");
-        assert_eq!(n, snap.node_rngs.len(), "snapshot RNG lane count mismatch");
+        for (what, len) in [
+            ("node", snap.nodes.len()),
+            ("mover", snap.movers.len()),
+            ("RNG lane", snap.node_rngs.len()),
+        ] {
+            if len != n {
+                return Err(format!(
+                    "snapshot has {len} {what} entries for a scenario of {n} nodes"
+                ));
+            }
+        }
         w.now = snap.now;
         w.tick_index = snap.tick_index;
 
-        // Movers: the road graph is not stored on the world, but its
-        // construction is deterministic in the scenario seed — rebuild it
-        // exactly as `build_with_mode` did.
-        let root = SimRng::seed_from_u64(scenario.seed);
-        let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
         for (i, ms) in snap.movers.iter().enumerate() {
-            w.movers[i] = restore_mover(ms.clone(), &map, w.now);
+            w.movers[i] = restore_mover(ms.clone(), &w.map, w.now);
             let seg = w.movers[i].motion();
             w.positions[i] = w.movers[i].position();
             w.seg_origin[i] = seg.origin;
@@ -1386,14 +1394,15 @@ impl World {
                 w.states[i]
                     .buffer
                     .insert(*m)
-                    .expect("snapshot buffer contents fit the configured capacity");
+                    .map_err(|e| format!("snapshot node {i} buffer: {e:?}"))?;
             }
             w.states[i].delivered = ns.delivered.iter().copied().collect();
-            w.routers[i].restore_state(ns.router.clone());
+            w.routers[i]
+                .restore_state(ns.router.clone())
+                .map_err(|e| format!("snapshot node {i}: {e}"))?;
         }
         w.node_rngs = snap.node_rngs.clone();
-        w.traffic = TrafficGenerator::restore(
-            w.traffic.config().clone(),
+        w.traffic.restore_state(
             snap.traffic_rng.clone(),
             snap.traffic_next_time,
             snap.traffic_next_id,
@@ -1409,16 +1418,27 @@ impl World {
         w.contacts = Vec::new();
         let mut inflight: Vec<(SimTime, NodeId, NodeId)> = Vec::new();
         for ls in &snap.links {
-            let slot = w
-                .links
-                .link_up(ls.a, ls.b, ls.up_since, ls.rate)
-                .expect("snapshot link rate was validated at capture");
+            let bad_link = |why: &str| Err(format!("snapshot link {}-{}: {why}", ls.a, ls.b));
+            let (a, b) = (ls.a, ls.b);
+            if a.index() >= n || b.index() >= n || a == b || w.links.slot_of(a, b).is_some() {
+                return bad_link("not a new pair of scenario nodes");
+            }
+            let slot = match w.links.link_up(a, b, ls.up_since, ls.rate) {
+                Ok(slot) => slot,
+                Err(e) => return bad_link(&e.to_string()),
+            };
             if w.contacts.len() <= slot as usize {
                 w.contacts.resize_with(slot as usize + 1, || None);
             }
             w.contacts[slot as usize] =
                 Some(ContactOffers::restore(ls.offered.clone(), ls.sent_bytes));
             if let Some(t) = &ls.transfer {
+                if ![(a, b), (b, a)].contains(&(t.from, t.to))
+                    || w.links.is_busy(t.from)
+                    || w.links.is_busy(t.to)
+                {
+                    return bad_link("transfer is not between two idle endpoints");
+                }
                 let completes = w.links.start_transfer(t.from, t.to, t.msg, t.started);
                 inflight.push((completes, t.from, t.to));
             }
@@ -1447,11 +1467,9 @@ impl World {
             .iter()
             .filter(|e| matches!(e, LinkEvent::Up(_, _)))
             .count();
-        assert_eq!(
-            (ups, primed.len() - ups),
-            (snap.links.len(), 0),
-            "detector re-prime disagrees with the snapshot's live-link set"
-        );
+        if (ups, primed.len() - ups) != (snap.links.len(), 0) {
+            return Err("snapshot links disagree with the restored node positions".into());
+        }
 
         // Event queue: rebuilt from scratch with conservative wake-ups.
         // Extra executed ticks this causes are semantic no-ops (stale
@@ -1497,12 +1515,10 @@ impl World {
             }
         }
 
-        assert_eq!(
-            w.state_hash(),
-            snap.digest(),
-            "restored world does not reproduce the snapshot's state hash"
-        );
-        w
+        if w.state_hash() != snap.digest() {
+            return Err("restored world does not reproduce the snapshot's state hash".into());
+        }
+        Ok(w)
     }
 }
 

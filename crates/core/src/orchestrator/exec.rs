@@ -77,7 +77,8 @@ fn checkpoint_path(dir: &Path, run_id: &str) -> PathBuf {
 
 /// Execute one run to completion, checkpointing every `every_secs` of
 /// simulated time, resuming from an existing checkpoint when `resume` is
-/// set. Splitting the run at checkpoint boundaries is exact
+/// set (a checkpoint that does not load or restore is ignored and the run
+/// starts fresh). Splitting the run at checkpoint boundaries is exact
 /// (`World::run_until` composes bit-identically), so the report is the
 /// same whether the run executed straight through, checkpointed along the
 /// way, or resumed after a kill.
@@ -95,7 +96,7 @@ fn run_one_with_checkpoints(
     let restored = if resume && ckpt.exists() {
         match load_snapshot(ckpt) {
             Ok(snap) if scenario_fingerprint(&snap.scenario) == scenario_fingerprint(scenario) => {
-                Some(World::restore(&snap, EngineMode::default()))
+                World::restore(&snap, EngineMode::default()).ok()
             }
             _ => None,
         }

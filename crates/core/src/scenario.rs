@@ -8,11 +8,12 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vdtn_bundle::PolicyCombo;
+pub use vdtn_bundle::TrafficSpec;
 use vdtn_geo::{GridMapGen, Point, RoadGraph, SyntheticCityGen};
 use vdtn_mobility::SpmbConfig;
 use vdtn_net::RadioInterface;
 use vdtn_routing::RouterKind;
-use vdtn_sim_core::{SimDuration, SimRng};
+use vdtn_sim_core::SimRng;
 
 /// Which road map the scenario runs on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,35 +99,6 @@ pub struct NodeGroup {
     pub is_relay: bool,
 }
 
-/// Traffic workload parameters (see `vdtn_bundle::TrafficConfig`; endpoints
-/// are derived from the non-relay groups at build time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrafficSpec {
-    /// Minimum inter-creation interval, seconds.
-    pub interval_lo: f64,
-    /// Maximum inter-creation interval, seconds.
-    pub interval_hi: f64,
-    /// Minimum message size, bytes.
-    pub size_lo: u64,
-    /// Maximum message size, bytes.
-    pub size_hi: u64,
-    /// Message time-to-live.
-    pub ttl: SimDuration,
-}
-
-impl TrafficSpec {
-    /// The paper's workload at the given TTL.
-    pub fn paper(ttl: SimDuration) -> Self {
-        TrafficSpec {
-            interval_lo: 15.0,
-            interval_hi: 30.0,
-            size_lo: 500_000,
-            size_hi: 2_000_000,
-            ttl,
-        }
-    }
-}
-
 /// A complete, reproducible experiment description.
 ///
 /// Unknown JSON keys are ignored, so scenario files written by older
@@ -191,16 +163,7 @@ impl Scenario {
         if traffic_nodes < 2 {
             return Err(ScenarioError::TrafficNodes(traffic_nodes));
         }
-        let t = &self.traffic;
-        if !(t.interval_lo > 0.0 && t.interval_hi >= t.interval_lo) {
-            return Err(ScenarioError::TrafficInterval);
-        }
-        if !(t.size_lo > 0 && t.size_hi >= t.size_lo) {
-            return Err(ScenarioError::TrafficSizes);
-        }
-        if t.ttl.is_zero() {
-            return Err(ScenarioError::TrafficTtl);
-        }
+        self.traffic.validate().map_err(ScenarioError::Traffic)?;
         for g in &self.groups {
             if g.count == 0 {
                 return Err(ScenarioError::EmptyGroup(g.name.clone()));
@@ -237,18 +200,14 @@ pub enum ScenarioError {
     NoGroups,
     /// Fewer than two non-relay nodes can exchange traffic.
     TrafficNodes(usize),
-    /// The traffic interval range is empty or not positive.
-    TrafficInterval,
-    /// The traffic size range is empty or zero.
-    TrafficSizes,
+    /// The traffic spec is invalid, for the given reason.
+    Traffic(String),
     /// The named group has no nodes.
     EmptyGroup(String),
     /// The named group has a zero-byte buffer.
     ZeroBuffer(String),
     /// The radio range or rate is not finite and positive.
     Radio(&'static str),
-    /// The traffic TTL is zero, so every message would expire at birth.
-    TrafficTtl,
     /// The named group's SPMB configuration is invalid, for the given reason.
     Spmb(String, String),
     /// The named group has this many nodes but that many explicit relay
@@ -267,12 +226,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::TrafficNodes(n) => {
                 write!(f, "need at least two non-relay nodes for traffic, got {n}")
             }
-            ScenarioError::TrafficInterval => write!(f, "invalid traffic interval"),
-            ScenarioError::TrafficSizes => write!(f, "invalid traffic sizes"),
+            ScenarioError::Traffic(reason) => write!(f, "invalid traffic: {reason}"),
             ScenarioError::EmptyGroup(name) => write!(f, "empty group '{name}'"),
             ScenarioError::ZeroBuffer(name) => write!(f, "zero buffer in group '{name}'"),
             ScenarioError::Radio(reason) => f.write_str(reason),
-            ScenarioError::TrafficTtl => write!(f, "traffic ttl must be positive"),
             ScenarioError::Spmb(name, reason) => write!(f, "group '{name}': {reason}"),
             ScenarioError::RelayPoints(name, n, k) => {
                 write!(f, "group '{name}' has {n} nodes but {k} explicit positions")
@@ -323,7 +280,7 @@ pub fn place_relays_high_degree(graph: &RoadGraph, count: usize) -> Vec<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdtn_sim_core::SimRng;
+    use vdtn_sim_core::{SimDuration, SimRng};
 
     fn minimal() -> Scenario {
         Scenario {
@@ -406,7 +363,11 @@ mod tests {
         assert_eq!(err.to_string(), "radio range must be finite and positive");
         let mut s = minimal();
         s.traffic.ttl = SimDuration::ZERO;
-        assert_eq!(s.validate(), Err(ScenarioError::TrafficTtl));
+        let err = s.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid traffic: zero TTL would expire messages at birth"
+        );
         let mut s = minimal();
         s.groups[0].mobility = MobilitySpec::ShortestPathMapBased(SpmbConfig {
             speed_lo: 0.0,

@@ -290,6 +290,48 @@ mod tests {
         (scenario, world)
     }
 
+    /// A payload that does not belong to its scenario is a typed error,
+    /// never a panic.
+    #[test]
+    fn restore_rejects_payloads_that_disagree_with_their_scenario() {
+        let (scenario, mut world) = world_of(PaperProtocol::SnwLifetime);
+        world.run_until(SimTime::from_secs_f64(300.0));
+        let snap = world.snapshot(&scenario);
+        let reason = |edit: &dyn Fn(&mut WorldSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            World::restore(&bad, world.mode())
+                .err()
+                .expect("restore fails")
+        };
+        let dropped_node = reason(&|s| drop(s.state.nodes.pop()));
+        assert_eq!(
+            dropped_node,
+            "snapshot has 44 node entries for a scenario of 45 nodes"
+        );
+        let foreign_router = reason(&|s| {
+            s.state.nodes[0].router = RouterSnapshot::SprayFocus {
+                last_met: vec![None; 45],
+            }
+        });
+        assert!(
+            foreign_router.starts_with("snapshot node 0: "),
+            "{foreign_router}"
+        );
+        assert!(!snap.state.links.is_empty(), "the fixture has live links");
+        let twice = reason(&|s| s.state.links.push(s.state.links[0].clone()));
+        assert!(
+            twice.ends_with("not a new pair of scenario nodes"),
+            "{twice}"
+        );
+        let invalid = reason(&|s| s.scenario.tick_secs = 0.0);
+        assert!(
+            invalid.starts_with("snapshot scenario is invalid"),
+            "{invalid}"
+        );
+        assert!(World::restore(&snap, world.mode()).is_ok());
+    }
+
     /// MaxProp rides along because its state holds infinite path costs,
     /// which the file's JSON writes as `null`.
     #[test]
@@ -306,7 +348,7 @@ mod tests {
             let loaded = load_snapshot(&path).unwrap();
             assert_eq!(loaded.state.digest(), world.state_hash());
             assert_eq!(loaded.state.now, snap.state.now);
-            let restored = World::restore(&loaded, world.mode());
+            let restored = World::restore(&loaded, world.mode()).unwrap();
             assert_eq!(restored.state_hash(), world.state_hash());
             std::fs::remove_file(&path).ok();
         }

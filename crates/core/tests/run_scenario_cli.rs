@@ -6,7 +6,8 @@ use std::path::Path;
 use std::process::Command;
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::{
-    MapSpec, MobilitySpec, RelayPlacement, Scenario, ScenarioBase, SimDuration, SweepManifest,
+    load_snapshot, save_snapshot, MapSpec, MobilitySpec, RelayPlacement, Scenario, ScenarioBase,
+    SimDuration, SweepManifest,
 };
 use vdtn_geo::{GridMapGen, Point};
 
@@ -28,7 +29,7 @@ fn run_expecting(args: &[&str], code: i32) -> Vec<u8> {
     out.stdout
 }
 
-/// Every case is rejected before a world is built, so each invocation
+/// Every case is rejected before a simulation runs, so each invocation
 /// returns at once.
 #[test]
 fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
@@ -96,6 +97,23 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let missing = dir.join("missing.json").to_str().unwrap().to_string();
     let snap = dir.join("out.snap").to_str().unwrap().to_string();
     assert!(!Path::new(&missing).exists());
+    // A snapshot whose header checks pass but whose payload lost a node:
+    // `save_snapshot` recomputes `payload_len` and `payload_fnv`.
+    let mut short = scenario.clone();
+    short.duration_secs = 900.0;
+    let short = write("short.json", &serde_json::to_string(&short).unwrap());
+    let full = dir.join("full.snap");
+    let full_arg = full.to_str().unwrap();
+    let saved = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+        .args([&short, "--save-at", "450", "--snapshot", full_arg])
+        .output()
+        .expect("run_scenario binary runs");
+    assert_eq!(saved.status.code(), Some(0), "{saved:?}");
+    let mut dropped = load_snapshot(&full).unwrap();
+    dropped.state.nodes.pop();
+    let dropped_path = dir.join("dropped.snap");
+    save_snapshot(&dropped_path, &dropped).unwrap();
+    let dropped_path = dropped_path.to_str().unwrap().to_string();
 
     let g = good.as_str();
     let mut cases: Vec<Vec<&str>> = vec![
@@ -115,6 +133,7 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![&bad],
         vec!["--restore", &missing],
         vec!["--restore", &old_snap],
+        vec!["--restore", &dropped_path],
         vec!["--sweep", &missing],
         vec!["--sweep", &bad],
         vec!["--sweep", &sweep, "--threads", "0"],

@@ -144,7 +144,9 @@ fn router_float_bit_flips_change_state_hash() {
             .find(|(p, _)| pick(*p))
             .expect("table has a matching entry");
         entry.0 = edit(entry.0);
-        World::restore(&snap, EngineMode::EventDriven).state_hash()
+        World::restore(&snap, EngineMode::EventDriven)
+            .unwrap()
+            .state_hash()
     };
     let one_ulp = flipped(|p| p > 0.0, |p| f64::from_bits(p.to_bits() + 1));
     let neg_zero = flipped(|p| p == 0.0, |p| -p);
@@ -179,8 +181,11 @@ fn restore_resumes_bit_identically_in_every_mode() {
     );
 
     for (label, resumed) in [
-        ("ticked", World::restore(&snap, EngineMode::Ticked)),
-        ("event", World::restore(&snap, EngineMode::EventDriven)),
+        ("ticked", World::restore(&snap, EngineMode::Ticked).unwrap()),
+        (
+            "event",
+            World::restore(&snap, EngineMode::EventDriven).unwrap(),
+        ),
     ] {
         assert_eq!(
             reference,
@@ -200,7 +205,7 @@ fn restore_works_on_the_paper_scenario_with_relays() {
     let mut donor = World::build(&scenario);
     donor.run_until(SimTime::from_secs_f64(450.0));
     let snap = donor.snapshot(&scenario);
-    let resumed = World::restore(&snap, EngineMode::EventDriven);
+    let resumed = World::restore(&snap, EngineMode::EventDriven).unwrap();
     assert_eq!(reference, canon(resumed.run()));
 }
 
@@ -264,7 +269,7 @@ proptest! {
         let snap = donor.snapshot(&scenario);
         drop(donor);
         let restore_mode = if seed % 2 == 0 { EngineMode::Ticked } else { EngineMode::EventDriven };
-        let mut resumed = World::restore(&snap, restore_mode);
+        let mut resumed = World::restore(&snap, restore_mode).unwrap();
         let mut resumed_stream = Vec::new();
         let mut t = save_at.as_millis() as f64 / 1_000.0;
         while t < scenario.duration_secs {

@@ -1,17 +1,18 @@
 //! DTN routing protocols.
 //!
 //! Implements the four protocols the paper evaluates plus two classic
-//! baselines, all behind the object-safe [`Router`] trait driven by the
-//! engine in the `vdtn` crate:
+//! baselines and one extension, all behind the object-safe [`Router`] trait
+//! driven by the engine in the `vdtn` crate. [`RouterKind`] selects one:
 //!
-//! | Protocol | Replication | Scheduling / dropping |
-//! |---|---|---|
-//! | [`EpidemicRouter`] | unlimited flooding | pluggable [`PolicyCombo`] (the paper's experiment) |
-//! | [`SprayAndWaitRouter`] | quota `L` (binary halving) | pluggable [`PolicyCombo`] |
-//! | [`ProphetRouter`] | probabilistic (GRTRMax) | own: forward by peer delivery predictability, drop FIFO |
-//! | [`MaxPropRouter`] | flooding + acks | own: hop-count head start, then path cost; drop by cost |
-//! | [`DirectDeliveryRouter`] | none | pluggable |
-//! | [`FirstContactRouter`] | single moving copy | pluggable |
+//! | [`RouterKind`] | Router | Replication | Scheduling / dropping |
+//! |---|---|---|---|
+//! | `Epidemic` | [`PolicyRouter`] | unlimited flooding | pluggable [`PolicyCombo`] (the paper's experiment) |
+//! | `SprayAndWait` | [`PolicyRouter`] | quota `L` (binary halving or source spray) | pluggable [`PolicyCombo`] |
+//! | `DirectDelivery` | [`PolicyRouter`] | none | pluggable |
+//! | `FirstContact` | [`PolicyRouter`] | single moving copy | pluggable |
+//! | `SprayAndFocus` | [`PolicyRouter`] | binary spray, then utility-based handoff | pluggable |
+//! | `Prophet` | [`ProphetRouter`] | probabilistic (GRTRMax) | own: forward by peer delivery predictability, drop FIFO |
+//! | `MaxProp` | [`MaxPropRouter`] | flooding + acks | own: hop-count head start, then path cost; drop by cost |
 //!
 //! The trait's flows are data-oriented: every mutation reports what was
 //! evicted / delivered / rejected back to the engine, which owns all metric
@@ -46,28 +47,22 @@
 //! ```
 
 pub mod candidates;
-pub mod direct;
-pub mod epidemic;
 pub mod maxprop;
 pub mod offers;
+pub mod policy;
 pub mod prophet;
 pub mod router;
-pub mod snw;
-pub mod sprayfocus;
 pub mod state;
 pub(crate) mod util;
 
 pub use candidates::{CandidateIndex, Verdict};
-pub use direct::{DirectDeliveryRouter, FirstContactRouter};
-pub use epidemic::EpidemicRouter;
 pub use maxprop::{AckSet, MaxPropConfig, MaxPropRouter};
 pub use offers::{ContactOffers, OfferView};
+pub use policy::PolicyRouter;
 pub use prophet::{ProphetConfig, ProphetRouter};
 pub use router::{
     CreateOutcome, Digest, ReceiveOutcome, RejectReason, Router, RouterKind, RouterSnapshot,
 };
-pub use snw::SprayAndWaitRouter;
-pub use sprayfocus::SprayAndFocusRouter;
 pub use state::NodeState;
 
 // Re-export for downstream convenience: routing configs embed policies.

@@ -30,7 +30,9 @@
 //! buffers.
 
 use crate::offers::OfferView;
-use crate::router::{CreateOutcome, Digest, ReceiveOutcome, Router, RouterSnapshot};
+use crate::router::{
+    CreateOutcome, Digest, ReceiveOutcome, Router, RouterSnapshot, SNAPSHOT_MISMATCH,
+};
 use crate::state::NodeState;
 use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
@@ -348,10 +350,6 @@ impl MaxPropRouter {
 }
 
 impl Router for MaxPropRouter {
-    fn kind_label(&self) -> &'static str {
-        "MaxProp"
-    }
-
     fn on_message_created(
         &mut self,
         own: &mut NodeState,
@@ -528,7 +526,7 @@ impl Router for MaxPropRouter {
         }
     }
 
-    fn restore_state(&mut self, snap: RouterSnapshot) {
+    fn restore_state(&mut self, snap: RouterSnapshot) -> Result<(), String> {
         match snap {
             RouterSnapshot::MaxProp {
                 probs,
@@ -537,8 +535,10 @@ impl Router for MaxPropRouter {
                 costs,
                 avg_contact_bytes,
                 contacts_closed,
-            } => {
-                assert_eq!(probs.len(), self.n, "node count mismatch");
+            } if probs.len() == self.n
+                && costs.len() == self.n
+                && known.iter().all(|(peer, _)| (*peer as usize) < self.n) =>
+            {
                 self.probs = probs;
                 self.known = vec![None; self.n];
                 for (peer, v) in known {
@@ -556,8 +556,9 @@ impl Router for MaxPropRouter {
                 self.contacts_closed = contacts_closed;
                 self.state_gen = 0;
                 self.threshold_cache = None;
+                Ok(())
             }
-            other => panic!("MaxProp cannot restore {other:?}"),
+            _ => Err(SNAPSHOT_MISMATCH.into()),
         }
     }
 }

@@ -19,7 +19,9 @@
 //! access instead of O(n) per tick.
 
 use crate::offers::OfferView;
-use crate::router::{CreateOutcome, Digest, ReceiveOutcome, Router, RouterSnapshot};
+use crate::router::{
+    CreateOutcome, Digest, ReceiveOutcome, Router, RouterSnapshot, SNAPSHOT_MISMATCH,
+};
 use crate::state::NodeState;
 use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
@@ -143,10 +145,6 @@ impl ProphetRouter {
 }
 
 impl Router for ProphetRouter {
-    fn kind_label(&self) -> &'static str {
-        "PRoPHET"
-    }
-
     fn on_message_created(
         &mut self,
         own: &mut NodeState,
@@ -289,10 +287,9 @@ impl Router for ProphetRouter {
         }
     }
 
-    fn restore_state(&mut self, snap: RouterSnapshot) {
+    fn restore_state(&mut self, snap: RouterSnapshot) -> Result<(), String> {
         match snap {
-            RouterSnapshot::Prophet { table } => {
-                assert_eq!(table.len(), self.table.len(), "node count mismatch");
+            RouterSnapshot::Prophet { table } if table.len() == self.table.len() => {
                 self.table = table
                     .into_iter()
                     .map(|(p, last_update)| Entry { p, last_update })
@@ -302,8 +299,9 @@ impl Router for ProphetRouter {
                 // alongside the router, so only monotonicity matters.
                 self.table_gen = 0;
                 self.digest_cache = None;
+                Ok(())
             }
-            other => panic!("PRoPHET cannot restore {other:?}"),
+            _ => Err(SNAPSHOT_MISMATCH.into()),
         }
     }
 }

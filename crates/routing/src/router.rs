@@ -1,11 +1,9 @@
 //! The `Router` trait, its outcome types, and the protocol factory.
 
 use crate::offers::OfferView;
+use crate::policy::{PolicyRouter, Replication};
 use crate::state::NodeState;
-use crate::{
-    AckSet, DirectDeliveryRouter, EpidemicRouter, FirstContactRouter, MaxPropConfig, MaxPropRouter,
-    ProphetConfig, ProphetRouter, SprayAndWaitRouter,
-};
+use crate::{AckSet, MaxPropConfig, MaxPropRouter, ProphetConfig, ProphetRouter};
 use serde::{Deserialize, Serialize};
 use vdtn_bundle::{Message, MessageId, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
@@ -76,12 +74,10 @@ pub enum Digest {
 
 /// A DTN routing protocol instance, one per node.
 ///
-/// All methods are infallible; failures are expressed in the outcome types so
-/// the engine can do uniform metric accounting across protocols.
+/// The routing methods are infallible; failures are expressed in the outcome
+/// types so the engine can do uniform metric accounting across protocols.
+/// Only [`Router::restore_state`], which reads a snapshot, can fail.
 pub trait Router: Send {
-    /// Protocol label for reports (e.g. `"Epidemic"`).
-    fn kind_label(&self) -> &'static str;
-
     /// A message was created at this node (it is the source). The router
     /// stamps protocol state (e.g. spray quota) and stores it.
     fn on_message_created(
@@ -104,13 +100,11 @@ pub trait Router: Send {
     /// (MaxProp deletes acknowledged messages here).
     fn on_contact_up(
         &mut self,
-        _own: &mut NodeState,
-        _peer: NodeId,
-        _peer_digest: &Digest,
-        _now: SimTime,
-    ) -> Vec<Message> {
-        Vec::new()
-    }
+        own: &mut NodeState,
+        peer: NodeId,
+        peer_digest: &Digest,
+        now: SimTime,
+    ) -> Vec<Message>;
 
     /// The contact to `peer` ended; `bytes_sent` is the payload volume this
     /// node transmitted during the contact (MaxProp adapts its hop-count
@@ -171,11 +165,10 @@ pub trait Router: Send {
     );
 
     /// Protocol's delivery preference for `dest` at time `now`, higher =
-    /// better (PRoPHET: aged predictability; MaxProp: negated path cost).
-    /// `None` for protocols without such a metric.
-    fn delivery_metric(&self, _dest: NodeId, _now: SimTime) -> Option<f64> {
-        None
-    }
+    /// better (PRoPHET: aged predictability; MaxProp: negated path cost;
+    /// Spray and Focus: negated seconds since it last met `dest`). `None`
+    /// for protocols without such a metric.
+    fn delivery_metric(&self, dest: NodeId, now: SimTime) -> Option<f64>;
 
     /// Monotone counter over protocol state that can change a
     /// [`Router::next_transfer`] *eligibility* verdict — encounter tables,
@@ -186,10 +179,8 @@ pub trait Router: Send {
     /// and the protocols' metric *comparisons* are invariant under pure
     /// time shift (PRoPHET ages both sides by the same factor, recency
     /// utilities shift by the same offset), so a `None` round stays `None`.
-    /// Stateless protocols keep the default `0`.
-    fn routing_generation(&self) -> u64 {
-        0
-    }
+    /// Stateless protocols return `0`.
+    fn routing_generation(&self) -> u64;
 
     /// Capture this protocol's *semantic* state — everything that
     /// influences future routing decisions — for checkpointing and, through
@@ -197,33 +188,19 @@ pub trait Router: Send {
     /// [`Router::restore_state`]. Memoisation caches (digest caches,
     /// threshold caches) and within-run generation counters are excluded:
     /// they rebuild lazily after restore and never change a decision.
-    /// Default: [`RouterSnapshot::Stateless`].
-    fn snapshot_state(&self) -> RouterSnapshot {
-        RouterSnapshot::Stateless
-    }
+    /// Protocols without such state return [`RouterSnapshot::Stateless`].
+    fn snapshot_state(&self) -> RouterSnapshot;
 
     /// Re-install state captured by [`Router::snapshot_state`] on a freshly
-    /// built router of the same kind. Panics on a kind mismatch — a
-    /// snapshot only ever restores into the scenario that produced it.
-    fn restore_state(&mut self, snap: RouterSnapshot) {
-        assert!(
-            matches!(snap, RouterSnapshot::Stateless),
-            "{} router cannot restore stateful snapshot",
-            self.kind_label()
-        );
-    }
-
-    /// True when this router patches per-direction candidate indexes from
-    /// buffer deltas (every policy-driven router). The engine calls
-    /// [`vdtn_bundle::Buffer::watch`] on every node buffer when any router
-    /// asks, so both endpoints' membership changes are replayable; without
-    /// the subscription the index still works but rebuilds on every change
-    /// instead of patching. Default: `false` (protocols with native orders
-    /// — PRoPHET, MaxProp).
-    fn wants_buffer_deltas(&self) -> bool {
-        false
-    }
+    /// built router of the same kind. Fails with a one-line reason when the
+    /// snapshot's kind or node count disagrees with this router — a
+    /// snapshot whose payload does not belong to its embedded scenario.
+    fn restore_state(&mut self, snap: RouterSnapshot) -> Result<(), String>;
 }
+
+/// The error of a [`Router::restore_state`] given another router's state.
+pub(crate) const SNAPSHOT_MISMATCH: &str =
+    "router snapshot does not match the scenario's router or node count";
 
 /// Serializable semantic state of one router, for checkpointing.
 ///
@@ -235,7 +212,7 @@ pub trait Router: Send {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RouterSnapshot {
     /// Protocol carries no per-node semantic state beyond configuration
-    /// (Epidemic, SnW, Direct Delivery, First Contact).
+    /// (Epidemic, Spray and Wait, Direct Delivery, First Contact).
     Stateless,
     /// PRoPHET: delivery predictability `(p, last_update)` per peer id.
     Prophet {
@@ -298,22 +275,26 @@ impl RouterKind {
     /// Instantiate a router for node `own`.
     ///
     /// `policy` applies to protocols without native scheduling/dropping
-    /// (Epidemic, SnW, baselines); PRoPHET and MaxProp ignore it, exactly as
-    /// in the paper.
+    /// (every [`PolicyRouter`]); PRoPHET and MaxProp ignore it, exactly as
+    /// in the paper. Panics on a zero spray quota.
     pub fn build(&self, own: NodeId, n_nodes: usize, policy: PolicyCombo) -> Box<dyn Router> {
-        match self {
-            RouterKind::Epidemic => Box::new(EpidemicRouter::new(policy)),
-            RouterKind::SprayAndWait { copies, binary } => {
-                Box::new(SprayAndWaitRouter::new(*copies, *binary, policy))
-            }
-            RouterKind::Prophet(cfg) => Box::new(ProphetRouter::new(own, n_nodes, *cfg)),
-            RouterKind::MaxProp(cfg) => Box::new(MaxPropRouter::new(own, n_nodes, *cfg)),
-            RouterKind::DirectDelivery => Box::new(DirectDeliveryRouter::new(policy)),
-            RouterKind::FirstContact => Box::new(FirstContactRouter::new(policy)),
-            RouterKind::SprayAndFocus { copies } => Box::new(crate::SprayAndFocusRouter::new(
-                own, n_nodes, *copies, policy,
-            )),
-        }
+        let rule = match *self {
+            RouterKind::Prophet(cfg) => return Box::new(ProphetRouter::new(own, n_nodes, cfg)),
+            RouterKind::MaxProp(cfg) => return Box::new(MaxPropRouter::new(own, n_nodes, cfg)),
+            RouterKind::Epidemic => Replication::Flood,
+            RouterKind::SprayAndWait { copies, binary } => Replication::Spray {
+                initial: copies,
+                binary,
+            },
+            RouterKind::DirectDelivery => Replication::Direct,
+            RouterKind::FirstContact => Replication::FirstContact,
+            RouterKind::SprayAndFocus { copies } => Replication::Focus {
+                initial: copies,
+                last_met: vec![None; n_nodes],
+                met_gen: 0,
+            },
+        };
+        Box::new(PolicyRouter::new(policy, rule))
     }
 
     /// Display label matching the paper's figure legends.
@@ -353,9 +334,18 @@ mod tests {
             RouterKind::FirstContact,
             RouterKind::SprayAndFocus { copies: 8 },
         ];
-        for kind in kinds {
-            let r = kind.build(NodeId(0), 45, PolicyCombo::LIFETIME);
-            assert_eq!(r.kind_label(), kind.label());
+        for kind in &kinds {
+            let mut r = kind.build(NodeId(0), 45, PolicyCombo::LIFETIME);
+            // A fresh router's state restores into a fresh router of its
+            // kind and into no other kind.
+            let snap = r.snapshot_state();
+            assert_eq!(r.restore_state(snap.clone()), Ok(()), "{kind:?}");
+            for other in &kinds {
+                let mut o = other.build(NodeId(0), 45, PolicyCombo::LIFETIME);
+                let same =
+                    std::mem::discriminant(&o.snapshot_state()) == std::mem::discriminant(&snap);
+                assert_eq!(o.restore_state(snap.clone()).is_ok(), same, "{other:?}");
+            }
         }
     }
 
