@@ -24,9 +24,7 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use vdtn::orchestrator::{
-    run_manifest_with, ScenarioBase, ScenarioTweak, SweepManifest, SweepOptions,
-};
+use vdtn::orchestrator::{run_manifest, ScenarioBase, SweepManifest, SweepOptions};
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::scenario::{MapSpec, MobilitySpec};
 use vdtn::sweep::{SweepError, SweepPoint};
@@ -68,55 +66,17 @@ fn parse_args() -> Options {
         out_dir: "bench_results".to_string(),
         replot: false,
     };
-    let mut explicit = false;
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--all" => {
                 opts.figures = FigureSpec::all();
                 opts.table1 = true;
-                explicit = true;
             }
-            "--table1" => {
-                opts.table1 = true;
-                explicit = true;
-            }
-            "--fig4" => {
-                opts.figures.push(FigureSpec::fig4());
-                explicit = true;
-            }
-            "--fig5" => {
-                opts.figures.push(FigureSpec::fig5());
-                explicit = true;
-            }
-            "--fig6" => {
-                opts.figures.push(FigureSpec::fig6());
-                explicit = true;
-            }
-            "--fig7" => {
-                opts.figures.push(FigureSpec::fig7());
-                explicit = true;
-            }
-            "--fig8" => {
-                opts.figures.push(FigureSpec::fig8());
-                explicit = true;
-            }
-            "--fig9" => {
-                opts.figures.push(FigureSpec::fig9());
-                explicit = true;
-            }
-            "--ablation-copies" => {
-                opts.ablation_copies = true;
-                explicit = true;
-            }
-            "--ablation-tick" => {
-                opts.ablation_tick = true;
-                explicit = true;
-            }
-            "--ablation-map" => {
-                opts.ablation_map = true;
-                explicit = true;
-            }
+            "--table1" => opts.table1 = true,
+            "--ablation-copies" => opts.ablation_copies = true,
+            "--ablation-tick" => opts.ablation_tick = true,
+            "--ablation-map" => opts.ablation_map = true,
             "--seeds" => {
                 let v = it.next().map_or("", String::as_str);
                 opts.seeds = match v.parse() {
@@ -125,20 +85,30 @@ fn parse_args() -> Options {
                 };
             }
             "--quick" => opts.quick = true,
-            "--replot" => {
-                opts.replot = true;
-                explicit = true;
-            }
+            "--replot" => opts.replot = true,
             "--out" => {
                 opts.out_dir = it
                     .next()
                     .unwrap_or_else(|| usage_error("--out needs a directory"))
                     .clone();
             }
-            other => usage_error(&format!("unknown flag {other}")),
+            other => match FigureSpec::all()
+                .into_iter()
+                .find(|f| other == format!("--{}", f.id))
+            {
+                Some(fig) => opts.figures.push(fig),
+                None => usage_error(&format!("unknown flag {other}")),
+            },
         }
     }
-    if !explicit {
+    // With nothing selected, regenerate Table I and every figure.
+    let selected = opts.table1
+        || opts.replot
+        || opts.ablation_copies
+        || opts.ablation_tick
+        || opts.ablation_map
+        || !opts.figures.is_empty();
+    if !selected {
         opts.figures = FigureSpec::all();
         opts.table1 = true;
     }
@@ -241,91 +211,59 @@ fn print_delta_comparison(cache: &HashMap<(PaperProtocol, u64), SweepPoint>, ttl
     println!();
 }
 
-/// Run one ablation variant — a customised scenario template over the seed
-/// axis — through the orchestrator, returning its single averaged cell.
-/// Expansion/averaging failures surface as typed [`SweepError`]s.
-fn run_template_cell(
-    label: &str,
-    template: Scenario,
-    ttl: u64,
+/// The paper scenario for `protocol` as a `Custom` sweep template,
+/// shortened for smoke mode when `quick`: a 2-hour horizon, and vehicle
+/// pauses capped at 300 s so the fleet keeps moving from the start. Its TTL
+/// and seed are placeholders that each run's manifest axes replace.
+fn template(protocol: PaperProtocol, quick: bool) -> Scenario {
+    let mut s = paper_scenario(protocol, ABLATION_TTL, 0);
+    if quick {
+        s.duration_secs = 7_200.0;
+        for g in &mut s.groups {
+            if let MobilitySpec::ShortestPathMapBased(cfg) = &mut g.mobility {
+                cfg.wait_hi = cfg.wait_hi.min(300.0);
+            }
+        }
+    }
+    s
+}
+
+/// The TTL every ablation runs at, minutes.
+const ABLATION_TTL: u64 = 120;
+
+/// Run one ablation: each `(label, template)` variant is one `Custom`-base
+/// manifest over the seed axis at [`ABLATION_TTL`], averaged into one row
+/// that is printed and written to `DIR/<name>.csv`. Expansion failures
+/// surface as typed [`SweepError`]s.
+fn ablation(
+    title: &str,
+    name: &str,
+    variants: impl IntoIterator<Item = (String, Scenario)>,
     seeds: u64,
-    tweak: &ScenarioTweak<'_>,
-) -> Result<SweepPoint, SweepError> {
-    let manifest = SweepManifest {
-        name: template.name.clone(),
-        base: ScenarioBase::Custom(Box::new(template)),
-        protocols: Vec::new(),
-        policies: Vec::new(),
-        vehicles: Vec::new(),
-        ttls_mins: vec![ttl],
-        seeds: (0..seeds).map(|s| 1000 + s).collect(),
-        duration_secs: 0.0,
-    };
-    let outcome = run_manifest_with(&manifest, &SweepOptions::default(), Some(tweak))?;
-    let mut point = outcome
-        .points
-        .into_iter()
-        .next()
-        .ok_or(SweepError::EmptyCell {
-            label: label.to_string(),
-        })?;
-    point.label = label.to_string();
-    Ok(point)
-}
-
-fn ablation_copies(seeds: u64, tweak: &ScenarioTweak<'_>, out_dir: &str) -> Result<(), SweepError> {
-    println!("## Ablation — Spray and Wait initial copies L (paper fixes L = 12)\n");
-    let ttl = 120;
+    out_dir: &str,
+) -> Result<(), SweepError> {
+    println!("## Ablation — {title}\n");
     let mut rows = Vec::new();
-    for copies in [4u32, 8, 12, 16] {
-        let mut template = paper_scenario(PaperProtocol::SnwLifetime, ttl, 0);
-        template.router = vdtn::RouterKind::SprayAndWait {
-            copies,
-            binary: true,
+    for (label, template) in variants {
+        let manifest = SweepManifest {
+            name: template.name.clone(),
+            base: ScenarioBase::Custom(Box::new(template)),
+            protocols: Vec::new(),
+            policies: Vec::new(),
+            vehicles: Vec::new(),
+            ttls_mins: vec![ABLATION_TTL],
+            seeds: (0..seeds).map(|s| 1000 + s).collect(),
+            duration_secs: 0.0,
         };
-        template.name = format!("ablation/snw-L{copies}");
-        let p = run_template_cell(&format!("SnW L={copies}"), template, ttl, seeds, tweak)?;
-        println!("  {}", p.table_row());
-        rows.push(p);
+        // One template at one TTL: the manifest has exactly one cell.
+        let mut point = run_manifest(&manifest, &SweepOptions::default())?
+            .points
+            .remove(0);
+        point.label = label;
+        println!("  {}", point.table_row());
+        rows.push(point);
     }
-    write_csv_points(out_dir, "ablation_copies", &rows);
-    println!();
-    Ok(())
-}
-
-fn ablation_tick(seeds: u64, tweak: &ScenarioTweak<'_>, out_dir: &str) -> Result<(), SweepError> {
-    println!("## Ablation — engine tick length (metric drift vs 1 s baseline)\n");
-    let ttl = 120;
-    let mut rows = Vec::new();
-    for tick in [0.5, 1.0, 2.0] {
-        let mut template = paper_scenario(PaperProtocol::EpidemicLifetime, ttl, 0);
-        template.tick_secs = tick;
-        template.name = format!("ablation/tick{tick}");
-        let p = run_template_cell(&format!("tick={tick}s"), template, ttl, seeds, tweak)?;
-        println!("  {}", p.table_row());
-        rows.push(p);
-    }
-    write_csv_points(out_dir, "ablation_tick", &rows);
-    println!();
-    Ok(())
-}
-
-fn ablation_map(seeds: u64, tweak: &ScenarioTweak<'_>, out_dir: &str) -> Result<(), SweepError> {
-    println!("## Ablation — calibrated downtown map vs full-city extent\n");
-    let ttl = 120;
-    let mut rows = Vec::new();
-    for (label, gen) in [
-        ("downtown 1300x1000 (default)", SyntheticCityGen::default()),
-        ("full city 4500x3400", SyntheticCityGen::full_city()),
-    ] {
-        let mut template = paper_scenario(PaperProtocol::EpidemicLifetime, ttl, 0);
-        template.map = MapSpec::Synthetic(gen.clone());
-        template.name = format!("ablation/map/{label}");
-        let p = run_template_cell(label, template, ttl, seeds, tweak)?;
-        println!("  {}", p.table_row());
-        rows.push(p);
-    }
-    write_csv_points(out_dir, "ablation_map", &rows);
+    write_csv_points(out_dir, name, &rows);
     println!();
     Ok(())
 }
@@ -412,17 +350,6 @@ fn run() -> Result<(), SweepError> {
 
     let seeds = if opts.quick { 1 } else { opts.seeds };
     let quick = opts.quick;
-    let tweak = move |s: &mut Scenario| {
-        if quick {
-            s.duration_secs = 7_200.0;
-            // Keep vehicles moving from the start in the short horizon.
-            for g in &mut s.groups {
-                if let MobilitySpec::ShortestPathMapBased(cfg) = &mut g.mobility {
-                    cfg.wait_hi = cfg.wait_hi.min(300.0);
-                }
-            }
-        }
-    };
 
     if opts.table1 {
         print_table1();
@@ -449,7 +376,13 @@ fn run() -> Result<(), SweepError> {
             if quick { 2 } else { 12 },
         );
         let t0 = std::time::Instant::now();
-        let cache = run_cells(&cells, seeds, &tweak);
+        // The manifest's protocol axis sets each run's router and policy.
+        let base = if quick {
+            ScenarioBase::Custom(Box::new(template(PaperProtocol::EpidemicFifo, true)))
+        } else {
+            ScenarioBase::Paper
+        };
+        let cache = run_cells(&cells, seeds, &base);
         eprintln!("sweep finished in {:.0} s wall", t0.elapsed().as_secs_f64());
 
         for fig in &opts.figures {
@@ -480,13 +413,41 @@ fn run() -> Result<(), SweepError> {
     }
 
     if opts.ablation_copies {
-        ablation_copies(seeds, &tweak, &opts.out_dir)?;
+        let variants = [4u32, 8, 12, 16].map(|copies| {
+            let mut t = template(PaperProtocol::SnwLifetime, quick);
+            t.router = vdtn::RouterKind::SprayAndWait {
+                copies,
+                binary: true,
+            };
+            t.name = format!("ablation/snw-L{copies}");
+            (format!("SnW L={copies}"), t)
+        });
+        let title = "Spray and Wait initial copies L (paper fixes L = 12)";
+        ablation(title, "ablation_copies", variants, seeds, &opts.out_dir)?;
     }
     if opts.ablation_tick {
-        ablation_tick(seeds, &tweak, &opts.out_dir)?;
+        let variants = [0.5, 1.0, 2.0].map(|tick| {
+            let mut t = template(PaperProtocol::EpidemicLifetime, quick);
+            t.tick_secs = tick;
+            t.name = format!("ablation/tick{tick}");
+            (format!("tick={tick}s"), t)
+        });
+        let title = "engine tick length (metric drift vs 1 s baseline)";
+        ablation(title, "ablation_tick", variants, seeds, &opts.out_dir)?;
     }
     if opts.ablation_map {
-        ablation_map(seeds, &tweak, &opts.out_dir)?;
+        let variants = [
+            ("downtown 1300x1000 (default)", SyntheticCityGen::default()),
+            ("full city 4500x3400", SyntheticCityGen::full_city()),
+        ]
+        .map(|(label, gen)| {
+            let mut t = template(PaperProtocol::EpidemicLifetime, quick);
+            t.map = MapSpec::Synthetic(gen);
+            t.name = format!("ablation/map/{label}");
+            (label.to_string(), t)
+        });
+        let title = "calibrated downtown map vs full-city extent";
+        ablation(title, "ablation_map", variants, seeds, &opts.out_dir)?;
     }
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! (`vdtn::orchestrator`), replacing the hand-rolled scenario loops each
 //! figure used to build.
 
-use vdtn::orchestrator::{run_manifest_with, ScenarioTweak, SweepManifest, SweepOptions};
+use vdtn::orchestrator::{run_manifest, ScenarioBase, SweepManifest, SweepOptions};
 use vdtn::presets::{PaperProtocol, PAPER_TTLS_MIN};
 use vdtn::sweep::SweepPoint;
 
@@ -138,22 +138,22 @@ pub struct FigureResult {
 
 /// Run one figure: `seeds` runs per (configuration, TTL) cell, averaged.
 ///
-/// `tweak` is applied to every generated scenario (e.g. shorter duration for
-/// CI). The figure's rows × TTLs product is one manifest, executed by the
-/// orchestrator with work-stealing dispatch and streaming per-cell
-/// aggregation.
+/// Every run derives from `base` (the paper scenario, or a `Custom`
+/// template such as a shorter smoke-mode horizon). The figure's rows × TTLs
+/// product is one manifest, executed by the orchestrator with work-stealing
+/// dispatch and streaming per-cell aggregation.
 pub fn run_figure(
     spec: &FigureSpec,
     ttls: &[u64],
     seeds: u64,
-    tweak: &ScenarioTweak<'_>,
+    base: &ScenarioBase,
 ) -> FigureResult {
     let cells: Vec<(PaperProtocol, u64)> = spec
         .protocols
         .iter()
         .flat_map(|&p| ttls.iter().map(move |&t| (p, t)))
         .collect();
-    let cache = run_cells(&cells, seeds, tweak);
+    let cache = run_cells(&cells, seeds, base);
     assemble_figure(spec, ttls, &cache)
 }
 
@@ -222,7 +222,7 @@ pub fn paper_ttls() -> Vec<u64> {
 /// Figures 4, 5, 8 and 9) are then assembled from the cache without
 /// re-running.
 ///
-/// The cells become one paper-base [`SweepManifest`] over the union of
+/// The cells become one [`SweepManifest`] on `base` over the union of
 /// their protocol and TTL axes, so the sweep is executed (and checkpoint-
 /// able, thread-invariant, O(cells)-memory) exactly like any other
 /// manifest. The expansion covers the *product* of the unions; only the
@@ -231,7 +231,7 @@ pub fn paper_ttls() -> Vec<u64> {
 pub fn run_cells(
     cells: &[(PaperProtocol, u64)],
     seeds: u64,
-    tweak: &ScenarioTweak<'_>,
+    base: &ScenarioBase,
 ) -> std::collections::HashMap<(PaperProtocol, u64), SweepPoint> {
     assert!(seeds >= 1);
     let mut protocols: Vec<PaperProtocol> = Vec::new();
@@ -245,12 +245,13 @@ pub fn run_cells(
         }
     }
     let seed_list: Vec<u64> = (0..seeds).map(|s| 1000 + s).collect();
-    let manifest = SweepManifest::paper("figures", &protocols, &ttls, &seed_list);
-    let outcome = run_manifest_with(&manifest, &SweepOptions::default(), Some(tweak))
-        .expect("figure manifest is well-formed");
+    let mut manifest = SweepManifest::paper("figures", &protocols, &ttls, &seed_list);
+    manifest.base = base.clone();
+    let outcome =
+        run_manifest(&manifest, &SweepOptions::default()).expect("figure manifest is well-formed");
     let mut out = std::collections::HashMap::new();
     for (cell, point) in outcome.cells.iter().zip(&outcome.points) {
-        let proto = cell.protocol.expect("paper-base cells carry a protocol");
+        let proto = cell.protocol.expect("figure cells carry a protocol");
         if cells.contains(&(proto, cell.ttl_mins)) {
             out.insert((proto, cell.ttl_mins), point.clone());
         }
@@ -304,15 +305,15 @@ mod tests {
     #[test]
     fn quick_figure_runs_and_formats() {
         // Tiny run: one TTL, one seed, 10-minute horizon.
+        let mut template = vdtn::presets::paper_scenario(PaperProtocol::EpidemicFifo, 30, 0);
+        template.duration_secs = 600.0;
         let spec = FigureSpec {
             id: "test",
             title: "smoke",
             protocols: vec![PaperProtocol::EpidemicFifo],
             metric: Metric::DeliveryProbability,
         };
-        let result = run_figure(&spec, &[30], 1, &|s: &mut vdtn::Scenario| {
-            s.duration_secs = 600.0;
-        });
+        let result = run_figure(&spec, &[30], 1, &ScenarioBase::Custom(Box::new(template)));
         assert_eq!(result.points.len(), 1);
         assert_eq!(result.points[0].len(), 1);
         let table = format_table(&result);

@@ -5,7 +5,7 @@
 //!              [--engine ticked|event]
 //!              [--hash-stream] [--hash-every SECS]
 //!              [--save-at SECS --snapshot FILE.snap]
-//! run_scenario --restore FILE.snap [--engine MODE] [...]
+//! run_scenario --restore FILE.snap [the flags of a scenario run]
 //! run_scenario --sweep MANIFEST.json [--journal J.jsonl] [--resume]
 //!              [--threads N] [--out POINTS.json]
 //! ```
@@ -23,8 +23,9 @@
 //! pins exactly that across the two engine modes. A single run is one
 //! serial engine.
 //!
-//! `--threads` applies only to `--sweep`, whose worker threads run
-//! independent runs; a single run or `--restore` rejects it.
+//! Each mode accepts only the flags listed above; `--threads` applies only
+//! to `--sweep`, whose worker threads run independent runs, and a single
+//! run or `--restore` rejects it with a line saying so.
 //!
 //! `--save-at T --snapshot F` checkpoints the world at simulated time `T`
 //! into `F` and then *continues to the end* (the snapshot is a side effect,
@@ -36,15 +37,16 @@
 //! its canonical run list and executed by the sweep orchestrator —
 //! work-stealing dispatch, streaming per-cell aggregation, and (with
 //! `--journal`) an fsync-per-chunk resume journal so a killed sweep
-//! continues with `--resume` instead of restarting. Aggregate output is
+//! continues with `--resume` instead of restarting. Every run is fixed by
+//! the manifest, whose fingerprint the journal checks. Aggregate output is
 //! bit-identical at any `--threads` value and across kill/resume.
 //!
-//! A bad flag or operand, an unreadable input file, invalid JSON, a
-//! scenario that fails `Scenario::validate`, or a sweep manifest that does
-//! not expand or plans such a scenario prints one line on stderr and
-//! exits with code 2; an output path that cannot be
-//! written (`--report`, `--snapshot`, `--checkpoint-dir`, `--out`) prints
-//! one line and exits with code 1.
+//! A bad or unknown flag or operand, an unreadable input file, invalid
+//! JSON, a scenario that fails `Scenario::validate`, a snapshot that
+//! disagrees with its scenario, or a sweep manifest that does not expand or
+//! plans such a scenario prints one line on stderr and exits with code 2;
+//! an output path that cannot be written (`--report`, `--snapshot`,
+//! `--out`) prints one line and exits with code 1.
 //!
 //! Generate templates to start from:
 //!
@@ -63,7 +65,7 @@ fn usage(code: i32) -> ! {
     eprintln!("                    [--engine ticked|event]");
     eprintln!("                    [--hash-stream] [--hash-every SECS]");
     eprintln!("                    [--save-at SECS --snapshot FILE.snap]");
-    eprintln!("       run_scenario --restore FILE.snap [--engine MODE]");
+    eprintln!("       run_scenario --restore FILE.snap [the flags of a scenario run]");
     eprintln!("       run_scenario --sweep MANIFEST.json [--journal J.jsonl] [--resume]");
     eprintln!("                    [--threads N] [--out POINTS.json]");
     eprintln!("       run_scenario --template        # print a scenario template");
@@ -92,6 +94,36 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
             .cloned()
             .unwrap_or_else(|| usage_error(&format!("{name} needs a value"))),
     )
+}
+
+/// The flags a scenario run, fresh or `--restore`d, accepts: those that
+/// take a value, then the switches.
+const RUN_FLAGS: (&[&str], &[&str]) = (
+    &[
+        "--report",
+        "--engine",
+        "--hash-every",
+        "--save-at",
+        "--snapshot",
+        "--restore",
+    ],
+    &["--csv", "--oracle", "--hash-stream"],
+);
+
+/// The flags `--sweep MANIFEST.json` accepts, in the same shape.
+const SWEEP_FLAGS: (&[&str], &[&str]) = (&["--journal", "--threads", "--out"], &["--resume"]);
+
+/// Reject any argument in `args` that is neither one of `flags` nor the
+/// value of one that takes a value, before any input is read.
+fn reject_unknown(args: &[String], mode: &str, (valued, switches): (&[&str], &[&str])) {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg.as_str()) {
+            it.next();
+        } else if !switches.contains(&arg.as_str()) {
+            usage_error(&format!("unknown argument '{arg}' for {mode}"));
+        }
+    }
 }
 
 /// A worker count of at least 1.
@@ -133,6 +165,9 @@ fn main() {
         usage(0);
     }
 
+    if args[0] == "--template" || args[0] == "--sweep-template" {
+        reject_unknown(&args[1..], &args[0], (&[], &[]));
+    }
     if args[0] == "--template" {
         let template = paper_scenario(PaperProtocol::EpidemicLifetime, 60, 1);
         println!(
@@ -161,15 +196,25 @@ fn main() {
         return;
     }
 
+    if args.iter().any(|a| a == "--threads") {
+        usage_error("--threads applies only to --sweep; a single run is one serial engine");
+    }
+    // A fresh run names its scenario first; a restore, with `--restore`.
+    let restore = args.iter().any(|a| a == "--restore");
+    if !restore && args[0].starts_with("--") {
+        let first = &args[0];
+        usage_error(&format!(
+            "expected SCENARIO.json, --restore, --sweep or a template flag first, got '{first}'"
+        ));
+    }
+    let flags = if restore { &args[..] } else { &args[1..] };
+    reject_unknown(flags, "a scenario run", RUN_FLAGS);
     let engine = match flag_value(&args, "--engine").as_deref() {
         None => EngineMode::default(),
         Some("ticked") => EngineMode::Ticked,
         Some("event") => EngineMode::EventDriven,
         Some(other) => usage_error(&format!("unknown --engine '{other}' (want ticked|event)")),
     };
-    if args.iter().any(|a| a == "--threads") {
-        usage_error("--threads applies only to --sweep; a single run is one serial engine");
-    }
     let want_oracle = args.iter().any(|a| a == "--oracle");
     let want_csv = args.iter().any(|a| a == "--csv");
     let want_hash_stream = args.iter().any(|a| a == "--hash-stream");
@@ -197,9 +242,6 @@ fn main() {
         (snap.scenario, world)
     } else {
         let path = &args[0];
-        if path.starts_with("--") {
-            usage(2);
-        }
         let scenario: Scenario = read_json(path, "scenario");
         if let Err(e) = scenario.validate() {
             usage_error(&format!("invalid scenario {path}: {e}"));
@@ -281,12 +323,11 @@ fn run_sweep_manifest(args: &[String]) {
     let path = args
         .get(1)
         .unwrap_or_else(|| usage_error("--sweep needs a manifest path"));
+    reject_unknown(&args[2..], "--sweep", SWEEP_FLAGS);
     let opts = SweepOptions {
         threads: threads_arg(args).unwrap_or(0),
         journal: flag_value(args, "--journal").map(std::path::PathBuf::from),
         resume: args.iter().any(|a| a == "--resume"),
-        checkpoint_dir: flag_value(args, "--checkpoint-dir").map(std::path::PathBuf::from),
-        checkpoint_every_secs: secs_arg(args, "--checkpoint-every", false).unwrap_or(0.0),
     };
     let out_path = flag_value(args, "--out");
     let manifest: SweepManifest = read_json(path, "manifest");
@@ -300,15 +341,6 @@ fn run_sweep_manifest(args: &[String]) {
             usage_error(&format!("invalid manifest {path}: run {id}: {e}"));
         }
     }
-    if let Some(dir) = &opts.checkpoint_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            output_error(&format!(
-                "cannot create checkpoint dir {}: {e}",
-                dir.display()
-            ))
-        });
-    }
-
     let outcome = match run_manifest(&manifest, &opts) {
         Ok(o) => o,
         Err(e) => {

@@ -1142,32 +1142,24 @@ impl World {
     fn try_start_transfer(&mut self, from: NodeId, to: NodeId, slot: u32) -> bool {
         let key = pair_key(from, to);
         let side = usize::from(from.0 != key.0);
+        // Silence short-circuit: if this direction answered `None` from
+        // exactly this state snapshot, re-asking is provably futile (see
+        // `SilenceKey` — the sender buffer contributes its insert count, so
+        // sender-side removals keep the memo); skipping the scan is
+        // bit-identical because a `None` round draws no RNG (`Random`
+        // scheduling draws only once something is accepted). The key is
+        // taken before the routers are split-borrowed below.
+        let silence_key = self.silence_key(from, to);
         // Single slot index serves the whole call: the router scans through
         // a directional view (offered set + this direction's candidate
         // index) and a successful offer is recorded on the same borrow.
         let contact = self.contacts[slot as usize]
             .as_mut()
             .expect("routing round only visits live connections");
-        let (rf, rt) = pair_mut(&mut self.routers, from.index(), to.index());
-
-        // Silence short-circuit: if this direction answered `None` from
-        // exactly this state snapshot, re-asking is provably futile (see
-        // `SilenceKey` — the sender buffer contributes its insert count, so
-        // sender-side removals keep the memo); skipping the scan is
-        // bit-identical because a `None` round draws no RNG (`Random`
-        // scheduling draws only once something is accepted). Same inputs
-        // as `silence_key()` (inlined here because the routers are already
-        // split-borrowed).
-        let silence_key = [
-            self.states[from.index()].buffer.insert_count(),
-            rf.routing_generation(),
-            self.states[to.index()].buffer.generation(),
-            rt.routing_generation(),
-            self.states[to.index()].delivered.len() as u64,
-        ];
         if contact.is_silent(side, &silence_key) {
             return false;
         }
+        let (rf, rt) = pair_mut(&mut self.routers, from.index(), to.index());
 
         let intent = rf.next_transfer(
             &self.states[from.index()],
@@ -1348,7 +1340,8 @@ impl World {
     ///
     /// Fails with a one-line reason when the snapshot's payload does not
     /// belong to its embedded scenario: an invalid scenario, node, mover or
-    /// RNG-lane counts that disagree with it, a router state of another
+    /// RNG-lane counts that disagree with it, a mover off the scenario's
+    /// map or with an invalid config, a router state of another
     /// kind, a buffer over capacity, a link that is not a new pair of
     /// scenario nodes or has a bad rate, a transfer that is not between a
     /// link's two idle endpoints, or a state that does not re-capture to
@@ -1375,7 +1368,8 @@ impl World {
         w.tick_index = snap.tick_index;
 
         for (i, ms) in snap.movers.iter().enumerate() {
-            w.movers[i] = restore_mover(ms.clone(), &w.map, w.now);
+            w.movers[i] = restore_mover(ms.clone(), &w.map, w.now)
+                .map_err(|e| format!("snapshot mover {i}: {e}"))?;
             let seg = w.movers[i].motion();
             w.positions[i] = w.movers[i].position();
             w.seg_origin[i] = seg.origin;

@@ -53,8 +53,8 @@ pub use analysis::{oracle_delays, oracle_summary, MeetingModel, OracleSummary};
 pub use engine::{EngineMode, EngineStats, World};
 pub use logging::{ContactRecord, SimLog};
 pub use orchestrator::{
-    run_manifest, run_manifest_with, CellAccumulator, RunRecord, ScenarioBase, SweepManifest,
-    SweepOptions, SweepOutcome,
+    run_manifest, CellAccumulator, RunRecord, ScenarioBase, SweepManifest, SweepOptions,
+    SweepOutcome,
 };
 pub use report::{DropCause, MessageStats, SimReport};
 pub use scenario::{MapSpec, MobilitySpec, NodeGroup, RelayPlacement, Scenario, ScenarioError};

@@ -22,25 +22,14 @@
 use super::accum::{CellAccumulator, RunRecord};
 use super::journal::{replay_journal, JournalWriter};
 use super::manifest::{CellKey, SweepManifest};
-use crate::engine::{EngineMode, World};
-use crate::report::SimReport;
-use crate::scenario::Scenario;
-use crate::snapshot::{load_snapshot, save_snapshot, scenario_fingerprint};
+use crate::engine::World;
 use crate::sweep::{default_threads, SweepError, SweepPoint};
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use vdtn_sim_core::statehash::fnv1a_64;
-use vdtn_sim_core::SimTime;
-
-/// Scenario post-processor hook: the bench harness uses this for figure
-/// ablations (tick length, map scale) that are not manifest axes. Applied
-/// after the run's scenario is materialised, before the world is built;
-/// must be deterministic for resume to stay exact.
-pub type ScenarioTweak<'a> = dyn Fn(&mut Scenario) + Sync + 'a;
 
 /// Execution knobs for [`run_manifest`].
 #[derive(Debug, Clone, Default)]
@@ -53,67 +42,10 @@ pub struct SweepOptions {
     /// Journal path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
     /// Replay an existing journal at `journal` before executing the
-    /// remainder. A missing journal file degrades to a cold start.
+    /// remainder. A missing journal file degrades to a cold start. The
+    /// journal resumes at run granularity: a killed sweep re-executes its
+    /// in-flight runs from scratch.
     pub resume: bool,
-    /// Directory for *per-run* mid-flight checkpoints; `None` disables
-    /// them. The journal resumes at run granularity — a killed sweep
-    /// re-executes its in-flight runs from scratch. With a checkpoint dir,
-    /// each worker also snapshots its current world every
-    /// [`SweepOptions::checkpoint_every_secs`] of simulated time, and
-    /// `resume` picks long runs back up *mid-run*, bit-identically (the
-    /// engine's restore guarantee). Checkpoints are deleted as their run
-    /// completes; a stale file against a changed scenario is ignored.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Simulated seconds between per-run checkpoints (0: a single
-    /// checkpoint at the run's midpoint).
-    pub checkpoint_every_secs: f64,
-}
-
-/// Checkpoint file for one run: named by the FNV of the run ID, so any
-/// id alphabet maps to a safe filename.
-fn checkpoint_path(dir: &Path, run_id: &str) -> PathBuf {
-    dir.join(format!("{:016x}.ckpt", fnv1a_64(run_id.as_bytes())))
-}
-
-/// Execute one run to completion, checkpointing every `every_secs` of
-/// simulated time, resuming from an existing checkpoint when `resume` is
-/// set (a checkpoint that does not load or restore is ignored and the run
-/// starts fresh). Splitting the run at checkpoint boundaries is exact
-/// (`World::run_until` composes bit-identically), so the report is the
-/// same whether the run executed straight through, checkpointed along the
-/// way, or resumed after a kill.
-fn run_one_with_checkpoints(
-    scenario: &Scenario,
-    ckpt: &Path,
-    every_secs: f64,
-    resume: bool,
-) -> std::io::Result<SimReport> {
-    let every = if every_secs > 0.0 {
-        every_secs
-    } else {
-        scenario.duration_secs / 2.0
-    };
-    let restored = if resume && ckpt.exists() {
-        match load_snapshot(ckpt) {
-            Ok(snap) if scenario_fingerprint(&snap.scenario) == scenario_fingerprint(scenario) => {
-                World::restore(&snap, EngineMode::default()).ok()
-            }
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let mut world = restored.unwrap_or_else(|| World::build(scenario));
-    let end = scenario.duration_secs;
-    let mut t = world.now().as_secs_f64() + every;
-    while t < end {
-        world.run_until(SimTime::from_secs_f64(t));
-        save_snapshot(ckpt, &world.snapshot(scenario))?;
-        t += every;
-    }
-    let report = world.run();
-    std::fs::remove_file(ckpt).ok();
-    Ok(report)
 }
 
 /// What a sweep produced, plus enough bookkeeping to reason about resume
@@ -140,23 +72,14 @@ pub struct SweepOutcome {
     pub wall_secs: f64,
 }
 
-/// Execute a manifest. See [`run_manifest_with`] for the tweak-accepting
-/// variant.
-pub fn run_manifest(
-    manifest: &SweepManifest,
-    opts: &SweepOptions,
-) -> Result<SweepOutcome, SweepError> {
-    run_manifest_with(manifest, opts, None)
-}
-
-/// Execute a manifest with an optional scenario tweak.
+/// Execute a manifest: the only way to run a sweep, so every run is fixed
+/// by the fingerprinted manifest.
 ///
 /// Expansion → journal replay (resume) → work-stealing execution of the
 /// remainder (checkpointing each finished chunk) → canonical reduce.
-pub fn run_manifest_with(
+pub fn run_manifest(
     manifest: &SweepManifest,
     opts: &SweepOptions,
-    tweak: Option<&ScenarioTweak<'_>>,
 ) -> Result<SweepOutcome, SweepError> {
     let start = Instant::now();
     let plan = manifest.expand()?;
@@ -225,24 +148,8 @@ pub fn run_manifest_with(
         let mut batch = Vec::with_capacity(chunks[k].len());
         for &i in chunks[k] {
             let spec = &plan.runs[i];
-            let mut scenario = spec.scenario(manifest);
-            if let Some(t) = tweak {
-                t(&mut scenario);
-            }
-            let id = spec.id(&plan.name);
-            let report = match &opts.checkpoint_dir {
-                Some(dir) => run_one_with_checkpoints(
-                    &scenario,
-                    &checkpoint_path(dir, &id),
-                    opts.checkpoint_every_secs,
-                    opts.resume,
-                )
-                .map_err(|e| SweepError::Journal {
-                    detail: format!("checkpoint for run {id}: {e}"),
-                })?,
-                None => World::build(&scenario).run(),
-            };
-            batch.push(RunRecord::from_report(&id, &report));
+            let report = World::build(&spec.scenario(manifest)).run();
+            batch.push(RunRecord::from_report(&spec.id(&plan.name), &report));
         }
         if let Some(j) = &journal {
             j.lock().expect("journal lock").append_chunk(&batch)?;
@@ -337,6 +244,7 @@ pub(crate) fn fan_out<T: Send, E: Send>(
 mod tests {
     use super::*;
     use crate::presets::PaperProtocol;
+    use crate::scenario::Scenario;
     use crate::sweep::{average_reports, run_sweep};
 
     fn tiny_manifest() -> SweepManifest {
@@ -435,77 +343,6 @@ mod tests {
         assert_eq!(resumed.runs_replayed, 12);
         assert_eq!(canon_points(&cold), canon_points(&resumed));
         std::fs::remove_file(&path).ok();
-    }
-
-    fn canon_report(mut r: SimReport) -> String {
-        r.wall_secs = 0.0;
-        serde_json::to_string(&r).expect("report serialises")
-    }
-
-    #[test]
-    fn per_run_checkpoints_resume_mid_run_bit_identically() {
-        let dir = std::env::temp_dir().join("vdtn-ckpt-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let m = tiny_manifest();
-        let plan = m.expand().unwrap();
-        let spec = &plan.runs[0];
-        let scenario = spec.scenario(&m);
-        let ckpt = checkpoint_path(&dir, &spec.id(&plan.name));
-        std::fs::remove_file(&ckpt).ok();
-        let reference = canon_report(World::build(&scenario).run());
-
-        // Straight through with periodic checkpoints: identical report,
-        // and the checkpoint is cleaned up on completion.
-        let straight = run_one_with_checkpoints(&scenario, &ckpt, 120.0, false).unwrap();
-        assert_eq!(reference, canon_report(straight));
-        assert!(!ckpt.exists(), "completed run must remove its checkpoint");
-
-        // Simulated kill: a mid-run checkpoint is left behind; resume must
-        // pick the run up there and still land on the identical report.
-        let mut donor = World::build(&scenario);
-        donor.run_until(SimTime::from_secs_f64(300.0));
-        save_snapshot(&ckpt, &donor.snapshot(&scenario)).unwrap();
-        let resumed = run_one_with_checkpoints(&scenario, &ckpt, 120.0, true).unwrap();
-        assert_eq!(reference, canon_report(resumed));
-        assert!(!ckpt.exists());
-
-        // A stale checkpoint from a *different* scenario is ignored, not
-        // trusted: the run cold-starts and produces its own reference.
-        let mut other = scenario.clone();
-        other.seed += 1_000;
-        let other_reference = canon_report(World::build(&other).run());
-        let mut donor = World::build(&scenario);
-        donor.run_until(SimTime::from_secs_f64(300.0));
-        save_snapshot(&ckpt, &donor.snapshot(&scenario)).unwrap();
-        let cold = run_one_with_checkpoints(&other, &ckpt, 120.0, true).unwrap();
-        assert_eq!(other_reference, canon_report(cold));
-    }
-
-    #[test]
-    fn sweep_with_checkpoints_matches_plain_sweep() {
-        let dir = std::env::temp_dir().join("vdtn-ckpt-sweep-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let m = tiny_manifest();
-        let baseline = canon_points(&run_manifest(&m, &SweepOptions::default()).unwrap());
-        let ckpt = canon_points(
-            &run_manifest(
-                &m,
-                &SweepOptions {
-                    threads: 2,
-                    checkpoint_dir: Some(dir.clone()),
-                    checkpoint_every_secs: 200.0,
-                    ..SweepOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        assert_eq!(baseline, ckpt);
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
-            .collect();
-        assert!(leftovers.is_empty(), "completed sweep left checkpoints");
     }
 
     #[test]

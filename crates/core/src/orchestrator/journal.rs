@@ -22,8 +22,10 @@ use std::path::Path;
 
 /// Journal file magic.
 const MAGIC: &str = "vdtn-sweep";
-/// Journal format version.
-const VERSION: u32 = 1;
+/// Journal format version. Version 2 fingerprints the manifest with the
+/// house FNV-1a (`fnv1a_64`); version 1 multiplied by a mistyped prime, so
+/// its fingerprints cannot match and its journals are refused by version.
+const VERSION: u32 = 2;
 
 /// First line of every journal: which experiment this file belongs to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -32,6 +32,7 @@ use crate::scenario::Scenario;
 use crate::sweep::SweepError;
 use serde::{Deserialize, Serialize};
 use vdtn_bundle::{DropPolicy, PolicyCombo, SchedulingPolicy};
+use vdtn_sim_core::statehash::fnv1a_64;
 use vdtn_sim_core::SimDuration;
 
 /// The scenario family a manifest's runs are derived from.
@@ -192,12 +193,7 @@ impl SweepManifest {
         canon.ttls_mins = canon_axis(&self.ttls_mins, |&t| t);
         canon.seeds = canon_axis(&self.seeds, |&s| s);
         let json = serde_json::to_string(&canon).expect("manifest serialises");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in json.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        fnv1a_64(json.as_bytes())
     }
 }
 
@@ -496,6 +492,20 @@ mod tests {
         assert_eq!(a, m.fingerprint());
         m.seeds.push(99);
         assert_ne!(a, m.fingerprint());
+    }
+
+    /// Journals record the fingerprint, so its value must not drift: this
+    /// is the FNV-1a digest of the `run_scenario --sweep-template`
+    /// manifest's canonical JSON, as journal format version 2 records it.
+    #[test]
+    fn fingerprint_of_the_sweep_template_is_pinned() {
+        let m = SweepManifest::paper(
+            "example-sweep",
+            &PaperProtocol::protocol_comparison(),
+            &crate::presets::PAPER_TTLS_MIN,
+            &[1, 2, 3],
+        );
+        assert_eq!(m.fingerprint(), 16_398_964_569_409_470_502);
     }
 
     /// Manifests written before the routing-backend switch and the engine

@@ -54,6 +54,6 @@ pub mod journal;
 pub mod manifest;
 
 pub use accum::{CellAccumulator, RunRecord};
-pub use exec::{run_manifest, run_manifest_with, ScenarioTweak, SweepOptions, SweepOutcome};
+pub use exec::{run_manifest, SweepOptions, SweepOutcome};
 pub use journal::{replay_journal, JournalHeader, JournalReplay, JournalWriter};
 pub use manifest::{CellKey, RunSpec, ScenarioBase, SweepManifest, SweepPlan};

@@ -272,6 +272,8 @@ mod tests {
     use super::*;
     use crate::presets::{paper_scenario, PaperProtocol};
     use crate::World;
+    use vdtn_geo::{Point, Segment, VertexId};
+    use vdtn_mobility::PathPhase;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("vdtn-snapshot-tests");
@@ -323,6 +325,33 @@ mod tests {
         assert!(
             twice.ends_with("not a new pair of scenario nodes"),
             "{twice}"
+        );
+        let spmb = |s: &mut WorldSnapshot, edit: &dyn Fn(&mut VertexId, &mut PathPhase)| {
+            let MoverSnapshot::Spmb {
+                anchor_b, phase, ..
+            } = &mut s.state.movers[0]
+            else {
+                panic!("node 0 is a map-based vehicle");
+            };
+            edit(anchor_b, phase);
+        };
+        let off_map = reason(&|s| spmb(s, &|anchor, _| anchor.0 = 99_999));
+        assert!(off_map.contains("is not on the map"), "{off_map}");
+        let past_path = reason(&|s| {
+            spmb(s, &|_, phase| {
+                let seg = Segment::stationary(Point::ORIGIN, SimTime::ZERO, SimTime::MAX);
+                let (path, leg, speed) = (vec![Point::ORIGIN], 1, 1.0);
+                *phase = PathPhase::Driving {
+                    path,
+                    leg,
+                    speed,
+                    seg,
+                };
+            })
+        });
+        assert!(
+            past_path.starts_with("snapshot mover 0: driving leg 1"),
+            "{past_path}"
         );
         let invalid = reason(&|s| s.scenario.tick_secs = 0.0);
         assert!(

@@ -9,7 +9,8 @@ use vdtn::{
     load_snapshot, save_snapshot, MapSpec, MobilitySpec, RelayPlacement, Scenario, ScenarioBase,
     SimDuration, SweepManifest,
 };
-use vdtn_geo::{GridMapGen, Point};
+use vdtn_geo::{GridMapGen, Point, VertexId};
+use vdtn_mobility::MoverSnapshot;
 
 /// Run the binary and require `code`, exactly one stderr line and no
 /// panic; returns stdout.
@@ -114,6 +115,15 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let dropped_path = dir.join("dropped.snap");
     save_snapshot(&dropped_path, &dropped).unwrap();
     let dropped_path = dropped_path.to_str().unwrap().to_string();
+    // A snapshot whose first vehicle is anchored off the map.
+    let mut off_map = load_snapshot(&full).unwrap();
+    let MoverSnapshot::Spmb { anchor_a, .. } = &mut off_map.state.movers[0] else {
+        panic!("node 0 is a map-based vehicle");
+    };
+    *anchor_a = VertexId(99_999);
+    let off_map_path = dir.join("off_map.snap");
+    save_snapshot(&off_map_path, &off_map).unwrap();
+    let off_map_path = off_map_path.to_str().unwrap().to_string();
 
     let g = good.as_str();
     let mut cases: Vec<Vec<&str>> = vec![
@@ -134,10 +144,16 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec!["--restore", &missing],
         vec!["--restore", &old_snap],
         vec!["--restore", &dropped_path],
+        vec!["--restore", &off_map_path],
         vec!["--sweep", &missing],
         vec!["--sweep", &bad],
         vec!["--sweep", &sweep, "--threads", "0"],
-        vec!["--sweep", &sweep, "--checkpoint-every", "-1"],
+        // Arguments no mode documents, misspellings and removed flags.
+        vec!["--bogus"],
+        vec![g, "--repot", "X"],
+        vec!["--sweep", &sweep, "--jurnal", "J"],
+        vec!["--sweep", &sweep, "--checkpoint-dir", "D"],
+        vec!["--sweep", &sweep, "--checkpoint-every", "60"],
     ];
     cases.extend(invalid.iter().map(|p| vec![p.as_str()]));
     cases.extend(bad_sweeps.iter().map(|p| vec!["--sweep", p.as_str()]));
@@ -210,15 +226,11 @@ fn unwritable_outputs_exit_1_with_one_line_and_no_backtrace() {
     let report = path("missing/report.json");
     let snap = path("missing/out.snap");
     let points = path("missing/points.json");
-    // `create_dir_all` makes missing parents, so the checkpoint directory
-    // goes under a regular file instead.
-    let ckpt = path("short.json/ckpt");
 
     let (g, m) = (scenario_path.as_str(), sweep.as_str());
     let cases: Vec<Vec<&str>> = vec![
         vec![g, "--report", &report],
         vec![g, "--save-at", "5", "--snapshot", &snap],
-        vec!["--sweep", m, "--checkpoint-dir", &ckpt],
         vec!["--sweep", m, "--out", &points],
     ];
     for args in &cases {

@@ -62,12 +62,17 @@ pub enum MoverSnapshot {
 /// `graph` is the world's road network — map-based models hold an
 /// `Arc<RoadGraph>` that is scenario state, not mover state, so it travels
 /// outside the snapshot and is re-attached here. Stationary models ignore it.
+///
+/// Fails with a one-line reason when a map-based snapshot does not belong
+/// to `graph` (an anchor off the map, a driving leg outside its path) or
+/// carries an invalid config, so a foreign snapshot is refused here rather
+/// than panicking once the vehicle moves.
 pub fn restore_mover(
     snap: MoverSnapshot,
     graph: &Arc<RoadGraph>,
     now: SimTime,
-) -> Box<dyn MovementModel> {
-    match snap {
+) -> Result<Box<dyn MovementModel>, String> {
+    Ok(match snap {
         MoverSnapshot::Stationary { pos } => Box::new(Stationary::new(pos)),
         MoverSnapshot::Spmb {
             cfg,
@@ -83,8 +88,8 @@ pub fn restore_mover(
             anchor_b,
             phase,
             now,
-        )),
-    }
+        )?),
+    })
 }
 
 #[cfg(test)]
@@ -130,7 +135,7 @@ mod tests {
 
         let resume = SimTime::from_millis(500_000);
         let snap = original.snapshot();
-        let mut restored = restore_mover(snap.clone(), &g, resume);
+        let mut restored = restore_mover(snap.clone(), &g, resume).unwrap();
         assert_eq!(snap, restored.snapshot(), "snapshot must round-trip");
         assert_eq!(original.position(), restored.position());
 
@@ -144,7 +149,7 @@ mod tests {
     fn stationary_snapshot_round_trips() {
         let s = Stationary::new(Point::new(3.0, 4.0));
         let g = grid();
-        let restored = restore_mover(s.snapshot(), &g, SimTime::ZERO);
+        let restored = restore_mover(s.snapshot(), &g, SimTime::ZERO).unwrap();
         assert_eq!(restored.position(), Point::new(3.0, 4.0));
         assert!(restored.is_stationary());
         assert_eq!(s.snapshot(), restored.snapshot());

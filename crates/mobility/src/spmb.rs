@@ -133,8 +133,9 @@ impl ShortestPathMapBased {
     /// `advance_to(now)`. `now` must lie before the snapshot segment's
     /// `until` (a snapshot is taken after every boundary up to its instant
     /// was crossed), so the position is the segment's closed form at `now`
-    /// and nothing is drawn. No validation beyond the config's own
-    /// invariants.
+    /// and nothing is drawn. Fails with a one-line reason when the config
+    /// is invalid, an anchor is not a vertex of `graph`, or a driving leg
+    /// does not index its path.
     pub(crate) fn from_snapshot(
         graph: Arc<RoadGraph>,
         cfg: SpmbConfig,
@@ -143,10 +144,23 @@ impl ShortestPathMapBased {
         anchor_b: VertexId,
         phase: PathPhase,
         now: SimTime,
-    ) -> Self {
-        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    ) -> Result<Self, String> {
+        cfg.validate()?;
+        let vertices = graph.vertex_count();
+        if let Some(v) = [anchor_a, anchor_b].iter().find(|v| v.index() >= vertices) {
+            return Err(format!(
+                "anchor vertex {} is not on the map of {vertices} vertices",
+                v.0
+            ));
+        }
         let phase = match phase {
             PathPhase::Waiting { seg } => Phase::Waiting { seg },
+            PathPhase::Driving { path, leg, .. } if leg >= path.len() => {
+                return Err(format!(
+                    "driving leg {leg} is outside its path of {} waypoints",
+                    path.len()
+                ));
+            }
             PathPhase::Driving {
                 path,
                 leg,
@@ -164,7 +178,7 @@ impl ShortestPathMapBased {
             Phase::Waiting { seg } => seg.origin,
             Phase::Driving { seg, .. } => seg.position_at(now),
         };
-        ShortestPathMapBased {
+        Ok(ShortestPathMapBased {
             graph,
             cfg,
             rng,
@@ -172,7 +186,7 @@ impl ShortestPathMapBased {
             anchor_a,
             anchor_b,
             phase,
-        }
+        })
     }
 
     /// Plan the next trip, departing at `depart` (the wait's expiry — all

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Print the state-hash streams of the policy-driven routers.
+"""Print the state-hash streams of every router configuration CI guards.
 
-Usage: policy_router_hash_streams.py RUN_SCENARIO_BINARY > streams.txt
+Usage: router_hash_streams.py RUN_SCENARIO_BINARY > streams.txt
 
-Runs the `--template` scenario for one simulated hour once per policy-driven
-router configuration (Epidemic under the template policy and under Random
-scheduling, binary and source Spray-and-Wait, Direct Delivery, First Contact
-and Spray-and-Focus) with `--hash-stream --hash-every 60`, and prints every
-checkpoint as one `<label> <now_ms> <hash>` line. CI `cmp`s the output against
-ci/policy_router_hash_streams.txt; a differing byte means one of these
-routers changed behaviour (or the hash definition changed).
+Runs the `--template` scenario for one simulated hour once per router
+configuration (Epidemic under the template policy and under Random
+scheduling, binary and source Spray-and-Wait, Direct Delivery, First Contact,
+Spray-and-Focus, MaxProp and PRoPHET) with `--hash-stream --hash-every 60`,
+and prints every checkpoint as one `<label> <now_ms> <hash>` line. CI `cmp`s
+the output against ci/router_hash_streams.txt; a differing byte means one of
+these routers changed behaviour (or the hash definition changed).
 """
 
 import json
@@ -26,12 +26,15 @@ CONFIGS = [
     ("direct", "DirectDelivery", None),
     ("first_contact", "FirstContact", None),
     ("spray_focus", {"SprayAndFocus": {"copies": 12}}, None),
+    ("maxprop", {"MaxProp": {"head_start_fraction": 0.5}}, None),
+    ("prophet", {"Prophet": {"p_init": 0.75, "beta": 0.25, "gamma": 0.98,
+                             "time_unit_secs": 30.0}}, None),
 ]
 
 
 def main():
     if len(sys.argv) != 2:
-        sys.exit("usage: policy_router_hash_streams.py RUN_SCENARIO_BINARY")
+        sys.exit("usage: router_hash_streams.py RUN_SCENARIO_BINARY")
     binary = sys.argv[1]
     template = json.loads(subprocess.run([binary, "--template"], check=True,
                                          capture_output=True, text=True).stdout)

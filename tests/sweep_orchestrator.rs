@@ -224,7 +224,6 @@ proptest! {
             threads,
             journal: Some(journal.clone()),
             resume,
-            ..SweepOptions::default()
         };
 
         let cold = run_manifest(&manifest, &opts(false)).expect("cold run succeeds");
