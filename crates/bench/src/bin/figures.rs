@@ -20,14 +20,15 @@
 //! text states, and writes `DIR/<fig>.csv`.
 //!
 //! An unknown flag, a missing value or a bad `--seeds` count prints one
-//! line on stderr and exits with code 2 before any simulation runs.
+//! line on stderr and exits with code 2 before any simulation runs. An
+//! output directory or CSV file that cannot be created or written prints
+//! one line and exits with code 1.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use vdtn::orchestrator::{run_manifest, ScenarioBase, SweepManifest, SweepOptions};
 use vdtn::presets::{paper_scenario, PaperProtocol};
 use vdtn::scenario::{MapSpec, MobilitySpec};
-use vdtn::sweep::{SweepError, SweepPoint};
+use vdtn::sweep::SweepPoint;
 use vdtn::Scenario;
 use vdtn_bench::harness::{
     assemble_figure, format_csv, format_table, paper_ttls, run_cells, FigureSpec,
@@ -234,14 +235,15 @@ const ABLATION_TTL: u64 = 120;
 /// Run one ablation: each `(label, template)` variant is one `Custom`-base
 /// manifest over the seed axis at [`ABLATION_TTL`], averaged into one row
 /// that is printed and written to `DIR/<name>.csv`. Expansion failures
-/// surface as typed [`SweepError`]s.
+/// surface as typed `SweepError`s, a failed CSV write as its one-line
+/// reason.
 fn ablation(
     title: &str,
     name: &str,
     variants: impl IntoIterator<Item = (String, Scenario)>,
     seeds: u64,
     out_dir: &str,
-) -> Result<(), SweepError> {
+) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Ablation — {title}\n");
     let mut rows = Vec::new();
     for (label, template) in variants {
@@ -263,28 +265,28 @@ fn ablation(
         println!("  {}", point.table_row());
         rows.push(point);
     }
-    write_csv_points(out_dir, name, &rows);
+    write_csv_points(out_dir, name, &rows)?;
     println!();
     Ok(())
 }
 
-fn write_csv_points(out_dir: &str, name: &str, points: &[SweepPoint]) {
+fn write_csv_points(out_dir: &str, name: &str, points: &[SweepPoint]) -> Result<(), String> {
     let path = format!("{out_dir}/{name}.csv");
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
-    writeln!(
-        f,
-        "label,ttl_mins,delivery_probability,avg_delay_mins,seeds"
-    )
-    .unwrap();
+    let mut csv = String::from("label,ttl_mins,delivery_probability,avg_delay_mins,seeds\n");
     for p in points {
-        writeln!(
-            f,
-            "{},{},{:.4},{:.2},{}",
+        csv += &format!(
+            "{},{},{:.4},{:.2},{}\n",
             p.label, p.ttl_mins, p.delivery_probability, p.avg_delay_mins, p.seeds
-        )
-        .unwrap();
+        );
     }
+    write_file(&path, &csv)?;
     println!("  -> {path}");
+    Ok(())
+}
+
+/// Write an output file, or the one-line reason it could not be written.
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Re-render saved figure CSVs (tables + ASCII charts) without simulating.
@@ -339,9 +341,10 @@ fn main() {
     }
 }
 
-fn run() -> Result<(), SweepError> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let opts = parse_args();
-    std::fs::create_dir_all(&opts.out_dir).expect("create output dir");
+    std::fs::create_dir_all(&opts.out_dir)
+        .map_err(|e| format!("cannot create output directory {}: {e}", opts.out_dir))?;
 
     if opts.replot {
         replot(&opts.out_dir);
@@ -404,7 +407,7 @@ fn run() -> Result<(), SweepError> {
                 vdtn_bench::render(fig.title, &x_labels, &series, 60, 14)
             );
             let path = format!("{}/{}.csv", opts.out_dir, fig.id);
-            std::fs::write(&path, format_csv(&result)).expect("write csv");
+            write_file(&path, &format_csv(&result))?;
             println!("  -> {path}\n");
         }
         // Delta comparison needs the policy figures' cells; print whenever

@@ -5,19 +5,25 @@
 //! providing O(log n) id lookups through a sorted index. Iteration always
 //! follows insertion order so every traversal is deterministic.
 //!
-//! Since the arena refactor a buffer does **not** store full [`Message`]
-//! structs. The immutable metadata of each logical message lives once per
-//! world in a shared [`MessageArena`]; the buffer keeps a single flat
-//! reception-ordered `Vec` of `CopyEntry` records — the arena handle plus
-//! the genuinely per-copy fields (hop count, spray quota, reception time,
-//! insertion sequence) — and reconstructs `Message` values on demand.
-//! Accessors therefore return messages **by value** (`Message` is `Copy`).
+//! A buffer does **not** store full [`Message`] structs. The immutable
+//! metadata of each logical message lives once per world, in the message
+//! table (a `Vec<MsgMeta>` indexed by id; see [`crate::message`]); the
+//! buffer keeps a single flat reception-ordered `Vec` of `CopyEntry`
+//! records — the 32-bit message id plus the genuinely per-copy fields (hop
+//! count, spray quota, reception time, insertion sequence). Accessors that
+//! need metadata take the table by reference and return messages **by
+//! value** (`Message` is `Copy`); membership, order and expiry need no
+//! table.
+//!
+//! A buffer trusts that an id always names the same message, which the
+//! world's table guarantees: ids are never reused, so a copy's expiry is
+//! fixed by its id.
 //!
 //! Internally four structures cooperate:
 //!
 //! * `copies` — reception order (front = oldest) and per-copy state in one
 //!   contiguous vector. Removal tombstones the entry in O(1) (sentinel
-//!   handle) and compacts once tombstones outnumber live entries, so
+//!   id) and compacts once tombstones outnumber live entries, so
 //!   eviction storms are amortised O(1) per removal;
 //! * `ids`/`slots` — two parallel sorted columns mapping id → position in
 //!   `copies` for every stored message (the membership source of truth).
@@ -42,10 +48,8 @@
 //!   far behind get `None` and must rebuild — staleness degrades to a
 //!   rescan, never to a wrong answer.
 
-use crate::arena::{MessageArena, MsgHandle};
-use crate::message::{Message, MessageId};
+use crate::message::{Message, MessageId, MsgMeta};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use vdtn_sim_core::SimTime;
 
 /// Why an insertion failed.
@@ -66,9 +70,10 @@ pub enum BufferError {
     },
     /// A copy of this message is already stored.
     Duplicate(MessageId),
-    /// The id `u64::MAX` is reserved as a sentinel and can never be stored
-    /// (the traffic generator allocates ids sequentially from zero and
-    /// never reaches it).
+    /// Ids from `u32::MAX` up can never be stored: a stored copy keeps its
+    /// id in 32 bits, and `u32::MAX` marks removed entries (the traffic
+    /// generator allocates ids sequentially from zero and never reaches
+    /// it).
     ReservedId,
 }
 
@@ -83,20 +88,16 @@ impl std::fmt::Display for BufferError {
             }
             BufferError::NoSpace { missing } => write!(f, "buffer lacks {missing} B"),
             BufferError::Duplicate(id) => write!(f, "duplicate message {id}"),
-            BufferError::ReservedId => write!(f, "message id u64::MAX is reserved"),
+            BufferError::ReservedId => write!(f, "message ids from u32::MAX up are reserved"),
         }
     }
 }
 
 impl std::error::Error for BufferError {}
 
-/// Reserved message id, kept un-storable for API stability (it was the
-/// in-place tombstone before the copy vector switched to handle sentinels).
-const RESERVED_ID: MessageId = MessageId(u64::MAX);
-
-/// In-place marker for removed `copies` entries. `u32::MAX` can never be a
-/// real handle: [`MessageArena::intern`] refuses to allocate it.
-const TOMBSTONE: MsgHandle = MsgHandle(u32::MAX);
+/// In-place marker for removed `copies` entries: the first reserved id
+/// ([`Buffer::insert`] refuses to store it or anything above).
+const TOMBSTONE: u32 = u32::MAX;
 
 /// One entry of the lazy expiry min-heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -105,16 +106,14 @@ struct ExpiryEntry {
     id: MessageId,
 }
 
-/// One stored copy: the arena handle of its logical message plus every
-/// per-copy field. 24 bytes, stored inline in the reception-order vector —
-/// the whole buffer scan is one contiguous walk. The message id is *not*
-/// duplicated here: the interned [`crate::MsgMeta`] record carries it, so
-/// identity costs one lock-free arena resolve instead of 8 bytes per copy.
+/// One stored copy: the id of its logical message plus every per-copy
+/// field. 24 bytes, stored inline in the reception-order vector — the
+/// whole buffer scan is one contiguous walk. The immutable metadata (src,
+/// dst, size, created, ttl) is the id's record in the message table.
 #[derive(Debug, Clone, Copy)]
 struct CopyEntry {
-    /// Interned immutable metadata (id, src, dst, size, created, ttl), or
-    /// `TOMBSTONE` when the slot was removed.
-    handle: MsgHandle,
+    /// Message id, or `TOMBSTONE` when the slot was removed.
+    id: u32,
     /// Hops this copy has taken from the source.
     hops: u32,
     /// Remaining logical copies for quota-based protocols.
@@ -249,11 +248,8 @@ const DELTA_LOG_CAP: usize = 512;
 pub struct Buffer {
     capacity: u64,
     used: u64,
-    /// Immutable logical-message metadata, shared across the world's
-    /// buffers (or private to this buffer when built via [`Buffer::new`]).
-    arena: Arc<MessageArena>,
     /// Reception order (front = oldest) and per-copy state, possibly
-    /// holding tombstoned entries. Removal overwrites the entry's handle
+    /// holding tombstoned entries. Removal overwrites the entry's id
     /// with the `TOMBSTONE` sentinel in place, so liveness checks during
     /// iteration are a plain compare — no id lookups on the hot traversal
     /// paths.
@@ -265,8 +261,9 @@ pub struct Buffer {
     /// Tombstoned entries currently in `copies`.
     stale: usize,
     /// Min-heap (array layout) of expiry times with lazy deletion: entries
-    /// whose id is gone, or whose stored copy has a different expiry (id
-    /// re-inserted), are discarded when they surface.
+    /// whose id is gone are discarded when they surface. An id's expiry
+    /// never changes, so an entry whose id is stored is current (a
+    /// re-inserted id leaves a duplicate entry, deduplicated on drain).
     expiry: Vec<ExpiryEntry>,
     /// Monotone membership-change counter: bumped on every successful
     /// insert and remove (and therefore on eviction and TTL drain, which go
@@ -295,19 +292,11 @@ pub struct Buffer {
 }
 
 impl Buffer {
-    /// Create a buffer with the given byte capacity and a private metadata
-    /// arena. World buffers share one arena instead — see
-    /// [`Buffer::with_arena`].
+    /// Create an empty buffer with the given byte capacity.
     pub fn new(capacity: u64) -> Self {
-        Self::with_arena(capacity, Arc::new(MessageArena::new()))
-    }
-
-    /// Create a buffer backed by a shared metadata arena.
-    pub fn with_arena(capacity: u64, arena: Arc<MessageArena>) -> Self {
         Buffer {
             capacity,
             used: 0,
-            arena,
             copies: Vec::new(),
             ids: Vec::new(),
             slots: Vec::new(),
@@ -321,11 +310,6 @@ impl Buffer {
             delta_tags: Vec::new(),
             delta_metas: Vec::new(),
         }
-    }
-
-    /// The metadata arena backing this buffer.
-    pub fn arena(&self) -> &Arc<MessageArena> {
-        &self.arena
     }
 
     /// Monotone counter distinguishing buffer *membership* states: any
@@ -413,60 +397,34 @@ impl Buffer {
         Some(self.slots[i])
     }
 
-    /// The scheduling-rank snapshot of a stored message (see [`RankMeta`]).
-    pub fn rank_meta(&self, id: MessageId) -> Option<RankMeta> {
+    /// The scheduling-rank snapshot of a stored message (see [`RankMeta`]),
+    /// its immutable fields read from the message table `metas`.
+    pub fn rank_meta(&self, id: MessageId, metas: &[MsgMeta]) -> Option<RankMeta> {
         let pos = self.slot_of(id)?;
-        Some(self.rank_meta_at(pos as usize))
+        Some(rank_meta(&self.copies[pos as usize], metas))
     }
 
-    /// The arena handle of a stored message's interned metadata. Lets
-    /// rank-keyed consumers (the routing candidate index) store 4-byte
-    /// handles instead of 8-byte ids and resolve lock-free.
-    pub fn handle_of(&self, id: MessageId) -> Option<MsgHandle> {
-        let pos = self.slot_of(id)?;
-        Some(self.copies[pos as usize].handle)
+    /// Every stored copy as `(id, rank snapshot)`, in reception order — one
+    /// contiguous pass for consumers that rebuild a rank-keyed view of the
+    /// whole buffer.
+    pub fn rank_entries<'a>(
+        &'a self,
+        metas: &'a [MsgMeta],
+    ) -> impl Iterator<Item = (MessageId, RankMeta)> + 'a {
+        self.live()
+            .map(move |e| (MessageId(e.id.into()), rank_meta(e, metas)))
     }
 
-    /// Every stored copy as `(id, arena handle, rank snapshot)`, in
-    /// reception order — one contiguous pass for consumers that rebuild a
-    /// rank-keyed view of the whole buffer.
-    pub fn rank_entries(&self) -> impl Iterator<Item = (MessageId, MsgHandle, RankMeta)> + '_ {
-        self.copies
-            .iter()
-            .filter(|e| e.handle != TOMBSTONE)
-            .map(move |e| {
-                let meta = self.arena.resolve(e.handle);
-                (
-                    meta.id,
-                    e.handle,
-                    RankMeta {
-                        expiry: meta.expiry(),
-                        size: meta.size,
-                        created: meta.created,
-                        hops: e.hops,
-                        seq: e.seq,
-                    },
-                )
-            })
+    /// The live `copies` entries, in reception order.
+    fn live(&self) -> impl Iterator<Item = &CopyEntry> + '_ {
+        self.copies.iter().filter(|e| e.id != TOMBSTONE)
     }
 
-    fn rank_meta_at(&self, pos: usize) -> RankMeta {
-        let e = &self.copies[pos];
-        let meta = self.arena.resolve(e.handle);
-        RankMeta {
-            expiry: meta.expiry(),
-            size: meta.size,
-            created: meta.created,
-            hops: e.hops,
-            seq: e.seq,
-        }
-    }
-
-    /// Reconstruct the full message copy stored at `pos`.
-    fn reify(&self, e: &CopyEntry) -> Message {
-        let meta = self.arena.resolve(e.handle);
+    /// Reconstruct a full message copy from its entry and its table record.
+    fn reify(e: &CopyEntry, metas: &[MsgMeta]) -> Message {
+        let meta = &metas[e.id as usize];
         Message {
-            id: meta.id,
+            id: MessageId(e.id.into()),
             src: meta.src,
             dst: meta.dst,
             size: meta.size,
@@ -548,12 +506,12 @@ impl Buffer {
         self.ids.binary_search(&id).is_ok()
     }
 
-    /// A stored copy, reconstructed by value from the arena record and the
-    /// per-copy fields (`Message` is `Copy`; there is no stored struct to
-    /// borrow).
-    pub fn get(&self, id: MessageId) -> Option<Message> {
+    /// A stored copy, reconstructed by value from its record in `metas` and
+    /// the per-copy fields (`Message` is `Copy`; there is no stored struct
+    /// to borrow).
+    pub fn get(&self, id: MessageId, metas: &[MsgMeta]) -> Option<Message> {
         let pos = self.slot_of(id)?;
-        Some(self.reify(&self.copies[pos as usize]))
+        Some(Self::reify(&self.copies[pos as usize], metas))
     }
 
     /// Mutable access to a stored copy's remaining-copies quota (the only
@@ -564,11 +522,13 @@ impl Buffer {
     }
 
     /// Insert a message copy. Fails without modifying the buffer if the
-    /// message cannot fit or is already present.
+    /// message cannot fit or is already present. The copy's immutable
+    /// fields must equal its id's record in the message table later
+    /// accessors are given.
     pub fn insert(&mut self, msg: Message) -> Result<(), BufferError> {
-        if msg.id == RESERVED_ID {
+        let Some(id) = u32::try_from(msg.id.0).ok().filter(|&id| id != TOMBSTONE) else {
             return Err(BufferError::ReservedId);
-        }
+        };
         let at = match self.ids.binary_search(&msg.id) {
             Ok(_) => return Err(BufferError::Duplicate(msg.id)),
             Err(at) => at,
@@ -584,7 +544,6 @@ impl Buffer {
                 missing: msg.size - self.free(),
             });
         }
-        let handle = self.arena.intern(&msg);
         self.used += msg.size;
         self.generation += 1;
         debug_assert!(self.inserts <= u32::MAX as u64, "insert seq wrapped");
@@ -593,7 +552,7 @@ impl Buffer {
         self.ids.insert(at, msg.id);
         self.slots.insert(at, self.copies.len() as u32);
         self.copies.push(CopyEntry {
-            handle,
+            id,
             hops: msg.hops,
             copies: msg.copies,
             seq,
@@ -607,22 +566,23 @@ impl Buffer {
         Ok(())
     }
 
-    /// Remove and return a copy. Amortised O(1): the `copies` entry is
-    /// overwritten with the `TOMBSTONE` sentinel and reclaimed by a later
-    /// compaction; the expiry-heap entry is discarded lazily.
-    pub fn remove(&mut self, id: MessageId) -> Option<Message> {
-        self.remove_with(id, false)
+    /// Remove and return a copy (its metadata read from `metas`).
+    /// Amortised O(1): the `copies` entry is overwritten with the
+    /// `TOMBSTONE` sentinel and reclaimed by a later compaction; the
+    /// expiry-heap entry is discarded lazily.
+    pub fn remove(&mut self, id: MessageId, metas: &[MsgMeta]) -> Option<Message> {
+        self.remove_with(id, metas, false)
     }
 
-    fn remove_with(&mut self, id: MessageId, expired: bool) -> Option<Message> {
+    fn remove_with(&mut self, id: MessageId, metas: &[MsgMeta], expired: bool) -> Option<Message> {
         let i = self.ids.binary_search(&id).ok()?;
         self.ids.remove(i);
         let pos = self.slots.remove(i) as usize;
-        let msg = self.reify(&self.copies[pos]);
-        let meta = self.rank_meta_at(pos);
+        let msg = Self::reify(&self.copies[pos], metas);
+        let meta = rank_meta(&self.copies[pos], metas);
         self.used -= msg.size;
         self.generation += 1;
-        self.copies[pos].handle = TOMBSTONE;
+        self.copies[pos].id = TOMBSTONE;
         self.stale += 1;
         if self.stale * 2 > self.copies.len() {
             self.compact();
@@ -641,9 +601,9 @@ impl Buffer {
         let mut w = 0usize;
         for r in 0..self.copies.len() {
             let e = self.copies[r];
-            if e.handle != TOMBSTONE {
+            if e.id != TOMBSTONE {
                 self.copies[w] = e;
-                let id = self.arena.resolve(e.handle).id;
+                let id = MessageId(e.id.into());
                 let i = self.ids.binary_search(&id).expect("live ids are indexed");
                 self.slots[i] = w as u32;
                 w += 1;
@@ -659,26 +619,15 @@ impl Buffer {
     }
 
     /// Ids in reception order (front = oldest). A plain filtered slice
-    /// walk — tombstones are in-place sentinels — plus one lock-free arena
-    /// resolve per live entry for the id.
+    /// walk — tombstones are in-place sentinels.
     pub fn ids_in_order(&self) -> impl Iterator<Item = MessageId> + '_ {
-        self.copies
-            .iter()
-            .filter(|e| e.handle != TOMBSTONE)
-            .map(|e| self.arena.resolve(e.handle).id)
+        self.live().map(|e| MessageId(e.id.into()))
     }
 
-    /// Iterate stored messages in reception order, reconstructed by value.
-    pub fn iter(&self) -> impl Iterator<Item = Message> + '_ {
-        self.copies
-            .iter()
-            .filter(|e| e.handle != TOMBSTONE)
-            .map(move |e| self.reify(e))
-    }
-
-    /// Absolute expiry of the copy at `pos` (arena lookup).
-    fn expiry_at(&self, pos: usize) -> SimTime {
-        self.arena.resolve(self.copies[pos].handle).expiry()
+    /// Iterate stored messages in reception order, reconstructed by value
+    /// from their records in `metas`.
+    pub fn iter<'a>(&'a self, metas: &'a [MsgMeta]) -> impl Iterator<Item = Message> + 'a {
+        self.live().map(move |e| Self::reify(e, metas))
     }
 
     /// Earliest expiry time among stored messages, or `None` when empty.
@@ -688,20 +637,19 @@ impl Buffer {
     /// stored message can expire before it.
     pub fn next_expiry(&mut self) -> Option<SimTime> {
         while let Some(&top) = self.expiry.first() {
-            match self.slot_of(top.id) {
-                Some(pos) if self.expiry_at(pos as usize) == top.at => return Some(top.at),
-                _ => {
-                    self.heap_pop();
-                }
+            if self.contains(top.id) {
+                return Some(top.at);
             }
+            self.heap_pop();
         }
         None
     }
 
     /// Remove every expired message, returning them in reception order (for
-    /// stats recording). Driven by the expiry heap: O(1) when nothing is
-    /// due, O(expired · log n) otherwise — never a full-buffer scan.
-    pub fn drain_expired(&mut self, now: SimTime) -> Vec<Message> {
+    /// stats recording; metadata from `metas`). Driven by the expiry heap:
+    /// O(1) when nothing is due, O(expired · log n) otherwise — never a
+    /// full-buffer scan.
+    pub fn drain_expired(&mut self, now: SimTime, metas: &[MsgMeta]) -> Vec<Message> {
         if self.expiry.first().map_or(true, |top| top.at > now) {
             return Vec::new();
         }
@@ -714,15 +662,16 @@ impl Buffer {
             }
             self.heap_pop();
             if let Some(pos) = self.slot_of(top.id) {
-                if self.expiry_at(pos as usize) == top.at {
-                    due.push((pos, top.id));
-                }
+                due.push((pos, top.id));
             }
         }
         due.sort_unstable();
         due.dedup_by_key(|e| e.1);
         due.into_iter()
-            .map(|(_, id)| self.remove_with(id, true).expect("live id collected above"))
+            .map(|(_, id)| {
+                self.remove_with(id, metas, true)
+                    .expect("live id collected above")
+            })
             .collect()
     }
 
@@ -778,8 +727,20 @@ impl Buffer {
     }
 }
 
+/// The scheduling-rank snapshot of a stored copy (see [`RankMeta`]).
+fn rank_meta(e: &CopyEntry, metas: &[MsgMeta]) -> RankMeta {
+    let meta = &metas[e.id as usize];
+    RankMeta {
+        expiry: meta.expiry(),
+        size: meta.size,
+        created: meta.created,
+        hops: e.hops,
+        seq: e.seq,
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vdtn_sim_core::{NodeId, SimDuration};
 
@@ -792,6 +753,26 @@ mod tests {
             SimTime::from_secs_f64(created_s),
             SimDuration::from_mins(ttl_min),
         )
+    }
+
+    /// A message table holding each of `msgs` at its id; ids missing from
+    /// `msgs` hold the first message's record, which no test reads.
+    pub(crate) fn table(msgs: &[Message]) -> Vec<MsgMeta> {
+        let len = msgs.iter().map(|m| m.id.index() + 1).max().unwrap_or(0);
+        let mut metas = vec![MsgMeta::of(&msgs[0]); len];
+        for m in msgs {
+            metas[m.id.index()] = MsgMeta::of(m);
+        }
+        metas
+    }
+
+    /// A buffer of `capacity` bytes holding `msgs` in order, and their table.
+    fn stored(capacity: u64, msgs: &[Message]) -> (Buffer, Vec<MsgMeta>) {
+        let mut b = Buffer::new(capacity);
+        for &m in msgs {
+            b.insert(m).unwrap();
+        }
+        (b, table(msgs))
     }
 
     fn order_ids(b: &Buffer) -> Vec<MessageId> {
@@ -813,40 +794,37 @@ mod tests {
 
     #[test]
     fn get_reconstructs_the_inserted_copy_exactly() {
-        let mut b = Buffer::new(1000);
         let mut m = msg(1, 400, 5.0, 60);
         m.hops = 3;
         m.copies = 8;
         m.received = SimTime::from_secs_f64(9.0);
-        b.insert(m).unwrap();
-        assert_eq!(b.get(MessageId(1)), Some(m));
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![m]);
-        assert_eq!(b.get(MessageId(2)), None);
+        let (b, metas) = stored(1000, &[m]);
+        assert_eq!(b.get(MessageId(1), &metas), Some(m));
+        assert_eq!(b.iter(&metas).collect::<Vec<_>>(), vec![m]);
+        assert_eq!(b.get(MessageId(2), &metas), None);
     }
 
     #[test]
-    fn shared_arena_interns_once_across_buffers() {
-        let arena = Arc::new(MessageArena::new());
-        let mut b1 = Buffer::with_arena(1000, arena.clone());
-        let mut b2 = Buffer::with_arena(1000, arena.clone());
+    fn replicas_share_one_table_record() {
         let m = msg(1, 100, 0.0, 60);
-        b1.insert(m).unwrap();
-        b2.insert(m.relayed_copy(SimTime::from_secs_f64(5.0)))
-            .unwrap();
-        assert_eq!(arena.len(), 1, "replicas share one metadata record");
-        assert_eq!(b1.get(MessageId(1)).unwrap().hops, 0);
-        assert_eq!(b2.get(MessageId(1)).unwrap().hops, 1);
+        let (b1, metas) = stored(1000, &[m]);
+        let (b2, _) = stored(1000, &[m.relayed_copy(SimTime::from_secs_f64(5.0))]);
+        assert_eq!(b1.get(MessageId(1), &metas).unwrap().hops, 0);
+        assert_eq!(b2.get(MessageId(1), &metas).unwrap().hops, 1);
+        assert_eq!(
+            b2.get(MessageId(1), &metas).unwrap().received,
+            SimTime::from_secs_f64(5.0)
+        );
     }
 
     #[test]
     fn copies_mut_updates_quota_without_generation_bump() {
-        let mut b = Buffer::new(1000);
         let mut m = msg(1, 100, 0.0, 60);
         m.copies = 8;
-        b.insert(m).unwrap();
+        let (mut b, metas) = stored(1000, &[m]);
         let gen = b.generation();
         *b.copies_mut(MessageId(1)).unwrap() = 4;
-        assert_eq!(b.get(MessageId(1)).unwrap().copies, 4);
+        assert_eq!(b.get(MessageId(1), &metas).unwrap().copies, 4);
         assert_eq!(
             b.generation(),
             gen,
@@ -860,7 +838,7 @@ mod tests {
         let mut b = Buffer::new(1000);
         b.insert(msg(1, 100, 0.0, 60)).unwrap();
         assert_eq!(
-            b.insert(msg(1, 100, 5.0, 60)),
+            b.insert(msg(1, 100, 0.0, 60).relayed_copy(SimTime::from_secs_f64(5.0))),
             Err(BufferError::Duplicate(MessageId(1)))
         );
         assert_eq!(b.used(), 100);
@@ -888,38 +866,35 @@ mod tests {
 
     #[test]
     fn remove_restores_space_and_order() {
-        let mut b = Buffer::new(1000);
-        b.insert(msg(1, 300, 0.0, 60)).unwrap();
-        b.insert(msg(2, 300, 1.0, 60)).unwrap();
-        b.insert(msg(3, 300, 2.0, 60)).unwrap();
-        let removed = b.remove(MessageId(2)).unwrap();
-        assert_eq!(removed.size, 300);
+        let msgs = [1, 2, 3].map(|id| msg(id, 300, id as f64, 60));
+        let (mut b, metas) = stored(1000, &msgs);
+        let removed = b.remove(MessageId(2), &metas).unwrap();
+        assert_eq!(removed, msgs[1]);
         assert_eq!(b.used(), 600);
         assert_eq!(order_ids(&b), vec![MessageId(1), MessageId(3)]);
-        assert!(b.remove(MessageId(2)).is_none());
+        assert!(b.remove(MessageId(2), &metas).is_none());
     }
 
     #[test]
     fn iteration_follows_reception_order() {
-        let mut b = Buffer::new(10_000);
-        for i in 0..10 {
-            b.insert(msg(i, 10, i as f64, 60)).unwrap();
-        }
-        let ids: Vec<u64> = b.iter().map(|m| m.id.0).collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        let msgs: Vec<Message> = (0..10).map(|i| msg(i, 10, i as f64, 60)).collect();
+        let (b, metas) = stored(10_000, &msgs);
+        assert_eq!(b.iter(&metas).collect::<Vec<_>>(), msgs);
     }
 
     #[test]
     fn drain_expired_removes_only_expired() {
-        let mut b = Buffer::new(10_000);
-        b.insert(msg(1, 10, 0.0, 1)).unwrap(); // expires at 60 s
-        b.insert(msg(2, 10, 0.0, 60)).unwrap(); // expires at 3600 s
-        b.insert(msg(3, 10, 30.0, 1)).unwrap(); // expires at 90 s
-        let dead = b.drain_expired(SimTime::from_secs_f64(61.0));
+        let msgs = [
+            msg(1, 10, 0.0, 1),  // expires at 60 s
+            msg(2, 10, 0.0, 60), // expires at 3600 s
+            msg(3, 10, 30.0, 1), // expires at 90 s
+        ];
+        let (mut b, metas) = stored(10_000, &msgs);
+        let dead = b.drain_expired(SimTime::from_secs_f64(61.0), &metas);
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].id, MessageId(1));
         assert_eq!(b.len(), 2);
-        let dead = b.drain_expired(SimTime::from_secs_f64(10_000.0));
+        let dead = b.drain_expired(SimTime::from_secs_f64(10_000.0), &metas);
         assert_eq!(dead.len(), 2);
         assert!(b.is_empty());
         assert_eq!(b.used(), 0);
@@ -927,71 +902,75 @@ mod tests {
 
     #[test]
     fn drain_expired_returns_reception_order() {
-        let mut b = Buffer::new(10_000);
         // Reception order 5, 4, 3 — all expiring together.
-        for id in [5u64, 4, 3] {
-            b.insert(msg(id, 10, 0.0, 1)).unwrap();
-        }
-        let dead = b.drain_expired(SimTime::from_secs_f64(60.0));
+        let (mut b, metas) = stored(10_000, &[5u64, 4, 3].map(|id| msg(id, 10, 0.0, 1)));
+        let dead = b.drain_expired(SimTime::from_secs_f64(60.0), &metas);
         let ids: Vec<u64> = dead.iter().map(|m| m.id.0).collect();
         assert_eq!(ids, vec![5, 4, 3]);
     }
 
     #[test]
     fn next_expiry_tracks_minimum() {
-        let mut b = Buffer::new(10_000);
-        assert_eq!(b.next_expiry(), None);
-        b.insert(msg(1, 10, 0.0, 60)).unwrap(); // 3600 s
-        b.insert(msg(2, 10, 0.0, 1)).unwrap(); // 60 s
+        assert_eq!(Buffer::new(10_000).next_expiry(), None);
+        let msgs = [msg(1, 10, 0.0, 60), msg(2, 10, 0.0, 1)]; // 3600 s, 60 s
+        let (mut b, metas) = stored(10_000, &msgs);
         assert_eq!(b.next_expiry(), Some(SimTime::from_secs_f64(60.0)));
         // Removing the earliest rolls the minimum forward (lazily).
-        b.remove(MessageId(2)).unwrap();
+        b.remove(MessageId(2), &metas).unwrap();
         assert_eq!(b.next_expiry(), Some(SimTime::from_secs_f64(3600.0)));
-        b.remove(MessageId(1)).unwrap();
+        b.remove(MessageId(1), &metas).unwrap();
         assert_eq!(b.next_expiry(), None);
     }
 
     #[test]
-    fn reinserted_id_with_new_expiry_is_tracked_exactly() {
-        let mut b = Buffer::new(10_000);
-        b.insert(msg(7, 10, 0.0, 1)).unwrap(); // would expire at 60 s
-        b.remove(MessageId(7)).unwrap();
-        // Same id re-received later with a later expiry (fresh copy).
-        b.insert(msg(7, 10, 100.0, 1)).unwrap(); // expires at 160 s
+    fn reinserted_id_is_tracked_exactly() {
+        let m = msg(7, 10, 100.0, 1); // expires at 160 s
+        let (mut b, metas) = stored(10_000, &[m]);
+        b.remove(MessageId(7), &metas).unwrap();
+        // The same message re-received later: its first heap entry is
+        // stale, but names the same expiry, and drains only once.
+        b.insert(m.relayed_copy(SimTime::from_secs_f64(120.0)))
+            .unwrap();
         assert_eq!(b.next_expiry(), Some(SimTime::from_secs_f64(160.0)));
-        assert!(b.drain_expired(SimTime::from_secs_f64(60.0)).is_empty());
-        let dead = b.drain_expired(SimTime::from_secs_f64(160.0));
+        assert!(b
+            .drain_expired(SimTime::from_secs_f64(159.0), &metas)
+            .is_empty());
+        let dead = b.drain_expired(SimTime::from_secs_f64(160.0), &metas);
         assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].received, SimTime::from_secs_f64(120.0));
+        assert_eq!(b.next_expiry(), None);
     }
 
     #[test]
     fn eviction_storm_keeps_views_consistent() {
         // Tombstone + compaction stress: interleave inserts and removals far
         // past the compaction threshold and re-check every view.
-        let mut b = Buffer::new(u64::MAX);
-        for i in 0..100u64 {
-            b.insert(msg(i, 1, i as f64, 60)).unwrap();
-        }
+        let msgs: Vec<Message> = (0..=200u64).map(|i| msg(i, 1, i as f64, 60)).collect();
+        let (mut b, _) = stored(u64::MAX, &msgs[..100]);
+        let metas = table(&msgs);
         // Evict from the head, like a FIFO drop policy under pressure.
         for i in 0..90u64 {
             assert_eq!(b.head(), Some(MessageId(i)));
-            b.remove(MessageId(i)).unwrap();
+            b.remove(MessageId(i), &metas).unwrap();
         }
         assert_eq!(b.len(), 10);
         assert_eq!(order_ids(&b), (90..100).map(MessageId).collect::<Vec<_>>());
         // Insert after heavy removal: order still appends at the back.
-        b.insert(msg(200, 1, 200.0, 60)).unwrap();
+        b.insert(msgs[200]).unwrap();
         assert_eq!(order_ids(&b).last(), Some(&MessageId(200)));
         assert_eq!(b.used(), 11);
+        assert_eq!(
+            b.iter(&metas).collect::<Vec<_>>(),
+            [&msgs[90..100], &msgs[200..]].concat()
+        );
     }
 
     #[test]
     fn reserved_tombstone_id_rejected() {
         let mut b = Buffer::new(1000);
-        assert_eq!(
-            b.insert(msg(u64::MAX, 10, 0.0, 60)),
-            Err(BufferError::ReservedId)
-        );
+        for id in [u64::MAX, u32::MAX as u64] {
+            assert_eq!(b.insert(msg(id, 10, 0.0, 60)), Err(BufferError::ReservedId));
+        }
         assert!(b.is_empty());
         assert_eq!(b.used(), 0);
     }
@@ -1010,13 +989,15 @@ mod tests {
     #[test]
     fn delta_log_replays_membership_changes() {
         let mut b = Buffer::new(10_000);
-        b.insert(msg(1, 10, 0.0, 60)).unwrap(); // before watch: unlogged
+        let msgs = [msg(1, 10, 0.0, 60), msg(2, 10, 1.0, 60)];
+        let metas = table(&msgs);
+        b.insert(msgs[0]).unwrap(); // before watch: unlogged
         b.watch();
         let base = b.generation();
         assert!(b.deltas_since(base).unwrap().is_empty());
 
-        b.insert(msg(2, 10, 1.0, 60)).unwrap();
-        b.remove(MessageId(1)).unwrap();
+        b.insert(msgs[1]).unwrap();
+        b.remove(MessageId(1), &metas).unwrap();
         let deltas: Vec<BufferDelta> = b
             .deltas_since(base)
             .expect("within the window")
@@ -1041,9 +1022,10 @@ mod tests {
     fn delta_log_tags_ttl_expiry() {
         let mut b = Buffer::new(10_000);
         b.watch();
+        let metas = table(&[msg(1, 10, 0.0, 1)]);
         b.insert(msg(1, 10, 0.0, 1)).unwrap();
         let gen = b.generation();
-        let dead = b.drain_expired(SimTime::from_secs_f64(61.0));
+        let dead = b.drain_expired(SimTime::from_secs_f64(61.0), &metas);
         assert_eq!(dead.len(), 1);
         let deltas: Vec<BufferDelta> = b.deltas_since(gen).unwrap().iter().collect();
         assert_eq!(deltas.len(), 1);
@@ -1055,10 +1037,12 @@ mod tests {
         let mut b = Buffer::new(u64::MAX);
         b.watch();
         let base = b.generation();
+        let msgs: Vec<Message> = (0..2_000u64).map(|i| msg(i, 1, 0.0, 60)).collect();
+        let metas = table(&msgs);
         // Far more churn than the retained window holds.
-        for i in 0..2_000u64 {
-            b.insert(msg(i, 1, 0.0, 60)).unwrap();
-            b.remove(MessageId(i)).unwrap();
+        for m in msgs {
+            b.insert(m).unwrap();
+            b.remove(m.id, &metas).unwrap();
         }
         assert!(b.deltas_since(base).is_none(), "fell out of the ring");
         // Recent generations still replay exactly, alternating the paired
@@ -1083,23 +1067,21 @@ mod tests {
 
     #[test]
     fn insert_count_and_seq_survive_removals_and_compaction() {
-        let mut b = Buffer::new(u64::MAX);
-        for i in 0..10u64 {
-            b.insert(msg(i, 1, i as f64, 60)).unwrap();
-        }
+        let msgs: Vec<Message> = (0..10u64).map(|i| msg(i, 1, i as f64, 60)).collect();
+        let (mut b, metas) = stored(u64::MAX, &msgs);
         assert_eq!(b.insert_count(), 10);
         for i in 0..8u64 {
-            b.remove(MessageId(i)).unwrap(); // crosses the compaction threshold
+            b.remove(MessageId(i), &metas).unwrap(); // crosses the compaction threshold
         }
         assert_eq!(b.insert_count(), 10, "removals leave the count alone");
-        assert_eq!(b.rank_meta(MessageId(8)).unwrap().seq, 8);
-        assert_eq!(b.rank_meta(MessageId(9)).unwrap().seq, 9);
+        assert_eq!(b.rank_meta(MessageId(8), &metas).unwrap().seq, 8);
+        assert_eq!(b.rank_meta(MessageId(9), &metas).unwrap().seq, 9);
         // Re-insertion gets a fresh, larger seq (reception order restarts at
         // the back).
-        b.insert(msg(3, 1, 99.0, 60)).unwrap();
-        assert_eq!(b.rank_meta(MessageId(3)).unwrap().seq, 10);
+        b.insert(msgs[3]).unwrap();
+        assert_eq!(b.rank_meta(MessageId(3), &metas).unwrap().seq, 10);
         assert_eq!(b.insert_count(), 11);
-        assert_eq!(b.rank_meta(MessageId(42)), None);
+        assert_eq!(b.rank_meta(MessageId(42), &metas), None);
     }
 
     #[test]
@@ -1118,34 +1100,51 @@ mod proptests {
     use proptest::prelude::*;
     use vdtn_sim_core::{NodeId, SimDuration};
 
+    /// One message per id `0..n`, each with its own size, creation time and
+    /// TTL — the table a world would hold after creating them.
+    fn messages(specs: &[(u64, u64, u64)]) -> Vec<Message> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(id, &(size, created_min, ttl_min))| {
+                Message::new(
+                    MessageId(id as u64),
+                    NodeId((id % 5) as u32),
+                    NodeId((id % 3) as u32 + 5),
+                    size,
+                    SimTime::ZERO + SimDuration::from_mins(created_min),
+                    SimDuration::from_mins(ttl_min),
+                )
+            })
+            .collect()
+    }
+
     proptest! {
         /// Arbitrary insert/remove sequences keep byte accounting exact and
         /// order/store views consistent.
         #[test]
-        fn accounting_under_random_ops(ops in proptest::collection::vec((0u64..30, 1u64..500, any::<bool>()), 1..200)) {
+        fn accounting_under_random_ops(
+            specs in proptest::collection::vec((1u64..500, 0u64..5, 10u64..20), 30..31),
+            ops in proptest::collection::vec((0usize..30, any::<bool>()), 1..200),
+        ) {
+            let msgs = messages(&specs);
+            let metas: Vec<MsgMeta> = msgs.iter().map(MsgMeta::of).collect();
             let mut b = Buffer::new(5_000);
             let mut expected_used = 0u64;
-            for (id, size, remove) in ops {
+            for (id, remove) in ops {
+                let m = msgs[id];
                 if remove {
-                    if let Some(m) = b.remove(MessageId(id)) {
+                    if let Some(m) = b.remove(m.id, &metas) {
                         expected_used -= m.size;
                     }
-                } else if !b.contains(MessageId(id)) && b.fits_now(size) {
-                    b.insert(Message::new(
-                        MessageId(id),
-                        NodeId(0),
-                        NodeId(1),
-                        size,
-                        SimTime::ZERO,
-                        SimDuration::from_mins(10),
-                    ))
-                    .unwrap();
-                    expected_used += size;
+                } else if !b.contains(m.id) && b.fits_now(m.size) {
+                    b.insert(m).unwrap();
+                    expected_used += m.size;
                 }
                 prop_assert_eq!(b.used(), expected_used);
                 prop_assert!(b.used() <= b.capacity());
                 prop_assert_eq!(b.ids_in_order().count(), b.len());
-                let sum: u64 = b.iter().map(|m| m.size).sum();
+                let sum: u64 = b.iter(&metas).map(|m| m.size).sum();
                 prop_assert_eq!(sum, b.used());
             }
         }
@@ -1176,37 +1175,33 @@ mod proptests {
         /// reception order, across random insert/remove/advance sequences.
         #[test]
         fn drain_matches_full_scan_reference(
-            ops in proptest::collection::vec((0u64..20, 1u64..30, 0u64..3), 1..150)
+            specs in proptest::collection::vec((1u64..2, 0u64..60, 1u64..30), 20..21),
+            ops in proptest::collection::vec((0usize..20, 0u64..30, 0u64..3), 1..150),
         ) {
+            let msgs = messages(&specs);
+            let metas: Vec<MsgMeta> = msgs.iter().map(MsgMeta::of).collect();
             let mut b = Buffer::new(u64::MAX);
             let mut now = SimTime::ZERO;
-            for (id, ttl_min, action) in ops {
+            for (id, advance_min, action) in ops {
                 match action {
                     0 => {
-                        let _ = b.insert(Message::new(
-                            MessageId(id),
-                            NodeId(0),
-                            NodeId(1),
-                            1,
-                            now,
-                            SimDuration::from_mins(ttl_min),
-                        ));
+                        let _ = b.insert(msgs[id].relayed_copy(now));
                     }
-                    1 => { b.remove(MessageId(id)); }
+                    1 => { b.remove(msgs[id].id, &metas); }
                     _ => {
-                        now += SimDuration::from_mins(ttl_min);
+                        now += SimDuration::from_mins(advance_min);
                         // Reference: what a full scan would drain, in
                         // reception order.
                         let expected: Vec<MessageId> = b
-                            .iter()
+                            .iter(&metas)
                             .filter(|m| m.is_expired(now))
                             .map(|m| m.id)
                             .collect();
                         let drained: Vec<MessageId> =
-                            b.drain_expired(now).iter().map(|m| m.id).collect();
+                            b.drain_expired(now, &metas).iter().map(|m| m.id).collect();
                         prop_assert_eq!(drained, expected);
                         // Nothing expired may remain.
-                        prop_assert!(b.iter().all(|m| !m.is_expired(now)));
+                        prop_assert!(b.iter(&metas).all(|m| !m.is_expired(now)));
                         if let Some(e) = b.next_expiry() {
                             prop_assert!(e > now);
                         }
@@ -1215,16 +1210,19 @@ mod proptests {
             }
         }
 
-        /// The handle-indexed buffer is observationally equal to a naive
-        /// map-backed reference model (the pre-arena implementation) under
+        /// The id-indexed buffer is observationally equal to a naive
+        /// map-backed reference model (messages stored whole) under
         /// random insert/remove/expire/quota-edit sequences: same accept/
         /// reject verdicts, same reconstructed messages in the same
         /// reception order, same drain results, same generation arithmetic.
         #[test]
         fn matches_map_backed_reference_model(
-            ops in proptest::collection::vec((0u64..25, 1u64..400, 1u64..40, 0u64..5), 1..250)
+            specs in proptest::collection::vec((1u64..400, 0u64..200, 1u64..40), 25..26),
+            ops in proptest::collection::vec((0usize..25, 0u64..40, 0u64..5), 1..250),
         ) {
             const CAP: u64 = 4_000;
+            let msgs = messages(&specs);
+            let metas: Vec<MsgMeta> = msgs.iter().map(MsgMeta::of).collect();
             let mut b = Buffer::new(CAP);
             // Reference: messages in reception order plus byte accounting —
             // the observable state of the former HashMap<MessageId, Message>
@@ -1232,17 +1230,12 @@ mod proptests {
             let mut model: Vec<Message> = Vec::new();
             let mut model_used = 0u64;
             let mut now = SimTime::ZERO;
-            for (id, size, ttl_min, action) in ops {
+            for (id, advance_min, action) in ops {
+                let id = msgs[id].id;
                 match action {
                     0 | 1 => {
-                        let m = Message::new(
-                            MessageId(id),
-                            NodeId((id % 5) as u32),
-                            NodeId((id % 3) as u32 + 5),
-                            size,
-                            now,
-                            SimDuration::from_mins(ttl_min),
-                        );
+                        let mut m = msgs[id.index()].relayed_copy(now);
+                        m.hops = (advance_min % 4) as u32;
                         let verdict = b.insert(m);
                         let model_verdict = if model.iter().any(|x| x.id == m.id) {
                             Err(BufferError::Duplicate(m.id))
@@ -1258,10 +1251,10 @@ mod proptests {
                         prop_assert_eq!(verdict, model_verdict);
                     }
                     2 => {
-                        let got = b.remove(MessageId(id));
+                        let got = b.remove(id, &metas);
                         let want = model
                             .iter()
-                            .position(|m| m.id == MessageId(id))
+                            .position(|m| m.id == id)
                             .map(|i| model.remove(i));
                         if let Some(m) = &want {
                             model_used -= m.size;
@@ -1269,8 +1262,8 @@ mod proptests {
                         prop_assert_eq!(got, want);
                     }
                     3 => {
-                        now += SimDuration::from_mins(ttl_min);
-                        let drained = b.drain_expired(now);
+                        now += SimDuration::from_mins(advance_min);
+                        let drained = b.drain_expired(now, &metas);
                         let want: Vec<Message> =
                             model.iter().filter(|m| m.is_expired(now)).copied().collect();
                         model.retain(|m| !m.is_expired(now));
@@ -1278,11 +1271,11 @@ mod proptests {
                         prop_assert_eq!(drained, want);
                     }
                     _ => {
-                        let got = b.copies_mut(MessageId(id)).map(|c| {
+                        let got = b.copies_mut(id).map(|c| {
                             *c += 1;
                             *c
                         });
-                        let want = model.iter_mut().find(|m| m.id == MessageId(id)).map(|m| {
+                        let want = model.iter_mut().find(|m| m.id == id).map(|m| {
                             m.copies += 1;
                             m.copies
                         });
@@ -1291,10 +1284,10 @@ mod proptests {
                 }
                 prop_assert_eq!(b.used(), model_used);
                 prop_assert_eq!(b.len(), model.len());
-                prop_assert_eq!(b.iter().collect::<Vec<_>>(), model.clone());
+                prop_assert_eq!(b.iter(&metas).collect::<Vec<_>>(), model.clone());
                 for m in &model {
-                    prop_assert_eq!(b.get(m.id), Some(*m));
-                    let meta = b.rank_meta(m.id).unwrap();
+                    prop_assert_eq!(b.get(m.id, &metas), Some(*m));
+                    let meta = b.rank_meta(m.id, &metas).unwrap();
                     prop_assert_eq!(meta.expiry, m.expiry());
                     prop_assert_eq!(meta.size, m.size);
                     prop_assert_eq!(meta.created, m.created);

@@ -23,36 +23,41 @@
 //! # Example
 //!
 //! ```
-//! use vdtn_bundle::{Buffer, Message, MessageId, SchedulingPolicy};
+//! use vdtn_bundle::{Buffer, Message, MessageId, MsgMeta, SchedulingPolicy};
 //! use vdtn_sim_core::{NodeId, SimDuration, SimRng, SimTime};
 //!
-//! let mut buffer = Buffer::new(1_000);
-//! for (id, ttl_mins) in [(1, 30), (2, 90), (3, 60)] {
-//!     buffer
-//!         .insert(Message::new(
-//!             MessageId(id),
+//! // The world's message table: one record per message, indexed by id.
+//! let messages: Vec<Message> = [30, 90, 60]
+//!     .into_iter()
+//!     .enumerate()
+//!     .map(|(id, ttl_mins)| {
+//!         Message::new(
+//!             MessageId(id as u64),
 //!             NodeId(0),
 //!             NodeId(1),
 //!             100,
 //!             SimTime::ZERO,
 //!             SimDuration::from_mins(ttl_mins),
-//!         ))
-//!         .unwrap();
+//!         )
+//!     })
+//!     .collect();
+//! let metas: Vec<MsgMeta> = messages.iter().map(MsgMeta::of).collect();
+//! let mut buffer = Buffer::new(1_000);
+//! for m in messages {
+//!     buffer.insert(m).unwrap();
 //! }
 //! // The paper's winning policy offers the longest remaining lifetime first.
 //! let mut rng = SimRng::seed_from_u64(1);
-//! let order = SchedulingPolicy::LifetimeDesc.order(&buffer, SimTime::ZERO, &mut rng);
-//! assert_eq!(order, vec![MessageId(2), MessageId(3), MessageId(1)]);
+//! let order = SchedulingPolicy::LifetimeDesc.order(&buffer, &metas, &mut rng);
+//! assert_eq!(order, vec![MessageId(1), MessageId(2), MessageId(0)]);
 //! ```
 
-pub mod arena;
 pub mod buffer;
 pub mod message;
 pub mod policy;
 pub mod traffic;
 
-pub use arena::{MessageArena, MsgHandle, MsgMeta};
 pub use buffer::{Buffer, BufferDelta, BufferError, DeltaKind, RankMeta};
-pub use message::{Message, MessageId};
+pub use message::{Message, MessageId, MsgMeta};
 pub use policy::{DropPolicy, PolicyCombo, SchedulingPolicy};
 pub use traffic::{TrafficGenerator, TrafficSpec};

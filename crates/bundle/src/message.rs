@@ -4,6 +4,13 @@
 //! payloads. Copies of the same logical message share a [`MessageId`];
 //! per-copy state (hop count, remaining spray copies) lives in each node's
 //! stored copy.
+//!
+//! The immutable part of a message ([`MsgMeta`]) is the same in every
+//! copy, so a world keeps it once, in a *message table*: a
+//! `Vec<MsgMeta>` indexed by id. The traffic generator hands out ids
+//! densely from 0, so record `i` is message `i` and the table has no holes.
+//! Buffers store the id and the per-copy fields only, and the code that
+//! needs a copy's metadata borrows the table (`&[MsgMeta]`) at that point.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -14,9 +21,50 @@ use vdtn_sim_core::{NodeId, SimDuration, SimTime};
 #[serde(transparent)]
 pub struct MessageId(pub u64);
 
+impl MessageId {
+    /// Position of this message's record in a message table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 impl fmt::Display for MessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "M{}", self.0)
+    }
+}
+
+/// The immutable metadata of a logical message, shared by all its copies:
+/// one record of a message table (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MsgMeta {
+    /// Originating node.
+    pub src: NodeId,
+    /// Final destination node.
+    pub dst: NodeId,
+    /// Size in bytes.
+    pub size: u64,
+    /// Creation timestamp at the source.
+    pub created: SimTime,
+    /// Time-to-live measured from `created`.
+    pub ttl: SimDuration,
+}
+
+impl MsgMeta {
+    /// The immutable slice of a message copy.
+    pub fn of(msg: &Message) -> Self {
+        MsgMeta {
+            src: msg.src,
+            dst: msg.dst,
+            size: msg.size,
+            created: msg.created,
+            ttl: msg.ttl,
+        }
+    }
+
+    /// Absolute expiry instant (`created + ttl`, saturating).
+    pub fn expiry(&self) -> SimTime {
+        self.created.saturating_add(self.ttl)
     }
 }
 

@@ -12,7 +12,7 @@
 //! delay sharply and even *raising* delivery probability.
 
 use crate::buffer::Buffer;
-use crate::message::MessageId;
+use crate::message::{MessageId, MsgMeta};
 use serde::{Deserialize, Serialize};
 use vdtn_sim_core::{SimRng, SimTime};
 
@@ -38,7 +38,8 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
-    /// Order the buffer's message ids for transmission, most-preferred first.
+    /// Order the buffer's message ids for transmission, most-preferred first
+    /// (the buffered copies' metadata read from the message table `metas`).
     ///
     /// Ties (identical keys) preserve reception order, so results are fully
     /// deterministic given the RNG stream.
@@ -53,29 +54,26 @@ impl SchedulingPolicy {
     /// now + remaining), and expired messages — where the saturating
     /// remaining-TTL key would tie at zero — are filtered out by every
     /// scheduling consumer before use.
-    pub fn order(&self, buffer: &Buffer, _now: SimTime, rng: &mut SimRng) -> Vec<MessageId> {
+    pub fn order(&self, buffer: &Buffer, metas: &[MsgMeta], rng: &mut SimRng) -> Vec<MessageId> {
         let mut ids: Vec<MessageId> = buffer.ids_in_order().collect();
+        let get = |id| buffer.get(id, metas).expect("listed id");
         match self {
             SchedulingPolicy::Fifo => {} // reception order already
             SchedulingPolicy::Random => rng.shuffle(&mut ids),
             SchedulingPolicy::LifetimeDesc => {
-                ids.sort_by_key(|&id| {
-                    std::cmp::Reverse(buffer.get(id).expect("listed id").expiry())
-                });
+                ids.sort_by_key(|&id| std::cmp::Reverse(get(id).expiry()));
             }
             SchedulingPolicy::LifetimeAsc => {
-                ids.sort_by_key(|&id| buffer.get(id).expect("listed id").expiry());
+                ids.sort_by_key(|&id| get(id).expiry());
             }
             SchedulingPolicy::SmallestFirst => {
-                ids.sort_by_key(|&id| buffer.get(id).expect("listed id").size);
+                ids.sort_by_key(|&id| get(id).size);
             }
             SchedulingPolicy::YoungestFirst => {
-                ids.sort_by_key(|&id| {
-                    std::cmp::Reverse(buffer.get(id).expect("listed id").created)
-                });
+                ids.sort_by_key(|&id| std::cmp::Reverse(get(id).created));
             }
             SchedulingPolicy::FewestHops => {
-                ids.sort_by_key(|&id| buffer.get(id).expect("listed id").hops);
+                ids.sort_by_key(|&id| get(id).hops);
             }
         }
         ids
@@ -116,11 +114,13 @@ pub enum DropPolicy {
 
 impl DropPolicy {
     /// Choose the eviction victim among stored messages for which
-    /// `protected` returns false. Returns `None` when every stored message
-    /// is protected (or the buffer is empty).
+    /// `protected` returns false (metadata from the message table
+    /// `metas`). Returns `None` when every stored message is protected (or
+    /// the buffer is empty).
     pub fn select_victim(
         &self,
         buffer: &Buffer,
+        metas: &[MsgMeta],
         now: SimTime,
         rng: &mut SimRng,
         protected: impl Fn(MessageId) -> bool,
@@ -130,21 +130,22 @@ impl DropPolicy {
         if candidates.is_empty() {
             return None;
         }
+        let get = |id| buffer.get(id, metas).expect("listed id");
         let victim = match self {
             DropPolicy::Fifo => candidates[0],
             DropPolicy::Tail => *candidates.last().expect("non-empty"),
             DropPolicy::Random => *rng.choose(&candidates),
             DropPolicy::LifetimeAsc => candidates
                 .into_iter()
-                .min_by_key(|&id| buffer.get(id).expect("listed id").remaining_ttl(now))
+                .min_by_key(|&id| get(id).remaining_ttl(now))
                 .expect("non-empty"),
             DropPolicy::LargestFirst => candidates
                 .into_iter()
-                .max_by_key(|&id| buffer.get(id).expect("listed id").size)
+                .max_by_key(|&id| get(id).size)
                 .expect("non-empty"),
             DropPolicy::MostHops => candidates
                 .into_iter()
-                .max_by_key(|&id| buffer.get(id).expect("listed id").hops)
+                .max_by_key(|&id| get(id).hops)
                 .expect("non-empty"),
         };
         Some(victim)
@@ -204,27 +205,33 @@ impl PolicyCombo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::tests::table;
     use crate::message::Message;
     use vdtn_sim_core::{NodeId, SimDuration};
 
     /// Buffer with messages: id 1 (TTL rem 10 min, 100 B), id 2 (rem 30 min,
-    /// 300 B), id 3 (rem 20 min, 200 B), received in id order.
-    fn setup() -> (Buffer, SimTime) {
+    /// 300 B), id 3 (rem 20 min, 200 B), received in id order; and their
+    /// message table.
+    fn setup() -> (Buffer, Vec<MsgMeta>, SimTime) {
         let mut b = Buffer::new(10_000);
         let now = SimTime::from_secs_f64(0.0);
-        for (id, ttl_min, size) in [(1u64, 10u64, 100u64), (2, 30, 300), (3, 20, 200)] {
-            let mut m = Message::new(
-                MessageId(id),
-                NodeId(0),
-                NodeId(9),
-                size,
-                now,
-                SimDuration::from_mins(ttl_min),
-            );
-            m.received = now + SimDuration::from_secs(id);
+        let msgs =
+            [(1u64, 10u64, 100u64), (2, 30, 300), (3, 20, 200)].map(|(id, ttl_min, size)| {
+                let mut m = Message::new(
+                    MessageId(id),
+                    NodeId(0),
+                    NodeId(9),
+                    size,
+                    now,
+                    SimDuration::from_mins(ttl_min),
+                );
+                m.received = now + SimDuration::from_secs(id);
+                m
+            });
+        for m in msgs {
             b.insert(m).unwrap();
         }
-        (b, now)
+        (b, table(&msgs), now)
     }
 
     fn ids(v: &[MessageId]) -> Vec<u64> {
@@ -233,57 +240,57 @@ mod tests {
 
     #[test]
     fn fifo_preserves_reception_order() {
-        let (b, now) = setup();
+        let (b, metas, _) = setup();
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            ids(&SchedulingPolicy::Fifo.order(&b, now, &mut rng)),
+            ids(&SchedulingPolicy::Fifo.order(&b, &metas, &mut rng)),
             [1, 2, 3]
         );
     }
 
     #[test]
     fn lifetime_desc_puts_longest_ttl_first() {
-        let (b, now) = setup();
+        let (b, metas, _) = setup();
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            ids(&SchedulingPolicy::LifetimeDesc.order(&b, now, &mut rng)),
+            ids(&SchedulingPolicy::LifetimeDesc.order(&b, &metas, &mut rng)),
             [2, 3, 1]
         );
     }
 
     #[test]
     fn lifetime_asc_is_the_mirror() {
-        let (b, now) = setup();
+        let (b, metas, _) = setup();
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            ids(&SchedulingPolicy::LifetimeAsc.order(&b, now, &mut rng)),
+            ids(&SchedulingPolicy::LifetimeAsc.order(&b, &metas, &mut rng)),
             [1, 3, 2]
         );
     }
 
     #[test]
     fn smallest_and_youngest() {
-        let (b, now) = setup();
+        let (b, metas, _) = setup();
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            ids(&SchedulingPolicy::SmallestFirst.order(&b, now, &mut rng)),
+            ids(&SchedulingPolicy::SmallestFirst.order(&b, &metas, &mut rng)),
             [1, 3, 2]
         );
         // All created at the same instant: YoungestFirst falls back to
         // reception order (stable sort).
         assert_eq!(
-            ids(&SchedulingPolicy::YoungestFirst.order(&b, now, &mut rng)),
+            ids(&SchedulingPolicy::YoungestFirst.order(&b, &metas, &mut rng)),
             [1, 2, 3]
         );
     }
 
     #[test]
     fn random_is_permutation_and_seed_deterministic() {
-        let (b, now) = setup();
+        let (b, metas, _) = setup();
         let mut rng1 = SimRng::seed_from_u64(42);
         let mut rng2 = SimRng::seed_from_u64(42);
-        let o1 = SchedulingPolicy::Random.order(&b, now, &mut rng1);
-        let o2 = SchedulingPolicy::Random.order(&b, now, &mut rng2);
+        let o1 = SchedulingPolicy::Random.order(&b, &metas, &mut rng1);
+        let o2 = SchedulingPolicy::Random.order(&b, &metas, &mut rng2);
         assert_eq!(o1, o2);
         let mut sorted = ids(&o1);
         sorted.sort_unstable();
@@ -292,22 +299,22 @@ mod tests {
 
     #[test]
     fn drop_fifo_picks_head_lifetime_picks_soonest() {
-        let (b, now) = setup();
+        let (b, metas, now) = setup();
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            DropPolicy::Fifo.select_victim(&b, now, &mut rng, |_| false),
+            DropPolicy::Fifo.select_victim(&b, &metas, now, &mut rng, |_| false),
             Some(MessageId(1))
         );
         assert_eq!(
-            DropPolicy::LifetimeAsc.select_victim(&b, now, &mut rng, |_| false),
+            DropPolicy::LifetimeAsc.select_victim(&b, &metas, now, &mut rng, |_| false),
             Some(MessageId(1))
         );
         assert_eq!(
-            DropPolicy::LargestFirst.select_victim(&b, now, &mut rng, |_| false),
+            DropPolicy::LargestFirst.select_victim(&b, &metas, now, &mut rng, |_| false),
             Some(MessageId(2))
         );
         assert_eq!(
-            DropPolicy::Tail.select_victim(&b, now, &mut rng, |_| false),
+            DropPolicy::Tail.select_victim(&b, &metas, now, &mut rng, |_| false),
             Some(MessageId(3))
         );
     }
@@ -316,32 +323,34 @@ mod tests {
     fn lifetime_drop_tracks_time() {
         // Later in the run, message 3 (20 min TTL) may expire sooner than
         // message 1 if 1 was already dropped; here check the key uses *now*.
-        let (b, _) = setup();
+        let (b, metas, _) = setup();
         let later = SimTime::from_secs_f64(9.0 * 60.0); // 9 min in
         let mut rng = SimRng::seed_from_u64(1);
         // Remaining: id1 = 1 min, id3 = 11 min, id2 = 21 min → still id 1.
         assert_eq!(
-            DropPolicy::LifetimeAsc.select_victim(&b, later, &mut rng, |_| false),
+            DropPolicy::LifetimeAsc.select_victim(&b, &metas, later, &mut rng, |_| false),
             Some(MessageId(1))
         );
     }
 
     #[test]
     fn protection_filters_victims() {
-        let (b, now) = setup();
+        let (b, metas, now) = setup();
         let mut rng = SimRng::seed_from_u64(1);
-        let victim = DropPolicy::Fifo.select_victim(&b, now, &mut rng, |id| id == MessageId(1));
+        let victim =
+            DropPolicy::Fifo.select_victim(&b, &metas, now, &mut rng, |id| id == MessageId(1));
         assert_eq!(victim, Some(MessageId(2)));
-        let none = DropPolicy::LifetimeAsc.select_victim(&b, now, &mut rng, |_| true);
+        let none = DropPolicy::LifetimeAsc.select_victim(&b, &metas, now, &mut rng, |_| true);
         assert_eq!(none, None);
     }
 
     #[test]
     fn empty_buffer_yields_no_victim() {
         let b = Buffer::new(100);
+        let metas = Vec::new();
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            DropPolicy::Random.select_victim(&b, SimTime::ZERO, &mut rng, |_| false),
+            DropPolicy::Random.select_victim(&b, &metas, SimTime::ZERO, &mut rng, |_| false),
             None
         );
     }
@@ -350,7 +359,7 @@ mod tests {
     fn hop_based_policies() {
         let mut b = Buffer::new(10_000);
         let now = SimTime::ZERO;
-        for (id, hops) in [(1u64, 3u32), (2, 0), (3, 7)] {
+        let msgs = [(1u64, 3u32), (2, 0), (3, 7)].map(|(id, hops)| {
             let mut m = Message::new(
                 MessageId(id),
                 NodeId(0),
@@ -360,15 +369,19 @@ mod tests {
                 SimDuration::from_mins(60),
             );
             m.hops = hops;
+            m
+        });
+        for m in msgs {
             b.insert(m).unwrap();
         }
+        let metas = table(&msgs);
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(
-            ids(&SchedulingPolicy::FewestHops.order(&b, now, &mut rng)),
+            ids(&SchedulingPolicy::FewestHops.order(&b, &metas, &mut rng)),
             [2, 1, 3]
         );
         assert_eq!(
-            DropPolicy::MostHops.select_victim(&b, now, &mut rng, |_| false),
+            DropPolicy::MostHops.select_victim(&b, &metas, now, &mut rng, |_| false),
             Some(MessageId(3))
         );
         assert_eq!(SchedulingPolicy::FewestHops.label(), "Fewest Hops");

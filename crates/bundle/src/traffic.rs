@@ -140,18 +140,11 @@ impl TrafficGenerator {
 
     /// Dynamic state for snapshotting: (RNG, next creation time, next id).
     /// The spec and endpoints are not included — they come from the
-    /// scenario.
+    /// scenario. There is no inverse: a restore replays a fresh generator
+    /// of the same lane for `next id` messages, which reaches this state
+    /// and re-creates every message on the way.
     pub fn snapshot_state(&self) -> (SimRng, SimTime, u64) {
         (self.rng.clone(), self.next_time, self.next_id)
-    }
-
-    /// Continue mid-stream from snapshotted state, keeping this
-    /// generator's spec and endpoints. Draws nothing: the first interval
-    /// was already consumed by the original generator.
-    pub fn restore_state(&mut self, rng: SimRng, next_time: SimTime, next_id: u64) {
-        self.rng = rng;
-        self.next_time = next_time;
-        self.next_id = next_id;
     }
 }
 
@@ -248,15 +241,18 @@ mod tests {
         }
     }
 
+    /// A restore replays the lane: a fresh generator advanced by the
+    /// snapshot's message count re-creates the same messages, reaches the
+    /// same state, and continues the same stream.
     #[test]
     fn restore_resumes_identical_stream() {
         let mut a = gen(7);
-        for _ in 0..50 {
-            a.next_message();
-        }
-        let (rng, t, id) = a.snapshot_state();
-        let mut b = gen(99);
-        b.restore_state(rng, t, id);
+        let created: Vec<Message> = (0..50).map(|_| a.next_message()).collect();
+        let (_, _, next_id) = a.snapshot_state();
+        let mut b = gen(7);
+        let replayed: Vec<Message> = (0..next_id).map(|_| b.next_message()).collect();
+        assert_eq!(replayed, created);
+        assert_eq!(b.snapshot_state(), a.snapshot_state());
         for _ in 0..50 {
             assert_eq!(a.next_message(), b.next_message());
         }

@@ -243,10 +243,8 @@ fn main() {
     } else {
         let path = &args[0];
         let scenario: Scenario = read_json(path, "scenario");
-        if let Err(e) = scenario.validate() {
-            usage_error(&format!("invalid scenario {path}: {e}"));
-        }
-        let world = World::build_with_mode(&scenario, engine);
+        let world = World::try_build(&scenario, engine)
+            .unwrap_or_else(|e| usage_error(&format!("invalid scenario {path}: {e}")));
         (scenario, world)
     };
 

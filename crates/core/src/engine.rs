@@ -78,10 +78,12 @@
 
 use crate::logging::{SimLog, SimLogBuilder};
 use crate::report::{DropCause, Sample, SimReport};
-use crate::scenario::{place_relays_high_degree, MobilitySpec, RelayPlacement, Scenario};
+use crate::scenario::{
+    place_relays_high_degree, MobilitySpec, RelayPlacement, Scenario, ScenarioError,
+};
 use crate::snapshot::{LinkSnapshot, NodeSnapshot, TransferSnapshot, WorldSnapshot, WorldState};
 use std::sync::Arc;
-use vdtn_bundle::{MessageId, TrafficGenerator};
+use vdtn_bundle::{Message, MessageId, MsgMeta, TrafficGenerator};
 use vdtn_geo::{Point, RoadGraph, Segment};
 use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationary};
 use vdtn_net::{
@@ -204,6 +206,11 @@ pub struct World {
     detector: ContactDetector,
     links: LinkTable,
     traffic: TrafficGenerator,
+    /// The message table: the immutable metadata of every message created
+    /// so far, indexed by id (ids are dense from 0). Buffers store ids and
+    /// per-copy fields only; routers and TTL pruning read this by
+    /// reference.
+    metas: Vec<MsgMeta>,
     /// Per-connection offer state: ids already offered during the contact
     /// (TTL-pruned so long contacts stay bounded), the per-direction
     /// candidate indexes and silence memos, and the per-direction
@@ -254,9 +261,15 @@ impl World {
     /// (event-driven) scheduler.
     ///
     /// Panics (with a descriptive message) on invalid configuration — see
-    /// [`Scenario::validate`].
+    /// [`World::try_build`].
     pub fn build(scenario: &Scenario) -> World {
         Self::build_with_mode(scenario, EngineMode::default())
+    }
+
+    /// [`World::try_build`], panicking with the [`ScenarioError`] message
+    /// on an invalid scenario.
+    pub fn build_with_mode(scenario: &Scenario, mode: EngineMode) -> World {
+        Self::try_build(scenario, mode).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Materialise a scenario with an explicit [`EngineMode`]. Both
@@ -264,24 +277,18 @@ impl World {
     /// reference and for pathological scenarios where nothing is ever
     /// quiescent (see ARCHITECTURE.md).
     ///
-    /// Panics with the [`ScenarioError`](crate::scenario::ScenarioError)
-    /// message if the scenario fails [`Scenario::validate`].
-    pub fn build_with_mode(scenario: &Scenario, mode: EngineMode) -> World {
-        if let Err(e) = scenario.validate() {
-            panic!("{e}");
-        }
+    /// Fails with the first rule the scenario breaks: any of
+    /// [`Scenario::validate`]'s, or a map that builds with fewer than two
+    /// vertices.
+    pub fn try_build(scenario: &Scenario, mode: EngineMode) -> Result<World, ScenarioError> {
+        scenario.validate()?;
         let root = SimRng::seed_from_u64(scenario.seed);
         let map = Arc::new(scenario.map.build(&mut root.derive("map", 0)));
-        assert!(
-            map.vertex_count() >= 2,
-            "scenario map must have at least two vertices"
-        );
+        if map.vertex_count() < 2 {
+            return Err(ScenarioError::MapTooSmall(map.vertex_count()));
+        }
 
         let n = scenario.node_count();
-        // One metadata arena for the whole world: every logical message's
-        // immutable header is interned once, and the per-node buffers store
-        // dense handles instead of repeating the metadata per replica.
-        let arena = Arc::new(vdtn_bundle::MessageArena::new());
         let mut movers: Vec<Box<dyn MovementModel>> = Vec::with_capacity(n);
         let mut states = Vec::with_capacity(n);
         let mut routers = Vec::with_capacity(n);
@@ -322,12 +329,7 @@ impl World {
                     )),
                 };
                 movers.push(mover);
-                states.push(NodeState::with_arena(
-                    id,
-                    group.buffer_bytes,
-                    group.is_relay,
-                    arena.clone(),
-                ));
+                states.push(NodeState::new(id, group.buffer_bytes, group.is_relay));
                 routers.push(scenario.router.build(id, n, scenario.policy));
                 node_rngs.push(root.derive("policy", id.0 as u64));
                 if !group.is_relay {
@@ -400,7 +402,7 @@ impl World {
             events.schedule(SimTime::ZERO, EngineEvent::Sample);
         }
 
-        World {
+        Ok(World {
             mode,
             tick,
             end: SimTime::ZERO + SimDuration::from_secs_f64(scenario.duration_secs),
@@ -421,6 +423,7 @@ impl World {
             detector: ContactDetector::new(scenario.radio),
             links: LinkTable::with_nodes(n),
             traffic,
+            metas: Vec::new(),
             contacts: Vec::new(),
             trace: ContactTrace::new(),
             report: SimReport {
@@ -446,13 +449,19 @@ impl World {
                 ..EngineStats::default()
             },
             pending_transfer_wakes: Vec::new(),
-        }
+        })
     }
 
     /// True when the world runs on the event-driven driver (only the
     /// ticked reference polls instead of scheduling wake-ups).
     fn event_driven(&self) -> bool {
         self.mode != EngineMode::Ticked
+    }
+
+    /// The message table: every created message's immutable metadata,
+    /// indexed by id — what [`vdtn_bundle::Buffer`] accessors read.
+    pub fn message_table(&self) -> &[MsgMeta] {
+        &self.metas
     }
 
     /// Current simulation time.
@@ -879,6 +888,7 @@ impl World {
     /// Phase 1: create due messages at their sources.
     fn phase_traffic(&mut self, now: SimTime) {
         for msg in self.traffic.drain_due(now) {
+            self.record_message(&msg);
             self.report.messages.created += 1;
             if let Some(log) = &mut self.log {
                 log.on_created(&msg);
@@ -886,6 +896,7 @@ impl World {
             let src = msg.src.index();
             let out = self.routers[src].on_message_created(
                 &mut self.states[src],
+                &self.metas,
                 msg,
                 now,
                 &mut self.node_rngs[src],
@@ -897,6 +908,16 @@ impl World {
                 .on_dropped(DropCause::Congestion, out.evicted.len() as u64);
             self.refresh_ttl_wake(src);
         }
+    }
+
+    /// Append a freshly created message's record to the message table.
+    fn record_message(&mut self, msg: &Message) {
+        assert_eq!(
+            msg.id.index(),
+            self.metas.len(),
+            "message ids are dense from 0"
+        );
+        self.metas.push(MsgMeta::of(msg));
     }
 
     /// Phase 3 helper: apply detector events (downs first, then ups).
@@ -953,7 +974,7 @@ impl World {
 
     /// Phase 6 for one node: expire due messages.
     fn expire_node(&mut self, i: usize, now: SimTime) {
-        let expired = self.states[i].buffer.drain_expired(now);
+        let expired = self.states[i].buffer.drain_expired(now, &self.metas);
         if !expired.is_empty() {
             self.report
                 .on_dropped(DropCause::Expired, expired.len() as u64);
@@ -962,14 +983,13 @@ impl World {
             // neutral (ids are never reused and expired messages are never
             // re-offered). O(degree) via the adjacency mirror.
             let node = NodeId(i as u32);
-            let arena = self.states[i].buffer.arena().clone();
             for &(_, slot) in self.links.neighbors(node) {
                 if let Some(contact) = self
                     .contacts
                     .get_mut(slot as usize)
                     .and_then(Option::as_mut)
                 {
-                    contact.prune_expired(now, &arena);
+                    contact.prune_expired(now, &self.metas);
                 }
             }
         }
@@ -1035,10 +1055,11 @@ impl World {
         // Digest exchange: both digests reflect pre-contact state.
         let da = self.routers[a.index()].digest(&self.states[a.index()], self.now);
         let db = self.routers[b.index()].digest(&self.states[b.index()], self.now);
+        let (now, metas) = (self.now, &self.metas);
         let purged_a =
-            self.routers[a.index()].on_contact_up(&mut self.states[a.index()], b, &db, self.now);
+            self.routers[a.index()].on_contact_up(&mut self.states[a.index()], metas, b, &db, now);
         let purged_b =
-            self.routers[b.index()].on_contact_up(&mut self.states[b.index()], a, &da, self.now);
+            self.routers[b.index()].on_contact_up(&mut self.states[b.index()], metas, a, &da, now);
         self.report.on_dropped(
             DropCause::AckPurge,
             (purged_a.len() + purged_b.len()) as u64,
@@ -1094,6 +1115,7 @@ impl World {
 
         let outcome = self.routers[to].on_message_received(
             &mut self.states[to],
+            &self.metas,
             &t.msg,
             t.from,
             self.now,
@@ -1109,6 +1131,7 @@ impl World {
                 }
                 self.routers[from].on_transfer_success(
                     &mut self.states[from],
+                    &self.metas,
                     t.msg.id,
                     t.to,
                     true,
@@ -1121,6 +1144,7 @@ impl World {
                     .on_dropped(DropCause::Congestion, evicted.len() as u64);
                 self.routers[from].on_transfer_success(
                     &mut self.states[from],
+                    &self.metas,
                     t.msg.id,
                     t.to,
                     false,
@@ -1163,6 +1187,7 @@ impl World {
 
         let intent = rf.next_transfer(
             &self.states[from.index()],
+            &self.metas,
             &self.states[to.index()],
             &**rt,
             &mut contact.view(side),
@@ -1173,13 +1198,9 @@ impl World {
             Some(id) => {
                 let msg = self.states[from.index()]
                     .buffer
-                    .get(id)
+                    .get(id, &self.metas)
                     .expect("router offered a message it does not hold");
-                let handle = self.states[from.index()]
-                    .buffer
-                    .handle_of(id)
-                    .expect("stored message has a handle");
-                contact.record(id, handle);
+                contact.record(id);
                 let completes = self.links.start_transfer(from, to, msg, self.now);
                 if self.event_driven() {
                     // One wake-up at the exact byte-drain instant, held back
@@ -1275,7 +1296,7 @@ impl World {
                 let mut delivered: Vec<MessageId> = st.delivered.iter().copied().collect();
                 delivered.sort_unstable();
                 NodeSnapshot {
-                    buffer: st.buffer.iter().collect(),
+                    buffer: st.buffer.iter(&self.metas).collect(),
                     delivered,
                     router: self.routers[i].snapshot_state(),
                 }
@@ -1331,27 +1352,32 @@ impl World {
     /// The engine mode is a free choice — it need not match the world that
     /// took the snapshot, because the snapshot holds only mode-invariant
     /// state. The recipe: build the world fresh from the embedded scenario
-    /// (static side: map, detector), then overwrite every piece of dynamic
-    /// state and rebuild the caches conservatively — the detector re-primes
-    /// on the restored layout, the event queue is re-seeded with
-    /// conservative wake-ups (stale wake-ups are harmless by the engine's
-    /// events-are-markers discipline), and silence memos and candidate
-    /// indexes start cold and rebuild on first use.
+    /// (static side: map, detector), replay the scenario's traffic lane
+    /// up to the snapshot's next message id — which rebuilds the whole
+    /// message table, records of messages no buffer holds any more
+    /// included, and leaves the generator where the donor's was — then
+    /// overwrite every other piece of dynamic state and rebuild the caches
+    /// conservatively: the detector re-primes on the restored layout, the
+    /// event queue is re-seeded with conservative wake-ups (stale wake-ups
+    /// are harmless by the engine's events-are-markers discipline), and
+    /// silence memos and candidate indexes start cold and rebuild on first
+    /// use.
     ///
     /// Fails with a one-line reason when the snapshot's payload does not
     /// belong to its embedded scenario: an invalid scenario, node, mover or
-    /// RNG-lane counts that disagree with it, a mover off the scenario's
-    /// map or with an invalid config, a router state of another
+    /// RNG-lane counts that disagree with it, more messages than its
+    /// traffic creates by the snapshot's time, a buffered, offered or
+    /// in-flight message that its traffic did not create, a mover off the
+    /// scenario's map or with an invalid config, a router state of another
     /// kind, a buffer over capacity, a link that is not a new pair of
     /// scenario nodes or has a bad rate, a transfer that is not between a
     /// link's two idle endpoints, or a state that does not re-capture to
-    /// the snapshot's digest.
+    /// the snapshot's digest (which covers traffic RNG state and creation
+    /// times that disagree with the replay).
     pub fn restore(snapshot: &WorldSnapshot, mode: EngineMode) -> Result<World, String> {
         let (scenario, snap) = (&snapshot.scenario, &snapshot.state);
-        scenario
-            .validate()
+        let mut w = Self::try_build(scenario, mode)
             .map_err(|e| format!("snapshot scenario is invalid: {e}"))?;
-        let mut w = Self::build_with_mode(scenario, mode);
         let n = w.states.len();
         for (what, len) in [
             ("node", snap.nodes.len()),
@@ -1366,6 +1392,32 @@ impl World {
         }
         w.now = snap.now;
         w.tick_index = snap.tick_index;
+
+        while w.traffic.created_count() < snap.traffic_next_id {
+            if w.traffic.peek_time() > w.now {
+                return Err(format!(
+                    "snapshot counts {} messages, but its traffic creates {} by t={}s",
+                    snap.traffic_next_id,
+                    w.traffic.created_count(),
+                    w.now.as_secs_f64()
+                ));
+            }
+            let msg = w.traffic.next_message();
+            w.record_message(&msg);
+        }
+        let copies = snap.nodes.iter().flat_map(|ns| &ns.buffer);
+        let in_flight = snap.links.iter().filter_map(|ls| ls.transfer.as_ref());
+        let mut offered = snap.links.iter().flat_map(|ls| &ls.offered);
+        let stray = copies
+            .chain(in_flight.map(|t| &t.msg))
+            .find(|m| w.metas.get(m.id.index()) != Some(&MsgMeta::of(m)))
+            .map(|m| m.id)
+            .or_else(|| offered.find(|id| id.index() >= w.metas.len()).copied());
+        if let Some(id) = stray {
+            return Err(format!(
+                "snapshot message {id} is not one its traffic created"
+            ));
+        }
 
         for (i, ms) in snap.movers.iter().enumerate() {
             w.movers[i] = restore_mover(ms.clone(), &w.map, w.now)
@@ -1396,11 +1448,6 @@ impl World {
                 .map_err(|e| format!("snapshot node {i}: {e}"))?;
         }
         w.node_rngs = snap.node_rngs.clone();
-        w.traffic.restore_state(
-            snap.traffic_rng.clone(),
-            snap.traffic_next_time,
-            snap.traffic_next_id,
-        );
 
         // Links: replay `link_up` in the snapshot's ordered-pair-key order,
         // then re-start in-flight transfers at their original start

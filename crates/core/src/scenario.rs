@@ -213,6 +213,9 @@ pub enum ScenarioError {
     /// The named group has this many nodes but that many explicit relay
     /// points.
     RelayPoints(String, usize, usize),
+    /// The map builds with this many vertices, fewer than the two a
+    /// route needs.
+    MapTooSmall(usize),
 }
 
 impl fmt::Display for ScenarioError {
@@ -233,6 +236,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Spmb(name, reason) => write!(f, "group '{name}': {reason}"),
             ScenarioError::RelayPoints(name, n, k) => {
                 write!(f, "group '{name}' has {n} nodes but {k} explicit positions")
+            }
+            ScenarioError::MapTooSmall(n) => {
+                write!(f, "map must have at least two vertices, got {n}")
             }
         }
     }

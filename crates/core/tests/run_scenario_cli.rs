@@ -46,6 +46,15 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     let manifest = SweepManifest::paper("cli", &[PaperProtocol::EpidemicFifo], &[60], &[1]);
     let sweep = write("sweep.json", &serde_json::to_string(&manifest).unwrap());
     let bad = write("bad.json", "{\"name\": ");
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let deep = write(
+        "deep.json",
+        &format!("{}0{}", "[".repeat(50_000), "]".repeat(50_000)),
+    );
+    let deep_sweep = write(
+        "deep_sweep.json",
+        &format!("{}0{}", "{\"a\":".repeat(200_000), "}".repeat(200_000)),
+    );
     let mut negative = scenario.clone();
     negative.duration_secs = -5.0;
     let mut no_tick = scenario.clone();
@@ -141,12 +150,14 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![g, "--engine", "parallel"],
         vec![&missing],
         vec![&bad],
+        vec![&deep],
         vec!["--restore", &missing],
         vec!["--restore", &old_snap],
         vec!["--restore", &dropped_path],
         vec!["--restore", &off_map_path],
         vec!["--sweep", &missing],
         vec!["--sweep", &bad],
+        vec!["--sweep", &deep_sweep],
         vec!["--sweep", &sweep, "--threads", "0"],
         // Arguments no mode documents, misspellings and removed flags.
         vec!["--bogus"],

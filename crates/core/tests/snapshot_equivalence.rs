@@ -56,12 +56,12 @@ fn canon(mut r: SimReport) -> String {
     serde_json::to_string(&r).expect("report serialises")
 }
 
-/// Drive `world` to the scenario end in `period`-second strides, sampling
-/// the state hash at every stride boundary — the in-process equivalent of
-/// `run_scenario --hash-stream`.
+/// Drive `world` from its clock to the scenario end in `period`-second
+/// strides, sampling the state hash at every stride boundary — the
+/// in-process equivalent of `run_scenario --hash-stream`.
 fn hash_stream(mut world: World, duration_secs: f64, period_secs: f64) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
-    let mut t = period_secs;
+    let mut t = world.now().as_secs_f64() + period_secs;
     while t < duration_secs {
         world.run_until(SimTime::from_secs_f64(t));
         out.push((world.now().as_millis(), world.state_hash()));
@@ -207,6 +207,50 @@ fn restore_works_on_the_paper_scenario_with_relays() {
     let snap = donor.snapshot(&scenario);
     let resumed = World::restore(&snap, EngineMode::EventDriven).unwrap();
     assert_eq!(reference, canon(resumed.run()));
+}
+
+/// Regression: a message that was offered on a live contact and has since
+/// left every buffer and transfer (an "orphan" offered id) must still be
+/// pruned from the contact's offered set when it expires. A restored
+/// world once knew only the buffered messages' metadata, kept such ids
+/// forever, and its hash stream diverged from the uninterrupted run's
+/// (at 6180 s in this case) while the final reports still matched.
+#[test]
+fn restore_prunes_offered_ids_of_messages_no_buffer_holds() {
+    let mut scenario = paper_scenario(PaperProtocol::SnwLifetime, 60, 2);
+    scenario.duration_secs = 6_600.0;
+    let save_at = SimTime::from_secs_f64(6_000.0);
+
+    let mut donor = World::build(&scenario);
+    donor.run_until(save_at);
+    let snap = donor.snapshot(&scenario);
+    let state = &snap.state;
+    let held = |id| {
+        state
+            .nodes
+            .iter()
+            .any(|n| n.buffer.iter().any(|m| m.id == id))
+            || state
+                .links
+                .iter()
+                .any(|l| l.transfer.as_ref().is_some_and(|t| t.msg.id == id))
+    };
+    assert!(
+        state
+            .links
+            .iter()
+            .flat_map(|l| &l.offered)
+            .any(|&id| !held(id)),
+        "the save point must have an orphan offered id for this test to bite"
+    );
+
+    let reference = hash_stream(donor, scenario.duration_secs, 60.0);
+    let resumed = World::restore(&snap, EngineMode::Ticked).unwrap();
+    assert_eq!(
+        reference,
+        hash_stream(resumed, scenario.duration_secs, 60.0),
+        "post-restore hash stream diverged from the uninterrupted run"
+    );
 }
 
 #[test]

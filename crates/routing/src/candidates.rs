@@ -28,16 +28,15 @@
 //! [`SchedulingPolicy::order`] performs for every deterministic policy —
 //! bit-identical scan results, not just statistically equal ones.
 //!
-//! Since the arena refactor the index is **three parallel sorted columns
-//! and nothing else** — `rank: u64`, `seq: u32`, arena handle: `u32`, 16
-//! bytes per entry: removal deltas carry the removed copy's [`RankMeta`],
-//! so the exact `(rank, seq)` key of the entry to delete is recomputed from
-//! the delta (or from the sender's live meta) instead of being looked up in
-//! a per-direction id→key hash map. Candidates are stored as [`MsgHandle`]s
-//! into the world's shared [`MessageArena`] rather than 8-byte ids; the
-//! scan resolves them lock-free. At 100k nodes the former id→key map was
-//! the largest single consumer of contact memory, and index entries are the
-//! most numerous per-contact records after it.
+//! The index is **three parallel sorted columns and nothing else** —
+//! `rank: u64`, `seq: u32`, message id: `u32`, 16 bytes per entry: removal
+//! deltas carry the removed copy's [`RankMeta`], so the exact `(rank, seq)`
+//! key of the entry to delete is recomputed from the delta (or from the
+//! sender's live meta, read through the world's message table) instead of
+//! being looked up in a per-direction id→key hash map. Ids are stored in
+//! 32 bits, like the buffers store them. At 100k nodes the former id→key
+//! map was the largest single consumer of contact memory, and index
+//! entries are the most numerous per-contact records after it.
 //!
 //! # The superset invariant, and why staleness is safe
 //!
@@ -77,9 +76,7 @@
 
 use crate::offers::OfferedSet;
 use crate::state::NodeState;
-use vdtn_bundle::{
-    Buffer, DeltaKind, MessageArena, MessageId, MsgHandle, RankMeta, SchedulingPolicy,
-};
+use vdtn_bundle::{Buffer, DeltaKind, MessageId, MsgMeta, RankMeta, SchedulingPolicy};
 use vdtn_sim_core::SimRng;
 
 /// A router's verdict on one candidate during a scan.
@@ -125,8 +122,9 @@ pub struct CandidateIndex {
     ranks: Vec<u64>,
     /// Sender-buffer insertion sequence numbers, parallel to `ranks`.
     seqs: Vec<u32>,
-    /// Arena handle of each candidate, parallel to `ranks`.
-    handles: Vec<u32>,
+    /// Message id of each candidate, parallel to `ranks` (buffers store
+    /// ids below `u32::MAX`).
+    ids: Vec<u32>,
     /// `(sender generation, receiver generation)` the index is synced to;
     /// `None` before the first build (or after a reset).
     synced: Option<(u64, u64)>,
@@ -138,20 +136,16 @@ impl CandidateIndex {
         Self::default()
     }
 
-    /// Candidate ids in scheduling-rank order, resolved from `arena`
-    /// (diagnostics and tests).
-    pub fn ids_in_rank_order(&self, arena: &MessageArena) -> Vec<MessageId> {
-        self.handles
-            .iter()
-            .map(|&h| arena.resolve(MsgHandle(h)).id)
-            .collect()
+    /// Candidate ids in scheduling-rank order (diagnostics and tests).
+    pub fn ids_in_rank_order(&self) -> Vec<MessageId> {
+        self.ids.iter().map(|&id| MessageId(id.into())).collect()
     }
 
     /// Drop any state and force the next sync to rebuild.
     pub fn reset(&mut self) {
         self.ranks.clear();
         self.seqs.clear();
-        self.handles.clear();
+        self.ids.clear();
         self.synced = None;
     }
 
@@ -159,9 +153,9 @@ impl CandidateIndex {
     /// candidate sets for good (TTL pruning of the offered set never makes
     /// an id re-offerable — ids are not reused and routers filter expired
     /// messages anyway). The rank key is not known here, so this is a
-    /// linear handle scan — paid at most once per message per contact.
-    pub fn on_offered(&mut self, handle: MsgHandle) {
-        if let Some(pos) = self.handles.iter().position(|&h| h == handle.0) {
+    /// linear id scan — paid at most once per message per contact.
+    pub fn on_offered(&mut self, id: MessageId) {
+        if let Some(pos) = self.ids.iter().position(|&e| u64::from(e) == id.0) {
             self.remove_at(pos);
         }
     }
@@ -180,17 +174,19 @@ impl CandidateIndex {
         Err(lo)
     }
 
-    fn insert_entry(&mut self, key: (u64, u32), handle: MsgHandle) {
+    fn insert_entry(&mut self, key: (u64, u32), id: MessageId) {
+        // Stored ids fit 32 bits (`Buffer::insert` refuses the rest).
+        let id = id.0 as u32;
         match self.search(key) {
             Ok(pos) => {
                 // Already present: `(rank, seq)` keys identify one insert
                 // event, so an exact hit is the same entry re-admitted.
-                debug_assert_eq!(self.handles[pos], handle.0, "seq numbers are unique");
+                debug_assert_eq!(self.ids[pos], id, "seq numbers are unique");
             }
             Err(pos) => {
                 self.ranks.insert(pos, key.0);
                 self.seqs.insert(pos, key.1);
-                self.handles.insert(pos, handle.0);
+                self.ids.insert(pos, id);
             }
         }
     }
@@ -207,7 +203,7 @@ impl CandidateIndex {
     fn remove_at(&mut self, pos: usize) {
         self.ranks.remove(pos);
         self.seqs.remove(pos);
-        self.handles.remove(pos);
+        self.ids.remove(pos);
     }
 
     fn rebuild(
@@ -216,28 +212,30 @@ impl CandidateIndex {
         sender: &Buffer,
         recv: &NodeState,
         offered: &OfferedSet,
+        metas: &[MsgMeta],
     ) {
         self.ranks.clear();
         self.seqs.clear();
-        self.handles.clear();
+        self.ids.clear();
         let mut entries: Vec<((u64, u32), u32)> = Vec::with_capacity(sender.len());
-        for (id, handle, meta) in sender.rank_entries() {
+        for (id, meta) in sender.rank_entries(metas) {
             if offered.contains(id) || recv.knows(id) {
                 continue;
             }
-            entries.push(((rank_key(policy, &meta), meta.seq), handle.0));
+            entries.push(((rank_key(policy, &meta), meta.seq), id.0 as u32));
         }
         entries.sort_unstable_by_key(|e| e.0);
-        for (key, handle) in entries {
+        for (key, id) in entries {
             self.ranks.push(key.0);
             self.seqs.push(key.1);
-            self.handles.push(handle);
+            self.ids.push(id);
         }
     }
 
     /// Bring the index up to date with both endpoints' current buffer
     /// generations: patch from deltas when both logs prove the interval,
-    /// rebuild otherwise.
+    /// rebuild otherwise. Rank keys read the sender's copies' records in
+    /// the message table `metas`.
     ///
     /// Per-delta rules (the "invalidation table" — see ARCHITECTURE.md):
     ///
@@ -253,6 +251,7 @@ impl CandidateIndex {
         sender: &Buffer,
         recv: &NodeState,
         offered: &OfferedSet,
+        metas: &[MsgMeta],
     ) {
         let target = (sender.generation(), recv.buffer.generation());
         if self.synced == Some(target) {
@@ -265,14 +264,14 @@ impl CandidateIndex {
             ))
         });
         let Some((s_deltas, r_deltas)) = deltas else {
-            self.rebuild(policy, sender, recv, offered);
+            self.rebuild(policy, sender, recv, offered, metas);
             self.synced = Some(target);
             return;
         };
         // Patching costs O(Δ) entry edits; a rebuild costs one pass over
         // the sender's buffer. Past that break-even point, rebuild.
         if s_deltas.len() + r_deltas.len() > sender.len() + 16 {
-            self.rebuild(policy, sender, recv, offered);
+            self.rebuild(policy, sender, recv, offered, metas);
             self.synced = Some(target);
             return;
         }
@@ -280,17 +279,15 @@ impl CandidateIndex {
             match d.kind {
                 DeltaKind::Insert => {
                     if !offered.contains(d.id) && !recv.knows(d.id) {
-                        // Handle and rank meta are read from the sender's
-                        // live store (insert deltas carry no snapshot — a
-                        // stored copy's meta is immutable): `None` means
-                        // the copy was removed again later in this same
-                        // replayed batch, and skipping the insert is exact
-                        // because the matching removal delta below then
-                        // no-ops on the never-inserted key.
-                        if let (Some(handle), Some(meta)) =
-                            (sender.handle_of(d.id), sender.rank_meta(d.id))
-                        {
-                            self.insert_entry((rank_key(policy, &meta), meta.seq), handle);
+                        // Rank meta is read from the sender's live store
+                        // (insert deltas carry no snapshot — a stored
+                        // copy's meta is immutable): `None` means the copy
+                        // was removed again later in this same replayed
+                        // batch, and skipping the insert is exact because
+                        // the matching removal delta below then no-ops on
+                        // the never-inserted key.
+                        if let Some(meta) = sender.rank_meta(d.id, metas) {
+                            self.insert_entry((rank_key(policy, &meta), meta.seq), d.id);
                         }
                     }
                 }
@@ -308,7 +305,7 @@ impl CandidateIndex {
                     // After the sender pass above, a live entry's key always
                     // equals the sender's current meta for the id; no entry
                     // can remain for an id the sender no longer stores.
-                    if let Some(meta) = sender.rank_meta(d.id) {
+                    if let Some(meta) = sender.rank_meta(d.id, metas) {
                         self.remove_exact((rank_key(policy, &meta), meta.seq));
                     }
                 }
@@ -316,9 +313,8 @@ impl CandidateIndex {
                     if offered.contains(d.id) || recv.delivered.contains(&d.id) {
                         continue;
                     }
-                    if let Some(meta) = sender.rank_meta(d.id) {
-                        let handle = sender.handle_of(d.id).expect("id has rank meta");
-                        self.insert_entry((rank_key(policy, &meta), meta.seq), handle);
+                    if let Some(meta) = sender.rank_meta(d.id, metas) {
+                        self.insert_entry((rank_key(policy, &meta), meta.seq), d.id);
                     }
                 }
             }
@@ -326,17 +322,13 @@ impl CandidateIndex {
         self.synced = Some(target);
     }
 
-    /// Walk the candidates in rank order (ids resolved lock-free from
-    /// `arena`) and return the first the router accepts.
+    /// Walk the candidates in rank order and return the first the router
+    /// accepts.
     /// [`Verdict::Never`] entries are pruned as they are visited, so
     /// rejected-forever candidates are paid for exactly once per contact.
-    pub fn scan(
-        &mut self,
-        arena: &MessageArena,
-        eligible: impl FnMut(MessageId) -> Verdict,
-    ) -> Option<MessageId> {
+    pub fn scan(&mut self, eligible: impl FnMut(MessageId) -> Verdict) -> Option<MessageId> {
         let mut found = None;
-        self.walk(arena, eligible, |id| {
+        self.walk(eligible, |id| {
             found = Some(id);
             true
         });
@@ -349,12 +341,11 @@ impl CandidateIndex {
     /// [module docs](self)).
     pub fn draw(
         &mut self,
-        arena: &MessageArena,
         rng: &mut SimRng,
         eligible: impl FnMut(MessageId) -> Verdict,
     ) -> Option<MessageId> {
         let mut accepted = Vec::new();
-        self.walk(arena, eligible, |id| {
+        self.walk(eligible, |id| {
             accepted.push(id);
             false
         });
@@ -366,13 +357,12 @@ impl CandidateIndex {
     /// [`Verdict::Never`] entries.
     fn walk(
         &mut self,
-        arena: &MessageArena,
         mut eligible: impl FnMut(MessageId) -> Verdict,
         mut on_accept: impl FnMut(MessageId) -> bool,
     ) {
         let mut dead: Vec<usize> = Vec::new();
-        for (pos, &h) in self.handles.iter().enumerate() {
-            let id = arena.resolve(MsgHandle(h)).id;
+        for (pos, &id) in self.ids.iter().enumerate() {
+            let id = MessageId(id.into());
             match eligible(id) {
                 Verdict::Accept => {
                     if on_accept(id) {
@@ -394,6 +384,7 @@ impl CandidateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::table;
     use vdtn_bundle::Message;
     use vdtn_sim_core::{NodeId, SimDuration, SimTime};
 
@@ -413,11 +404,11 @@ mod tests {
         sender: &Buffer,
         recv: &NodeState,
         offered: &OfferedSet,
-        now: SimTime,
+        metas: &[MsgMeta],
     ) -> Vec<MessageId> {
         let mut rng = vdtn_sim_core::SimRng::seed_from_u64(0);
         policy
-            .order(sender, now, &mut rng)
+            .order(sender, metas, &mut rng)
             .into_iter()
             .filter(|&id| !offered.contains(id) && !recv.knows(id))
             .collect()
@@ -431,40 +422,31 @@ mod tests {
         recv.buffer.watch();
         let offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
-        let now = SimTime::ZERO;
+        let msgs = [(1u64, 30u64), (2, 90), (3, 10), (4, 60), (5, 120)]
+            .map(|(id, ttl)| msg(id, 100, 0.0, ttl));
+        let metas = table(&msgs);
+        let policy = SchedulingPolicy::LifetimeDesc;
 
-        for (id, ttl) in [(1u64, 30u64), (2, 90), (3, 10), (4, 60)] {
-            sender.insert(msg(id, 100, 0.0, ttl)).unwrap();
+        for &m in &msgs[..4] {
+            sender.insert(m).unwrap();
         }
-        index.sync(SchedulingPolicy::LifetimeDesc, &sender, &recv, &offered);
+        index.sync(policy, &sender, &recv, &offered, &metas);
         assert_eq!(
-            index.ids_in_rank_order(sender.arena()),
-            fresh_candidates(
-                SchedulingPolicy::LifetimeDesc,
-                &sender,
-                &recv,
-                &offered,
-                now
-            )
+            index.ids_in_rank_order(),
+            fresh_candidates(policy, &sender, &recv, &offered, &metas)
         );
 
         // Patch path: one removal, one insert, one peer insert.
-        sender.remove(MessageId(2)).unwrap();
-        sender.insert(msg(5, 100, 0.0, 120)).unwrap();
-        recv.buffer.insert(msg(4, 100, 0.0, 60)).unwrap();
-        index.sync(SchedulingPolicy::LifetimeDesc, &sender, &recv, &offered);
+        sender.remove(MessageId(2), &metas).unwrap();
+        sender.insert(msgs[4]).unwrap();
+        recv.buffer.insert(msgs[3]).unwrap();
+        index.sync(policy, &sender, &recv, &offered, &metas);
         assert_eq!(
-            index.ids_in_rank_order(sender.arena()),
-            fresh_candidates(
-                SchedulingPolicy::LifetimeDesc,
-                &sender,
-                &recv,
-                &offered,
-                now
-            )
+            index.ids_in_rank_order(),
+            fresh_candidates(policy, &sender, &recv, &offered, &metas)
         );
         assert_eq!(
-            index.ids_in_rank_order(sender.arena()),
+            index.ids_in_rank_order(),
             [MessageId(5), MessageId(1), MessageId(3)]
         );
     }
@@ -477,18 +459,17 @@ mod tests {
         recv.buffer.watch();
         let offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
+        let m = msg(1, 100, 0.0, 60);
+        let metas = table(&[m]);
 
-        sender.insert(msg(1, 100, 0.0, 60)).unwrap();
-        recv.buffer.insert(msg(1, 100, 0.0, 60)).unwrap();
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
-        assert!(
-            index.ids_in_rank_order(sender.arena()).is_empty(),
-            "peer knows it"
-        );
+        sender.insert(m).unwrap();
+        recv.buffer.insert(m).unwrap();
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
+        assert!(index.ids_in_rank_order().is_empty(), "peer knows it");
 
-        recv.buffer.remove(MessageId(1)).unwrap(); // peer evicted its copy
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
-        assert_eq!(index.ids_in_rank_order(sender.arena()), [MessageId(1)]);
+        recv.buffer.remove(MessageId(1), &metas).unwrap(); // peer evicted its copy
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
+        assert_eq!(index.ids_in_rank_order(), [MessageId(1)]);
     }
 
     #[test]
@@ -499,22 +480,24 @@ mod tests {
         recv.buffer.watch();
         let offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
+        let m = msg(1, 100, 0.0, 60);
+        let metas = table(&[m]);
 
-        sender.insert(msg(1, 100, 0.0, 60)).unwrap();
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
-        assert_eq!(index.ids_in_rank_order(sender.arena()), [MessageId(1)]);
+        sender.insert(m).unwrap();
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
+        assert_eq!(index.ids_in_rank_order(), [MessageId(1)]);
 
         // The peer consumes the message as destination: no buffer delta.
         recv.delivered.insert(MessageId(1));
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
         assert_eq!(
-            index.ids_in_rank_order(sender.arena()),
+            index.ids_in_rank_order(),
             [MessageId(1)],
             "superset: stale entry allowed"
         );
         // The scan's verdict prunes it, and it never comes back — not even
         // via a later peer-buffer delta.
-        let got = index.scan(sender.arena(), |id| {
+        let got = index.scan(|id| {
             if recv.knows(id) {
                 Verdict::Never
             } else {
@@ -522,7 +505,7 @@ mod tests {
             }
         });
         assert_eq!(got, None);
-        assert!(index.ids_in_rank_order(sender.arena()).is_empty());
+        assert!(index.ids_in_rank_order().is_empty());
     }
 
     #[test]
@@ -532,17 +515,20 @@ mod tests {
         let recv = NodeState::new(NodeId(2), 100_000, false);
         let mut offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
+        let msgs = [msg(1, 100, 0.0, 60), msg(2, 100, 0.0, 90)];
+        let metas = table(&msgs);
 
-        sender.insert(msg(1, 100, 0.0, 60)).unwrap();
-        sender.insert(msg(2, 100, 0.0, 90)).unwrap();
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
+        for m in msgs {
+            sender.insert(m).unwrap();
+        }
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
         offered.insert(MessageId(1));
-        index.on_offered(sender.handle_of(MessageId(1)).unwrap());
-        assert_eq!(index.ids_in_rank_order(sender.arena()), [MessageId(2)]);
+        index.on_offered(MessageId(1));
+        assert_eq!(index.ids_in_rank_order(), [MessageId(2)]);
         // Re-sync with the offered id excluded from a rebuild too.
         index.reset();
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
-        assert_eq!(index.ids_in_rank_order(sender.arena()), [MessageId(2)]);
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
+        assert_eq!(index.ids_in_rank_order(), [MessageId(2)]);
     }
 
     #[test]
@@ -551,18 +537,20 @@ mod tests {
         let recv = NodeState::new(NodeId(2), 100_000, false);
         let offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
-        for id in 1..=3u64 {
-            sender.insert(msg(id, 100, 0.0, 60)).unwrap();
+        let msgs = [1u64, 2, 3].map(|id| msg(id, 100, 0.0, 60));
+        let metas = table(&msgs);
+        for m in msgs {
+            sender.insert(m).unwrap();
         }
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
-        let got = index.scan(sender.arena(), |id| match id.0 {
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
+        let got = index.scan(|id| match id.0 {
             1 => Verdict::Never,
             2 => Verdict::NotNow,
             _ => Verdict::Accept,
         });
         assert_eq!(got, Some(MessageId(3)));
         assert_eq!(
-            index.ids_in_rank_order(sender.arena()),
+            index.ids_in_rank_order(),
             [MessageId(2), MessageId(3)],
             "Never pruned, NotNow and the accepted id kept"
         );
@@ -575,15 +563,17 @@ mod tests {
         let recv = NodeState::new(NodeId(2), u64::MAX, false);
         let offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
-        sender.insert(msg(1, 1, 0.0, 60)).unwrap();
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
+        let msgs: Vec<Message> = (1..3_000u64).map(|i| msg(i, 1, 0.0, 60)).collect();
+        let metas = table(&msgs);
+        sender.insert(msgs[0]).unwrap();
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
         // Blow past the delta ring.
-        for i in 100..3_000u64 {
-            sender.insert(msg(i, 1, 0.0, 60)).unwrap();
+        for &m in &msgs[99..] {
+            sender.insert(m).unwrap();
         }
-        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered);
-        assert_eq!(index.ids_in_rank_order(sender.arena()).len(), sender.len());
-        assert_eq!(index.ids_in_rank_order(sender.arena())[0], MessageId(1));
+        index.sync(SchedulingPolicy::Fifo, &sender, &recv, &offered, &metas);
+        assert_eq!(index.ids_in_rank_order().len(), sender.len());
+        assert_eq!(index.ids_in_rank_order()[0], MessageId(1));
     }
 
     /// The Random scan judges every entry, prunes `Never`, makes exactly
@@ -595,10 +585,12 @@ mod tests {
         let recv = NodeState::new(NodeId(2), 100_000, false);
         let offered = OfferedSet::new();
         let mut index = CandidateIndex::new();
-        for id in 1..=8u64 {
-            sender.insert(msg(id, 100, 0.0, 60)).unwrap();
+        let msgs: Vec<Message> = (1..=8u64).map(|id| msg(id, 100, 0.0, 60)).collect();
+        let metas = table(&msgs);
+        for &m in &msgs {
+            sender.insert(m).unwrap();
         }
-        index.sync(SchedulingPolicy::Random, &sender, &recv, &offered);
+        index.sync(SchedulingPolicy::Random, &sender, &recv, &offered, &metas);
         let verdict = |id: MessageId| match id.0 {
             1 | 5 => Verdict::Never,
             2 | 6 => Verdict::NotNow,
@@ -608,14 +600,14 @@ mod tests {
 
         // Nothing accepted: no pick, no draw.
         let before = rng.clone();
-        let got = index.draw(sender.arena(), &mut rng, |id| match verdict(id) {
+        let got = index.draw(&mut rng, |id| match verdict(id) {
             Verdict::Accept => Verdict::NotNow,
             v => v,
         });
         assert_eq!(got, None);
         assert_eq!(rng, before, "an empty accepted set draws nothing");
         assert_eq!(
-            index.ids_in_rank_order(sender.arena()),
+            index.ids_in_rank_order(),
             [2, 3, 4, 6, 7, 8].map(MessageId),
             "Never entries pruned, reception order kept"
         );
@@ -627,7 +619,7 @@ mod tests {
         const PICKS: usize = 20_000;
         let mut counts = [0usize; 4];
         for _ in 0..PICKS {
-            let got = index.draw(sender.arena(), &mut rng, verdict);
+            let got = index.draw(&mut rng, verdict);
             let k = twin.index(accepted.len());
             assert_eq!(got, Some(accepted[k]));
             assert_eq!(rng, twin, "one draw per pick");
@@ -674,12 +666,26 @@ mod proptests {
         #[test]
         fn index_order_matches_fresh_rescan(
             policy_idx in 0usize..POLICIES.len(),
-            ops in proptest::collection::vec(
-                (0u64..25, 1u64..400, 0u64..90, 0u64..8),
-                1..120,
-            ),
+            specs in proptest::collection::vec((1u64..400, 0u64..300, 0u64..90), 25..26),
+            ops in proptest::collection::vec((0usize..25, 0u64..90, 0u64..8), 1..120),
         ) {
             let policy = POLICIES[policy_idx];
+            // One message per id: the world's message table.
+            let msgs: Vec<Message> = specs
+                .iter()
+                .enumerate()
+                .map(|(id, &(size, created_min, ttl_min))| {
+                    Message::new(
+                        MessageId(id as u64),
+                        NodeId(0),
+                        NodeId(1),
+                        size,
+                        SimTime::ZERO + SimDuration::from_mins(created_min),
+                        SimDuration::from_mins(ttl_min + 1),
+                    )
+                })
+                .collect();
+            let metas: Vec<MsgMeta> = msgs.iter().map(MsgMeta::of).collect();
             let mut sender = Buffer::new(30_000);
             sender.watch();
             let mut recv = NodeState::new(NodeId(1), 30_000, false);
@@ -688,19 +694,12 @@ mod proptests {
             let mut index = CandidateIndex::new();
             let mut now = SimTime::ZERO;
             let mut rng = SimRng::seed_from_u64(11);
-            for (id, size, ttl_min, action) in ops {
+            for (id, step_min, action) in ops {
+                let id = MessageId(id as u64);
                 match action {
                     0 | 1 => {
-                        let mut m = Message::new(
-                            MessageId(id),
-                            NodeId(0),
-                            NodeId(1),
-                            size,
-                            now,
-                            SimDuration::from_mins(ttl_min + 1),
-                        );
-                        m.hops = (size % 5) as u32;
-                        m.received = now;
+                        let mut m = msgs[id.index()].relayed_copy(now);
+                        m.hops = (step_min % 5) as u32;
                         if action == 0 {
                             let _ = sender.insert(m);
                         } else {
@@ -708,21 +707,21 @@ mod proptests {
                         }
                     }
                     2 => {
-                        sender.remove(MessageId(id));
+                        sender.remove(id, &metas);
                     }
                     3 => {
-                        recv.buffer.remove(MessageId(id));
+                        recv.buffer.remove(id, &metas);
                     }
                     4 => {
-                        now += SimDuration::from_mins(ttl_min);
-                        sender.drain_expired(now);
-                        recv.buffer.drain_expired(now);
-                        offered.prune_expired(now, sender.arena().as_ref());
+                        now += SimDuration::from_mins(step_min);
+                        sender.drain_expired(now, &metas);
+                        recv.buffer.drain_expired(now, &metas);
+                        offered.prune_expired(now, &metas);
                     }
                     5 => {
-                        if sender.contains(MessageId(id)) && !offered.contains(MessageId(id)) {
-                            offered.insert(MessageId(id));
-                            index.on_offered(sender.handle_of(MessageId(id)).unwrap());
+                        if sender.contains(id) && !offered.contains(id) {
+                            offered.insert(id);
+                            index.on_offered(id);
                         }
                     }
                     6 => {
@@ -730,7 +729,7 @@ mod proptests {
                         // buffer delta. The index may keep a stale entry
                         // (superset invariant); prune it the way a real
                         // scan does before comparing.
-                        recv.delivered.insert(MessageId(id));
+                        recv.delivered.insert(id);
                     }
                     _ => {
                         // Generation reset: a fresh index must rebuild and
@@ -738,12 +737,12 @@ mod proptests {
                         index.reset();
                     }
                 }
-                index.sync(policy, &sender, &recv, &offered);
+                index.sync(policy, &sender, &recv, &offered, &metas);
                 let live = |id: &MessageId| !offered.contains(*id) && !recv.knows(*id);
                 if policy == SchedulingPolicy::Random {
                     // A real scan prunes peer-known entries via `Never`.
                     let mut accepted = Vec::new();
-                    let drawn = index.draw(sender.arena(), &mut rng, |id| {
+                    let drawn = index.draw(&mut rng, |id| {
                         if recv.knows(id) {
                             Verdict::Never
                         } else {
@@ -754,7 +753,7 @@ mod proptests {
                     prop_assert_eq!(drawn.is_some(), !accepted.is_empty());
                     prop_assert!(drawn.map_or(true, |id| accepted.contains(&id)));
                     let mut fresh: Vec<MessageId> = policy
-                        .order(&sender, now, &mut rng)
+                        .order(&sender, &metas, &mut rng)
                         .into_iter()
                         .filter(live)
                         .collect();
@@ -762,7 +761,7 @@ mod proptests {
                     accepted.sort_unstable();
                     prop_assert_eq!(accepted, fresh, "accepted set equals a fresh rescan's");
                 } else {
-                    index.scan(sender.arena(), |id| {
+                    index.scan(|id| {
                         if recv.knows(id) {
                             Verdict::Never
                         } else {
@@ -777,11 +776,11 @@ mod proptests {
                     policy
                 };
                 let expected: Vec<MessageId> = oracle
-                    .order(&sender, now, &mut rng)
+                    .order(&sender, &metas, &mut rng)
                     .into_iter()
                     .filter(live)
                     .collect();
-                prop_assert_eq!(index.ids_in_rank_order(sender.arena()), &expected[..]);
+                prop_assert_eq!(index.ids_in_rank_order(), &expected[..]);
             }
         }
     }

@@ -21,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use vdtn_bundle::{Message, MessageId, PolicyCombo};
+//! use vdtn_bundle::{Message, MessageId, MsgMeta, PolicyCombo};
 //! use vdtn_routing::{NodeState, RouterKind};
 //! use vdtn_sim_core::{NodeId, SimDuration, SimRng, SimTime};
 //!
@@ -29,19 +29,17 @@
 //! let mut router = RouterKind::Epidemic.build(NodeId(0), 10, PolicyCombo::FIFO_FIFO);
 //! let mut state = NodeState::new(NodeId(0), 1_000_000, false);
 //! let mut rng = SimRng::seed_from_u64(1);
-//! let outcome = router.on_message_created(
-//!     &mut state,
-//!     Message::new(
-//!         MessageId(1),
-//!         NodeId(0),
-//!         NodeId(3),
-//!         500_000,
-//!         SimTime::ZERO,
-//!         SimDuration::from_mins(60),
-//!     ),
+//! let msg = Message::new(
+//!     MessageId(0),
+//!     NodeId(0),
+//!     NodeId(3),
+//!     500_000,
 //!     SimTime::ZERO,
-//!     &mut rng,
+//!     SimDuration::from_mins(60),
 //! );
+//! // The world's message table: message 0's record at index 0.
+//! let metas = [MsgMeta::of(&msg)];
+//! let outcome = router.on_message_created(&mut state, &metas, msg, SimTime::ZERO, &mut rng);
 //! assert!(outcome.stored);
 //! assert_eq!(state.buffer.len(), 1);
 //! ```

@@ -37,7 +37,7 @@ use crate::state::NodeState;
 use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use vdtn_bundle::{Message, MessageId};
+use vdtn_bundle::{Message, MessageId, MsgMeta};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// MaxProp tuning parameters.
@@ -299,7 +299,7 @@ impl MaxPropRouter {
     /// Memoised per `(buffer generation, contacts closed)`: between those
     /// two moving, the O(B log B) hop-count sort would recompute the same
     /// value on every routing round and every reception.
-    fn threshold(&mut self, own: &NodeState) -> u32 {
+    fn threshold(&mut self, own: &NodeState, metas: &[MsgMeta]) -> u32 {
         if self.contacts_closed == 0 || self.avg_contact_bytes <= 0.0 {
             return 0;
         }
@@ -310,7 +310,7 @@ impl MaxPropRouter {
             }
         }
         let budget = self.cfg.head_start_fraction * self.avg_contact_bytes;
-        let mut msgs: Vec<(u32, u64)> = own.buffer.iter().map(|m| (m.hops, m.size)).collect();
+        let mut msgs: Vec<(u32, u64)> = own.buffer.iter(metas).map(|m| (m.hops, m.size)).collect();
         msgs.sort_unstable_by_key(|&(hops, _)| hops);
         let mut acc = 0u64;
         let mut threshold = 0u32;
@@ -326,7 +326,12 @@ impl MaxPropRouter {
     }
 
     /// Victim chooser: highest path cost first, head-start messages last.
-    fn pick_victim(&self, state: &NodeState, threshold: u32) -> Option<MessageId> {
+    fn pick_victim(
+        &self,
+        state: &NodeState,
+        metas: &[MsgMeta],
+        threshold: u32,
+    ) -> Option<MessageId> {
         let rank = |m: &Message| {
             let cost = self.costs[m.dst.index()];
             // Head-start messages are maximally protected.
@@ -338,7 +343,7 @@ impl MaxPropRouter {
         };
         state
             .buffer
-            .iter()
+            .iter(metas)
             .max_by(|a, b| {
                 let (pa, ca) = rank(a);
                 let (pb, cb) = rank(b);
@@ -353,12 +358,15 @@ impl Router for MaxPropRouter {
     fn on_message_created(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: Message,
         _now: SimTime,
         _rng: &mut SimRng,
     ) -> CreateOutcome {
-        let threshold = self.threshold(own);
-        match make_room_and_store(own, msg, |state| self.pick_victim(state, threshold)) {
+        let threshold = self.threshold(own, metas);
+        match make_room_and_store(own, metas, msg, |state| {
+            self.pick_victim(state, metas, threshold)
+        }) {
             Ok(evicted) => CreateOutcome {
                 stored: true,
                 evicted,
@@ -386,6 +394,7 @@ impl Router for MaxPropRouter {
     fn on_contact_up(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         peer: NodeId,
         peer_digest: &Digest,
         _now: SimTime,
@@ -399,7 +408,7 @@ impl Router for MaxPropRouter {
                 dense[node.index()] = p;
             }
             let learned = self.acks.merge(acks, |id| {
-                if let Some(m) = own.buffer.remove(id) {
+                if let Some(m) = own.buffer.remove(id, metas) {
                     purged.push(m);
                 }
             });
@@ -427,17 +436,18 @@ impl Router for MaxPropRouter {
     fn next_transfer(
         &mut self,
         own: &NodeState,
+        metas: &[MsgMeta],
         peer: &NodeState,
         _peer_router: &dyn Router,
         offers: &mut OfferView<'_>,
         now: SimTime,
         _rng: &mut SimRng,
     ) -> Option<MessageId> {
-        let threshold = self.threshold(own);
+        let threshold = self.threshold(own, metas);
         // Rank: (class, key) — class 0 = destined to peer, class 1 = head
         // start (by hop count), class 2 = cost-ranked. Lowest wins.
         let mut best: Option<((u8, f64), MessageId)> = None;
-        for msg in own.buffer.iter() {
+        for msg in own.buffer.iter(metas) {
             if offers.is_offered(msg.id)
                 || peer.knows(msg.id)
                 || msg.is_expired(now)
@@ -467,6 +477,7 @@ impl Router for MaxPropRouter {
     fn on_message_received(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: &Message,
         _from: NodeId,
         now: SimTime,
@@ -475,8 +486,10 @@ impl Router for MaxPropRouter {
         if self.acks.contains(msg.id) && msg.dst != own.id {
             return ReceiveOutcome::Rejected(crate::router::RejectReason::AlreadyDelivered);
         }
-        let threshold = self.threshold(own);
-        let outcome = standard_receive(own, msg, now, |state| self.pick_victim(state, threshold));
+        let threshold = self.threshold(own, metas);
+        let outcome = standard_receive(own, metas, msg, now, |state| {
+            self.pick_victim(state, metas, threshold)
+        });
         if let ReceiveOutcome::Delivered { .. } = outcome {
             // Destination floods the acknowledgement from now on.
             self.learn_ack(msg.id);
@@ -487,6 +500,7 @@ impl Router for MaxPropRouter {
     fn on_transfer_success(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg_id: MessageId,
         _to: NodeId,
         delivered: bool,
@@ -495,7 +509,7 @@ impl Router for MaxPropRouter {
         if delivered {
             // Sender both discards (paper rule) and starts flooding the ack.
             self.learn_ack(msg_id);
-            own.buffer.remove(msg_id);
+            own.buffer.remove(msg_id, metas);
         }
     }
 
@@ -567,6 +581,7 @@ impl Router for MaxPropRouter {
 mod tests {
     use super::*;
     use crate::offers::ContactOffers;
+    use crate::util::table;
     use vdtn_sim_core::SimDuration;
 
     fn msg(id: u64, src: u32, dst: u32, size: u64) -> Message {
@@ -608,7 +623,7 @@ mod tests {
         r1.record_meeting(NodeId(2));
         r1.record_meeting(NodeId(0));
         let d1 = r1.digest(&state(1), SimTime::ZERO);
-        r0.on_contact_up(&mut state(0), NodeId(1), &d1, SimTime::ZERO);
+        r0.on_contact_up(&mut state(0), &[], NodeId(1), &d1, SimTime::ZERO);
         // Cost to 1: 1 − f^0_1 = 0. Cost to 2 via 1: (1−1) + (1−0.5) = 0.5.
         assert!(r0.path_cost(NodeId(1)) < 1e-9);
         assert!((r0.path_cost(NodeId(2)) - 0.5).abs() < 1e-9);
@@ -627,14 +642,16 @@ mod tests {
         let mut r = MaxPropRouter::new(NodeId(0), 4, MaxPropConfig::default());
         let mut s = state(0);
         let mut rng = SimRng::seed_from_u64(1);
-        r.on_message_created(&mut s, msg(7, 0, 3, 100), SimTime::ZERO, &mut rng);
+        let m = msg(7, 0, 3, 100);
+        let metas = table(&[m]);
+        r.on_message_created(&mut s, &metas, m, SimTime::ZERO, &mut rng);
         assert!(s.buffer.contains(MessageId(7)));
         // Peer digest carries an ack for message 7.
         let digest = Digest::MaxProp {
             probs: vec![],
             acks: [MessageId(7)].into_iter().collect(),
         };
-        let purged = r.on_contact_up(&mut s, NodeId(1), &digest, SimTime::ZERO);
+        let purged = r.on_contact_up(&mut s, &metas, NodeId(1), &digest, SimTime::ZERO);
         assert_eq!(purged.len(), 1);
         assert_eq!(purged[0].id, MessageId(7));
         assert!(!s.buffer.contains(MessageId(7)));
@@ -651,13 +668,9 @@ mod tests {
         let mut s = state(1);
         let mut rng = SimRng::seed_from_u64(1);
         r.learn_ack(MessageId(9));
-        let out = r.on_message_received(
-            &mut s,
-            &msg(9, 0, 3, 100),
-            NodeId(0),
-            SimTime::ZERO,
-            &mut rng,
-        );
+        let m = msg(9, 0, 3, 100);
+        let out =
+            r.on_message_received(&mut s, &table(&[m]), &m, NodeId(0), SimTime::ZERO, &mut rng);
         assert!(matches!(out, ReceiveOutcome::Rejected(_)));
         assert!(!s.buffer.contains(MessageId(9)));
     }
@@ -667,8 +680,10 @@ mod tests {
         let mut r = MaxPropRouter::new(NodeId(0), 4, MaxPropConfig::default());
         let mut s = state(0);
         let mut rng = SimRng::seed_from_u64(1);
-        r.on_message_created(&mut s, msg(1, 0, 2, 100), SimTime::ZERO, &mut rng);
-        r.on_transfer_success(&mut s, MessageId(1), NodeId(2), true, SimTime::ZERO);
+        let m = msg(1, 0, 2, 100);
+        let metas = table(&[m]);
+        r.on_message_created(&mut s, &metas, m, SimTime::ZERO, &mut rng);
+        r.on_transfer_success(&mut s, &metas, MessageId(1), NodeId(2), true, SimTime::ZERO);
         assert!(!s.buffer.contains(MessageId(1)));
         assert!(r.acked(MessageId(1)));
     }
@@ -678,13 +693,9 @@ mod tests {
         let mut r = MaxPropRouter::new(NodeId(2), 4, MaxPropConfig::default());
         let mut s = state(2);
         let mut rng = SimRng::seed_from_u64(1);
-        let out = r.on_message_received(
-            &mut s,
-            &msg(1, 0, 2, 100),
-            NodeId(0),
-            SimTime::ZERO,
-            &mut rng,
-        );
+        let m = msg(1, 0, 2, 100);
+        let out =
+            r.on_message_received(&mut s, &table(&[m]), &m, NodeId(0), SimTime::ZERO, &mut rng);
         assert_eq!(out, ReceiveOutcome::Delivered { first_time: true });
         assert!(r.acked(MessageId(1)));
     }
@@ -699,11 +710,13 @@ mod tests {
         let mut r1 = MaxPropRouter::new(NodeId(1), 5, MaxPropConfig::default());
         r1.record_meeting(NodeId(3));
         let d1 = r1.digest(&state(1), now);
-        r.on_contact_up(&mut s, NodeId(1), &d1, now);
-
-        r.on_message_created(&mut s, msg(1, 0, 4, 100), now, &mut rng); // cost ∞
-        r.on_message_created(&mut s, msg(2, 0, 3, 100), now, &mut rng); // cheap
-        r.on_message_created(&mut s, msg(3, 0, 1, 100), now, &mut rng); // to peer
+        // Message 1 costs ∞, message 2 is cheap, message 3 is to the peer.
+        let msgs = [msg(1, 0, 4, 100), msg(2, 0, 3, 100), msg(3, 0, 1, 100)];
+        let metas = table(&msgs);
+        r.on_contact_up(&mut s, &metas, NodeId(1), &d1, now);
+        for m in msgs {
+            r.on_message_created(&mut s, &metas, m, now, &mut rng);
+        }
 
         let peer = state(1);
         let peer_router = MaxPropRouter::new(NodeId(1), 5, MaxPropConfig::default());
@@ -711,6 +724,7 @@ mod tests {
         assert_eq!(
             r.next_transfer(
                 &s,
+                &metas,
                 &peer,
                 &peer_router,
                 &mut ContactOffers::new().view(0),
@@ -722,9 +736,10 @@ mod tests {
         // With it already offered, the cheap-cost message beats the
         // unreachable one.
         let mut offers = ContactOffers::new();
-        offers.record(MessageId(3), s.buffer.handle_of(MessageId(3)).unwrap());
+        offers.record(MessageId(3));
+        let view = &mut offers.view(0);
         assert_eq!(
-            r.next_transfer(&s, &peer, &peer_router, &mut offers.view(0), now, &mut rng),
+            r.next_transfer(&s, &metas, &peer, &peer_router, view, now, &mut rng),
             Some(MessageId(2))
         );
     }
@@ -735,24 +750,29 @@ mod tests {
         let mut s = state(0);
         let mut rng = SimRng::seed_from_u64(1);
         let now = SimTime::ZERO;
-        // No stats yet → threshold 0.
-        assert_eq!(r.threshold(&s), 0);
         // Buffer: two 1-hop messages of 100 B each and a fresh one.
-        for (id, hops) in [(1u64, 0u32), (2, 1), (3, 4)] {
+        let msgs = [(1u64, 0u32), (2, 1), (3, 4)].map(|(id, hops)| {
             let mut m = msg(id, 1, 4, 100);
             m.hops = hops;
+            m
+        });
+        let metas = table(&msgs);
+        // No stats yet → threshold 0.
+        assert_eq!(r.threshold(&s, &metas), 0);
+        for m in msgs {
             s.buffer.insert(m).unwrap();
         }
         // One closed contact with 400 B sent → budget 200 B → the two
         // lowest-hop messages fit → threshold = second msg hops + 1 = 2.
         r.on_contact_down(&mut s, NodeId(1), 400, now);
-        assert_eq!(r.threshold(&s), 2);
+        assert_eq!(r.threshold(&s, &metas), 2);
         // Scheduling now prefers low-hop (head start) over cost.
         let peer = state(2);
         let pr = MaxPropRouter::new(NodeId(2), 5, MaxPropConfig::default());
         assert_eq!(
             r.next_transfer(
                 &s,
+                &metas,
                 &peer,
                 &pr,
                 &mut ContactOffers::new().view(0),
@@ -772,10 +792,13 @@ mod tests {
         let mut r1 = MaxPropRouter::new(NodeId(1), 5, MaxPropConfig::default());
         r1.record_meeting(NodeId(3));
         let d1 = r1.digest(&state(1), SimTime::ZERO);
-        r.on_contact_up(&mut s, NodeId(1), &d1, SimTime::ZERO);
-        s.buffer.insert(msg(1, 0, 3, 100)).unwrap();
-        s.buffer.insert(msg(2, 0, 4, 100)).unwrap();
-        let victim = r.pick_victim(&s, 0).unwrap();
+        let msgs = [msg(1, 0, 3, 100), msg(2, 0, 4, 100)];
+        let metas = table(&msgs);
+        r.on_contact_up(&mut s, &metas, NodeId(1), &d1, SimTime::ZERO);
+        for m in msgs {
+            s.buffer.insert(m).unwrap();
+        }
+        let victim = r.pick_victim(&s, &metas, 0).unwrap();
         assert_eq!(
             victim,
             MessageId(2),
@@ -876,6 +899,19 @@ mod proptests {
             let mut r = MaxPropRouter::new(NodeId(0), 4, MaxPropConfig::default());
             let mut s = NodeState::new(NodeId(0), 1_000_000, false);
             let mut rng = SimRng::seed_from_u64(1);
+            // Every message differs only in its id, so one record serves
+            // every row of the table.
+            let message = |id: u64| {
+                Message::new(
+                    MessageId(id),
+                    NodeId(0),
+                    NodeId(3),
+                    100,
+                    SimTime::ZERO,
+                    SimDuration::from_mins(90),
+                )
+            };
+            let metas = vec![MsgMeta::of(&message(0)); IDS[IDS.len() - 1] as usize + 1];
             let mut acks: BTreeSet<u64> = BTreeSet::new();
             let mut stored: BTreeSet<u64> = BTreeSet::new();
             let mut snapshots: Vec<(AckSet, Vec<u64>)> = Vec::new();
@@ -892,15 +928,8 @@ mod proptests {
                     }
                     1 => {
                         if stored.insert(IDS[idx]) {
-                            let m = Message::new(
-                                MessageId(IDS[idx]),
-                                NodeId(0),
-                                NodeId(3),
-                                100,
-                                SimTime::ZERO,
-                                SimDuration::from_mins(90),
-                            );
-                            let out = r.on_message_created(&mut s, m, SimTime::ZERO, &mut rng);
+                            let m = message(IDS[idx]);
+                            let out = r.on_message_created(&mut s, &metas, m, SimTime::ZERO, &mut rng);
                             prop_assert!(out.stored && out.evicted.is_empty());
                         }
                     }
@@ -926,7 +955,7 @@ mod proptests {
                             acks: theirs,
                         };
                         purged = r
-                            .on_contact_up(&mut s, NodeId(1), &digest, SimTime::ZERO)
+                            .on_contact_up(&mut s, &metas, NodeId(1), &digest, SimTime::ZERO)
                             .iter()
                             .map(|m| m.id.0)
                             .collect();
@@ -950,7 +979,7 @@ mod proptests {
                 for (snap, ids) in &snapshots {
                     prop_assert_eq!(&ids_of(snap), ids, "a digest snapshot changed after it was taken");
                 }
-                let held: BTreeSet<u64> = s.buffer.iter().map(|m| m.id.0).collect();
+                let held: BTreeSet<u64> = s.buffer.ids_in_order().map(|id| id.0).collect();
                 prop_assert_eq!(&held, &stored);
             }
         }

@@ -11,7 +11,7 @@
 
 use crate::candidates::{CandidateIndex, Verdict};
 use crate::state::NodeState;
-use vdtn_bundle::{Buffer, MessageArena, MessageId, MsgHandle, SchedulingPolicy};
+use vdtn_bundle::{Buffer, MessageId, MsgMeta, SchedulingPolicy};
 use vdtn_sim_core::{SimRng, SimTime};
 
 /// The ids already offered during one contact, as a sorted vector.
@@ -22,8 +22,8 @@ use vdtn_sim_core::{SimRng, SimTime};
 /// sorted `Vec<MessageId>` costs 8 bytes per tracked id with zero
 /// per-instance table overhead; membership tests stay O(log n), insertion
 /// O(n) memmove (cheap at these sizes). The message expiry needed for TTL
-/// pruning is *not* duplicated per entry: it lives in the world's interned
-/// [`MessageArena`] record and is looked up only during the (rare, serial)
+/// pruning is *not* duplicated per entry: it lives in the message's record
+/// in the world's message table and is looked up only during the (rare)
 /// prune.
 #[derive(Debug, Clone, Default)]
 pub struct OfferedSet {
@@ -49,15 +49,10 @@ impl OfferedSet {
         }
     }
 
-    /// Drop every id whose message (per its interned metadata in `arena`)
-    /// has expired at `now`. Ids the arena does not know are kept — they
-    /// cannot be proven dead.
-    pub fn prune_expired(&mut self, now: SimTime, arena: &MessageArena) {
-        self.ids.retain(|&id| {
-            arena
-                .lookup(id)
-                .map_or(true, |h| arena.resolve(h).expiry() > now)
-        });
+    /// Drop every id whose message (per its record in the message table
+    /// `metas`) has expired at `now`.
+    pub fn prune_expired(&mut self, now: SimTime, metas: &[MsgMeta]) {
+        self.ids.retain(|&id| metas[id.index()].expiry() > now);
     }
 
     /// Number of tracked ids.
@@ -97,7 +92,7 @@ pub type SilenceKey = [u64; 5];
 pub struct ContactOffers {
     /// Ids already offered during this contact; the engine prunes ids
     /// whose message died of TTL (expiry read from the world's message
-    /// arena) so the set stays bounded by *live* traffic over arbitrarily
+    /// table) so the set stays bounded by *live* traffic over arbitrarily
     /// long contacts.
     offered: OfferedSet,
     /// Delta-maintained candidate sets per direction
@@ -120,13 +115,11 @@ impl ContactOffers {
     }
 
     /// Record that `id` was offered on this contact. The id leaves both
-    /// directions' candidate indexes for good; `handle` is its arena handle
-    /// in the sender's buffer (the indexes store handles, not ids — callers
-    /// without a live index may pass any handle).
-    pub fn record(&mut self, id: MessageId, handle: MsgHandle) {
+    /// directions' candidate indexes for good.
+    pub fn record(&mut self, id: MessageId) {
         self.offered.insert(id);
-        self.indexes[0].on_offered(handle);
-        self.indexes[1].on_offered(handle);
+        self.indexes[0].on_offered(id);
+        self.indexes[1].on_offered(id);
     }
 
     /// True if `id` was already offered on this contact.
@@ -139,14 +132,14 @@ impl ContactOffers {
         self.offered.len()
     }
 
-    /// Drop every tracked id whose message (per `arena`) has expired at
-    /// `now`.
+    /// Drop every tracked id whose message (per the message table `metas`)
+    /// has expired at `now`.
     ///
     /// Behaviour-neutral: message ids are never reused and every router
     /// refuses to offer expired messages, so a pruned id can never be
     /// re-offered — this is purely a memory bound.
-    pub fn prune_expired(&mut self, now: SimTime, arena: &MessageArena) {
-        self.offered.prune_expired(now, arena);
+    pub fn prune_expired(&mut self, now: SimTime, metas: &[MsgMeta]) {
+        self.offered.prune_expired(now, metas);
     }
 
     /// Account `bytes` of completed payload for direction `side`.
@@ -213,9 +206,10 @@ impl OfferView<'_> {
     }
 
     /// The scheduling scan of every policy-driven router: sync this
-    /// direction's candidate index against both endpoints, then return the
-    /// first candidate `eligible` accepts in scheduling-rank order — or,
-    /// under [`SchedulingPolicy::Random`], one uniform `rng` draw over every
+    /// direction's candidate index against both endpoints (ranks read from
+    /// the message table `metas`), then return the first candidate
+    /// `eligible` accepts in scheduling-rank order — or, under
+    /// [`SchedulingPolicy::Random`], one uniform `rng` draw over every
     /// accepted candidate (see [`crate::candidates`]).
     ///
     /// `eligible` receives the bare id and returns a [`Verdict`] — routers
@@ -229,14 +223,15 @@ impl OfferView<'_> {
         policy: SchedulingPolicy,
         buffer: &Buffer,
         peer: &NodeState,
+        metas: &[MsgMeta],
         rng: &mut SimRng,
         eligible: impl FnMut(MessageId) -> Verdict,
     ) -> Option<MessageId> {
-        self.index.sync(policy, buffer, peer, self.offered);
+        self.index.sync(policy, buffer, peer, self.offered, metas);
         if policy == SchedulingPolicy::Random {
-            self.index.draw(buffer.arena(), rng, eligible)
+            self.index.draw(rng, eligible)
         } else {
-            self.index.scan(buffer.arena(), eligible)
+            self.index.scan(eligible)
         }
     }
 }
@@ -249,7 +244,7 @@ mod tests {
     fn record_and_query() {
         let mut c = ContactOffers::new();
         assert!(!c.is_offered(MessageId(1)));
-        c.record(MessageId(1), MsgHandle(0));
+        c.record(MessageId(1));
         assert!(c.is_offered(MessageId(1)));
         assert_eq!(c.offered_count(), 1);
         assert!(c.view(0).is_offered(MessageId(1)));
@@ -258,30 +253,22 @@ mod tests {
 
     #[test]
     fn prune_drops_only_expired() {
-        use vdtn_bundle::Message;
         use vdtn_sim_core::{NodeId, SimDuration};
-        let arena = MessageArena::new();
-        // Message 1 expires at 60 s, message 2 at 120 s.
-        for (id, ttl_s) in [(1u64, 60.0), (2, 120.0)] {
-            arena.intern(&Message::new(
-                MessageId(id),
-                NodeId(0),
-                NodeId(1),
-                10,
-                SimTime::ZERO,
-                SimDuration::from_secs_f64(ttl_s),
-            ));
-        }
+        // Message 0 expires at 60 s, message 1 at 120 s.
+        let metas = [60, 120].map(|ttl_s| MsgMeta {
+            src: NodeId(0),
+            dst: NodeId(1),
+            size: 10,
+            created: SimTime::ZERO,
+            ttl: SimDuration::from_secs(ttl_s),
+        });
         let mut c = ContactOffers::new();
-        c.record(MessageId(1), arena.lookup(MessageId(1)).unwrap());
-        c.record(MessageId(2), arena.lookup(MessageId(2)).unwrap());
-        // An id the arena never saw cannot be proven dead — it stays.
-        c.record(MessageId(9), MsgHandle(0));
-        c.prune_expired(SimTime::from_secs_f64(60.0), &arena); // expiry ≤ now is dead
-        assert!(!c.is_offered(MessageId(1)));
-        assert!(c.is_offered(MessageId(2)));
-        assert!(c.is_offered(MessageId(9)));
-        assert_eq!(c.offered_count(), 2);
+        c.record(MessageId(0));
+        c.record(MessageId(1));
+        c.prune_expired(SimTime::from_secs_f64(60.0), &metas); // expiry ≤ now is dead
+        assert!(!c.is_offered(MessageId(0)));
+        assert!(c.is_offered(MessageId(1)));
+        assert_eq!(c.offered_count(), 1);
     }
 
     #[test]

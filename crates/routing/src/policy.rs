@@ -28,7 +28,7 @@ use crate::router::{
 };
 use crate::state::NodeState;
 use crate::util::{make_room_and_store, policy_victim, standard_receive};
-use vdtn_bundle::{Message, MessageId, PolicyCombo};
+use vdtn_bundle::{Message, MessageId, MsgMeta, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// A protocol's replication rule (see the module docs).
@@ -74,11 +74,17 @@ fn handed_over(binary: bool, copies: u32) -> u32 {
 /// only mean destination consumption (buffer membership is synced from
 /// deltas), expiry is final, and capacity fits are constant per message.
 #[inline(always)]
-fn forwardable(own: &NodeState, peer: &NodeState, now: SimTime, id: MessageId) -> Option<Message> {
+fn forwardable(
+    own: &NodeState,
+    metas: &[MsgMeta],
+    peer: &NodeState,
+    now: SimTime,
+    id: MessageId,
+) -> Option<Message> {
     if peer.knows(id) {
         return None;
     }
-    let msg = own.buffer.get(id).expect("ordered id is stored");
+    let msg = own.buffer.get(id, metas).expect("ordered id is stored");
     (!msg.is_expired(now) && peer.buffer.could_fit(msg.size)).then_some(msg)
 }
 
@@ -116,6 +122,7 @@ impl Router for PolicyRouter {
     fn on_message_created(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         mut msg: Message,
         now: SimTime,
         rng: &mut SimRng,
@@ -123,7 +130,8 @@ impl Router for PolicyRouter {
         if let Replication::Spray { initial, .. } | Replication::Focus { initial, .. } = self.rule {
             msg.copies = initial;
         }
-        match make_room_and_store(own, msg, policy_victim(self.policy.dropping, now, rng)) {
+        let victim = policy_victim(self.policy.dropping, metas, now, rng);
+        match make_room_and_store(own, metas, msg, victim) {
             Ok(evicted) => CreateOutcome {
                 stored: true,
                 evicted,
@@ -138,6 +146,7 @@ impl Router for PolicyRouter {
     fn on_contact_up(
         &mut self,
         _own: &mut NodeState,
+        _metas: &[MsgMeta],
         peer: NodeId,
         _peer_digest: &Digest,
         now: SimTime,
@@ -149,6 +158,7 @@ impl Router for PolicyRouter {
     fn next_transfer(
         &mut self,
         own: &NodeState,
+        metas: &[MsgMeta],
         peer: &NodeState,
         peer_router: &dyn Router,
         offers: &mut OfferView<'_>,
@@ -160,8 +170,8 @@ impl Router for PolicyRouter {
         let (sched, buffer) = (self.policy.scheduling, &own.buffer);
         match &self.rule {
             Replication::Flood | Replication::FirstContact => {
-                offers.scan_index(sched, buffer, peer, rng, |id| {
-                    match forwardable(own, peer, now, id) {
+                offers.scan_index(sched, buffer, peer, metas, rng, |id| {
+                    match forwardable(own, metas, peer, now, id) {
                         Some(_) => Verdict::Accept,
                         None => Verdict::Never,
                     }
@@ -170,19 +180,19 @@ impl Router for PolicyRouter {
             // A stored copy's quota only ever shrinks (halving edits it in
             // place, a fresh copy is a fresh insert delta), so a wait-phase
             // copy headed elsewhere never comes back: `Never`.
-            Replication::Spray { .. } => offers.scan_index(sched, buffer, peer, rng, |id| {
-                match forwardable(own, peer, now, id) {
+            Replication::Spray { .. } => offers.scan_index(sched, buffer, peer, metas, rng, |id| {
+                match forwardable(own, metas, peer, now, id) {
                     Some(msg) if msg.dst == peer.id || msg.copies > 1 => Verdict::Accept,
                     _ => Verdict::Never,
                 }
             }),
             // The destination test is constant per direction and expiry is
             // final. Direct Delivery alone skips the capacity fit.
-            Replication::Direct => offers.scan_index(sched, buffer, peer, rng, |id| {
+            Replication::Direct => offers.scan_index(sched, buffer, peer, metas, rng, |id| {
                 if peer.knows(id) {
                     return Verdict::Never;
                 }
-                let msg = own.buffer.get(id).expect("ordered id is stored");
+                let msg = own.buffer.get(id, metas).expect("ordered id is stored");
                 if msg.dst == peer.id && !msg.is_expired(now) {
                     Verdict::Accept
                 } else {
@@ -193,8 +203,8 @@ impl Router for PolicyRouter {
             // of the policy routers — recency tables move without a buffer
             // delta — so it keeps the candidate (`NotNow`).
             Replication::Focus { last_met, .. } => {
-                offers.scan_index(sched, buffer, peer, rng, |id| {
-                    let Some(msg) = forwardable(own, peer, now, id) else {
+                offers.scan_index(sched, buffer, peer, metas, rng, |id| {
+                    let Some(msg) = forwardable(own, metas, peer, now, id) else {
                         return Verdict::Never;
                     };
                     if msg.dst == peer.id || msg.copies > 1 {
@@ -219,6 +229,7 @@ impl Router for PolicyRouter {
     fn on_message_received(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: &Message,
         from: NodeId,
         now: SimTime,
@@ -240,15 +251,17 @@ impl Router for PolicyRouter {
         }
         standard_receive(
             own,
+            metas,
             &incoming,
             now,
-            policy_victim(self.policy.dropping, now, rng),
+            policy_victim(self.policy.dropping, metas, now, rng),
         )
     }
 
     fn on_transfer_success(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg_id: MessageId,
         _to: NodeId,
         delivered: bool,
@@ -279,7 +292,7 @@ impl Router for PolicyRouter {
                 },
             };
         if !keep {
-            own.buffer.remove(msg_id);
+            own.buffer.remove(msg_id, metas);
         }
     }
 
@@ -335,6 +348,7 @@ impl Router for PolicyRouter {
 mod tests {
     use super::*;
     use crate::offers::ContactOffers;
+    use crate::util::table;
     use crate::RouterKind;
     use vdtn_sim_core::SimDuration;
 
@@ -357,10 +371,25 @@ mod tests {
         kind.build(NodeId(own), 10, policy)
     }
 
+    /// Create `msgs` at `own` through `r` at t = 0; returns their table.
+    fn create(
+        r: &mut dyn Router,
+        own: &mut NodeState,
+        msgs: &[Message],
+        rng: &mut SimRng,
+    ) -> Vec<MsgMeta> {
+        let metas = table(msgs);
+        for &m in msgs {
+            r.on_message_created(own, &metas, m, SimTime::ZERO, rng);
+        }
+        metas
+    }
+
     /// `next_transfer` on a fresh contact, with a dummy peer router.
     fn offer(
         r: &mut dyn Router,
         own: &NodeState,
+        metas: &[MsgMeta],
         peer: &NodeState,
         now: SimTime,
         rng: &mut SimRng,
@@ -368,6 +397,7 @@ mod tests {
         let dummy = router(RouterKind::Epidemic, 0, PolicyCombo::FIFO_FIFO);
         r.next_transfer(
             own,
+            metas,
             peer,
             &*dummy,
             &mut ContactOffers::new().view(0),
@@ -391,11 +421,10 @@ mod tests {
     fn offers_messages_peer_lacks_in_policy_order() {
         let (mut r, mut own, peer, mut rng) = epidemic();
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 9, 100, 10), now, &mut rng);
-        r.on_message_created(&mut own, msg(2, 9, 100, 90), now, &mut rng);
-        r.on_message_created(&mut own, msg(3, 9, 100, 50), now, &mut rng);
+        let msgs = [msg(1, 9, 100, 10), msg(2, 9, 100, 90), msg(3, 9, 100, 50)];
+        let metas = create(&mut *r, &mut own, &msgs, &mut rng);
         // Lifetime DESC: longest TTL first → message 2.
-        let next = offer(&mut *r, &own, &peer, now, &mut rng);
+        let next = offer(&mut *r, &own, &metas, &peer, now, &mut rng);
         assert_eq!(next, Some(MessageId(2)));
     }
 
@@ -404,16 +433,19 @@ mod tests {
         let (mut r, mut own, mut peer, mut rng) = epidemic();
         let now = SimTime::ZERO;
         let dummy = router(RouterKind::Epidemic, 0, PolicyCombo::FIFO_FIFO);
-        r.on_message_created(&mut own, msg(1, 9, 100, 90), now, &mut rng);
-        r.on_message_created(&mut own, msg(2, 9, 100, 50), now, &mut rng);
+        let msgs = [msg(1, 9, 100, 90), msg(2, 9, 100, 50)];
+        let metas = create(&mut *r, &mut own, &msgs, &mut rng);
         // Peer already carries message 1.
         peer.buffer.insert(msg(1, 9, 100, 90)).unwrap();
         let mut offers = ContactOffers::new();
-        let next = r.next_transfer(&own, &peer, &*dummy, &mut offers.view(0), now, &mut rng);
-        assert_eq!(next, Some(MessageId(2)));
+        let mut next = |r: &mut Box<dyn Router>, offers: &mut ContactOffers| {
+            let view = &mut offers.view(0);
+            r.next_transfer(&own, &metas, &peer, &*dummy, view, now, &mut rng)
+        };
+        assert_eq!(next(&mut r, &mut offers), Some(MessageId(2)));
         // Marking message 2 offered silences the router.
-        offers.record(MessageId(2), own.buffer.handle_of(MessageId(2)).unwrap());
-        let next = r.next_transfer(&own, &peer, &*dummy, &mut offers.view(0), now, &mut rng);
+        offers.record(MessageId(2));
+        let next = next(&mut r, &mut offers);
         assert_eq!(next, None);
     }
 
@@ -421,20 +453,22 @@ mod tests {
     fn skips_messages_peer_consumed() {
         let (mut r, mut own, mut peer, mut rng) = epidemic();
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 2, 100, 90), now, &mut rng);
+        let metas = create(&mut *r, &mut own, &[msg(1, 2, 100, 90)], &mut rng);
         peer.delivered.insert(MessageId(1));
-        assert_eq!(offer(&mut *r, &own, &peer, now, &mut rng), None);
+        assert_eq!(offer(&mut *r, &own, &metas, &peer, now, &mut rng), None);
     }
 
     #[test]
     fn skips_expired_and_oversized() {
         let (mut r, mut own, _, mut rng) = epidemic();
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 9, 100, 1), now, &mut rng);
+        let msgs = [msg(1, 9, 100, 1), msg(2, 9, 9_000, 90)];
+        let metas = table(&msgs);
+        r.on_message_created(&mut own, &metas, msgs[0], now, &mut rng);
         let later = SimTime::from_secs_f64(120.0);
         let peer = NodeState::new(NodeId(2), 10_000, false);
         assert_eq!(
-            offer(&mut *r, &own, &peer, later, &mut rng),
+            offer(&mut *r, &own, &metas, &peer, later, &mut rng),
             None,
             "expired message must not be offered"
         );
@@ -442,19 +476,22 @@ mod tests {
         // (Fresh router for the fresh node, as in the engine.)
         let mut r2 = router(RouterKind::Epidemic, 1, PolicyCombo::LIFETIME);
         let mut own2 = NodeState::new(NodeId(1), 10_000, false);
-        r2.on_message_created(&mut own2, msg(2, 9, 9_000, 90), now, &mut rng);
+        r2.on_message_created(&mut own2, &metas, msgs[1], now, &mut rng);
         let tiny_peer = NodeState::new(NodeId(2), 1_000, false);
-        assert_eq!(offer(&mut *r2, &own2, &tiny_peer, now, &mut rng), None);
+        assert_eq!(
+            offer(&mut *r2, &own2, &metas, &tiny_peer, now, &mut rng),
+            None
+        );
     }
 
     #[test]
     fn sender_discards_after_final_delivery_only() {
         let (mut r, mut own, _, mut rng) = epidemic();
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 2, 100, 90), now, &mut rng);
-        r.on_transfer_success(&mut own, MessageId(1), NodeId(5), false, now);
+        let metas = create(&mut *r, &mut own, &[msg(1, 2, 100, 90)], &mut rng);
+        r.on_transfer_success(&mut own, &metas, MessageId(1), NodeId(5), false, now);
         assert!(own.buffer.contains(MessageId(1)), "relay keeps its copy");
-        r.on_transfer_success(&mut own, MessageId(1), NodeId(2), true, now);
+        r.on_transfer_success(&mut own, &metas, MessageId(1), NodeId(2), true, now);
         assert!(
             !own.buffer.contains(MessageId(1)),
             "copy discarded after delivering to destination"
@@ -467,12 +504,14 @@ mod tests {
         let mut own = NodeState::new(NodeId(1), 250, false);
         let mut rng = SimRng::seed_from_u64(1);
         let now = SimTime::ZERO;
-        let c1 = r.on_message_created(&mut own, msg(1, 9, 100, 5), now, &mut rng);
+        let msgs = [msg(1, 9, 100, 5), msg(2, 9, 100, 90), msg(3, 9, 100, 50)];
+        let metas = table(&msgs);
+        let c1 = r.on_message_created(&mut own, &metas, msgs[0], now, &mut rng);
         assert!(c1.stored && c1.evicted.is_empty());
-        let c2 = r.on_message_created(&mut own, msg(2, 9, 100, 90), now, &mut rng);
+        let c2 = r.on_message_created(&mut own, &metas, msgs[1], now, &mut rng);
         assert!(c2.stored);
         // Third message forces eviction of the shortest-TTL (message 1).
-        let c3 = r.on_message_created(&mut own, msg(3, 9, 100, 50), now, &mut rng);
+        let c3 = r.on_message_created(&mut own, &metas, msgs[2], now, &mut rng);
         assert!(c3.stored);
         assert_eq!(c3.evicted.len(), 1);
         assert_eq!(c3.evicted[0].id, MessageId(1));
@@ -499,20 +538,21 @@ mod tests {
         let (mut r, mut sender, mut receiver, mut rng) = spray_and_wait(binary);
         let mut m = msg(1, 9, 100, 90);
         m.copies = copies;
+        let (metas, now) = (table(&[m]), SimTime::ZERO);
         sender.buffer.insert(m).unwrap();
-        r.on_message_received(&mut receiver, &m, NodeId(1), SimTime::ZERO, &mut rng);
-        r.on_transfer_success(&mut sender, MessageId(1), NodeId(2), false, SimTime::ZERO);
+        r.on_message_received(&mut receiver, &metas, &m, NodeId(1), now, &mut rng);
+        r.on_transfer_success(&mut sender, &metas, MessageId(1), NodeId(2), false, now);
         (
-            receiver.buffer.get(MessageId(1)).unwrap().copies,
-            sender.buffer.get(MessageId(1)).unwrap().copies,
+            receiver.buffer.get(MessageId(1), &metas).unwrap().copies,
+            sender.buffer.get(MessageId(1), &metas).unwrap().copies,
         )
     }
 
     #[test]
     fn source_stamps_initial_quota() {
         let (mut r, mut own, _, mut rng) = spray_and_wait(true);
-        r.on_message_created(&mut own, msg(1, 9, 100, 90), SimTime::ZERO, &mut rng);
-        assert_eq!(own.buffer.get(MessageId(1)).unwrap().copies, 12);
+        let metas = create(&mut *r, &mut own, &[msg(1, 9, 100, 90)], &mut rng);
+        assert_eq!(own.buffer.get(MessageId(1), &metas).unwrap().copies, 12);
     }
 
     #[test]
@@ -531,10 +571,10 @@ mod tests {
     fn spray_then_wait_transition() {
         let (mut r, mut own, peer, mut rng) = spray_and_wait(true);
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 9, 100, 90), now, &mut rng);
+        let metas = create(&mut *r, &mut own, &[msg(1, 9, 100, 90)], &mut rng);
         // Quota 12 > 1 ⇒ sprayable to a non-destination peer.
         assert_eq!(
-            offer(&mut *r, &own, &peer, now, &mut rng),
+            offer(&mut *r, &own, &metas, &peer, now, &mut rng),
             Some(MessageId(1))
         );
         // Force the wait phase: single copy left. The in-place quota edit
@@ -542,14 +582,14 @@ mod tests {
         // the indexed order stays valid).
         *own.buffer.copies_mut(MessageId(1)).unwrap() = 1;
         assert_eq!(
-            offer(&mut *r, &own, &peer, now, &mut rng),
+            offer(&mut *r, &own, &metas, &peer, now, &mut rng),
             None,
             "wait phase: no spray to non-destination"
         );
         // But direct delivery is always allowed.
         let dest = NodeState::new(NodeId(9), 10_000, false);
         assert_eq!(
-            offer(&mut *r, &own, &dest, now, &mut rng),
+            offer(&mut *r, &own, &metas, &dest, now, &mut rng),
             Some(MessageId(1))
         );
     }
@@ -558,15 +598,15 @@ mod tests {
     fn quota_conserved_across_a_hop() {
         let (mut r, mut sender, mut receiver, mut rng) = spray_and_wait(true);
         let now = SimTime::ZERO;
-        r.on_message_created(&mut sender, msg(1, 9, 100, 90), now, &mut rng);
-        let snapshot = sender.buffer.get(MessageId(1)).unwrap();
+        let metas = create(&mut *r, &mut sender, &[msg(1, 9, 100, 90)], &mut rng);
+        let snapshot = sender.buffer.get(MessageId(1), &metas).unwrap();
         // Receiver side.
-        let out = r.on_message_received(&mut receiver, &snapshot, NodeId(1), now, &mut rng);
+        let out = r.on_message_received(&mut receiver, &metas, &snapshot, NodeId(1), now, &mut rng);
         assert!(matches!(out, ReceiveOutcome::Stored { .. }));
         // Sender side.
-        r.on_transfer_success(&mut sender, MessageId(1), NodeId(2), false, now);
-        let s = sender.buffer.get(MessageId(1)).unwrap().copies;
-        let v = receiver.buffer.get(MessageId(1)).unwrap().copies;
+        r.on_transfer_success(&mut sender, &metas, MessageId(1), NodeId(2), false, now);
+        let s = sender.buffer.get(MessageId(1), &metas).unwrap().copies;
+        let v = receiver.buffer.get(MessageId(1), &metas).unwrap().copies;
         assert_eq!(s + v, 12, "logical copies conserved");
         assert_eq!(s, 6);
         assert_eq!(v, 6);
@@ -588,8 +628,8 @@ mod tests {
     fn delivery_removes_sender_copy() {
         let (mut r, mut own, _, mut rng) = spray_and_wait(true);
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 2, 100, 90), now, &mut rng);
-        r.on_transfer_success(&mut own, MessageId(1), NodeId(2), true, now);
+        let metas = create(&mut *r, &mut own, &[msg(1, 2, 100, 90)], &mut rng);
+        r.on_transfer_success(&mut own, &metas, MessageId(1), NodeId(2), true, now);
         assert!(!own.buffer.contains(MessageId(1)));
     }
 
@@ -600,9 +640,10 @@ mod tests {
         let (mut r, _, mut receiver, mut rng) = spray_and_wait(true);
         let mut m = msg(1, 9, 100, 90);
         m.copies = 1;
-        let out = r.on_message_received(&mut receiver, &m, NodeId(1), SimTime::ZERO, &mut rng);
+        let (metas, now) = (table(&[m]), SimTime::ZERO);
+        let out = r.on_message_received(&mut receiver, &metas, &m, NodeId(1), now, &mut rng);
         assert!(matches!(out, ReceiveOutcome::Stored { .. }));
-        assert_eq!(receiver.buffer.get(MessageId(1)).unwrap().copies, 1);
+        assert_eq!(receiver.buffer.get(MessageId(1), &metas).unwrap().copies, 1);
     }
 
     #[test]
@@ -623,20 +664,20 @@ mod tests {
         let mut own = NodeState::new(NodeId(1), 10_000, false);
         let mut rng = SimRng::seed_from_u64(1);
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 9, 100, 90), now, &mut rng);
+        let metas = create(&mut *r, &mut own, &[msg(1, 9, 100, 90)], &mut rng);
 
         let relay = NodeState::new(NodeId(5), 10_000, false);
         assert_eq!(
-            offer(&mut *r, &own, &relay, now, &mut rng),
+            offer(&mut *r, &own, &metas, &relay, now, &mut rng),
             None,
             "never offers to a relay"
         );
         let dest = NodeState::new(NodeId(9), 10_000, false);
         assert_eq!(
-            offer(&mut *r, &own, &dest, now, &mut rng),
+            offer(&mut *r, &own, &metas, &dest, now, &mut rng),
             Some(MessageId(1))
         );
-        r.on_transfer_success(&mut own, MessageId(1), NodeId(9), true, now);
+        r.on_transfer_success(&mut own, &metas, MessageId(1), NodeId(9), true, now);
         assert!(own.buffer.is_empty());
     }
 
@@ -646,16 +687,16 @@ mod tests {
         let mut own = NodeState::new(NodeId(1), 10_000, false);
         let mut rng = SimRng::seed_from_u64(1);
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 9, 100, 90), now, &mut rng);
+        let metas = create(&mut *r, &mut own, &[msg(1, 9, 100, 90)], &mut rng);
 
         let relay = NodeState::new(NodeId(5), 10_000, false);
         assert_eq!(
-            offer(&mut *r, &own, &relay, now, &mut rng),
+            offer(&mut *r, &own, &metas, &relay, now, &mut rng),
             Some(MessageId(1)),
             "first contact forwards to any peer"
         );
         // Successful relay (not destination): copy leaves the sender.
-        r.on_transfer_success(&mut own, MessageId(1), NodeId(5), false, now);
+        r.on_transfer_success(&mut own, &metas, MessageId(1), NodeId(5), false, now);
         assert!(own.buffer.is_empty(), "single copy moves, never replicates");
     }
 
@@ -665,11 +706,11 @@ mod tests {
         let mut own = NodeState::new(NodeId(1), 10_000, false);
         let mut rng = SimRng::seed_from_u64(1);
         let now = SimTime::ZERO;
-        r.on_message_created(&mut own, msg(1, 9, 100, 10), now, &mut rng);
-        r.on_message_created(&mut own, msg(2, 9, 100, 90), now, &mut rng);
+        let msgs = [msg(1, 9, 100, 10), msg(2, 9, 100, 90)];
+        let metas = create(&mut *r, &mut own, &msgs, &mut rng);
         let dest = NodeState::new(NodeId(9), 10_000, false);
         assert_eq!(
-            offer(&mut *r, &own, &dest, now, &mut rng),
+            offer(&mut *r, &own, &metas, &dest, now, &mut rng),
             Some(MessageId(2)),
             "Lifetime DESC offers the longest-lived first"
         );
@@ -693,6 +734,12 @@ mod tests {
         )
     }
 
+    /// The message table of the Spray-and-Focus tests: message 1, bound
+    /// for node 9 (a copy's quota is not part of its record).
+    fn focus_metas() -> Vec<MsgMeta> {
+        table(&[focus_msg(1, 9, 1)])
+    }
+
     fn focus_offer(
         a: &mut dyn Router,
         sa: &NodeState,
@@ -701,21 +748,23 @@ mod tests {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<MessageId> {
-        a.next_transfer(sa, sb, b, &mut ContactOffers::new().view(0), now, rng)
+        let mut offers = ContactOffers::new();
+        a.next_transfer(sa, &focus_metas(), sb, b, &mut offers.view(0), now, rng)
     }
 
     #[test]
     fn spray_phase_behaves_like_snw() {
         let (mut a, b, mut sa, sb) = spray_and_focus();
         let mut rng = SimRng::seed_from_u64(1);
-        a.on_message_created(&mut sa, focus_msg(1, 9, 0), t(0.0), &mut rng);
-        assert_eq!(sa.buffer.get(MessageId(1)).unwrap().copies, 8);
+        let metas = focus_metas();
+        a.on_message_created(&mut sa, &metas, focus_msg(1, 9, 0), t(0.0), &mut rng);
+        assert_eq!(sa.buffer.get(MessageId(1), &metas).unwrap().copies, 8);
         assert_eq!(
             focus_offer(&mut *a, &sa, &sb, &*b, t(0.0), &mut rng),
             Some(MessageId(1))
         );
-        a.on_transfer_success(&mut sa, MessageId(1), NodeId(2), false, t(0.0));
-        assert_eq!(sa.buffer.get(MessageId(1)).unwrap().copies, 4);
+        a.on_transfer_success(&mut sa, &metas, MessageId(1), NodeId(2), false, t(0.0));
+        assert_eq!(sa.buffer.get(MessageId(1), &metas).unwrap().copies, 4);
     }
 
     #[test]
@@ -730,13 +779,14 @@ mod tests {
             None
         );
         // Peer met node 9 at t = 50: handoff happens.
-        b.on_contact_up(&mut sb, NodeId(9), &Digest::None, t(50.0));
+        let metas = focus_metas();
+        b.on_contact_up(&mut sb, &metas, NodeId(9), &Digest::None, t(50.0));
         assert_eq!(
             focus_offer(&mut *a, &sa, &sb, &*b, t(100.0), &mut rng),
             Some(MessageId(1))
         );
         // After the handoff the single copy is gone from the sender.
-        a.on_transfer_success(&mut sa, MessageId(1), NodeId(2), false, t(100.0));
+        a.on_transfer_success(&mut sa, &metas, MessageId(1), NodeId(2), false, t(100.0));
         assert!(!sa.buffer.contains(MessageId(1)));
     }
 
@@ -746,8 +796,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         sa.buffer.insert(focus_msg(1, 9, 1)).unwrap();
         // Both met node 9, but we met it more recently.
-        a.on_contact_up(&mut sa, NodeId(9), &Digest::None, t(80.0));
-        b.on_contact_up(&mut sb, NodeId(9), &Digest::None, t(50.0));
+        let metas = focus_metas();
+        a.on_contact_up(&mut sa, &metas, NodeId(9), &Digest::None, t(80.0));
+        b.on_contact_up(&mut sb, &metas, NodeId(9), &Digest::None, t(50.0));
         assert_eq!(
             focus_offer(&mut *a, &sa, &sb, &*b, t(100.0), &mut rng),
             None
@@ -769,7 +820,8 @@ mod tests {
             focus_offer(&mut *a, &sa, &sb_dest, &*b_dest, t(5.0), &mut rng),
             Some(MessageId(1))
         );
-        a.on_transfer_success(&mut sa, MessageId(1), NodeId(9), true, t(5.0));
+        let metas = focus_metas();
+        a.on_transfer_success(&mut sa, &metas, MessageId(1), NodeId(9), true, t(5.0));
         assert!(sa.buffer.is_empty());
     }
 
@@ -778,10 +830,11 @@ mod tests {
         let (mut a, _, mut sa, _) = spray_and_focus();
         let mut rng = SimRng::seed_from_u64(1);
         let m = focus_msg(1, 9, 4);
-        a.on_message_received(&mut sa, &m, NodeId(3), t(42.0), &mut rng);
+        let metas = focus_metas();
+        a.on_message_received(&mut sa, &metas, &m, NodeId(3), t(42.0), &mut rng);
         // Met node 3 ten seconds ago: negated recency.
         assert_eq!(a.delivery_metric(NodeId(3), t(52.0)), Some(-10.0));
         // Received copy took half the quota.
-        assert_eq!(sa.buffer.get(MessageId(1)).unwrap().copies, 2);
+        assert_eq!(sa.buffer.get(MessageId(1), &metas).unwrap().copies, 2);
     }
 }

@@ -25,7 +25,7 @@ use crate::router::{
 use crate::state::NodeState;
 use crate::util::{make_room_and_store, standard_receive};
 use serde::{Deserialize, Serialize};
-use vdtn_bundle::{DropPolicy, Message, MessageId};
+use vdtn_bundle::{DropPolicy, Message, MessageId, MsgMeta};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// PRoPHET parameters (defaults from the draft / ONE).
@@ -148,12 +148,13 @@ impl Router for ProphetRouter {
     fn on_message_created(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: Message,
         now: SimTime,
         rng: &mut SimRng,
     ) -> CreateOutcome {
-        match make_room_and_store(own, msg, |state| {
-            DropPolicy::Fifo.select_victim(&state.buffer, now, rng, |_| false)
+        match make_room_and_store(own, metas, msg, |state| {
+            DropPolicy::Fifo.select_victim(&state.buffer, metas, now, rng, |_| false)
         }) {
             Ok(evicted) => CreateOutcome {
                 stored: true,
@@ -190,6 +191,7 @@ impl Router for ProphetRouter {
     fn on_contact_up(
         &mut self,
         _own: &mut NodeState,
+        _metas: &[MsgMeta],
         peer: NodeId,
         peer_digest: &Digest,
         now: SimTime,
@@ -204,6 +206,7 @@ impl Router for ProphetRouter {
     fn next_transfer(
         &mut self,
         own: &NodeState,
+        metas: &[MsgMeta],
         peer: &NodeState,
         peer_router: &dyn Router,
         offers: &mut OfferView<'_>,
@@ -214,7 +217,7 @@ impl Router for ProphetRouter {
         // predictability for the destination beats ours; rank by the peer's
         // predictability, destination contacts first.
         let mut best: Option<(f64, MessageId)> = None;
-        for msg in own.buffer.iter() {
+        for msg in own.buffer.iter(metas) {
             if offers.is_offered(msg.id) || peer.knows(msg.id) || msg.is_expired(now) {
                 continue;
             }
@@ -243,19 +246,21 @@ impl Router for ProphetRouter {
     fn on_message_received(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: &Message,
         _from: NodeId,
         now: SimTime,
         rng: &mut SimRng,
     ) -> ReceiveOutcome {
-        standard_receive(own, msg, now, |state| {
-            DropPolicy::Fifo.select_victim(&state.buffer, now, rng, |_| false)
+        standard_receive(own, metas, msg, now, |state| {
+            DropPolicy::Fifo.select_victim(&state.buffer, metas, now, rng, |_| false)
         })
     }
 
     fn on_transfer_success(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg_id: MessageId,
         _to: NodeId,
         delivered: bool,
@@ -264,7 +269,7 @@ impl Router for ProphetRouter {
         // GRTR-family forwarding is replicative: the sender keeps its copy
         // unless the message just reached its destination (paper rule).
         if delivered {
-            own.buffer.remove(msg_id);
+            own.buffer.remove(msg_id, metas);
         }
     }
 
@@ -310,6 +315,7 @@ impl Router for ProphetRouter {
 mod tests {
     use super::*;
     use crate::offers::ContactOffers;
+    use crate::util::table;
     use vdtn_sim_core::SimDuration;
 
     fn t(s: f64) -> SimTime {
@@ -387,11 +393,13 @@ mod tests {
             now,
             SimDuration::from_mins(60),
         );
-        a.on_message_created(&mut sa, m, now, &mut rng);
+        let metas = table(&[m]);
+        a.on_message_created(&mut sa, &metas, m, now, &mut rng);
         // Neither side knows node 2: no forward.
         assert_eq!(
             a.next_transfer(
                 &sa,
+                &metas,
                 &sb,
                 &b,
                 &mut ContactOffers::new().view(0),
@@ -405,6 +413,7 @@ mod tests {
         assert_eq!(
             a.next_transfer(
                 &sa,
+                &metas,
                 &sb,
                 &b,
                 &mut ContactOffers::new().view(0),
@@ -419,6 +428,7 @@ mod tests {
         assert_eq!(
             a.next_transfer(
                 &sa,
+                &metas,
                 &sb,
                 &b,
                 &mut ContactOffers::new().view(0),
@@ -445,10 +455,12 @@ mod tests {
             now,
             SimDuration::from_mins(60),
         );
-        a.on_message_created(&mut sa, m, now, &mut rng);
+        let metas = table(&[m]);
+        a.on_message_created(&mut sa, &metas, m, now, &mut rng);
         assert_eq!(
             a.next_transfer(
                 &sa,
+                &metas,
                 &sb,
                 &b,
                 &mut ContactOffers::new().view(0),
@@ -471,22 +483,26 @@ mod tests {
         b.on_encounter(NodeId(2), now);
         b.on_encounter(NodeId(3), now);
         b.on_encounter(NodeId(3), now);
-        for (id, dst) in [(1u64, 2u32), (2, 3)] {
-            let m = Message::new(
+        let msgs = [(1u64, 2u32), (2, 3)].map(|(id, dst)| {
+            Message::new(
                 MessageId(id),
                 NodeId(0),
                 NodeId(dst),
                 100,
                 now,
                 SimDuration::from_mins(60),
-            );
-            a.on_message_created(&mut sa, m, now, &mut rng);
+            )
+        });
+        let metas = table(&msgs);
+        for m in msgs {
+            a.on_message_created(&mut sa, &metas, m, now, &mut rng);
         }
         // GRTRMax sends the message with the highest peer predictability
         // first: message 2 (dst 3, P ≈ 0.9375) over message 1 (P = 0.75).
         assert_eq!(
             a.next_transfer(
                 &sa,
+                &metas,
                 &sb,
                 &b,
                 &mut ContactOffers::new().view(0),
@@ -504,7 +520,7 @@ mod tests {
         let mut b = router(1);
         b.on_encounter(NodeId(4), now);
         let digest_b = b.digest(&state(1), now);
-        let dropped = a.on_contact_up(&mut state(0), NodeId(1), &digest_b, now);
+        let dropped = a.on_contact_up(&mut state(0), &[], NodeId(1), &digest_b, now);
         assert!(dropped.is_empty());
         assert!(a.predictability(NodeId(1), now) > 0.7, "direct encounter");
         assert!(a.predictability(NodeId(4), now) > 0.1, "transitive entry");

@@ -5,7 +5,7 @@ use crate::policy::{PolicyRouter, Replication};
 use crate::state::NodeState;
 use crate::{AckSet, MaxPropConfig, MaxPropRouter, ProphetConfig, ProphetRouter};
 use serde::{Deserialize, Serialize};
-use vdtn_bundle::{Message, MessageId, PolicyCombo};
+use vdtn_bundle::{Message, MessageId, MsgMeta, PolicyCombo};
 use vdtn_sim_core::{NodeId, SimRng, SimTime};
 
 /// Result of handing a freshly created message to its source's router.
@@ -77,12 +77,17 @@ pub enum Digest {
 /// The routing methods are infallible; failures are expressed in the outcome
 /// types so the engine can do uniform metric accounting across protocols.
 /// Only [`Router::restore_state`], which reads a snapshot, can fail.
+///
+/// Every method that reads or removes buffered copies receives the world's
+/// message table, `metas` (one [`MsgMeta`] per message, indexed by id):
+/// buffers store only ids and per-copy fields.
 pub trait Router: Send {
     /// A message was created at this node (it is the source). The router
     /// stamps protocol state (e.g. spray quota) and stores it.
     fn on_message_created(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: Message,
         now: SimTime,
         rng: &mut SimRng,
@@ -101,6 +106,7 @@ pub trait Router: Send {
     fn on_contact_up(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         peer: NodeId,
         peer_digest: &Digest,
         now: SimTime,
@@ -130,9 +136,11 @@ pub trait Router: Send {
     /// and the engine may skip re-asking under an unchanged
     /// [`crate::offers::SilenceKey`]. Return `None` to stay silent this
     /// round.
+    #[allow(clippy::too_many_arguments)]
     fn next_transfer(
         &mut self,
         own: &NodeState,
+        metas: &[MsgMeta],
         peer: &NodeState,
         peer_router: &dyn Router,
         offers: &mut OfferView<'_>,
@@ -146,6 +154,7 @@ pub trait Router: Send {
     fn on_message_received(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg: &Message,
         from: NodeId,
         now: SimTime,
@@ -158,6 +167,7 @@ pub trait Router: Send {
     fn on_transfer_success(
         &mut self,
         own: &mut NodeState,
+        metas: &[MsgMeta],
         msg_id: MessageId,
         to: NodeId,
         delivered: bool,

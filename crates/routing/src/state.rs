@@ -1,8 +1,7 @@
 //! The router-visible node state.
 
 use std::collections::HashSet;
-use std::sync::Arc;
-use vdtn_bundle::{Buffer, MessageArena, MessageId};
+use vdtn_bundle::{Buffer, MessageId};
 use vdtn_sim_core::NodeId;
 
 /// Everything about a node that routing logic may read or mutate.
@@ -28,24 +27,11 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Create a node with an empty buffer of `capacity` bytes (backed by a
-    /// private metadata arena; see [`NodeState::with_arena`]).
+    /// Create a node with an empty buffer of `capacity` bytes.
     pub fn new(id: NodeId, capacity: u64, is_relay: bool) -> Self {
         NodeState {
             id,
             buffer: Buffer::new(capacity),
-            is_relay,
-            delivered: HashSet::new(),
-        }
-    }
-
-    /// Create a node whose buffer shares `arena` with every other node in
-    /// the world, so each logical message's immutable metadata is interned
-    /// once no matter how many replicas the routers spread.
-    pub fn with_arena(id: NodeId, capacity: u64, is_relay: bool, arena: Arc<MessageArena>) -> Self {
-        NodeState {
-            id,
-            buffer: Buffer::with_arena(capacity, arena),
             is_relay,
             delivered: HashSet::new(),
         }

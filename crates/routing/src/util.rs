@@ -3,17 +3,19 @@
 
 use crate::router::{ReceiveOutcome, RejectReason};
 use crate::state::NodeState;
-use vdtn_bundle::{DropPolicy, Message, MessageId};
+use vdtn_bundle::{DropPolicy, Message, MessageId, MsgMeta};
 use vdtn_sim_core::{SimRng, SimTime};
 
 /// Store `msg` in `own.buffer`, evicting victims chosen by `pick_victim`
-/// until it fits. Returns the evicted messages, or a [`RejectReason`] if the
-/// message can never fit / no victim is available.
+/// until it fits (their metadata read from the message table `metas`).
+/// Returns the evicted messages, or a [`RejectReason`] if the message can
+/// never fit / no victim is available.
 ///
 /// `pick_victim` abstracts over the drop policy so MaxProp and PRoPHET can
 /// plug their native eviction orders while Epidemic/SnW use [`DropPolicy`].
 pub fn make_room_and_store(
     own: &mut NodeState,
+    metas: &[MsgMeta],
     msg: Message,
     mut pick_victim: impl FnMut(&NodeState) -> Option<MessageId>,
 ) -> Result<Vec<Message>, RejectReason> {
@@ -26,7 +28,7 @@ pub fn make_room_and_store(
             Some(victim) => {
                 let dropped = own
                     .buffer
-                    .remove(victim)
+                    .remove(victim, metas)
                     .expect("drop policy must pick stored messages");
                 evicted.push(dropped);
             }
@@ -51,6 +53,7 @@ pub fn make_room_and_store(
 /// `pick_victim` supplies the protocol's eviction order.
 pub fn standard_receive(
     own: &mut NodeState,
+    metas: &[MsgMeta],
     msg: &Message,
     now: SimTime,
     pick_victim: impl FnMut(&NodeState) -> Option<MessageId>,
@@ -68,7 +71,7 @@ pub fn standard_receive(
     if own.buffer.contains(msg.id) {
         return ReceiveOutcome::Rejected(RejectReason::Duplicate);
     }
-    match make_room_and_store(own, msg.relayed_copy(now), pick_victim) {
+    match make_room_and_store(own, metas, msg.relayed_copy(now), pick_victim) {
         Ok(evicted) => ReceiveOutcome::Stored { evicted },
         Err(reason) => ReceiveOutcome::Rejected(reason),
     }
@@ -79,10 +82,23 @@ pub fn standard_receive(
 /// policy's own ordering.
 pub fn policy_victim<'a>(
     policy: DropPolicy,
+    metas: &'a [MsgMeta],
     now: SimTime,
     rng: &'a mut SimRng,
 ) -> impl FnMut(&NodeState) -> Option<MessageId> + 'a {
-    move |state: &NodeState| policy.select_victim(&state.buffer, now, rng, |_| false)
+    move |state: &NodeState| policy.select_victim(&state.buffer, metas, now, rng, |_| false)
+}
+
+/// A message table holding each of `msgs` at its id; ids missing from
+/// `msgs` hold the first message's record, which no test reads.
+#[cfg(test)]
+pub(crate) fn table(msgs: &[Message]) -> Vec<MsgMeta> {
+    let len = msgs.iter().map(|m| m.id.index() + 1).max().unwrap_or(0);
+    let mut metas = vec![MsgMeta::of(&msgs[0]); len];
+    for m in msgs {
+        metas[m.id.index()] = MsgMeta::of(m);
+    }
+    metas
 }
 
 #[cfg(test)]
@@ -104,7 +120,8 @@ mod tests {
     #[test]
     fn stores_when_space_available() {
         let mut s = NodeState::new(NodeId(1), 1_000, false);
-        let evicted = make_room_and_store(&mut s, msg(1, 400, 60), |_| None).unwrap();
+        let m = msg(1, 400, 60);
+        let evicted = make_room_and_store(&mut s, &table(&[m]), m, |_| None).unwrap();
         assert!(evicted.is_empty());
         assert!(s.buffer.contains(MessageId(1)));
     }
@@ -112,13 +129,16 @@ mod tests {
     #[test]
     fn evicts_until_fit() {
         let mut s = NodeState::new(NodeId(1), 1_000, false);
-        s.buffer.insert(msg(1, 400, 10)).unwrap();
-        s.buffer.insert(msg(2, 400, 60)).unwrap();
+        let msgs = [msg(1, 400, 10), msg(2, 400, 60), msg(3, 600, 60)];
+        let metas = table(&msgs);
+        s.buffer.insert(msgs[0]).unwrap();
+        s.buffer.insert(msgs[1]).unwrap();
         let mut rng = SimRng::seed_from_u64(1);
         let evicted = make_room_and_store(
             &mut s,
-            msg(3, 600, 60),
-            policy_victim(DropPolicy::LifetimeAsc, SimTime::ZERO, &mut rng),
+            &metas,
+            msgs[2],
+            policy_victim(DropPolicy::LifetimeAsc, &metas, SimTime::ZERO, &mut rng),
         )
         .unwrap();
         // Message 1 (10 min TTL) goes first; 600 needed, 200 free, one drop
@@ -132,8 +152,9 @@ mod tests {
     #[test]
     fn too_large_rejected_without_eviction() {
         let mut s = NodeState::new(NodeId(1), 1_000, false);
-        s.buffer.insert(msg(1, 500, 60)).unwrap();
-        let r = make_room_and_store(&mut s, msg(2, 1_500, 60), |_| {
+        let msgs = [msg(1, 500, 60), msg(2, 1_500, 60)];
+        s.buffer.insert(msgs[0]).unwrap();
+        let r = make_room_and_store(&mut s, &table(&msgs), msgs[1], |_| {
             panic!("must not consult the drop policy for impossible fits")
         });
         assert_eq!(r.unwrap_err(), RejectReason::TooLarge);
@@ -143,8 +164,9 @@ mod tests {
     #[test]
     fn no_victim_rolls_back() {
         let mut s = NodeState::new(NodeId(1), 1_000, false);
-        s.buffer.insert(msg(1, 600, 60)).unwrap();
-        let r = make_room_and_store(&mut s, msg(2, 800, 60), |_| None);
+        let msgs = [msg(1, 600, 60), msg(2, 800, 60)];
+        s.buffer.insert(msgs[0]).unwrap();
+        let r = make_room_and_store(&mut s, &table(&msgs), msgs[1], |_| None);
         assert_eq!(r.unwrap_err(), RejectReason::NoSpace);
         assert!(s.buffer.contains(MessageId(1)));
         assert_eq!(s.buffer.used(), 600);
@@ -154,10 +176,11 @@ mod tests {
     fn standard_receive_delivery_and_duplicates() {
         let mut s = NodeState::new(NodeId(9), 10_000, false);
         let m = msg(5, 100, 60); // dst = NodeId(9)
-        let out = standard_receive(&mut s, &m, SimTime::ZERO, |_| None);
+        let metas = table(&[m]);
+        let out = standard_receive(&mut s, &metas, &m, SimTime::ZERO, |_| None);
         assert_eq!(out, ReceiveOutcome::Delivered { first_time: true });
         // Second copy of the same message: delivered but not first time.
-        let out = standard_receive(&mut s, &m, SimTime::ZERO, |_| None);
+        let out = standard_receive(&mut s, &metas, &m, SimTime::ZERO, |_| None);
         assert_eq!(out, ReceiveOutcome::Delivered { first_time: false });
         // Nothing stored at the destination.
         assert!(s.buffer.is_empty());
@@ -167,16 +190,17 @@ mod tests {
     fn standard_receive_relay_path() {
         let mut s = NodeState::new(NodeId(3), 10_000, false);
         let m = msg(5, 100, 60);
+        let metas = table(&[m]);
         let now = SimTime::from_secs_f64(10.0);
-        match standard_receive(&mut s, &m, now, |_| None) {
+        match standard_receive(&mut s, &metas, &m, now, |_| None) {
             ReceiveOutcome::Stored { evicted } => assert!(evicted.is_empty()),
             other => panic!("expected store, got {other:?}"),
         }
-        let stored = s.buffer.get(MessageId(5)).unwrap();
+        let stored = s.buffer.get(MessageId(5), &metas).unwrap();
         assert_eq!(stored.hops, 1);
         assert_eq!(stored.received, now);
         // Duplicate re-reception rejected.
-        let out = standard_receive(&mut s, &m, now, |_| None);
+        let out = standard_receive(&mut s, &metas, &m, now, |_| None);
         assert_eq!(out, ReceiveOutcome::Rejected(RejectReason::Duplicate));
     }
 
@@ -184,7 +208,13 @@ mod tests {
     fn standard_receive_expired_in_flight() {
         let mut s = NodeState::new(NodeId(3), 10_000, false);
         let m = msg(5, 100, 1); // TTL 1 min
-        let out = standard_receive(&mut s, &m, SimTime::from_secs_f64(61.0), |_| None);
+        let out = standard_receive(
+            &mut s,
+            &table(&[m]),
+            &m,
+            SimTime::from_secs_f64(61.0),
+            |_| None,
+        );
         assert_eq!(out, ReceiveOutcome::Rejected(RejectReason::Expired));
     }
 }

@@ -31,7 +31,11 @@ fn snw_copy_conservation() {
             }
             let mut totals: HashMap<MessageId, u32> = HashMap::new();
             for i in 0..world.node_count() {
-                for msg in world.node_state(NodeId(i as u32)).buffer.iter() {
+                for msg in world
+                    .node_state(NodeId(i as u32))
+                    .buffer
+                    .iter(world.message_table())
+                {
                     *totals.entry(msg.id).or_insert(0) += msg.copies;
                 }
             }
@@ -55,7 +59,11 @@ fn no_expired_messages_survive_the_sweep() {
             world.step();
             let now = world.now();
             for i in 0..world.node_count() {
-                for msg in world.node_state(NodeId(i as u32)).buffer.iter() {
+                for msg in world
+                    .node_state(NodeId(i as u32))
+                    .buffer
+                    .iter(world.message_table())
+                {
                     assert!(
                         !msg.is_expired(now),
                         "{proto:?}: expired message {} still stored at {now}",
@@ -86,7 +94,7 @@ fn buffers_never_exceed_capacity() {
                     b.used() <= b.capacity(),
                     "{proto:?}: node {i} over capacity"
                 );
-                let sum: u64 = b.iter().map(|m| m.size).sum();
+                let sum: u64 = b.iter(world.message_table()).map(|m| m.size).sum();
                 assert_eq!(sum, b.used(), "{proto:?}: byte accounting drift");
             }
         }

@@ -77,7 +77,7 @@ fn relays_do_not_originate_traffic() {
     }
     for i in 0..world.node_count() {
         let state = world.node_state(vdtn::NodeId(i as u32));
-        for msg in state.buffer.iter() {
+        for msg in state.buffer.iter(world.message_table()) {
             assert!(msg.src.0 < relay_start, "relay-originated message {msg:?}");
             assert!(msg.dst.0 < relay_start, "relay-destined message {msg:?}");
         }
