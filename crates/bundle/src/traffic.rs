@@ -40,7 +40,9 @@ impl TrafficSpec {
 
     /// Check the parameters, naming the first rule broken.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.interval_lo > 0.0 && self.interval_hi >= self.interval_lo) {
+        // Intervals count whole milliseconds: a shorter one rounds to a
+        // 0 ms gap, and a stream of them never leaves its instant.
+        if !(self.interval_lo >= 0.001 && self.interval_hi >= self.interval_lo) {
             return Err(format!(
                 "invalid interval range [{}, {}]",
                 self.interval_lo, self.interval_hi
@@ -271,5 +273,18 @@ mod tests {
         s.interval_hi = 1.0;
         assert_eq!(s.validate(), Err("invalid interval range [15, 1]".into()));
         TrafficGenerator::new(s, vec![NodeId(0), NodeId(1)], SimRng::seed_from_u64(1));
+    }
+
+    /// An interval under the clock's 1 ms resolution rounds to a 0 ms gap.
+    #[test]
+    fn rejects_sub_millisecond_interval() {
+        let mut s = spec();
+        (s.interval_lo, s.interval_hi) = (0.0001, 0.0001);
+        assert_eq!(
+            s.validate(),
+            Err("invalid interval range [0.0001, 0.0001]".into())
+        );
+        (s.interval_lo, s.interval_hi) = (0.001, 0.001);
+        assert_eq!(s.validate(), Ok(()));
     }
 }

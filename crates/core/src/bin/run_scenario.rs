@@ -15,7 +15,8 @@
 //! as JSON, a CSV row, and the omniscient-routing oracle bound.
 //!
 //! `--hash-stream` emits one `<now_ms> <state_hash_hex>` line per
-//! `--hash-every` seconds (default 60) of simulated time to stdout — and
+//! `--hash-every` seconds (default 60, at least 0.001: the clock's
+//! resolution) of simulated time to stdout — and
 //! *only* those lines, the summary moves to stderr — so CI can `cmp` the
 //! streams of two runs directly. Because the hash is identical by
 //! construction across engine modes, any two invocations of the same
@@ -134,17 +135,13 @@ fn threads_arg(args: &[String]) -> Option<usize> {
     })
 }
 
-/// A finite number of seconds; strictly positive when `positive`,
-/// non-negative otherwise.
-fn secs_arg(args: &[String], name: &str, positive: bool) -> Option<f64> {
+/// A finite number of seconds, at least `min`.
+fn secs_arg(args: &[String], name: &str, min: f64) -> Option<f64> {
     flag_value(args, name).map(|v| match v.parse::<f64>() {
-        Ok(x) if x.is_finite() && (x > 0.0 || (!positive && x == 0.0)) => x,
-        _ => {
-            let bound = if positive { "> 0" } else { ">= 0" };
-            usage_error(&format!(
-                "{name} needs a number of seconds {bound}, got '{v}'"
-            ))
-        }
+        Ok(x) if x.is_finite() && x >= min => x,
+        _ => usage_error(&format!(
+            "{name} needs a number of seconds >= {min}, got '{v}'"
+        )),
     })
 }
 
@@ -218,8 +215,10 @@ fn main() {
     let want_oracle = args.iter().any(|a| a == "--oracle");
     let want_csv = args.iter().any(|a| a == "--csv");
     let want_hash_stream = args.iter().any(|a| a == "--hash-stream");
-    let hash_every = secs_arg(&args, "--hash-every", true).unwrap_or(60.0);
-    let save_at = secs_arg(&args, "--save-at", false);
+    // A period under the clock's 1 ms resolution rounds to 0 and would
+    // never advance the stream.
+    let hash_every = secs_arg(&args, "--hash-every", 0.001).unwrap_or(60.0);
+    let save_at = secs_arg(&args, "--save-at", 0.0);
     let snapshot_path = flag_value(&args, "--snapshot");
     if save_at.is_some() != snapshot_path.is_some() {
         usage_error("--save-at and --snapshot must be given together");

@@ -86,9 +86,7 @@ use std::sync::Arc;
 use vdtn_bundle::{Message, MessageId, MsgMeta, TrafficGenerator};
 use vdtn_geo::{Point, RoadGraph, Segment};
 use vdtn_mobility::{restore_mover, MovementModel, ShortestPathMapBased, Stationary};
-use vdtn_net::{
-    pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, MotionCols, TransferOutcome,
-};
+use vdtn_net::{pair_key, ContactDetector, ContactTrace, LinkEvent, LinkTable, TransferOutcome};
 use vdtn_routing::{ContactOffers, NodeState, ReceiveOutcome, Router};
 use vdtn_sim_core::{EngineEvent, EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
@@ -185,18 +183,14 @@ pub struct World {
     /// Materialised per-node positions. The ticked loop refreshes every
     /// mobile entry each tick; the event engine refreshes an entry only
     /// when its model advances (decision boundaries) and answers position
-    /// queries from the kinematics columns instead.
+    /// queries from the segment column instead.
     positions: Vec<Point>,
-    /// Structure-of-arrays kinematics columns: node `i`'s current motion
-    /// segment is `(seg_origin[i], seg_vel[i], seg_start[i], seg_until[i])`
-    /// — refreshed from [`MovementModel::motion`] whenever the model
-    /// advances, and always covering the current tick. Positions derived
-    /// from these via [`Segment::position_at`] are bit-identical to the
-    /// stepped positions the ticked loop materialises.
-    seg_origin: Vec<Point>,
-    seg_vel: Vec<Point>,
-    seg_start: Vec<SimTime>,
-    seg_until: Vec<SimTime>,
+    /// The segment column: node `i`'s current motion segment, refreshed
+    /// from [`MovementModel::motion`] whenever the model advances, and
+    /// always covering the current tick. Positions derived from it via
+    /// [`Segment::position_at`] are bit-identical to the stepped positions
+    /// the ticked loop materialises.
+    segs: Vec<Segment>,
     /// Global speed cap: max over all movers' [`MovementModel::max_speed`].
     v_glob: f64,
     states: Vec<NodeState>,
@@ -231,7 +225,7 @@ pub struct World {
     //     mode; Ticked mode never reads it) ---
     /// Pending wake-ups, popped per executed tick.
     events: EventQueue<EngineEvent>,
-    /// Per-node next movement decision boundary — `seg_until[i]` for mobile
+    /// Per-node next movement decision boundary — `segs[i].until` for mobile
     /// nodes, [`SimTime::MAX`] for stationary ones. Advancing a model
     /// before its boundary is a contractual no-op
     /// (see [`MovementModel::next_decision_time`]).
@@ -368,41 +362,15 @@ impl World {
         let sample_period = (scenario.sample_period_secs > 0.0)
             .then(|| SimDuration::from_secs_f64(scenario.sample_period_secs));
 
-        // Kinematics columns: every model's exported motion segment at
-        // t = 0, stored column-wise, plus the global speed cap the
-        // detector's slack deadlines divide by.
-        let mut seg_origin = Vec::with_capacity(n);
-        let mut seg_vel = Vec::with_capacity(n);
-        let mut seg_start = Vec::with_capacity(n);
-        let mut seg_until = Vec::with_capacity(n);
-        for m in &movers {
-            let seg = m.motion();
-            seg_origin.push(seg.origin);
-            seg_vel.push(seg.velocity);
-            seg_start.push(seg.start);
-            seg_until.push(seg.until);
-        }
+        // The segment column: every model's exported motion segment at
+        // t = 0, plus the global speed cap the detector's slack deadlines
+        // divide by.
+        let segs: Vec<Segment> = movers.iter().map(|m| m.motion()).collect();
         let v_glob = movers.iter().map(|m| m.max_speed()).fold(0.0, f64::max);
         let mobile_nodes = movers.iter().filter(|m| !m.is_stationary()).count() as u64;
-
-        // Prime the wake-up schedule. Harmless under Ticked mode (never
-        // popped), essential under EventDriven.
         let mover_wake: Vec<SimTime> = movers.iter().map(|m| m.next_decision_time()).collect();
-        let mut events = EventQueue::with_capacity(n + 8);
-        events.schedule(traffic.peek_time(), EngineEvent::TrafficDue);
-        for (i, &wake) in mover_wake.iter().enumerate() {
-            if wake < SimTime::MAX {
-                events.schedule(wake, EngineEvent::MovementWake(NodeId(i as u32)));
-            }
-        }
-        // The first tick always executes: it primes contact detection on the
-        // initial layout, exactly like the ticked loop's first scan.
-        events.schedule(SimTime::ZERO + tick, EngineEvent::ContactRecheck);
-        if sample_period.is_some() {
-            events.schedule(SimTime::ZERO, EngineEvent::Sample);
-        }
 
-        Ok(World {
+        let mut world = World {
             mode,
             tick,
             end: SimTime::ZERO + SimDuration::from_secs_f64(scenario.duration_secs),
@@ -412,10 +380,7 @@ impl World {
             map,
             movers,
             positions,
-            seg_origin,
-            seg_vel,
-            seg_start,
-            seg_until,
+            segs,
             v_glob,
             states,
             routers,
@@ -438,10 +403,10 @@ impl World {
             sample_period,
             next_sample: SimTime::ZERO,
             log: None,
-            events,
+            events: EventQueue::new(),
             mover_wake,
             movement_due: Vec::new(),
-            ttl_wake: vec![SimTime::MAX; n],
+            ttl_wake: Vec::new(),
             link_round_scheduled: false,
             contact_window_scheduled: SimTime::MAX,
             stats: EngineStats {
@@ -449,7 +414,58 @@ impl World {
                 ..EngineStats::default()
             },
             pending_transfer_wakes: Vec::new(),
-        })
+        };
+        world.arm_wakes();
+        Ok(world)
+    }
+
+    /// Seed the event queue from scratch with conservative wake-ups for
+    /// the world as it stands between two ticks — after a build or a
+    /// restore. Extra executed ticks this causes are semantic no-ops
+    /// (stale events are markers, and every re-derived phase finds its
+    /// true work), so seeding cannot perturb the run. Harmless under
+    /// Ticked mode (never popped), essential under EventDriven.
+    fn arm_wakes(&mut self) {
+        let n = self.states.len();
+        self.events = EventQueue::with_capacity(n + 8);
+        self.movement_due.clear();
+        self.pending_transfer_wakes.clear();
+        self.events
+            .schedule(self.traffic.peek_time(), EngineEvent::TrafficDue);
+        for (i, &wake) in self.mover_wake.iter().enumerate() {
+            if wake < SimTime::MAX {
+                self.events
+                    .schedule(wake, EngineEvent::MovementWake(NodeId(i as u32)));
+            }
+        }
+        // The first tick always executes: it primes (or, after a restore,
+        // re-queries) contact detection, and the routing round re-derives
+        // (and re-memoises) every idle direction's verdict.
+        self.contact_window_scheduled = self.now + self.tick;
+        self.events
+            .schedule(self.contact_window_scheduled, EngineEvent::ContactWindow);
+        for t in self.links.connections().into_iter().filter_map(|c| c.4) {
+            self.events.schedule(
+                t.completion_time(),
+                EngineEvent::TransferComplete(t.from, t.to),
+            );
+        }
+        self.ttl_wake = vec![SimTime::MAX; n];
+        for i in 0..n {
+            if let Some(e) = self.states[i].buffer.next_expiry() {
+                self.ttl_wake[i] = e;
+                self.events
+                    .schedule(e, EngineEvent::TtlExpiry(NodeId(i as u32)));
+            }
+        }
+        if self.sample_period.is_some() {
+            self.events.schedule(self.next_sample, EngineEvent::Sample);
+        }
+        self.link_round_scheduled = self.routing_work_possible();
+        if self.link_round_scheduled {
+            self.events
+                .schedule(self.now + self.tick, EngineEvent::LinkRound);
+        }
     }
 
     /// True when the world runs on the event-driven driver (only the
@@ -494,20 +510,9 @@ impl World {
     pub fn node_position(&self, id: NodeId) -> Point {
         let i = id.index();
         if self.event_driven() {
-            self.segment(i).position_at(self.now)
+            self.segs[i].position_at(self.now)
         } else {
             self.positions[i]
-        }
-    }
-
-    /// Reassemble node `i`'s motion segment from the kinematics columns.
-    #[inline]
-    fn segment(&self, i: usize) -> Segment {
-        Segment {
-            origin: self.seg_origin[i],
-            velocity: self.seg_vel[i],
-            start: self.seg_start[i],
-            until: self.seg_until[i],
         }
     }
 
@@ -678,10 +683,8 @@ impl World {
                 // due completions are drained from the link table in
                 // pair-key order, so same-instant completions resolve
                 // deterministically no matter in which order their
-                // transfers started. ContactRecheck survives solely as the
-                // build-time "first tick always executes" marker.
-                EngineEvent::ContactRecheck
-                | EngineEvent::TransferComplete(_, _)
+                // transfers started.
+                EngineEvent::TransferComplete(_, _)
                 | EngineEvent::TtlExpiry(_)
                 | EngineEvent::Sample => {}
             }
@@ -710,13 +713,7 @@ impl World {
         // detector on the initial layout (the ticked loop's first scan);
         // `next_deadline()` reports `ZERO` while unprimed.
         if self.detector.next_deadline() <= now {
-            let cols = MotionCols {
-                origin: &self.seg_origin,
-                velocity: &self.seg_vel,
-                start: &self.seg_start,
-                until: &self.seg_until,
-            };
-            let events = self.detector.update_kinematic(now, &cols, self.v_glob);
+            let events = self.detector.update_kinematic(now, &self.segs, self.v_glob);
             self.apply_link_events(events);
         }
         // Arm a wake at the earliest pending slack deadline, unless an
@@ -809,10 +806,11 @@ impl World {
     }
 
     /// Event-mode movement phase: advance exactly the models whose
-    /// decision boundary (`mover_wake`) arrived, refresh their kinematics
-    /// columns from the newly exported segments, schedule the next
-    /// boundary wakes, and collapse their detector deadlines — a replaced
-    /// segment invalidates every bound derived from the old velocity.
+    /// decision boundary (`mover_wake`) arrived, refresh their entries in
+    /// the segment column from the newly exported segments, schedule the
+    /// next boundary wakes, and collapse their detector deadlines — a
+    /// replaced segment invalidates every bound derived from the old
+    /// velocity.
     fn phase_movement_event(&mut self, now: SimTime) {
         let mut due = std::mem::take(&mut self.movement_due);
         // Pop order is heap order; canonicalise. One wake is outstanding
@@ -827,10 +825,7 @@ impl World {
             self.movers[i].advance_to(now);
             let seg = self.movers[i].motion();
             self.positions[i] = self.movers[i].position();
-            self.seg_origin[i] = seg.origin;
-            self.seg_vel[i] = seg.velocity;
-            self.seg_start[i] = seg.start;
-            self.seg_until[i] = seg.until;
+            self.segs[i] = seg;
             self.mover_wake[i] = seg.until;
             if seg.until < SimTime::MAX {
                 self.events
@@ -1255,7 +1250,7 @@ impl World {
     /// **Identical across both [`EngineMode`]s**, because the capture is:
     /// it holds only state the modes keep bit-identical and none of what is
     /// call-pattern-dependent — mover `advance_to` anchors, the raw
-    /// kinematics columns (never refreshed between boundaries under
+    /// segment column (never refreshed between boundaries under
     /// `Ticked`), silence memos, candidate indexes, the event queue, and
     /// [`EngineStats`].
     ///
@@ -1422,12 +1417,8 @@ impl World {
         for (i, ms) in snap.movers.iter().enumerate() {
             w.movers[i] = restore_mover(ms.clone(), &w.map, w.now)
                 .map_err(|e| format!("snapshot mover {i}: {e}"))?;
-            let seg = w.movers[i].motion();
+            w.segs[i] = w.movers[i].motion();
             w.positions[i] = w.movers[i].position();
-            w.seg_origin[i] = seg.origin;
-            w.seg_vel[i] = seg.velocity;
-            w.seg_start[i] = seg.start;
-            w.seg_until[i] = seg.until;
             w.mover_wake[i] = w.movers[i].next_decision_time();
         }
 
@@ -1457,7 +1448,6 @@ impl World {
         // mirror in pair-key order, never slot order.
         w.links = LinkTable::with_nodes(n);
         w.contacts = Vec::new();
-        let mut inflight: Vec<(SimTime, NodeId, NodeId)> = Vec::new();
         for ls in &snap.links {
             let bad_link = |why: &str| Err(format!("snapshot link {}-{}: {why}", ls.a, ls.b));
             let (a, b) = (ls.a, ls.b);
@@ -1480,8 +1470,7 @@ impl World {
                 {
                     return bad_link("transfer is not between two idle endpoints");
                 }
-                let completes = w.links.start_transfer(t.from, t.to, t.msg, t.started);
-                inflight.push((completes, t.from, t.to));
+                w.links.start_transfer(t.from, t.to, t.msg, t.started);
             }
         }
 
@@ -1494,15 +1483,7 @@ impl World {
         // set, which the link table already holds.
         let primed = match w.mode {
             EngineMode::Ticked => w.detector.update(&w.positions),
-            EngineMode::EventDriven => {
-                let cols = MotionCols {
-                    origin: &w.seg_origin,
-                    velocity: &w.seg_vel,
-                    start: &w.seg_start,
-                    until: &w.seg_until,
-                };
-                w.detector.prime_kinematic(w.now, &cols)
-            }
+            EngineMode::EventDriven => w.detector.prime_kinematic(w.now, &w.segs),
         };
         let ups = primed
             .iter()
@@ -1512,49 +1493,8 @@ impl World {
             return Err("snapshot links disagree with the restored node positions".into());
         }
 
-        // Event queue: rebuilt from scratch with conservative wake-ups.
-        // Extra executed ticks this causes are semantic no-ops (stale
-        // events are markers, and every re-derived phase finds its true
-        // work), so the rebuild cannot perturb the run.
-        w.events = EventQueue::with_capacity(n + 8);
-        w.movement_due.clear();
-        w.pending_transfer_wakes.clear();
-        w.link_round_scheduled = false;
-        w.contact_window_scheduled = SimTime::MAX;
-        w.ttl_wake = vec![SimTime::MAX; n];
-        if w.event_driven() {
-            w.events
-                .schedule(w.traffic.peek_time(), EngineEvent::TrafficDue);
-            for (i, &wake) in w.mover_wake.iter().enumerate() {
-                if wake < SimTime::MAX {
-                    w.events
-                        .schedule(wake, EngineEvent::MovementWake(NodeId(i as u32)));
-                }
-            }
-            // Force the first post-restore tick to execute: the re-primed
-            // detector re-queries there, and the routing round re-derives
-            // (and re-memoises) every idle direction's verdict.
-            w.events
-                .schedule(w.now + w.tick, EngineEvent::ContactRecheck);
-            for &(completes, from, to) in &inflight {
-                w.events
-                    .schedule(completes, EngineEvent::TransferComplete(from, to));
-            }
-            for i in 0..n {
-                if let Some(e) = w.states[i].buffer.next_expiry() {
-                    w.ttl_wake[i] = e;
-                    w.events
-                        .schedule(e, EngineEvent::TtlExpiry(NodeId(i as u32)));
-                }
-            }
-            if w.sample_period.is_some() {
-                w.events.schedule(w.next_sample, EngineEvent::Sample);
-            }
-            if w.routing_work_possible() {
-                w.link_round_scheduled = true;
-                w.events.schedule(w.now + w.tick, EngineEvent::LinkRound);
-            }
-        }
+        // Event queue: rebuilt from scratch, exactly as a build seeds it.
+        w.arm_wakes();
 
         if w.state_hash() != snap.digest() {
             return Err("restored world does not reproduce the snapshot's state hash".into());
@@ -1742,7 +1682,9 @@ mod tests {
     #[test]
     fn event_mode_matches_ticked_stepwise() {
         // Stronger than end-state equality: clocks, positions and buffer
-        // states agree after every single tick.
+        // states agree after every single tick, and in each world the
+        // detector's adjacency — its one record of the in-range pair set —
+        // holds exactly the link table's connections.
         let scenario = small(RouterKind::paper_snw(), PolicyCombo::FIFO_FIFO, 13);
         let mut ticked = World::build_with_mode(&scenario, EngineMode::Ticked);
         let mut event = World::build_with_mode(&scenario, EngineMode::EventDriven);
@@ -1750,6 +1692,14 @@ mod tests {
             ticked.step();
             event.step();
             assert_eq!(ticked.now(), event.now());
+            for w in [&ticked, &event] {
+                assert_eq!(
+                    w.detector.active_count(),
+                    w.links.connection_count(),
+                    "tick {tick}, {:?}: detector and link table disagree",
+                    w.mode
+                );
+            }
             for i in 0..ticked.node_count() {
                 let id = NodeId(i as u32);
                 assert_eq!(

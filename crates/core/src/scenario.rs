@@ -143,7 +143,9 @@ impl Scenario {
         if self.duration_secs.is_nan() || self.duration_secs <= 0.0 {
             return Err(ScenarioError::Duration(self.duration_secs));
         }
-        if self.tick_secs.is_nan() || self.tick_secs <= 0.0 {
+        // The clock counts whole milliseconds: a shorter tick rounds to 0
+        // and would never advance it.
+        if self.tick_secs.is_nan() || self.tick_secs < 0.001 {
             return Err(ScenarioError::Tick(self.tick_secs));
         }
         if self.tick_secs > self.duration_secs {
@@ -190,7 +192,7 @@ impl Scenario {
 pub enum ScenarioError {
     /// `duration_secs` is not positive.
     Duration(f64),
-    /// `tick_secs` is not positive.
+    /// `tick_secs` is below the clock's 1 ms resolution.
     Tick(f64),
     /// `tick_secs` exceeds `duration_secs`.
     TickLongerThanRun,
@@ -222,7 +224,7 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::Duration(x) => write!(f, "duration must be positive, got {x}"),
-            ScenarioError::Tick(x) => write!(f, "tick must be positive, got {x}"),
+            ScenarioError::Tick(x) => write!(f, "tick must be at least 1 ms, got {x} s"),
             ScenarioError::TickLongerThanRun => write!(f, "tick longer than the run"),
             ScenarioError::Map(reason) => write!(f, "invalid map: {reason}"),
             ScenarioError::NoGroups => write!(f, "no node groups"),
@@ -350,6 +352,15 @@ mod tests {
         let mut s = minimal();
         s.tick_secs = 0.0;
         assert_eq!(s.validate(), Err(ScenarioError::Tick(0.0)));
+        // Below the clock's 1 ms resolution a tick rounds to 0.
+        s.tick_secs = 0.0001;
+        assert_eq!(s.validate(), Err(ScenarioError::Tick(0.0001)));
+        assert_eq!(
+            s.validate().unwrap_err().to_string(),
+            "tick must be at least 1 ms, got 0.0001 s"
+        );
+        s.tick_secs = 0.001;
+        assert_eq!(s.validate(), Ok(()));
         s.tick_secs = s.duration_secs + 1.0;
         assert_eq!(s.validate(), Err(ScenarioError::TickLongerThanRun));
         let mut s = minimal();

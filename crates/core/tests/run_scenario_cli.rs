@@ -59,6 +59,12 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     negative.duration_secs = -5.0;
     let mut no_tick = scenario.clone();
     no_tick.tick_secs = 0.0;
+    // Times under the clock's 1 ms resolution round to 0 and never advance.
+    let mut sub_ms_tick = scenario.clone();
+    sub_ms_tick.tick_secs = 0.0001;
+    let mut sub_ms_traffic = scenario.clone();
+    sub_ms_traffic.traffic.interval_lo = 0.0001;
+    sub_ms_traffic.traffic.interval_hi = 0.0001;
     // Scenarios failing `Scenario::validate`, nested values included (SPMB
     // speed, radio range, traffic TTL, relay points, map), and bad sweeps.
     let mut slow = scenario.clone();
@@ -87,7 +93,16 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
     ttl_sweep.ttls_mins = vec![0];
     no_seeds.seeds.clear();
     let invalid: Vec<String> = [
-        &negative, &no_tick, &slow, &deaf, &ttl_zero, &one_point, &torn_wkt, &tiny_grid,
+        &negative,
+        &no_tick,
+        &sub_ms_tick,
+        &sub_ms_traffic,
+        &slow,
+        &deaf,
+        &ttl_zero,
+        &one_point,
+        &torn_wkt,
+        &tiny_grid,
     ]
     .iter()
     .enumerate()
@@ -140,6 +155,7 @@ fn bad_arguments_exit_2_with_one_line_and_no_backtrace() {
         vec![g, "--threads"],
         vec![g, "--threads", "0"],
         vec![g, "--hash-every", "0"],
+        vec![g, "--hash-stream", "--hash-every", "0.0001"],
         vec![g, "--hash-every", "soon"],
         vec![g, "--hash-every"],
         vec![g, "--save-at", "later", "--snapshot", &snap],

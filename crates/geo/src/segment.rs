@@ -5,7 +5,7 @@
 //! straight line `origin + velocity · (t − start)` valid for
 //! `t ∈ [start, until]`. Both engine disciplines evaluate positions through
 //! the *same* closed form — the ticked loop via the model's own step, the
-//! event-driven loop via the world's kinematics columns — which is what
+//! event-driven loop via the world's segment column — which is what
 //! keeps analytically-computed positions bit-identical to stepped ones.
 
 use crate::point::Point;
@@ -43,8 +43,9 @@ impl Segment {
 
     /// Closed-form position at absolute time `t`, clamped to the segment's
     /// validity window. This is the one shared evaluation path — every
-    /// caller (model stepping, engine columns, contact prediction) must go
-    /// through it so identical inputs give bit-identical floats.
+    /// caller (model stepping, the engine's segment column, contact
+    /// prediction) must go through it so identical inputs give
+    /// bit-identical floats.
     #[inline]
     pub fn position_at(&self, t: SimTime) -> Point {
         let t = t.clamp(self.start, self.until.max(self.start));

@@ -7,7 +7,7 @@
 //! over `[start, until]`. The engine's two disciplines both evaluate positions
 //! through that one closed form — the ticked loop via [`MovementModel::step`]
 //! (which is just `advance_to(now + dt)`), the event-driven loop via the
-//! world's kinematics columns — so analytically computed positions are
+//! world's segment column — so analytically computed positions are
 //! bit-identical to stepped ones.
 //!
 //! Decision boundaries (wait expiry, leg arrival) happen at the *boundary

@@ -9,7 +9,7 @@
 //!   reaches by iterated `step()`ping, bit-for-bit.
 //!
 //! This is the contract the event-driven engine leans on when it skips
-//! movement ticks entirely and evaluates kinematics columns analytically.
+//! movement ticks entirely and evaluates its segment column analytically.
 
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -3,19 +3,21 @@
 //! Two update disciplines produce identical event streams:
 //!
 //! * [`ContactDetector::update`] — the ticked reference: recompute the full
-//!   in-range pair set from scratch and diff it against the previous set.
+//!   in-range pair set from scratch and merge-diff it against the previous
+//!   set.
 //! * [`ContactDetector::update_kinematic`] — the event-driven path: nodes
-//!   move along piecewise-linear [`Segment`]s (read from [`MotionCols`]),
-//!   and each node carries a *slack deadline*, the earliest instant any of
-//!   its pairs could flip in/out of range, bounded from its speed and the
-//!   pair's quadratic contact window. An update re-queries only the nodes
-//!   whose deadline is due (or whose segment changed, via
-//!   [`ContactDetector::on_motion_change`]); a pair neither of whose
-//!   endpoints is due provably kept its in-range status, so the diff is
-//!   exact, not heuristic.
+//!   move along piecewise-linear [`Segment`]s (one per node, borrowed from
+//!   the world as `&[Segment]`), and each node carries a *slack deadline*,
+//!   the earliest instant any of its pairs could flip in/out of range,
+//!   bounded from its speed and the pair's quadratic contact window. An
+//!   update re-queries only the nodes whose deadline is due (or whose
+//!   segment changed, via [`ContactDetector::on_motion_change`]); a pair
+//!   neither of whose endpoints is due provably kept its in-range status,
+//!   so the diff is exact, not heuristic.
 //!
 //! Both find pairs through a [`SpatialGrid`]; the tests check them against
-//! the O(n²) scan ([`SpatialGrid::pairs_within_naive`]).
+//! the O(n²) scan ([`SpatialGrid::pairs_within_naive`]). Both keep the
+//! in-range pair set in one record, a sorted per-node adjacency.
 //!
 //! Pairs entering the set produce [`LinkEvent::Up`], pairs leaving produce
 //! [`LinkEvent::Down`]. Events are emitted in deterministic order (downs
@@ -23,14 +25,14 @@
 //! disciplines.
 
 use crate::interface::RadioInterface;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use vdtn_geo::{Point, Segment, SpatialGrid};
 use vdtn_sim_core::{NodeId, SimDuration, SimTime};
 
 /// Canonical (low, high) key for an unordered node pair — the one key form
-/// used for pair-indexed state everywhere (detector sets, link table,
-/// engine contact bookkeeping).
+/// used for pair-indexed state everywhere (detector diffs, link table,
+/// contact trace, engine contact bookkeeping).
 pub fn pair_key(a: NodeId, b: NodeId) -> (u32, u32) {
     if a.0 < b.0 {
         (a.0, b.0)
@@ -70,54 +72,6 @@ fn insert_sorted(peers: &mut Vec<u32>, v: u32) {
 fn remove_sorted(peers: &mut Vec<u32>, v: u32) {
     if let Ok(pos) = peers.binary_search(&v) {
         peers.remove(pos);
-    }
-}
-
-/// Borrowed view over the world's structure-of-arrays kinematics columns:
-/// one motion segment per node, stored column-wise.
-///
-/// Positions are *always* evaluated through [`Segment::position_at`] — the
-/// same closed form the movement models and the engine use — so a distance
-/// the detector computes here is bit-identical to one computed from
-/// materialised per-tick positions.
-#[derive(Clone, Copy)]
-pub struct MotionCols<'a> {
-    /// Segment origin (position at `start`) per node.
-    pub origin: &'a [Point],
-    /// Segment velocity per node, m/s per axis.
-    pub velocity: &'a [Point],
-    /// Segment start time per node.
-    pub start: &'a [SimTime],
-    /// Segment expiry (next decision boundary) per node.
-    pub until: &'a [SimTime],
-}
-
-impl MotionCols<'_> {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.origin.len()
-    }
-
-    /// True when there are no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.origin.is_empty()
-    }
-
-    /// Reassemble node `i`'s current motion segment.
-    #[inline]
-    pub fn segment(&self, i: usize) -> Segment {
-        Segment {
-            origin: self.origin[i],
-            velocity: self.velocity[i],
-            start: self.start[i],
-            until: self.until[i],
-        }
-    }
-
-    /// Closed-form position of node `i` at absolute time `t`.
-    #[inline]
-    pub fn position_at(&self, i: usize, t: SimTime) -> Point {
-        self.segment(i).position_at(t)
     }
 }
 
@@ -161,19 +115,19 @@ pub enum LinkEvent {
 pub struct ContactDetector {
     range: f64,
     grid: SpatialGrid,
-    current: HashSet<(u32, u32)>,
     // Scratch buffers reused across ticks.
     pairs_scratch: Vec<(u32, u32)>,
     query_scratch: Vec<u32>,
+    /// The in-range pair set, the detector's one record of it: per-node
+    /// sorted peer-id vectors (dense, cache-friendly — a 100k-node world
+    /// pays 24 bytes + 4·degree per node instead of a hash table per node).
+    /// Every pair appears in both endpoints' vectors.
+    neighbors: Vec<Vec<u32>>,
 
     // --- Kinematic state (valid while `kin_valid`) ---
     /// True once `prime_kinematic` has built the deadline state. A ticked
     /// update invalidates it.
     kin_valid: bool,
-    /// Per-node adjacency mirror of `current`: sorted peer-id vectors
-    /// (dense, cache-friendly — a 100k-node world pays 24 bytes + 4·degree
-    /// per node instead of a hash table per node).
-    neighbors: Vec<Vec<u32>>,
     /// Per-node slack deadline: the earliest instant at which a pair
     /// involving this node could flip its in-range status, as bounded at the
     /// node's last re-query. Parked nodes carry [`SimTime::MAX`] — any flip
@@ -197,48 +151,78 @@ impl ContactDetector {
         ContactDetector {
             range: interface.range,
             grid: SpatialGrid::new(REQUERY_RADII * interface.range),
-            current: HashSet::new(),
             pairs_scratch: Vec::new(),
             query_scratch: Vec::new(),
-            kin_valid: false,
             neighbors: Vec::new(),
+            kin_valid: false,
             deadline: Vec::new(),
             due_heap: BinaryHeap::new(),
             due_scratch: Vec::new(),
         }
     }
 
-    /// Radio range in use.
-    pub fn range(&self) -> f64 {
-        self.range
-    }
-
     /// Number of active links.
     pub fn active_count(&self) -> usize {
-        self.current.len()
+        self.neighbors.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Update with this tick's positions; returns link events in
     /// deterministic order (all downs first — freeing nodes for new
     /// contacts — then ups, each lexicographically sorted).
     pub fn update(&mut self, positions: &[Point]) -> Vec<LinkEvent> {
-        self.pairs_scratch.clear();
-        self.grid.rebuild(positions);
-        self.grid.pairs_within(self.range, &mut self.pairs_scratch);
-        let fresh: HashSet<(u32, u32)> = self.pairs_scratch.iter().copied().collect();
-
-        let downs: Vec<(u32, u32)> = self.current.difference(&fresh).copied().collect();
-        let ups: Vec<(u32, u32)> = fresh.difference(&self.current).copied().collect();
-        self.current = fresh;
-        // The per-node kinematic caches no longer match `current`.
+        // The per-node deadlines were bounded for segments this path does
+        // not see.
         self.kin_valid = false;
-        assemble_events(downs, ups)
+        self.rescan(positions)
     }
 
-    /// Sort, dedup, and apply a pair diff to `current` and the adjacency
-    /// mirror, then assemble the canonical event stream. Pairs whose both
-    /// endpoints re-queried are discovered twice; canonical keys + dedup
-    /// collapse them, regardless of discovery order.
+    /// Full scan: rebuild the grid on `positions`, merge-diff the sorted,
+    /// deduplicated in-range pair list against the adjacency's ascending
+    /// `(low, high)` walk, and apply the diff to the adjacency. Emits the
+    /// events that turn the previous pair set into the current one.
+    fn rescan(&mut self, positions: &[Point]) -> Vec<LinkEvent> {
+        self.grid.rebuild(positions);
+        self.pairs_scratch.clear();
+        self.grid.pairs_within(self.range, &mut self.pairs_scratch);
+        if self.neighbors.len() < positions.len() {
+            self.neighbors.resize_with(positions.len(), Vec::new);
+        }
+
+        let mut held = self
+            .neighbors
+            .iter()
+            .enumerate()
+            .flat_map(|(a, peers)| {
+                let a = a as u32;
+                peers.iter().filter(move |&&b| b > a).map(move |&b| (a, b))
+            })
+            .peekable();
+        let mut fresh = self.pairs_scratch.iter().copied().peekable();
+        let mut downs: Vec<(u32, u32)> = Vec::new();
+        let mut ups: Vec<(u32, u32)> = Vec::new();
+        loop {
+            let order = match (held.peek(), fresh.peek()) {
+                (None, None) => break,
+                (Some(h), Some(f)) => h.cmp(f),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => downs.extend(held.next()),
+                Ordering::Greater => ups.extend(fresh.next()),
+                Ordering::Equal => {
+                    held.next();
+                    fresh.next();
+                }
+            }
+        }
+        self.apply_diff(downs, ups)
+    }
+
+    /// Sort, dedup, and apply a pair diff to the adjacency, then assemble
+    /// the canonical event stream. Pairs whose both endpoints re-queried
+    /// are discovered twice; canonical keys + dedup collapse them,
+    /// regardless of discovery order.
     fn apply_diff(
         &mut self,
         mut downs: Vec<(u32, u32)>,
@@ -249,31 +233,28 @@ impl ContactDetector {
         ups.sort_unstable();
         ups.dedup();
         for &(a, b) in &downs {
-            self.current.remove(&(a, b));
             remove_sorted(&mut self.neighbors[a as usize], b);
             remove_sorted(&mut self.neighbors[b as usize], a);
         }
         for &(a, b) in &ups {
-            self.current.insert((a, b));
             insert_sorted(&mut self.neighbors[a as usize], b);
             insert_sorted(&mut self.neighbors[b as usize], a);
         }
         assemble_events(downs, ups)
     }
 
-    /// Prime the kinematic (slack-deadline) state from the motion columns
+    /// Prime the kinematic (slack-deadline) state from the motion segments
     /// at `now`: a full rescan at analytically evaluated positions, then a
     /// deadline of `now` for every moving node (forcing a first real
     /// re-query at the next update) and [`SimTime::MAX`] for parked ones.
-    pub fn prime_kinematic(&mut self, now: SimTime, cols: &MotionCols) -> Vec<LinkEvent> {
-        let positions: Vec<Point> = (0..cols.len()).map(|i| cols.position_at(i, now)).collect();
-        let events = self.prime(&positions);
-        let n = cols.len();
+    pub fn prime_kinematic(&mut self, now: SimTime, segs: &[Segment]) -> Vec<LinkEvent> {
+        let positions: Vec<Point> = segs.iter().map(|s| s.position_at(now)).collect();
+        let events = self.rescan(&positions);
         self.deadline.clear();
-        self.deadline.resize(n, SimTime::MAX);
+        self.deadline.resize(segs.len(), SimTime::MAX);
         self.due_heap.clear();
-        for i in 0..n {
-            if !cols.segment(i).is_parked() {
+        for (i, seg) in segs.iter().enumerate() {
+            if !seg.is_parked() {
                 self.deadline[i] = now;
                 self.due_heap.push(Reverse((now, i as u32)));
             }
@@ -342,11 +323,11 @@ impl ContactDetector {
     pub fn update_kinematic(
         &mut self,
         now: SimTime,
-        cols: &MotionCols,
+        segs: &[Segment],
         v_glob: f64,
     ) -> Vec<LinkEvent> {
         if !self.kin_valid {
-            return self.prime_kinematic(now, cols);
+            return self.prime_kinematic(now, segs);
         }
         self.pop_due(now);
         if self.due_scratch.is_empty() {
@@ -356,7 +337,7 @@ impl ContactDetector {
         // due-due pairs see each other's fresh position.
         let due = std::mem::take(&mut self.due_scratch);
         for &i in &due {
-            self.grid.move_point(i, cols.position_at(i as usize, now));
+            self.grid.move_point(i, segs[i as usize].position_at(now));
         }
         let mut downs: Vec<(u32, u32)> = Vec::new();
         let mut ups: Vec<(u32, u32)> = Vec::new();
@@ -366,7 +347,7 @@ impl ContactDetector {
             let deadline = kin_requery(
                 i,
                 now,
-                cols,
+                segs,
                 v_glob,
                 self.range,
                 &self.grid,
@@ -385,35 +366,6 @@ impl ContactDetector {
         self.due_scratch = due;
         self.apply_diff(downs, ups)
     }
-
-    /// Full scan that rebuilds `current` and the adjacency mirror. Emits
-    /// the same events a ticked `update` would from the previous set.
-    fn prime(&mut self, positions: &[Point]) -> Vec<LinkEvent> {
-        self.grid.rebuild(positions);
-        self.pairs_scratch.clear();
-        self.grid.pairs_within(self.range, &mut self.pairs_scratch);
-        let fresh: HashSet<(u32, u32)> = self.pairs_scratch.iter().copied().collect();
-
-        let downs: Vec<(u32, u32)> = self.current.difference(&fresh).copied().collect();
-        let ups: Vec<(u32, u32)> = fresh.difference(&self.current).copied().collect();
-
-        self.neighbors = vec![Vec::new(); positions.len()];
-        for &(a, b) in &fresh {
-            self.neighbors[a as usize].push(b);
-            self.neighbors[b as usize].push(a);
-        }
-        for peers in &mut self.neighbors {
-            peers.sort_unstable();
-        }
-        self.current = fresh;
-        assemble_events(downs, ups)
-    }
-
-    /// Forget all link state (e.g. between independent runs).
-    pub fn reset(&mut self) {
-        self.current.clear();
-        self.kin_valid = false;
-    }
 }
 
 /// Re-query node `i` against the grid at time `now`: append its exact
@@ -431,7 +383,7 @@ impl ContactDetector {
 fn kin_requery(
     i: u32,
     now: SimTime,
-    cols: &MotionCols,
+    segs: &[Segment],
     v_glob: f64,
     range: f64,
     grid: &SpatialGrid,
@@ -442,7 +394,7 @@ fn kin_requery(
     ups: &mut Vec<(u32, u32)>,
 ) -> SimTime {
     let idx = i as usize;
-    let seg_i = cols.segment(idx);
+    let seg_i = &segs[idx];
     let center = seg_i.position_at(now);
     let r2 = range * range;
     let shell2 = (2.0 * range) * (2.0 * range);
@@ -459,7 +411,7 @@ fn kin_requery(
         // change routes through `on_motion_change`. Its in-range set still
         // needs refreshing: it typically just *became* parked.
         for &j in query.iter() {
-            let pj = cols.position_at(j as usize, now);
+            let pj = segs[j as usize].position_at(now);
             if pj.distance_sq(center) <= r2 {
                 still.push(j);
                 if neighbors[idx].binary_search(&j).is_err() {
@@ -476,7 +428,7 @@ fn kin_requery(
         let closing = seg_i.speed() + v_glob;
         deadline = now.saturating_add(floor_ms(range / closing));
         for &j in query.iter() {
-            let seg_j = cols.segment(j as usize);
+            let seg_j = &segs[j as usize];
             let pj = seg_j.position_at(now);
             let d2 = pj.distance_sq(center);
             if d2 > shell2 {
@@ -488,7 +440,7 @@ fn kin_requery(
                     ups.push(pair_key(NodeId(i), NodeId(j)));
                 }
             }
-            let bound = pair_flip_bound(now, range, closing, &seg_i, &seg_j, center, pj, d2);
+            let bound = pair_flip_bound(now, range, closing, seg_i, seg_j, center, pj, d2);
             deadline = deadline.min(bound);
         }
         // Livelock guard: the fresh deadline is strictly in the future.
@@ -609,6 +561,7 @@ fn pair_flip_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn detector() -> ContactDetector {
         ContactDetector::new(RadioInterface::paper_80211b())
@@ -730,18 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_forgets_links() {
-        let mut d = detector();
-        d.update(&[Point::new(0.0, 0.0), Point::new(5.0, 0.0)]);
-        assert_eq!(d.active_count(), 1);
-        d.reset();
-        assert_eq!(d.active_count(), 0);
-        // After reset the same positions re-emit Up.
-        let ev = d.update(&[Point::new(0.0, 0.0), Point::new(5.0, 0.0)]);
-        assert_eq!(ev.len(), 1);
-    }
-
-    #[test]
     fn three_node_clique() {
         let mut d = detector();
         let ev = d.update(&[
@@ -756,12 +697,9 @@ mod tests {
     // --- Kinematic (slack-deadline heap) layer ---
 
     /// Test world of per-node linear segments, randomly re-planned at tick
-    /// boundaries — the same column layout the engine keeps.
+    /// boundaries — the same segment column the engine keeps.
     struct KinWorld {
-        origin: Vec<Point>,
-        velocity: Vec<Point>,
-        start: Vec<SimTime>,
-        until: Vec<SimTime>,
+        segs: Vec<Segment>,
     }
 
     const KIN_SPAN: f64 = 300.0;
@@ -770,46 +708,29 @@ mod tests {
     impl KinWorld {
         fn new(seed: &mut u64, n: usize) -> KinWorld {
             KinWorld {
-                origin: (0..n)
-                    .map(|_| Point::new(lcg(seed) * KIN_SPAN, lcg(seed) * KIN_SPAN))
+                segs: (0..n)
+                    .map(|_| {
+                        let p = Point::new(lcg(seed) * KIN_SPAN, lcg(seed) * KIN_SPAN);
+                        Segment::stationary(p, SimTime::ZERO, SimTime::ZERO)
+                    })
                     .collect(),
-                velocity: vec![Point::new(0.0, 0.0); n],
-                start: vec![SimTime::ZERO; n],
-                until: vec![SimTime::ZERO; n],
-            }
-        }
-
-        fn cols(&self) -> MotionCols<'_> {
-            MotionCols {
-                origin: &self.origin,
-                velocity: &self.velocity,
-                start: &self.start,
-                until: &self.until,
             }
         }
 
         fn position(&self, i: usize, now: SimTime) -> Point {
-            Segment {
-                origin: self.origin[i],
-                velocity: self.velocity[i],
-                start: self.start[i],
-                until: self.until[i],
-            }
-            .position_at(now)
+            self.segs[i].position_at(now)
         }
 
         fn materialize(&self, now: SimTime) -> Vec<Point> {
-            (0..self.origin.len())
-                .map(|i| self.position(i, now))
-                .collect()
+            self.segs.iter().map(|s| s.position_at(now)).collect()
         }
 
         /// Replace every expired segment with a fresh random one anchored at
         /// the node's current (clamped) position; returns the changed nodes.
         fn replan(&mut self, seed: &mut u64, now: SimTime) -> Vec<u32> {
             let mut changed = Vec::new();
-            for i in 0..self.origin.len() {
-                if self.until[i] > now {
+            for i in 0..self.segs.len() {
+                if self.segs[i].until > now {
                     continue;
                 }
                 let p = self.position(i, now);
@@ -826,10 +747,12 @@ mod tests {
                         Point::new((q.x - p.x) * speed / len, (q.y - p.y) * speed / len)
                     }
                 };
-                self.origin[i] = p;
-                self.velocity[i] = vel;
-                self.start[i] = now;
-                self.until[i] = now + dur;
+                self.segs[i] = Segment {
+                    origin: p,
+                    velocity: vel,
+                    start: now,
+                    until: now + dur,
+                };
                 changed.push(i as u32);
             }
             changed
@@ -847,9 +770,9 @@ mod tests {
                 Point::new(-range * 4.0 / 5.0, range * 3.0 / 5.0),
             ];
             for i in 0..n {
-                let base = w.origin[(lcg(seed) * i as f64) as usize];
+                let base = w.segs[(lcg(seed) * i as f64) as usize].origin;
                 let off = offsets[(lcg(seed) * 4.0) as usize];
-                w.origin[i] = match (lcg(seed) * 3.0) as u32 {
+                w.segs[i].origin = match (lcg(seed) * 3.0) as u32 {
                     0 if i > 0 => base,
                     1 if i > 0 => Point::new(base.x + off.x, base.y + off.y),
                     _ => Point::new(lcg(seed) * span, lcg(seed) * span),
@@ -873,18 +796,18 @@ mod tests {
             span: f64,
             range: f64,
         ) -> Vec<u32> {
-            let n = self.origin.len();
+            let n = self.segs.len();
             let zero = Point::new(0.0, 0.0);
             let mut changed = Vec::new();
             for i in 0..n {
-                if self.until[i] > now {
+                if self.segs[i].until > now {
                     continue;
                 }
                 let p = self.position(i, now);
                 let k = (i + 1 + (lcg(seed) * (n - 1) as f64) as usize) % n;
                 let pk = self.position(k, now);
-                let vk = if self.until[k] > now {
-                    self.velocity[k]
+                let vk = if self.segs[k].until > now {
+                    self.segs[k].velocity
                 } else {
                     zero
                 };
@@ -921,10 +844,12 @@ mod tests {
                     }
                     _ => leg(Point::new(lcg(seed) * span, lcg(seed) * span)),
                 };
-                self.origin[i] = p;
-                self.velocity[i] = velocity;
-                self.start[i] = now;
-                self.until[i] = until;
+                self.segs[i] = Segment {
+                    origin: p,
+                    velocity,
+                    start: now,
+                    until,
+                };
                 changed.push(i as u32);
             }
             changed
@@ -965,7 +890,7 @@ mod tests {
                 }
                 let want = reference.update(&w.materialize(now));
                 let got = if kin.next_deadline() <= now {
-                    kin.update_kinematic(now, &w.cols(), vmax)
+                    kin.update_kinematic(now, &w.segs, vmax)
                 } else {
                     Vec::new()
                 };
@@ -988,7 +913,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         w.replan(&mut seed, now);
         let er = reference.update(&w.materialize(now));
-        let ek = kin.update_kinematic(now, &w.cols(), KIN_VMAX);
+        let ek = kin.update_kinematic(now, &w.segs, KIN_VMAX);
         assert_eq!(er, ek, "priming events differ");
         for tick in 0..400 {
             now += dt;
@@ -997,7 +922,7 @@ mod tests {
             }
             let er = reference.update(&w.materialize(now));
             let ek = if kin.next_deadline() <= now {
-                kin.update_kinematic(now, &w.cols(), KIN_VMAX)
+                kin.update_kinematic(now, &w.segs, KIN_VMAX)
             } else {
                 Vec::new()
             };
@@ -1027,28 +952,30 @@ mod tests {
         let replan_long = |w: &mut KinWorld, seed: &mut u64, now: SimTime| -> Vec<u32> {
             let mut changed = Vec::new();
             for i in 0..n {
-                if w.until[i] > now {
+                if w.segs[i].until > now {
                     continue;
                 }
                 let p = w.position(i, now);
                 let q = Point::new(lcg(seed) * KIN_SPAN, lcg(seed) * KIN_SPAN);
                 let len = p.distance(q);
                 let speed = (0.2 + 0.8 * lcg(seed)) * KIN_VMAX;
-                w.origin[i] = p;
-                w.velocity[i] = if len <= 0.0 {
-                    Point::new(0.0, 0.0)
-                } else {
-                    Point::new((q.x - p.x) * speed / len, (q.y - p.y) * speed / len)
+                w.segs[i] = Segment {
+                    origin: p,
+                    velocity: if len <= 0.0 {
+                        Point::new(0.0, 0.0)
+                    } else {
+                        Point::new((q.x - p.x) * speed / len, (q.y - p.y) * speed / len)
+                    },
+                    start: now,
+                    until: now + SimDuration::from_millis(15_000 + (lcg(seed) * 25_000.0) as u64),
                 };
-                w.start[i] = now;
-                w.until[i] = now + SimDuration::from_millis(15_000 + (lcg(seed) * 25_000.0) as u64);
                 changed.push(i as u32);
             }
             changed
         };
         replan_long(&mut w, &mut seed, now);
         let er = reference.update(&w.materialize(now));
-        let ek = kin.update_kinematic(now, &w.cols(), KIN_VMAX);
+        let ek = kin.update_kinematic(now, &w.segs, KIN_VMAX);
         assert_eq!(er, ek);
         let mut skipped = 0u32;
         for tick in 0..400 {
@@ -1058,7 +985,7 @@ mod tests {
             }
             let er = reference.update(&w.materialize(now));
             let ek = if kin.next_deadline() <= now {
-                kin.update_kinematic(now, &w.cols(), KIN_VMAX)
+                kin.update_kinematic(now, &w.segs, KIN_VMAX)
             } else {
                 skipped += 1;
                 Vec::new()
@@ -1071,22 +998,12 @@ mod tests {
     /// An all-parked world settles to an empty heap: no wakes, ever.
     #[test]
     fn kinematic_parked_world_needs_no_wakes() {
-        let origin = vec![
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            Point::new(200.0, 0.0),
-        ];
-        let velocity = vec![Point::new(0.0, 0.0); 3];
-        let start = vec![SimTime::ZERO; 3];
-        let until = vec![SimTime::MAX; 3];
-        let cols = MotionCols {
-            origin: &origin,
-            velocity: &velocity,
-            start: &start,
-            until: &until,
-        };
+        let segs: Vec<Segment> = [0.0, 10.0, 200.0]
+            .into_iter()
+            .map(|x| Segment::stationary(Point::new(x, 0.0), SimTime::ZERO, SimTime::MAX))
+            .collect();
         let mut kin = detector();
-        let ev = kin.update_kinematic(SimTime::ZERO, &cols, 0.0);
+        let ev = kin.update_kinematic(SimTime::ZERO, &segs, 0.0);
         assert_eq!(ev, vec![LinkEvent::Up(NodeId(0), NodeId(1))]);
         assert_eq!(kin.next_deadline(), SimTime::MAX);
     }

@@ -38,17 +38,6 @@ impl RadioInterface {
         }
         Ok(())
     }
-
-    /// Effective rate between two interfaces: the slower side limits, as in
-    /// ONE's `Connection.getSpeed()`.
-    pub fn link_rate(&self, other: &RadioInterface) -> f64 {
-        self.rate.min(other.rate)
-    }
-
-    /// Seconds needed to transfer `bytes` over a link with `other`.
-    pub fn transfer_time(&self, other: &RadioInterface, bytes: u64) -> f64 {
-        bytes as f64 / self.link_rate(other)
-    }
 }
 
 #[cfg(test)]
@@ -64,28 +53,33 @@ mod tests {
     }
 
     #[test]
-    fn link_rate_is_min() {
-        let fast = RadioInterface {
-            range: 30.0,
-            rate: 1_000_000.0,
-        };
-        let slow = RadioInterface {
-            range: 30.0,
-            rate: 250_000.0,
-        };
-        assert_eq!(fast.link_rate(&slow), 250_000.0);
-        assert_eq!(slow.link_rate(&fast), 250_000.0);
-    }
-
-    #[test]
     fn transfer_time_examples() {
+        use crate::Transfer;
+        use vdtn_bundle::{Message, MessageId};
+        use vdtn_sim_core::{NodeId, SimDuration, SimTime};
         let r = RadioInterface::paper_80211b();
-        // A 2 MB message (paper maximum) needs ≈2.67 s of contact.
-        let t = r.transfer_time(&r, 2_000_000);
-        assert!((t - 2.666_666).abs() < 1e-3);
-        // A 500 kB message (paper minimum) needs ≈0.67 s.
-        let t = r.transfer_time(&r, 500_000);
-        assert!((t - 0.666_666).abs() < 1e-3);
+        let drain = |size| {
+            let msg = Message::new(
+                MessageId(0),
+                NodeId(0),
+                NodeId(1),
+                size,
+                SimTime::ZERO,
+                SimDuration::from_mins(60),
+            );
+            Transfer {
+                msg,
+                from: NodeId(0),
+                to: NodeId(1),
+                rate: r.rate,
+                started: SimTime::ZERO,
+            }
+            .drain_duration()
+        };
+        // A 2 MB message (paper maximum) needs ≈2.67 s of contact, a
+        // 500 kB one (paper minimum) ≈0.67 s, each rounded up to the ms.
+        assert_eq!(drain(2_000_000), SimDuration::from_millis(2_667));
+        assert_eq!(drain(500_000), SimDuration::from_millis(667));
     }
 
     #[test]

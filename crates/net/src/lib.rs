@@ -39,7 +39,7 @@ pub mod interface;
 pub mod link;
 pub mod trace;
 
-pub use contact::{pair_key, ContactDetector, LinkEvent, MotionCols};
+pub use contact::{pair_key, ContactDetector, LinkEvent};
 pub use interface::RadioInterface;
 pub use link::{LinkError, LinkTable, Transfer, TransferOutcome};
 pub use trace::ContactTrace;

@@ -39,6 +39,7 @@
 //! touch, and the vector's length stays bounded by the *peak concurrent*
 //! connection count rather than the cumulative contact count.
 
+use crate::contact::pair_key;
 use std::fmt;
 use vdtn_bundle::Message;
 use vdtn_sim_core::{NodeId, SimDuration, SimTime};
@@ -155,14 +156,6 @@ pub struct LinkTable {
     conn_count: usize,
 }
 
-fn key(a: NodeId, b: NodeId) -> (u32, u32) {
-    if a.0 < b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
-    }
-}
-
 impl LinkTable {
     /// Empty table; node-indexed storage grows on demand.
     pub fn new() -> Self {
@@ -191,7 +184,7 @@ impl LinkTable {
 
     /// This pair's connection slot, if connected.
     pub fn slot_of(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let (lo, hi) = key(a, b);
+        let (lo, hi) = pair_key(a, b);
         let peers = self.adj.get(lo as usize)?;
         peers
             .binary_search_by_key(&hi, |&(p, _)| p)
@@ -215,7 +208,7 @@ impl LinkTable {
         if !rate.is_finite() || rate <= 0.0 {
             return Err(LinkError::InvalidRate { rate });
         }
-        let (lo, hi) = key(a, b);
+        let (lo, hi) = pair_key(a, b);
         self.ensure_node(hi); // hi ≥ lo covers both
         let conn = Connection {
             up_since: now,
@@ -248,7 +241,7 @@ impl LinkTable {
     /// bytes settled analytically at `now` — if one was active. The pair's
     /// slot handle is freed for reuse.
     pub fn link_down(&mut self, a: NodeId, b: NodeId, now: SimTime) -> Option<TransferOutcome> {
-        let (lo, hi) = key(a, b);
+        let (lo, hi) = pair_key(a, b);
         let slot = {
             let peers = self.adj.get_mut(lo as usize)?;
             let k = peers.binary_search_by_key(&hi, |&(p, _)| p).ok()?;
@@ -264,35 +257,14 @@ impl LinkTable {
             .expect("adjacency names a live slot");
         self.free.push(slot);
         self.conn_count -= 1;
-        conn.transfer.map(|t| self.abort_outcome(t, now))
-    }
-
-    /// Abort the in-flight transfer on a connection **without** tearing the
-    /// link down (the connection stays up and idle). Returns `None` if the
-    /// pair is not connected or has no active transfer.
-    ///
-    /// The engine currently aborts only through [`LinkTable::link_down`]
-    /// and [`LinkTable::clear`]; this entry point exists for policies that
-    /// preempt a transfer while keeping the contact (callers owning
-    /// per-contact offer state must invalidate it themselves).
-    pub fn abort(&mut self, a: NodeId, b: NodeId, now: SimTime) -> Option<TransferOutcome> {
-        let slot = self.slot_of(a, b)?;
-        let conn = self.slots[slot as usize]
-            .as_mut()
-            .expect("adjacency names a live slot");
-        let t = conn.transfer.take()?;
-        Some(self.abort_outcome(t, now))
-    }
-
-    /// Free the endpoints and settle partial bytes for an aborted transfer.
-    fn abort_outcome(&mut self, t: Transfer, now: SimTime) -> TransferOutcome {
+        let t = conn.transfer?;
         self.busy[t.from.index()] = false;
         self.busy[t.to.index()] = false;
         let bytes_transferred = t.bytes_transferred(now);
-        TransferOutcome::Aborted {
+        Some(TransferOutcome::Aborted {
             transfer: t,
             bytes_transferred,
-        }
+        })
     }
 
     /// True if the pair is currently connected.
@@ -312,37 +284,14 @@ impl LinkTable {
         self.adj.get(node.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Duration the pair has been connected, if connected.
-    pub fn contact_age(&self, a: NodeId, b: NodeId, now: SimTime) -> Option<SimDuration> {
-        let slot = self.slot_of(a, b)?;
-        self.slots[slot as usize]
-            .as_ref()
-            .map(|c| now.since(c.up_since))
-    }
-
     /// Number of active connections.
     pub fn connection_count(&self) -> usize {
         self.conn_count
     }
 
-    /// One past the highest slot handle ever issued — the length callers
-    /// size slot-addressed side tables to.
-    pub fn slot_bound(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Connections with no active transfer whose endpoints are both free,
-    /// in deterministic (ordered-pair) order. These are the opportunities
-    /// the routing round iterates.
-    pub fn idle_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        self.idle_contacts()
-            .into_iter()
-            .map(|(a, b, _)| (a, b))
-            .collect()
-    }
-
-    /// [`LinkTable::idle_pairs`] plus each pair's slot handle, for callers
-    /// holding slot-addressed per-contact state.
+    /// with each pair's slot handle, in deterministic (ordered-pair) order.
+    /// These are the opportunities the routing round iterates.
     pub fn idle_contacts(&self) -> Vec<(NodeId, NodeId, u32)> {
         let mut idle = Vec::new();
         for (lo, peers) in self.adj.iter().enumerate() {
@@ -396,7 +345,7 @@ impl LinkTable {
     ///
     /// Preconditions (checked): the pair is connected, the connection is
     /// idle, and neither node is busy. The engine upholds these by only
-    /// starting transfers on [`LinkTable::idle_pairs`].
+    /// starting transfers on [`LinkTable::idle_contacts`].
     pub fn start_transfer(
         &mut self,
         from: NodeId,
@@ -531,7 +480,7 @@ mod tests {
         assert!(!lt.is_busy(NodeId(0)) && !lt.is_busy(NodeId(1)));
         // Connection remains up and idle after completion.
         assert!(lt.is_connected(NodeId(0), NodeId(1)));
-        assert_eq!(lt.idle_pairs(), vec![(NodeId(0), NodeId(1))]);
+        assert_eq!(lt.idle_contacts(), vec![(NodeId(0), NodeId(1), 0)]);
     }
 
     #[test]
@@ -582,27 +531,6 @@ mod tests {
             } => assert_eq!(bytes_transferred, 3_000),
             other => panic!("expected abort, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn abort_keeps_the_link_up() {
-        let mut lt = LinkTable::new();
-        lt.link_up(NodeId(0), NodeId(1), t(0.0), 1_000.0).unwrap();
-        lt.start_transfer(NodeId(0), NodeId(1), msg(1, 10_000), t(0.0));
-        let out = lt.abort(NodeId(0), NodeId(1), t(2.0)).unwrap();
-        assert!(matches!(
-            out,
-            TransferOutcome::Aborted {
-                bytes_transferred: 2_000,
-                ..
-            }
-        ));
-        // Link survives, endpoints are free, and the pair is idle again.
-        assert!(lt.is_connected(NodeId(0), NodeId(1)));
-        assert!(!lt.is_busy(NodeId(0)) && !lt.is_busy(NodeId(1)));
-        assert_eq!(lt.idle_pairs(), vec![(NodeId(0), NodeId(1))]);
-        // No transfer left to abort.
-        assert!(lt.abort(NodeId(0), NodeId(1), t(3.0)).is_none());
     }
 
     #[test]
@@ -658,7 +586,7 @@ mod tests {
         lt.link_up(NodeId(2), NodeId(3), t(0.0), 750_000.0).unwrap();
         lt.start_transfer(NodeId(0), NodeId(1), msg(1, 10_000_000), t(0.0));
         // 0 and 1 are busy ⇒ only 2-3 is usable.
-        assert_eq!(lt.idle_pairs(), vec![(NodeId(2), NodeId(3))]);
+        assert_eq!(lt.idle_contacts(), vec![(NodeId(2), NodeId(3), 2)]);
     }
 
     #[test]
@@ -682,13 +610,9 @@ mod tests {
     #[test]
     fn pair_key_is_order_independent() {
         let mut lt = LinkTable::new();
-        lt.link_up(NodeId(3), NodeId(1), t(0.0), 1000.0).unwrap();
-        assert!(lt.is_connected(NodeId(1), NodeId(3)));
-        assert!(lt.is_connected(NodeId(3), NodeId(1)));
-        assert_eq!(
-            lt.contact_age(NodeId(1), NodeId(3), t(5.0)),
-            Some(SimDuration::from_secs(5))
-        );
+        let slot = lt.link_up(NodeId(3), NodeId(1), t(0.0), 1000.0).unwrap();
+        assert_eq!(lt.slot_of(NodeId(1), NodeId(3)), Some(slot));
+        assert_eq!(lt.slot_of(NodeId(3), NodeId(1)), Some(slot));
     }
 
     #[test]
@@ -735,13 +659,11 @@ mod tests {
         assert_eq!(lt.slot_of(NodeId(1), NodeId(0)), Some(s01));
         assert_eq!(lt.slot_of(NodeId(2), NodeId(3)), Some(s23));
         assert_eq!(lt.slot_of(NodeId(0), NodeId(2)), None);
-        // Teardown frees the slot; the next link reuses it, so the slot
-        // bound tracks peak concurrency, not cumulative contacts.
-        let bound = lt.slot_bound();
+        // Teardown frees the slot; the next link reuses it, so slot handles
+        // stay bounded by peak concurrency, not cumulative contacts.
         lt.link_down(NodeId(0), NodeId(1), t(1.0));
         let s45 = lt.link_up(NodeId(4), NodeId(5), t(1.0), 1000.0).unwrap();
         assert_eq!(s45, s01, "freed slot is reused");
-        assert_eq!(lt.slot_bound(), bound);
         assert_eq!(lt.connection_count(), 2);
         // Neighbor lists stay sorted and symmetric.
         assert_eq!(lt.neighbors(NodeId(2)), &[(3, s23)]);

@@ -6,6 +6,7 @@
 //! extract, because bytes-per-contact is what makes scheduling policies
 //! matter.
 
+use crate::contact::pair_key;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vdtn_sim_core::stats::Welford;
@@ -28,14 +29,6 @@ pub struct ContactTrace {
     last_end: BTreeMap<(u32, u32), SimTime>,
 }
 
-fn key(a: NodeId, b: NodeId) -> (u32, u32) {
-    if a.0 < b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
-    }
-}
-
 impl ContactTrace {
     /// Fresh trace.
     pub fn new() -> Self {
@@ -44,7 +37,7 @@ impl ContactTrace {
 
     /// Record a link-up event.
     pub fn on_up(&mut self, a: NodeId, b: NodeId, now: SimTime) {
-        let k = key(a, b);
+        let k = pair_key(a, b);
         self.contact_count += 1;
         if let Some(&end) = self.last_end.get(&k) {
             self.intercontact.push(now.since(end).as_secs_f64());
@@ -54,7 +47,7 @@ impl ContactTrace {
 
     /// Record a link-down event.
     pub fn on_down(&mut self, a: NodeId, b: NodeId, now: SimTime) {
-        let k = key(a, b);
+        let k = pair_key(a, b);
         if let Some(start) = self.open.remove(&k) {
             self.durations.push(now.since(start).as_secs_f64());
             self.last_end.insert(k, now);
@@ -83,11 +76,6 @@ impl ContactTrace {
     /// Number of closed contacts measured.
     pub fn measured_contacts(&self) -> u64 {
         self.durations.count()
-    }
-
-    /// Estimated bytes transferable per average contact at `rate` B/s.
-    pub fn mean_bytes_per_contact(&self, rate: f64) -> f64 {
-        self.mean_duration() * rate
     }
 }
 
@@ -129,15 +117,6 @@ mod tests {
         tr.finish(t(160.0));
         assert_eq!(tr.measured_contacts(), 1);
         assert!((tr.mean_duration() - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bytes_per_contact() {
-        let mut tr = ContactTrace::new();
-        tr.on_up(NodeId(0), NodeId(1), t(0.0));
-        tr.on_down(NodeId(0), NodeId(1), t(4.0));
-        // 4 s at 750 kB/s = 3 MB ≈ two paper-sized messages.
-        assert!((tr.mean_bytes_per_contact(750_000.0) - 3_000_000.0).abs() < 1e-6);
     }
 
     #[test]

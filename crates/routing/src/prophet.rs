@@ -58,22 +58,15 @@ struct Entry {
     last_update: SimTime,
 }
 
-/// Memoised digest payload: `(table generation, timestamp, entries)`.
-type ProphetDigestCache = (u64, SimTime, Vec<(NodeId, f64)>);
-
 /// Probabilistic router with GRTRMax forwarding.
 pub struct ProphetRouter {
     own: NodeId,
     cfg: ProphetConfig,
     /// `table[d]` = predictability of delivering to node `d`.
     table: Vec<Entry>,
-    /// Monotone counter bumped on every table mutation; keys `digest_cache`.
+    /// Monotone counter bumped on every table mutation: the router's
+    /// routing generation.
     table_gen: u64,
-    /// Memoised digest vector: valid while `(table_gen, now)` both match —
-    /// aged predictabilities are time-dependent, so the timestamp is part of
-    /// the key. Saves the per-entry `powf` rebuild when several contacts of
-    /// this node come up in the same tick.
-    digest_cache: Option<ProphetDigestCache>,
 }
 
 impl ProphetRouter {
@@ -94,7 +87,6 @@ impl ProphetRouter {
                 n_nodes
             ],
             table_gen: 0,
-            digest_cache: None,
         }
     }
 
@@ -168,13 +160,6 @@ impl Router for ProphetRouter {
     }
 
     fn digest(&mut self, _own: &NodeState, now: SimTime) -> Digest {
-        if let Some((gen, at, probs)) = &self.digest_cache {
-            if *gen == self.table_gen && *at == now {
-                return Digest::Prophet {
-                    probs: probs.clone(),
-                };
-            }
-        }
         let probs: Vec<(NodeId, f64)> = self
             .table
             .iter()
@@ -184,7 +169,6 @@ impl Router for ProphetRouter {
                 (p > 1e-6).then_some((NodeId(i as u32), p))
             })
             .collect();
-        self.digest_cache = Some((self.table_gen, now, probs.clone()));
         Digest::Prophet { probs }
     }
 
@@ -285,8 +269,8 @@ impl Router for ProphetRouter {
     }
 
     fn snapshot_state(&self) -> RouterSnapshot {
-        // The table is the protocol's entire semantic state; `table_gen` and
-        // the digest cache are within-run bookkeeping and excluded.
+        // The table is the protocol's entire semantic state; `table_gen` is
+        // within-run bookkeeping and excluded.
         RouterSnapshot::Prophet {
             table: self.table.iter().map(|e| (e.p, e.last_update)).collect(),
         }
@@ -300,10 +284,9 @@ impl Router for ProphetRouter {
                     .map(|(p, last_update)| Entry { p, last_update })
                     .collect();
                 // Restart generations at 0: every consumer of the old
-                // counter (silence memos, digest caches) is rebuilt fresh
+                // counter (the silence memos) is rebuilt fresh
                 // alongside the router, so only monotonicity matters.
                 self.table_gen = 0;
-                self.digest_cache = None;
                 Ok(())
             }
             _ => Err(SNAPSHOT_MISMATCH.into()),

@@ -195,8 +195,8 @@ pub trait Router: Send {
     /// Capture this protocol's *semantic* state — everything that
     /// influences future routing decisions — for checkpointing and, through
     /// the world snapshot, the canonical state hash. The counterpart of
-    /// [`Router::restore_state`]. Memoisation caches (digest caches,
-    /// threshold caches) and within-run generation counters are excluded:
+    /// [`Router::restore_state`]. Memoisation caches (MaxProp's
+    /// threshold cache) and within-run generation counters are excluded:
     /// they rebuild lazily after restore and never change a decision.
     /// Protocols without such state return [`RouterSnapshot::Stateless`].
     fn snapshot_state(&self) -> RouterSnapshot;

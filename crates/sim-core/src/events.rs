@@ -31,14 +31,13 @@ use std::collections::BinaryHeap;
 ///   model can change anything it exports (plan a trip, turn at a
 ///   waypoint, draw RNG). Between expiries the node's position follows the
 ///   segment's closed form, so driving nodes wake per *leg*, not per tick.
-/// * [`ContactRecheck`](EngineEvent::ContactRecheck) — the build-time
-///   "first tick always executes" marker; superseded between ticks by
-///   `ContactWindow`, which carries the detector's analytic bound.
 /// * [`ContactWindow`](EngineEvent::ContactWindow) — the contact
 ///   detector's earliest slack deadline: the first grid tick at which some
 ///   pair's worst-case relative motion could flip its in-range status.
 ///   Derived from per-node slack radii and pairwise quadratic
-///   contact-window bounds over the exported motion segments.
+///   contact-window bounds over the exported motion segments. After a
+///   build or a restore, one at the first tick makes that tick execute
+///   and prime the detector.
 /// * [`LinkRound`](EngineEvent::LinkRound) — a routing round may do work
 ///   next tick: some idle connection has a direction that is not provably
 ///   silent (see the engine's silent-round memo).
@@ -65,10 +64,8 @@ pub enum EngineEvent {
     TrafficDue,
     /// A node's motion-segment deadline (trip planning, waypoint departure,
     /// leg arrival) is due: advance the model across the boundary and
-    /// refresh its kinematics columns.
+    /// refresh its entry in the segment column.
     MovementWake(NodeId),
-    /// Node positions changed recently: re-evaluate contacts next tick.
-    ContactRecheck,
     /// The contact detector's earliest slack deadline may elapse: some node
     /// could have drifted within range of a new neighbour (or out of range
     /// of a current one) by this instant. Re-query due nodes only.
@@ -244,11 +241,11 @@ mod tests {
         q.schedule(t(20), EngineEvent::TtlExpiry(NodeId(3)));
         q.schedule(t(10), EngineEvent::MovementWake(NodeId(1)));
         q.schedule(t(10), EngineEvent::TrafficDue);
-        q.schedule(t(10), EngineEvent::ContactRecheck);
+        q.schedule(t(10), EngineEvent::ContactWindow);
         // Same-time events come out in schedule order.
         assert_eq!(q.pop(), Some((t(10), EngineEvent::MovementWake(NodeId(1)))));
         assert_eq!(q.pop(), Some((t(10), EngineEvent::TrafficDue)));
-        assert_eq!(q.pop(), Some((t(10), EngineEvent::ContactRecheck)));
+        assert_eq!(q.pop(), Some((t(10), EngineEvent::ContactWindow)));
         assert_eq!(q.pop(), Some((t(20), EngineEvent::TtlExpiry(NodeId(3)))));
     }
 
